@@ -4,9 +4,10 @@ Selected coefficients become independent normal random variables across
 observations; the likelihood integrates them out by averaging the bivariate
 normal density over fixed per-observation Halton draws.  The optimizer works
 on an unconstrained transform (log spreads, Cholesky error covariance with
-log diagonal), so every iterate maps to a valid model.  Standard errors come
-from a central-difference Hessian at the optimum, delta-method transformed
-to the natural scale.
+log diagonal), so every iterate maps to a valid model.  The gradient is the
+analytic score, computed in the same pass over the draws as the value.
+Standard errors come from the Hessian at the optimum, taken as central
+differences of the score, delta-method transformed to the natural scale.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from .sure import ErrorCovariance, SureFit, fgls_fit, _rowdot
 
 _LOG_2PI = np.log(2.0 * np.pi)
 _MIN_SIGMA_START = 1e-3
+# doubles per (rows, draws) temporary of one kernel block
+_BLOCK_DOUBLES = 100_000
 
 
 @dataclass(frozen=True)
@@ -70,10 +73,12 @@ def effects_from_design(design: DesignMatrices) -> tuple[RandomEffect, ...]:
 
 
 class LoglikKernel:
-    """Simulated log-likelihood evaluator with precomputed draw products.
+    """Simulated log-likelihood and score evaluator with precomputed draw products.
 
-    The per-observation mixture average and the outer sum over observations
-    run in a fixed order, so results are bit-identical for any thread count.
+    Observations are evaluated in fixed blocks of about _BLOCK_DOUBLES / R
+    rows, so temporaries stay small for any N.  Per-observation values and
+    score rows are summed in one fixed order, so results are bit-identical
+    for any thread count.
     """
 
     def __init__(self, x1, x2, y1, y2, effects: tuple[RandomEffect, ...],
@@ -107,49 +112,93 @@ class LoglikKernel:
                 p = self.x[eq][:, col][:, None] * draws.z[:, :, d]
                 self.products[eq].append((d, p))
         self.log_r = np.log(float(self.r))
+        rows = max(1, _BLOCK_DOUBLES // self.r)
+        self.blocks = [(lo, min(lo + rows, self.n)) for lo in range(0, self.n, rows)]
 
-    def _chunk_loglik(self, params: RpParameters, lo: int, hi: int,
-                      base1: np.ndarray, base2: np.ndarray) -> np.ndarray:
-        e1 = base1[lo:hi, None]
-        for d, p in self.products[0]:
-            e1 = e1 - params.sigmas[d] * p[lo:hi]
-        e2 = base2[lo:hi, None]
-        for d, p in self.products[1]:
-            e2 = e2 - params.sigmas[d] * p[lo:hi]
+    def _block(self, params: RpParameters, lo: int, hi: int, base: tuple,
+               value: np.ndarray, score: np.ndarray | None) -> None:
+        """Fill value[lo:hi], and score[lo:hi] unless it is None."""
+        e = []
+        for eq in (0, 1):
+            resid = base[eq][lo:hi, None]
+            for d, p in self.products[eq]:
+                resid = resid - params.sigmas[d] * p[lo:hi]
+            e.append(resid)
         low = params.cov.cholesky_lower()
         l11, l21, l22 = low[0, 0], low[1, 0], low[1, 1]
-        v1 = e1 / l11
-        v2 = (e2 - l21 * v1) / l22
+        v1 = e[0] / l11
+        v2 = (e[1] - l21 * v1) / l22
         lnphi = -_LOG_2PI - np.log(l11 * l22) - 0.5 * (v1 * v1 + v2 * v2)
-        if lnphi.shape[1] == 1:
-            return lnphi[:, 0]
-        # log of the mixture average over draws, computed in log space
+        # log of the mixture average over draws, computed in log space;
+        # w are the draws' mixture weights before division by w_sum
         m = lnphi.max(axis=1)
-        return m + np.log(np.exp(lnphi - m[:, None]).sum(axis=1)) - self.log_r
+        w = np.exp(lnphi - m[:, None])
+        w_sum = w.sum(axis=1)
+        value[lo:hi] = m + np.log(w_sum) - self.log_r
+        if score is None:
+            return
+        # the score is the mixture-weighted draw average of d lnphi / d theta
+        # (Train 2009, ch. 10); d lnphi / d e is linear in (v1, v2), so every
+        # term is a weighted average of v1 or v2 times something
+        wv = (w * v1, w * v2)
 
-    def per_observation(self, params: RpParameters) -> np.ndarray:
-        base1 = self.y[0] - _rowdot(self.x[0], params.coef1)
-        base2 = self.y[1] - _rowdot(self.x[1], params.coef2)
-        out = np.empty(self.n)
-        if self.threads == 1 or self.n < 2 * self.threads:
-            out[:] = self._chunk_loglik(params, 0, self.n, base1, base2)
-            return out
-        bounds = np.linspace(0, self.n, self.threads + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=self.threads) as pool:
-            futures = [
-                (lo, hi, pool.submit(self._chunk_loglik, params, lo, hi, base1, base2))
-                for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo
-            ]
-            for lo, hi, fut in futures:
-                out[lo:hi] = fut.result()
-        return out
+        def mean(i, b=None):
+            return (wv[i].sum(axis=1) if b is None
+                    else np.einsum("ij,ij->i", wv[i], b)) / w_sum
 
-    def loglik(self, params: RpParameters) -> float:
-        value = float(np.sum(self.per_observation(params)))
-        if not np.isfinite(value):
+        def mean_a(eq, b=None):
+            # a2 = -v2/l22 and a1 = -v1/l11 - a2*l21/l11 are d lnphi / d e
+            a2 = mean(1, b) * (-1.0 / l22)
+            return a2 if eq else mean(0, b) * (-1.0 / l11) - a2 * (l21 / l11)
+
+        out = score[lo:hi]
+        col = 0
+        for eq in (0, 1):
+            k = self.x[eq].shape[1]
+            out[:, col:col + k] = self.x[eq][lo:hi] * -mean_a(eq)[:, None]
+            col += k
+        out[:, col:-3] = 0.0
+        for eq in (0, 1):
+            for d, p in self.products[eq]:
+                out[:, col + d] -= params.sigmas[d] * mean_a(eq, p[lo:hi])
+        s12 = mean(0, v2)
+        out[:, -3] = mean(0, v1) - (l21 / l22) * s12 - 1.0
+        out[:, -2] = s12 / l22
+        out[:, -1] = mean(1, v2) - 1.0
+
+    def _evaluate(self, params: RpParameters, with_score: bool
+                  ) -> tuple[float, np.ndarray | None]:
+        base = (self.y[0] - _rowdot(self.x[0], params.coef1),
+                self.y[1] - _rowdot(self.x[1], params.coef2))
+        value = np.empty(self.n)
+        score = None
+        if with_score:
+            size = self.x[0].shape[1] + self.x[1].shape[1] + len(self.effects) + 3
+            score = np.empty((self.n, size))
+        if self.threads == 1 or len(self.blocks) == 1:
+            for lo, hi in self.blocks:
+                self._block(params, lo, hi, base, value, score)
+        else:
+            with ThreadPoolExecutor(max_workers=min(self.threads, len(self.blocks))) as pool:
+                for fut in [pool.submit(self._block, params, lo, hi, base, value, score)
+                            for lo, hi in self.blocks]:
+                    fut.result()
+        total = float(np.sum(value))
+        if not np.isfinite(total):
             raise EstimationError("simulated log-likelihood is not finite "
                                   "(all draws underflowed)")
-        return value
+        return total, None if score is None else score.sum(axis=0)
+
+    def loglik(self, params: RpParameters) -> float:
+        return self._evaluate(params, with_score=False)[0]
+
+    def loglik_and_score(self, params: RpParameters) -> tuple[float, np.ndarray]:
+        """Log-likelihood and its gradient in the optimizer coordinates.
+
+        The gradient is taken with respect to [coef1, coef2, log sigma_d ...,
+        log l11, l21, log l22], the layout of _Transform.
+        """
+        return self._evaluate(params, with_score=True)
 
 
 def simulated_loglik(params: RpParameters, design: DesignMatrices,
@@ -223,43 +272,16 @@ class _Transform:
         return j
 
 
-def _central_gradient(fun, t: np.ndarray, rel_step: float) -> np.ndarray:
-    g = np.empty_like(t)
-    for j in range(t.size):
-        h = rel_step * max(1.0, abs(t[j]))
-        tp = t.copy()
-        tm = t.copy()
-        tp[j] += h
-        tm[j] -= h
-        g[j] = (fun(tp) - fun(tm)) / (2.0 * h)
-    return g
-
-
-def _central_hessian(fun, t: np.ndarray, rel_step: float) -> np.ndarray:
-    p = t.size
+def _score_hessian(grad, t: np.ndarray, rel_step: float) -> np.ndarray:
+    """Central difference of the analytic gradient: 2p gradient calls."""
     h = rel_step * np.maximum(1.0, np.abs(t))
-    hess = np.empty((p, p))
-    f0 = fun(t)
-    for i in range(p):
+    hess = np.empty((t.size, t.size))
+    for j in range(t.size):
         tp = t.copy()
         tm = t.copy()
-        tp[i] += h[i]
-        tm[i] -= h[i]
-        hess[i, i] = (fun(tp) - 2.0 * f0 + fun(tm)) / h[i] ** 2
-    for i in range(p):
-        for j in range(i + 1, p):
-            tpp = t.copy()
-            tpm = t.copy()
-            tmp = t.copy()
-            tmm = t.copy()
-            tpp[[i, j]] += [h[i], h[j]]
-            tpm[i] += h[i]
-            tpm[j] -= h[j]
-            tmp[i] -= h[i]
-            tmp[j] += h[j]
-            tmm[[i, j]] -= [h[i], h[j]]
-            hess[i, j] = hess[j, i] = (
-                fun(tpp) - fun(tpm) - fun(tmp) + fun(tmm)) / (4.0 * h[i] * h[j])
+        tp[j] += h[j]
+        tm[j] -= h[j]
+        hess[:, j] = (grad(tp) - grad(tm)) / (2.0 * h[j])
     return hess
 
 
@@ -267,18 +289,22 @@ def _natural_covariance(hess: np.ndarray, jacobian: np.ndarray
                         ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Delta-method parameter covariance from the objective Hessian.
 
-    Returns (None, None) when the Hessian cannot be inverted or yields
-    non-positive variances; the fit is still usable, just without SEs.
+    Returns (None, None) unless the symmetrized Hessian is finite and
+    positive definite (a Cholesky factorization succeeds); the fit is
+    still usable, just without SEs.
     """
+    hess = 0.5 * (hess + hess.T)
+    if not np.isfinite(hess).all():
+        return None, None
     try:
-        cov_t = np.linalg.inv(hess)
-        cov_nat = jacobian @ cov_t @ jacobian.T
-        diag = np.diag(cov_nat)
-        if (diag <= 0).any() or not np.isfinite(diag).all():
-            raise np.linalg.LinAlgError("non-positive variance estimates")
-        return cov_nat, np.sqrt(diag)
+        low_inv = np.linalg.inv(np.linalg.cholesky(hess))
     except np.linalg.LinAlgError:
         return None, None
+    cov_nat = jacobian @ (low_inv.T @ low_inv) @ jacobian.T
+    diag = np.diag(cov_nat)
+    if (diag <= 0).any() or not np.isfinite(diag).all():
+        return None, None
+    return cov_nat, np.sqrt(diag)
 
 
 @dataclass(frozen=True)
@@ -286,8 +312,7 @@ class RpFitOptions:
     max_iterations: int = 500
     grad_tol: float = 1e-5           # natural-scale gradient infinity norm
     loglik_rel_tol: float = 1e-9     # relative change between accepted points
-    grad_step: float = 1e-4          # relative central-difference step
-    hessian_step: float = 1e-4       # relative central-difference step
+    hessian_step: float = 1e-4       # relative step for differencing the score
     threads: int = 1
     start: RpParameters | None = None
 
@@ -430,6 +455,9 @@ def fit_rp_sure(design: DesignMatrices, y1, y2,
     natural-scale gradient infinity norm at or below grad_tol, or a relative
     log-likelihood change at or below loglik_rel_tol; hitting the iteration
     cap returns the fit with status "not converged" instead of raising.
+    The line search evaluates the value alone; the search direction uses
+    the analytic score.  SEs need a positive-definite Hessian, formed from
+    central differences of the score (2p score evaluations).
     """
     y1 = np.asarray(y1, dtype=float)
     y2 = np.asarray(y2, dtype=float)
@@ -468,7 +496,12 @@ def fit_rp_sure(design: DesignMatrices, y1, y2,
             return float("inf")
 
     def gradient(t: np.ndarray) -> np.ndarray:
-        return _central_gradient(objective, t, options.grad_step)
+        # the analytic score; NaN where the likelihood underflows, so a
+        # Hessian probe there yields no SEs
+        try:
+            return -kernel.loglik_and_score(transform.unpack(t))[1]
+        except (EstimationError, DegenerateDataError):
+            return np.full(t.size, np.nan)
 
     def natural_grad_norm(t: np.ndarray, g: np.ndarray) -> float:
         # g is the transform-space gradient of -loglik; map through J^-T
@@ -498,7 +531,7 @@ def fit_rp_sure(design: DesignMatrices, y1, y2,
     loglik = -minimizer.f
     natural = transform.natural(t_hat)
 
-    hess = _central_hessian(objective, t_hat, options.hessian_step)
+    hess = _score_hessian(gradient, t_hat, options.hessian_step)
     param_cov, ses = _natural_covariance(hess, transform.jacobian(t_hat))
 
     def se_at(i: int) -> float | None:

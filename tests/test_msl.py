@@ -136,29 +136,90 @@ class TestSimulatedLoglik:
         assert kernel.loglik(params) == pytest.approx(exact, abs=80 * 3e-4)
 
 
+def central_difference(fun, t, rel_step):
+    g = np.empty_like(t)
+    for j in range(t.size):
+        h = rel_step * max(1.0, abs(t[j]))
+        tp, tm = t.copy(), t.copy()
+        tp[j] += h
+        tm[j] -= h
+        g[j] = (fun(tp) - fun(tm)) / (2.0 * h)
+    return g
+
+
+def value_only_hessian(fun, t, rel_step):
+    """Second differences of the value alone: 1 + 2p + 2p(p - 1) calls."""
+    p = t.size
+    h = rel_step * np.maximum(1.0, np.abs(t))
+    hess = np.empty((p, p))
+    f0 = fun(t)
+
+    def at(steps):
+        return fun(t + steps * h)
+
+    for i in range(p):
+        e = np.zeros(p)
+        e[i] = 1.0
+        hess[i, i] = (at(e) - 2.0 * f0 + at(-e)) / h[i] ** 2
+        for j in range(i + 1, p):
+            f = np.zeros(p)
+            f[j] = 1.0
+            hess[i, j] = hess[j, i] = (at(e + f) - at(e - f) - at(f - e) + at(-e - f)) \
+                / (4.0 * h[i] * h[j])
+    return hess
+
+
 class TestGradientConsistency:
-    def test_step_halving_agreement(self):
-        # central differences at h and h/2 must agree closely away from the optimum
+    def test_score_matches_central_difference(self):
+        # the analytic score against central differences of the value,
+        # at five points away from the optimum
         truth = rp_truth(n=60)
         ds = simulate_dataset(truth)
         design = design_of(ds)
         draws = build_draw_store(60, HaltonConfig(bases=(2, 3), draws_per_obs=50))
         effects = effects_from_design(design)
         kernel = LoglikKernel(ds.x1, ds.x2, ds.y1, ds.y2, effects, draws)
-        from fuelgap.msl import _Transform, _central_gradient
+        from fuelgap.msl import _Transform
         transform = _Transform(2, 2, 2)
 
-        def objective(t):
-            return -kernel.loglik(transform.unpack(t))
+        def loglik(t):
+            return kernel.loglik(transform.unpack(t))
 
         rng = np.random.default_rng(0)
         base = transform.pack(truth_params(truth))
         for _ in range(5):
             t = base + 0.2 * rng.uniform(-1, 1, base.size)
-            g_full = _central_gradient(objective, t, 1e-4)
-            g_half = _central_gradient(objective, t, 5e-5)
-            scale = np.maximum(np.abs(g_full), np.abs(g_half))
-            assert np.max(np.abs(g_full - g_half) / np.maximum(scale, 1.0)) <= 1e-4
+            value, score = kernel.loglik_and_score(transform.unpack(t))
+            assert value == loglik(t)
+            numeric = central_difference(loglik, t, 1e-5)
+            scale = np.maximum(np.abs(score), np.abs(numeric))
+            assert np.max(np.abs(score - numeric) / np.maximum(scale, 1.0)) <= 1e-6
+
+    def test_score_bits_do_not_depend_on_threads(self):
+        # 2000 draws split the 111 observations into several kernel blocks
+        truth = rp_truth(n=111)
+        ds = simulate_dataset(truth)
+        design = design_of(ds)
+        draws = build_draw_store(111, HaltonConfig(bases=(2, 3), draws_per_obs=2000))
+        params = truth_params(truth)
+        results = []
+        for threads in (1, 2, 4, 8):
+            kernel = LoglikKernel(ds.x1, ds.x2, ds.y1, ds.y2, effects_from_design(design),
+                                  draws, threads=threads)
+            assert len(kernel.blocks) > 1
+            value, score = kernel.loglik_and_score(params)
+            results.append((value, score.tobytes()))
+        assert len(set(results)) == 1
+
+
+@pytest.fixture(scope="module")
+def recovery_small():
+    truth = rp_truth(n=800, seed=51, sigma_b=(0.08, 0.1),
+                     recipe=("normal", (0.0, 1.0)))
+    ds = simulate_dataset(truth)
+    design = design_of(ds)
+    draws = build_draw_store(800, HaltonConfig(bases=(2, 3), draws_per_obs=100))
+    return fit_rp_sure(design, ds.y1, ds.y2, draws=draws), design, ds, draws
 
 
 class TestFitRpSure:
@@ -200,13 +261,8 @@ class TestFitRpSure:
         got_b = [c.estimate for c in fit_b.coefficients]
         assert got_a == got_b
 
-    def test_recovery_small(self):
-        truth = rp_truth(n=800, seed=51, sigma_b=(0.08, 0.1),
-                         recipe=("normal", (0.0, 1.0)))
-        ds = simulate_dataset(truth)
-        design = design_of(ds)
-        draws = build_draw_store(800, HaltonConfig(bases=(2, 3), draws_per_obs=100))
-        fit = fit_rp_sure(design, ds.y1, ds.y2, draws=draws)
+    def test_recovery_small(self, recovery_small):
+        fit = recovery_small[0]
         assert fit.convergence.converged
         assert fit.param_cov is not None
         by_name = {f"{c.equation}:{c.name}": c for c in fit.coefficients}
@@ -221,6 +277,23 @@ class TestFitRpSure:
         for est, se, tv in checks:
             assert se is not None and se > 0
             assert abs(est - tv) <= 4 * se
+
+    def test_ses_match_value_only_hessian(self, recovery_small):
+        # SEs from the differenced score against SEs from second differences
+        # of the value alone, at the same optimum and step
+        from fuelgap.msl import _natural_covariance, _Transform
+        fit, design, ds, draws = recovery_small
+        kernel = LoglikKernel(ds.x1, ds.x2, ds.y1, ds.y2, effects_from_design(design), draws)
+        transform = _Transform(2, 2, 2)
+        coefs = [c.estimate for c in fit.coefficients]
+        t_hat = transform.pack(RpParameters(
+            coef1=coefs[:2], coef2=coefs[2:],
+            sigmas=[c.sigma for c in fit.random_coefficients], cov=fit.sigma))
+        hess = value_only_hessian(lambda t: -kernel.loglik(transform.unpack(t)),
+                                  t_hat, RpFitOptions().hessian_step)
+        _, reference = _natural_covariance(hess, transform.jacobian(t_hat))
+        got = np.sqrt(np.diag(fit.param_cov))
+        np.testing.assert_allclose(got, reference, rtol=1e-3)
 
     def test_boundary_sigma_zero_truth(self):
         # data generated with no heterogeneity: the fitted spread collapses
@@ -326,6 +399,18 @@ class TestNaturalCovariance:
         from fuelgap.msl import _natural_covariance
 
         hess = np.diag([1.0, -2.0, 3.0])
+        cov, ses = _natural_covariance(hess, np.eye(3))
+        assert cov is None and ses is None
+
+    def test_indefinite_hessian_flags_ses_unavailable(self):
+        # eigenvalues -1, 0.33 and 1: every diagonal entry of the inverse is
+        # positive, so only a positive-definiteness check rejects it
+        from fuelgap.msl import _natural_covariance
+
+        hess = np.array([[0.3565, -0.5837, -0.491],
+                         [-0.5837, -0.6095, -0.2313],
+                         [-0.491, -0.2313, 0.5829]])
+        assert (np.diag(np.linalg.inv(hess)) > 0).all()
         cov, ses = _natural_covariance(hess, np.eye(3))
         assert cov is None and ses is None
 
