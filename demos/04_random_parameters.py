@@ -64,10 +64,10 @@ rows = [("vehicle_1:const", 0.88), ("vehicle_1:x1 mu", -0.03),
 by_name = {f"{c.equation}:{c.name}": c for c in fit.coefficients}
 values = {
     "vehicle_1:const": (by_name["vehicle_1:const"].estimate, by_name["vehicle_1:const"].se),
-    "vehicle_1:x1 mu": (by_name["vehicle_1:x1"].mu, by_name["vehicle_1:x1"].mu_se),
+    "vehicle_1:x1 mu": (by_name["vehicle_1:x1"].estimate, by_name["vehicle_1:x1"].se),
     "vehicle_1:x1 sigma": (by_name["vehicle_1:x1"].sigma, by_name["vehicle_1:x1"].sigma_se),
     "vehicle_2:const": (by_name["vehicle_2:const"].estimate, by_name["vehicle_2:const"].se),
-    "vehicle_2:x2 mu": (by_name["vehicle_2:x2"].mu, by_name["vehicle_2:x2"].mu_se),
+    "vehicle_2:x2 mu": (by_name["vehicle_2:x2"].estimate, by_name["vehicle_2:x2"].se),
     "vehicle_2:x2 sigma": (by_name["vehicle_2:x2"].sigma, by_name["vehicle_2:x2"].sigma_se),
 }
 for label, tv in rows:

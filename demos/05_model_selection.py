@@ -58,7 +58,7 @@ print("\nrandom-coefficient distributions implied by the rp-sure fit:")
 print(f"{'coefficient':18s}{'mu':>9s}{'sigma':>9s}{'lower':>9s}{'upper':>9s}"
       f"{'above 0':>9s}{'below 0':>9s}")
 for rc in rp.random_coefficients:
-    s = effect_summary(f"{rc.equation}:{rc.name}", rc.mu, rc.sigma)
+    s = effect_summary(f"{rc.equation}:{rc.name}", rc.estimate, rc.sigma)
     print(f"{s.name:18s}{s.mu:9.4f}{s.sigma:9.4f}{s.range_lower:9.4f}"
           f"{s.range_upper:9.4f}{100 * s.share_above_zero:8.2f}%"
           f"{100 * s.share_below_zero:8.2f}%")

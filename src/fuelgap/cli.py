@@ -147,7 +147,7 @@ def rp_fit_payload(fit: RpSureFit) -> dict:
         "loglik": fit.loglik,
         "equations": list(equations.values()),
         "random_coefficients": [
-            {"name": c.name, "equation": c.equation, "mu": c.mu, "mu_se": c.mu_se,
+            {"name": c.name, "equation": c.equation, "mu": c.estimate, "mu_se": c.se,
              "sigma": c.sigma, "sigma_se": c.sigma_se}
             for c in fit.random_coefficients
         ],

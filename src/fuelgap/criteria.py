@@ -197,4 +197,4 @@ def rp_effects(fit) -> list[RpEffectSummary]:
     coefficients = list(fit.random_coefficients)
     if not coefficients:
         raise FuelGapError("fit contains no random coefficients")
-    return [effect_summary(rc.name, rc.mu, rc.sigma) for rc in coefficients]
+    return [effect_summary(rc.name, rc.estimate, rc.sigma) for rc in coefficients]

@@ -15,10 +15,10 @@ from pathlib import Path
 from typing import Iterable
 
 import numpy as np
-from scipy.linalg import qr
 
-from .errors import DegenerateDataError, EstimationError, ParseError, SpecError
+from .errors import DegenerateDataError, ParseError, SpecError
 from .modelspec import ModelSpec
+from .sure import full_rank_qr
 
 REQUIRED_COLUMNS = ("garage_id", "model_year_1", "model_year_2", "us_division")
 NOT_REPORTED = "Not reported"
@@ -243,18 +243,6 @@ def _resolve(obs: PairedGapObservation, column: str):
     raise SpecError(f"variable {column!r} not found in the data")
 
 
-def _assert_full_rank(x: np.ndarray, names: tuple[str, ...]):
-    if x.shape[1] == 0:
-        return
-    _, r, piv = qr(x, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    top = diag.max() if diag.size else 0.0
-    tol = top * max(x.shape) * np.finfo(float).eps
-    if top == 0.0 or (diag <= tol).any():
-        bad = [names[j] for j in piv[diag <= tol]] if top > 0 else list(names)
-        raise EstimationError(f"design matrix is rank deficient; collinear columns: {bad}")
-
-
 def encode_design(obs: list[PairedGapObservation], spec: ModelSpec) -> DesignMatrices:
     """Encode observations into the two design matrices declared by `spec`.
 
@@ -285,7 +273,7 @@ def encode_design(obs: list[PairedGapObservation], spec: ModelSpec) -> DesignMat
                 labels = [NOT_REPORTED if str(v).strip() == "" else str(v) for v in values]
                 col = np.array([1.0 if lab == term.level else 0.0 for lab in labels])
             columns.append(col)
-        matrices.append(np.column_stack(columns) if columns else np.empty((len(obs), 0)))
+        matrices.append(np.column_stack(columns))
 
     eq1, eq2 = spec.equations
     design = DesignMatrices(
@@ -293,8 +281,8 @@ def encode_design(obs: list[PairedGapObservation], spec: ModelSpec) -> DesignMat
         names1=eq1.design_names, names2=eq2.design_names,
         random1=eq1.random_design_indices, random2=eq2.random_design_indices,
     )
-    _assert_full_rank(design.x1, design.names1)
-    _assert_full_rank(design.x2, design.names2)
+    full_rank_qr(design.x1, design.names1)
+    full_rank_qr(design.x2, design.names2)
     return design
 
 

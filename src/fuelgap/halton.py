@@ -31,19 +31,6 @@ _D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
 _P_LOW = 0.02425
 
 
-def first_primes(count: int) -> tuple[int, ...]:
-    """Return the first `count` primes (2, 3, 5, ...)."""
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    primes: list[int] = []
-    candidate = 2
-    while len(primes) < count:
-        if all(candidate % p for p in primes):
-            primes.append(candidate)
-        candidate += 1
-    return tuple(primes)
-
-
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -51,6 +38,19 @@ def _is_prime(n: int) -> bool:
         if n % p == 0:
             return False
     return True
+
+
+def first_primes(count: int) -> tuple[int, ...]:
+    """Return the first `count` primes (2, 3, 5, ...)."""
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    primes: list[int] = []
+    candidate = 2
+    while len(primes) < count:
+        if _is_prime(candidate):
+            primes.append(candidate)
+        candidate += 1
+    return tuple(primes)
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,9 @@ class EquationSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
+        if not self.intercept and not self.terms:
+            raise SpecError(f"equation {self.name!r} has no design columns; "
+                            "declare an intercept or at least one term")
         seen = set()
         for term in self.terms:
             key = (term.column, term.level)

@@ -20,9 +20,8 @@ import numpy as np
 from .data import DesignMatrices
 from .errors import DegenerateDataError, EstimationError, SpecError
 from .halton import DrawStore
-from .sure import ErrorCovariance, SureFit, fgls_fit, _rowdot
+from .sure import ErrorCovariance, SureFit, fgls_fit, whitened_logpdf, _rowdot
 
-_LOG_2PI = np.log(2.0 * np.pi)
 _MIN_SIGMA_START = 1e-3
 # doubles per (rows, draws) temporary of one kernel block
 _BLOCK_DOUBLES = 100_000
@@ -30,14 +29,11 @@ _BLOCK_DOUBLES = 100_000
 
 @dataclass(frozen=True)
 class RandomEffect:
-    """One random coefficient and the design columns it multiplies.
-
-    bindings are (equation index, column index) pairs; a coefficient shared
-    across equations simply carries one binding per equation.
-    """
+    """One random coefficient: design column `column` of equation `equation` (0 or 1)."""
 
     name: str
-    bindings: tuple[tuple[int, int], ...]
+    equation: int
+    column: int
 
 
 @dataclass(frozen=True)
@@ -68,7 +64,7 @@ def effects_from_design(design: DesignMatrices) -> tuple[RandomEffect, ...]:
     for eq, (names, cols) in enumerate(((design.names1, design.random1),
                                         (design.names2, design.random2))):
         for col in cols:
-            effects.append(RandomEffect(name=names[col], bindings=((eq, col),)))
+            effects.append(RandomEffect(name=names[col], equation=eq, column=col))
     return tuple(effects)
 
 
@@ -108,15 +104,14 @@ class LoglikKernel:
         # x[:, col] * z[:, :, d] never changes across evaluations
         self.products: tuple[list[tuple[int, np.ndarray]], list[tuple[int, np.ndarray]]] = ([], [])
         for d, effect in enumerate(self.effects):
-            for eq, col in effect.bindings:
-                p = self.x[eq][:, col][:, None] * draws.z[:, :, d]
-                self.products[eq].append((d, p))
+            p = self.x[effect.equation][:, effect.column][:, None] * draws.z[:, :, d]
+            self.products[effect.equation].append((d, p))
         self.log_r = np.log(float(self.r))
         rows = max(1, _BLOCK_DOUBLES // self.r)
         self.blocks = [(lo, min(lo + rows, self.n)) for lo in range(0, self.n, rows)]
 
-    def _block(self, params: RpParameters, lo: int, hi: int, base: tuple,
-               value: np.ndarray, score: np.ndarray | None) -> None:
+    def _block(self, params: RpParameters, low: np.ndarray, lo: int, hi: int,
+               base: tuple, value: np.ndarray, score: np.ndarray | None) -> None:
         """Fill value[lo:hi], and score[lo:hi] unless it is None."""
         e = []
         for eq in (0, 1):
@@ -124,11 +119,7 @@ class LoglikKernel:
             for d, p in self.products[eq]:
                 resid = resid - params.sigmas[d] * p[lo:hi]
             e.append(resid)
-        low = params.cov.cholesky_lower()
-        l11, l21, l22 = low[0, 0], low[1, 0], low[1, 1]
-        v1 = e[0] / l11
-        v2 = (e[1] - l21 * v1) / l22
-        lnphi = -_LOG_2PI - np.log(l11 * l22) - 0.5 * (v1 * v1 + v2 * v2)
+        lnphi, v1, v2 = whitened_logpdf(e[0], e[1], low)
         # log of the mixture average over draws, computed in log space;
         # w are the draws' mixture weights before division by w_sum
         m = lnphi.max(axis=1)
@@ -140,6 +131,7 @@ class LoglikKernel:
         # the score is the mixture-weighted draw average of d lnphi / d theta
         # (Train 2009, ch. 10); d lnphi / d e is linear in (v1, v2), so every
         # term is a weighted average of v1 or v2 times something
+        l11, l21, l22 = low[0, 0], low[1, 0], low[1, 1]
         wv = (w * v1, w * v2)
 
         def mean(i, b=None):
@@ -175,12 +167,13 @@ class LoglikKernel:
         if with_score:
             size = self.x[0].shape[1] + self.x[1].shape[1] + len(self.effects) + 3
             score = np.empty((self.n, size))
+        low = params.cov.cholesky_lower()
         if self.threads == 1 or len(self.blocks) == 1:
             for lo, hi in self.blocks:
-                self._block(params, lo, hi, base, value, score)
+                self._block(params, low, lo, hi, base, value, score)
         else:
             with ThreadPoolExecutor(max_workers=min(self.threads, len(self.blocks))) as pool:
-                for fut in [pool.submit(self._block, params, lo, hi, base, value, score)
+                for fut in [pool.submit(self._block, params, low, lo, hi, base, value, score)
                             for lo, hi in self.blocks]:
                     fut.result()
         total = float(np.sum(value))
@@ -341,14 +334,6 @@ class CoefficientEstimate:
     sigma: float | None = None
     sigma_se: float | None = None
 
-    @property
-    def mu(self) -> float:
-        return self.estimate
-
-    @property
-    def mu_se(self) -> float | None:
-        return self.se
-
 
 @dataclass(frozen=True)
 class RpSureFit:
@@ -479,11 +464,8 @@ def fit_rp_sure(design: DesignMatrices, y1, y2,
                                  eq_names=eq_names)
         coef1 = start_fit.equations[0].coef.copy()
         coef2 = start_fit.equations[1].coef.copy()
-        sigmas = []
-        for effect in effects:
-            eq, col = effect.bindings[0]
-            base = coef1[col] if eq == 0 else coef2[col]
-            sigmas.append(max(0.1 * abs(base), _MIN_SIGMA_START))
+        sigmas = [max(0.1 * abs((coef1, coef2)[e.equation][e.column]), _MIN_SIGMA_START)
+                  for e in effects]
         start = RpParameters(coef1=coef1, coef2=coef2,
                              sigmas=np.array(sigmas), cov=start_fit.sigma)
 
@@ -539,9 +521,7 @@ def fit_rp_sure(design: DesignMatrices, y1, y2,
 
     names = []
     coefficients = []
-    random_positions = {}
-    for d, effect in enumerate(effects):
-        random_positions[effect.bindings[0]] = k1 + k2 + d
+    random_positions = {(e.equation, e.column): k1 + k2 + d for d, e in enumerate(effects)}
     offset = 0
     for eq, (eq_design_names, coefs) in enumerate(
             ((design.names1, params.coef1), (design.names2, params.coef2))):

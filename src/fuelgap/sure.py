@@ -114,20 +114,34 @@ def _check_design(x: np.ndarray, names: tuple[str, ...] | None) -> tuple[str, ..
     return names
 
 
+def full_rank_qr(x: np.ndarray, names: tuple[str, ...]):
+    """Pivoted economic QR of a design matrix that must have full column rank.
+
+    Returns (q, r, piv).  A design with no columns, or with an R diagonal
+    entry at or below max|diag R| * max(n, k) * eps, raises an error naming
+    the collinear columns (all of them when the matrix is zero).
+    """
+    if x.shape[1] == 0:
+        raise EstimationError("design matrix has no columns")
+    q, r, piv = qr(x, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    top = diag.max()
+    bad = diag <= top * max(x.shape) * np.finfo(float).eps
+    if top == 0.0 or bad.any():
+        collinear = [names[j] for j in piv[bad]] if top > 0 else list(names)
+        raise EstimationError(f"design matrix is rank deficient; collinear columns: {collinear}")
+    return q, r, piv
+
+
 def _qr_solve(x: np.ndarray, y: np.ndarray, names: tuple[str, ...]):
     """Least squares via pivoted QR; returns (beta, r_inv_factor).
 
     r_inv_factor A satisfies (X'X)^-1 = A A'.  Rank deficiency raises an
     error naming the offending columns.
     """
-    n, k = x.shape
-    q, r, piv = qr(x, mode="economic", pivoting=True)
+    k = x.shape[1]
+    q, r, piv = full_rank_qr(x, names)
     diag = np.abs(np.diag(r))
-    tol = diag.max() * max(n, k) * np.finfo(float).eps if diag.max() > 0 else 0.0
-    bad = diag <= tol
-    if bad.any() or diag.max() == 0.0:
-        collinear = [names[j] for j in piv[bad]] if diag.max() > 0 else list(names)
-        raise EstimationError(f"design matrix is rank deficient; collinear columns: {collinear}")
     cond = diag.max() / diag.min()
     if cond > CONDITION_WARN_THRESHOLD:
         warnings.warn(f"design matrix condition number ~{cond:.2e} exceeds "
@@ -201,14 +215,24 @@ def residual_covariance(res1: np.ndarray, res2: np.ndarray,
     return ErrorCovariance(sigma11=s11, sigma22=s22, sigma12=s12)
 
 
-def bivariate_normal_logpdf(e1: np.ndarray, e2: np.ndarray,
-                            cov: ErrorCovariance) -> np.ndarray:
-    """Elementwise log density of centred bivariate normal residual pairs."""
-    low = cov.cholesky_lower()
+def whitened_logpdf(e1, e2, low: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Log density of centred bivariate normal pairs, with their whitened form.
+
+    `low` is the lower Cholesky factor of the covariance; e1 and e2 are
+    broadcast elementwise.  Returns (logpdf, v1, v2) with v1 = e1 / l11 and
+    v2 = (e2 - l21 v1) / l22, the residuals whitened by low^-1.
+    """
     l11, l21, l22 = low[0, 0], low[1, 0], low[1, 1]
     v1 = e1 / l11
     v2 = (e2 - l21 * v1) / l22
-    return -_LOG_2PI - np.log(l11 * l22) - 0.5 * (v1 * v1 + v2 * v2)
+    return -_LOG_2PI - np.log(l11 * l22) - 0.5 * (v1 * v1 + v2 * v2), v1, v2
+
+
+def bivariate_normal_logpdf(e1: np.ndarray, e2: np.ndarray,
+                            cov: ErrorCovariance) -> np.ndarray:
+    """Elementwise log density of centred bivariate normal residual pairs."""
+    return whitened_logpdf(e1, e2, cov.cholesky_lower())[0]
 
 
 def loglik_fixed(x1: np.ndarray, x2: np.ndarray,

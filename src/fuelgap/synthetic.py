@@ -25,9 +25,7 @@ import numpy as np
 from .errors import SpecError
 from .modelspec import EquationSpec, ModelSpec, Term, FIXED, RANDOM
 from .msl import RandomEffect
-from .sure import ErrorCovariance, _rowdot
-
-_LOG_2PI = np.log(2.0 * np.pi)
+from .sure import ErrorCovariance, bivariate_normal_logpdf, _LOG_2PI, _rowdot
 
 
 @dataclass(frozen=True)
@@ -282,20 +280,6 @@ def simulate_dataset(truth: TruthSpec) -> SyntheticDataset:
     )
 
 
-def _effect_loadings(x1: np.ndarray, x2: np.ndarray,
-                     effects: tuple[RandomEffect, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per effect, its loading vector in each equation (zeros if unbound)."""
-    n = x1.shape[0]
-    x = (x1, x2)
-    loadings = []
-    for effect in effects:
-        g = [np.zeros(n), np.zeros(n)]
-        for eq, col in effect.bindings:
-            g[eq] = g[eq] + x[eq][:, col]
-        loadings.append((g[0], g[1]))
-    return loadings
-
-
 def exact_marginal_loglik(x1, x2, y1, y2, coef1, coef2,
                           effects: tuple[RandomEffect, ...],
                           sigmas, cov: ErrorCovariance) -> float:
@@ -303,10 +287,9 @@ def exact_marginal_loglik(x1, x2, y1, y2, coef1, coef2,
 
     Integrating normal coefficients out of a linear model leaves the
     response pair bivariate normal with mean (x1'coef1, x2'coef2) and
-    covariance Sigma + sum_b sigma_b^2 g_b g_b', where g_b holds the design
-    loadings of coefficient b in each equation (a coefficient bound to one
-    equation contributes to that variance only; a shared one adds the
-    sigma^2 x1 x2 cross term).
+    covariance Sigma + diag(sum_b sigma_b^2 x_b^2) per observation, where
+    coefficient b multiplies column x_b of its own equation and so adds to
+    that equation's variance only; the covariance stays sigma12.
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
@@ -317,13 +300,13 @@ def exact_marginal_loglik(x1, x2, y1, y2, coef1, coef2,
         raise ValueError("one sigma per random effect is required")
     e1 = y1 - _rowdot(x1, np.asarray(coef1, dtype=float))
     e2 = y2 - _rowdot(x2, np.asarray(coef2, dtype=float))
-    v11 = np.full(x1.shape[0], cov.sigma11)
-    v12 = np.full(x1.shape[0], cov.sigma12)
-    v22 = np.full(x1.shape[0], cov.sigma22)
-    for (g1, g2), s in zip(_effect_loadings(x1, x2, effects), sigmas):
-        v11 += s * s * g1 * g1
-        v12 += s * s * g1 * g2
-        v22 += s * s * g2 * g2
+    x = (x1, x2)
+    var = [np.full(x1.shape[0], cov.sigma11), np.full(x1.shape[0], cov.sigma22)]
+    for effect, s in zip(effects, sigmas):
+        g = x[effect.equation][:, effect.column]
+        var[effect.equation] += s * s * g * g
+    v11, v22 = var
+    v12 = cov.sigma12
     det = v11 * v22 - v12 * v12
     if (det <= 0).any() or (v11 <= 0).any():
         raise ValueError("per-observation covariance is not positive definite")
@@ -363,19 +346,12 @@ def quadrature_loglik(x1, x2, y1, y2, coef1, coef2,
         log_w = np.sum(np.log(np.column_stack([w.ravel() for w in wmesh])), axis=1) \
             - d * 0.5 * np.log(np.pi)
 
-    loadings = _effect_loadings(x1, x2, effects)
-    dev1 = np.zeros((x1.shape[0], grid.shape[0]))
-    dev2 = np.zeros((x1.shape[0], grid.shape[0]))
-    for (g1, g2), s, zcol in zip(loadings, sigmas, grid.T):
-        dev1 += s * np.outer(g1, zcol)
-        dev2 += s * np.outer(g2, zcol)
-    r1 = e1[:, None] - dev1
-    r2 = e2[:, None] - dev2
-    low = cov.cholesky_lower()
-    l11, l21, l22 = low[0, 0], low[1, 0], low[1, 1]
-    v1 = r1 / l11
-    v2 = (r2 - l21 * v1) / l22
-    lnphi = -_LOG_2PI - np.log(l11 * l22) - 0.5 * (v1 * v1 + v2 * v2)
+    x = (x1, x2)
+    shape = (x1.shape[0], grid.shape[0])
+    dev = [np.zeros(shape), np.zeros(shape)]
+    for effect, s, zcol in zip(effects, sigmas, grid.T):
+        dev[effect.equation] += s * np.outer(x[effect.equation][:, effect.column], zcol)
+    lnphi = bivariate_normal_logpdf(e1[:, None] - dev[0], e2[:, None] - dev[1], cov)
     weighted = lnphi + log_w[None, :]
     m = weighted.max(axis=1)
     per_obs = m + np.log(np.exp(weighted - m[:, None]).sum(axis=1))

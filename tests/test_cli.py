@@ -209,6 +209,21 @@ class TestFit:
         assert code == 2
         assert "no_such_column" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("estimator", ["ols", "sure", "rp-sure"])
+    def test_equation_without_columns_is_exit_2(self, tmp_path, data_file, estimator,
+                                                capsys):
+        spec = write_json(tmp_path / "empty.json", {
+            "equations": [
+                {"name": "v1", "intercept": False, "terms": []},
+                {"name": "v2", "terms": [{"column": "x2"}]},
+            ]})
+        out = tmp_path / "f.json"
+        code = run_cli("fit", "--data", data_file, "--spec", spec,
+                       "--estimator", estimator, "--out", str(out))
+        assert code == 2
+        assert "'v1' has no design columns" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_convergence_exit_3_fit_still_written(self, tmp_path, data_file,
                                                       spec_file):
         out = tmp_path / "rp.json"

@@ -169,9 +169,9 @@ class TestEffectSummary:
 
 
 class _StubRandomCoefficient:
-    def __init__(self, name, mu, sigma):
+    def __init__(self, name, estimate, sigma):
         self.name = name
-        self.mu = mu
+        self.estimate = estimate
         self.sigma = sigma
 
 

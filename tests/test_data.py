@@ -14,7 +14,7 @@ from fuelgap.data import (
     trim_outliers,
 )
 from fuelgap.errors import DegenerateDataError, EstimationError, ParseError, SpecError
-from fuelgap.modelspec import EquationSpec, ModelSpec, Term
+from fuelgap.modelspec import EquationSpec, ModelSpec, Term, model_spec_from_dict
 
 HEADER = "garage_id,my_mpg_1,epa_mpg_1,my_mpg_2,epa_mpg_2,model_year_1,model_year_2,us_division"
 
@@ -174,9 +174,11 @@ class TestTrimOutliers:
 
 
 def two_equation_spec(terms1, terms2, base_levels=None, intercept=True):
+    # `intercept` applies to equation 1; equation 2 always keeps its
+    # intercept, so an empty terms2 still leaves it a design column
     return ModelSpec(
         equations=(EquationSpec("vehicle_1", tuple(terms1), intercept=intercept),
-                   EquationSpec("vehicle_2", tuple(terms2), intercept=intercept)),
+                   EquationSpec("vehicle_2", tuple(terms2))),
         base_levels=base_levels or {},
     )
 
@@ -250,6 +252,14 @@ class TestEncodeDesign:
         spec = two_equation_spec([Term("a_1"), Term("b_1")], [])
         with pytest.raises(EstimationError, match="a_1|b_1"):
             encode_design(obs, spec)
+
+    def test_equation_without_columns_rejected(self):
+        with pytest.raises(SpecError, match="'vehicle_2' has no design columns"):
+            EquationSpec("vehicle_2", (), intercept=False)
+        with pytest.raises(SpecError, match="'v1' has no design columns"):
+            model_spec_from_dict({"equations": [
+                {"name": "v1", "intercept": False, "terms": []},
+                {"name": "v2", "terms": [{"column": "x"}]}]})
 
     def test_random_indices_follow_spec_order(self):
         obs = [make_obs(0.8, 0.9, garage_id=f"g{i}", a_1=str(i), b_1=str(i * i),

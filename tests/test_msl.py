@@ -10,7 +10,6 @@ from fuelgap.msl import (
     CoefficientEstimate,
     Convergence,
     LoglikKernel,
-    RandomEffect,
     RpFitOptions,
     RpParameters,
     RpSureFit,
@@ -121,19 +120,6 @@ class TestSimulatedLoglik:
         bad_n = build_draw_store(19, HaltonConfig(bases=(2, 3), draws_per_obs=8))
         with pytest.raises(SpecError, match="observations"):
             simulated_loglik(params, design, ds.y1, ds.y2, bad_n)
-
-    def test_shared_effect_matches_exact_oracle(self):
-        truth = rp_truth(n=80)
-        ds = simulate_dataset(truth)
-        effects = (RandomEffect("shared", bindings=((0, 1), (1, 1))),)
-        draws = build_draw_store(80, HaltonConfig(bases=(2,), draws_per_obs=1600))
-        kernel = LoglikKernel(ds.x1, ds.x2, ds.y1, ds.y2, effects, draws)
-        params = RpParameters(coef1=[0.88, -0.03], coef2=[0.92, 0.02],
-                              sigmas=[0.05], cov=truth.error_covariance)
-        exact = exact_marginal_loglik(ds.x1, ds.x2, ds.y1, ds.y2,
-                                      params.coef1, params.coef2, effects,
-                                      params.sigmas, params.cov)
-        assert kernel.loglik(params) == pytest.approx(exact, abs=80 * 3e-4)
 
 
 def central_difference(fun, t, rel_step):
@@ -384,7 +370,7 @@ class TestEffectsFromDesign:
             random1=(1,), random2=(0, 2))
         effects = effects_from_design(design)
         assert [e.name for e in effects] == ["a", "const", "c"]
-        assert [e.bindings for e in effects] == [((0, 1),), ((1, 0),), ((1, 2),)]
+        assert [(e.equation, e.column) for e in effects] == [(0, 1), (1, 0), (1, 2)]
 
 
 class TestNaturalCovariance:

@@ -66,6 +66,10 @@ class TestOls:
         with pytest.raises(EstimationError, match="lin2|lin1"):
             ols_fit(x, np.arange(10.0), names=("const", "lin1", "lin2"))
 
+    def test_zero_column_design_is_estimation_error(self):
+        with pytest.raises(EstimationError, match="no columns"):
+            ols_fit(np.empty((5, 0)), np.arange(5.0), names=())
+
     def test_too_few_rows(self):
         with pytest.raises(DegenerateDataError):
             ols_fit(np.ones((2, 3)), np.ones(2))

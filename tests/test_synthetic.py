@@ -200,23 +200,10 @@ class TestExactMarginal:
         # one random coefficient on x = 2 with unit spread: marginal variance 1 + 4
         x1 = np.array([[2.0]])
         x2 = np.array([[1.0]])
-        effects = (RandomEffect("b", bindings=((0, 0),)),)
+        effects = (RandomEffect("b", equation=0, column=0),)
         got = exact_marginal_loglik(x1, x2, [0.0], [0.0], [0.0], [0.0],
                                     effects, [1.0], ONE_OBS_COV)
         expect = (-0.5 * math.log(2 * math.pi * 5.0)) + (-0.5 * math.log(2 * math.pi))
-        assert got == pytest.approx(expect, abs=1e-12)
-
-    def test_shared_coefficient_hits_off_diagonal(self):
-        # a coefficient bound to both equations adds sigma^2 x1 x2 covariance
-        x1 = np.array([[2.0]])
-        x2 = np.array([[3.0]])
-        effects = (RandomEffect("b", bindings=((0, 0), (1, 0))),)
-        got = exact_marginal_loglik(x1, x2, [0.1], [0.2], [0.0], [0.0],
-                                    effects, [0.5], ONE_OBS_COV)
-        v = np.array([[1 + 0.25 * 4, 0.25 * 6], [0.25 * 6, 1 + 0.25 * 9]])
-        e = np.array([0.1, 0.2])
-        expect = (-math.log(2 * math.pi) - 0.5 * math.log(np.linalg.det(v))
-                  - 0.5 * float(e @ np.linalg.solve(v, e)))
         assert got == pytest.approx(expect, abs=1e-12)
 
 
@@ -225,8 +212,8 @@ class TestQuadrature:
         self.ds = simulate_dataset(basic_truth(n=60, seed=313, recipe_kind="uniform"))
         self.c1 = np.array([0.88, -0.03])
         self.c2 = np.array([0.92, 0.02])
-        self.effects = (RandomEffect("b1", bindings=((0, 1),)),
-                        RandomEffect("b2", bindings=((1, 1),)))
+        self.effects = (RandomEffect("b1", equation=0, column=1),
+                        RandomEffect("b2", equation=1, column=1))
         self.sigmas = np.array([0.05, 0.06])
         self.cov = ErrorCovariance(0.01, 0.01, 0.005)
         self.args = (self.ds.x1, self.ds.x2, self.ds.y1, self.ds.y2,
@@ -249,15 +236,8 @@ class TestQuadrature:
                 for k in (2, 5, 10, 20)]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
-    def test_shared_effect_consistency(self):
-        effects = (RandomEffect("shared", bindings=((0, 1), (1, 1))),)
-        args = (self.ds.x1, self.ds.x2, self.ds.y1, self.ds.y2, self.c1, self.c2,
-                effects, [0.05], self.cov)
-        exact = exact_marginal_loglik(*args)
-        assert quadrature_loglik(*args, nodes=20) == pytest.approx(exact, abs=1e-8)
-
     def test_dimension_cap(self):
-        effects = tuple(RandomEffect(f"e{i}", bindings=((0, 0),)) for i in range(4))
+        effects = tuple(RandomEffect(f"e{i}", equation=0, column=0) for i in range(4))
         with pytest.raises(SpecError, match="at most 3"):
             quadrature_loglik(self.ds.x1, self.ds.x2, self.ds.y1, self.ds.y2,
                               self.c1, self.c2, effects, [0.1] * 4, self.cov, nodes=3)
