@@ -29,12 +29,11 @@ for i in range(n):
 lines.append(f"weird_high,{3.1 * 25!r},25.0,{0.84 * 30!r},30.0,2000,2003,Pacific,Gasoline")
 lines.append(f"weird_low,{0.1 * 25!r},25.0,{0.85 * 30!r},30.0,2000,2003,Pacific,Gasoline")
 
-records = parse_raw(io.StringIO("\n".join(lines) + "\n"))
-obs = compute_gaps(records)
-print(f"parsed {len(records)} garages; first gap pair: "
-      f"({obs[0].gap_1:.4f}, {obs[0].gap_2:.4f})")
+table = compute_gaps(parse_raw(io.StringIO("\n".join(lines) + "\n")))
+print(f"parsed {len(table)} garages; first gap pair: "
+      f"({table.gap[0, 0]:.4f}, {table.gap[0, 1]:.4f})")
 
-kept, removed, report = trim_outliers(obs, 3.0)
+kept, removed, report = trim_outliers(table, 3.0)
 print(f"\ntrim at mean +/- 3 SD: kept {report.n_kept}, removed {report.n_removed} "
       f"-> {list(report.removed_ids)}")
 print(f"gap means: {report.mu[0]:.4f} / {report.mu[1]:.4f}, "

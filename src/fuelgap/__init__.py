@@ -20,8 +20,8 @@ from .criteria import (
 )
 from .data import (
     DesignMatrices,
-    PairedGapObservation,
-    RawGarageRecord,
+    GapTable,
+    GarageTable,
     TrimReport,
     compute_gaps,
     encode_design,

@@ -25,6 +25,7 @@ from . import __version__
 from .criteria import CriteriaInput, effect_summary, rank_models
 from .data import (
     DEFAULT_YEAR_BINS,
+    GapTable,
     compute_gaps,
     encode_design,
     gap_correlation,
@@ -194,9 +195,8 @@ def cmd_prepare(args, parser) -> int:
     started = time.monotonic()
     trim_sd = _positive_float(parser, args.trim_sd, "--trim-sd")
     user_col, epa_col = _split_mpg_columns(parser, args.mpg_columns)
-    records = parse_raw(args.input, user_col=user_col, epa_col=epa_col)
-    obs = compute_gaps(records)
-    kept, _, report = trim_outliers(obs, trim_sd)
+    table = compute_gaps(parse_raw(args.input, user_col=user_col, epa_col=epa_col))
+    kept, _, report = trim_outliers(table, trim_sd)
 
     out = Path(args.out)
     _write_prepared_csv(kept, out)
@@ -204,11 +204,8 @@ def cmd_prepare(args, parser) -> int:
 
     report_path = out.with_name(out.stem + ".report.json")
     payload = report.as_dict()
-    payload["mean_gap"] = [float(np.mean([o.gap_1 for o in kept])),
-                           float(np.mean([o.gap_2 for o in kept]))]
-    payload["mean_mpg_shortfall"] = [
-        float(np.mean([o.epa_mpg_1 - o.my_mpg_1 for o in kept])),
-        float(np.mean([o.epa_mpg_2 - o.my_mpg_2 for o in kept]))]
+    payload["mean_gap"] = _column_means(kept.gap)
+    payload["mean_mpg_shortfall"] = _column_means(kept.epa_mpg - kept.my_mpg)
     try:
         payload["gap_correlation"] = gap_correlation(kept)
     except DegenerateDataError:
@@ -238,19 +235,30 @@ def _split_mpg_columns(parser, text: str) -> tuple[str, str]:
     return parts[0], parts[1]
 
 
-def _write_prepared_csv(obs, path: Path) -> None:
-    covariate_names = list(obs[0].covariates) if obs else []
+def _column_means(values: np.ndarray) -> list:
+    """Mean of each vehicle's column; None for both when there are no rows."""
+    if not len(values):
+        return [None, None]
+    return [float(np.mean(column)) for column in values.T]
+
+
+def _write_prepared_csv(table: GapTable, path: Path) -> None:
+    def floats(column: np.ndarray):
+        return map(repr, column.tolist())
+
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["garage_id", "my_mpg_1", "epa_mpg_1", "my_mpg_2", "epa_mpg_2",
                          "model_year_1", "model_year_2", "us_division"]
-                        + covariate_names + ["gap_1", "gap_2"])
-        for o in obs:
-            writer.writerow([o.garage_id, repr(o.my_mpg_1), repr(o.epa_mpg_1),
-                             repr(o.my_mpg_2), repr(o.epa_mpg_2),
-                             o.model_year_1, o.model_year_2, o.us_division]
-                            + [o.covariates[c] for c in covariate_names]
-                            + [repr(o.gap_1), repr(o.gap_2)])
+                        + list(table.covariates) + ["gap_1", "gap_2"])
+        writer.writerows(zip(
+            table.garage_id.tolist(),
+            floats(table.my_mpg[:, 0]), floats(table.epa_mpg[:, 0]),
+            floats(table.my_mpg[:, 1]), floats(table.epa_mpg[:, 1]),
+            table.model_year[:, 0].tolist(), table.model_year[:, 1].tolist(),
+            table.us_division.tolist(),
+            *(column.tolist() for column in table.covariates.values()),
+            floats(table.gap[:, 0]), floats(table.gap[:, 1])))
 
 
 def cmd_fit(args, parser) -> int:
@@ -264,9 +272,9 @@ def cmd_fit(args, parser) -> int:
         parser.error("--threads must be >= 1")
 
     spec = load_model_spec(args.spec)
-    obs = compute_gaps(parse_raw(args.data, user_col=user_col, epa_col=epa_col))
-    design = encode_design(obs, spec)
-    y1, y2 = responses(obs)
+    table = compute_gaps(parse_raw(args.data, user_col=user_col, epa_col=epa_col))
+    design = encode_design(table, spec)
+    y1, y2 = responses(table)
     eq_names = (spec.equations[0].name, spec.equations[1].name)
 
     exit_code = EXIT_OK
@@ -286,7 +294,7 @@ def cmd_fit(args, parser) -> int:
             bases = tuple(int(b) for b in args.bases.split(",")) if args.bases \
                 else first_primes(spec.n_random)
             config = HaltonConfig(bases=bases, draws_per_obs=args.draws, burn=args.burn)
-            draws = build_draw_store(len(obs), config)
+            draws = build_draw_store(len(table), config)
         fit = fit_rp_sure(design, y1, y2, draws=draws,
                           options=RpFitOptions(threads=args.threads,
                                                max_iterations=args.max_iterations),

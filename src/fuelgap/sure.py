@@ -117,12 +117,16 @@ def _check_design(x: np.ndarray, names: tuple[str, ...] | None) -> tuple[str, ..
 def full_rank_qr(x: np.ndarray, names: tuple[str, ...]):
     """Pivoted economic QR of a design matrix that must have full column rank.
 
-    Returns (q, r, piv).  A design with no columns, or with an R diagonal
-    entry at or below max|diag R| * max(n, k) * eps, raises an error naming
-    the collinear columns (all of them when the matrix is zero).
+    Returns (q, r, piv).  A design with no columns, with fewer rows than
+    columns, or with an R diagonal entry at or below
+    max|diag R| * max(n, k) * eps, raises an error; a rank-deficient one
+    names the collinear columns (all of them when the matrix is zero).
     """
-    if x.shape[1] == 0:
+    n, k = x.shape
+    if k == 0:
         raise EstimationError("design matrix has no columns")
+    if n < k:
+        raise EstimationError(f"design matrix has fewer rows ({n}) than columns ({k})")
     q, r, piv = qr(x, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     top = diag.max()

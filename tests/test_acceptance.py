@@ -292,12 +292,12 @@ def test_criterion_7_trimming(tmp_path):
     report = json.loads((tmp_path / "prepared.report.json").read_text())
 
     # independent interval check over the full contaminated input
-    obs = compute_gaps(parse_raw(raw))
-    gaps = np.array([[o.gap_1, o.gap_2] for o in obs])
+    table = compute_gaps(parse_raw(raw))
+    gaps = np.array(table.gap.tolist())
     mu = gaps.mean(axis=0)
     sd = gaps.std(axis=0, ddof=1)
     outside = ((gaps < mu - 3 * sd) | (gaps > mu + 3 * sd)).any(axis=1)
-    expected = {o.garage_id for o, bad in zip(obs, outside) if bad}
+    expected = {gid for gid, bad in zip(table.garage_id.tolist(), outside) if bad}
     assert expected == {gid for gid, _, _ in planted}, \
         "construction error: planted set is not exactly the out-of-interval set"
 
@@ -326,6 +326,6 @@ def test_criterion_9_gap_correlation():
                  "model_year_1,model_year_2,us_division"]
         lines += [f"g{i},{float(a) * 25.0!r},25.0,{float(b) * 25.0!r},25.0,"
                   "1999,2004,Pacific" for i, (a, b) in enumerate(zip(g1, g2))]
-        obs = compute_gaps(parse_raw(io.StringIO("\n".join(lines) + "\n")))
-        assert gap_correlation(obs) == pytest.approx(0.40, abs=0.03)
+        table = compute_gaps(parse_raw(io.StringIO("\n".join(lines) + "\n")))
+        assert gap_correlation(table) == pytest.approx(0.40, abs=0.03)
     assert clock.elapsed < 1.0

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -144,6 +145,35 @@ class TestPrepare:
         assert report["n_removed"] == 1
         assert report["removed_ids"] == ["planted"]
         assert report["n_input"] == 201
+
+    @pytest.mark.parametrize("year", ["inf", "1e400"])
+    def test_overflowing_model_year_is_exit_2(self, tmp_path, capsys, year):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("garage_id,my_mpg_1,epa_mpg_1,my_mpg_2,epa_mpg_2,"
+                       "model_year_1,model_year_2,us_division\n"
+                       f"g1,20,25,22,25,{year},2004,Pacific\n")
+        assert run_cli("prepare", "--input", str(raw),
+                       "--out", str(tmp_path / "p.csv")) == 2
+        assert "row 1: field 'model_year_1' is not an integer" in capsys.readouterr().err
+
+    def test_every_row_trimmed_keeps_columns_and_reports_null_means(self, tmp_path):
+        header = ("garage_id,my_mpg_1,epa_mpg_1,my_mpg_2,epa_mpg_2,"
+                  "model_year_1,model_year_2,us_division,urban")
+        raw = tmp_path / "raw.csv"
+        raw.write_text("\n".join([header, "g1,20,25,22,25,1999,2004,Pacific,yes",
+                                  "g2,21,25,22,25,1999,2004,Pacific,no",
+                                  "g3,23,25,22,25,1999,2004,Pacific,yes"]) + "\n")
+        out = tmp_path / "prepared.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("prepare", "--input", str(raw), "--out", str(out),
+                           "--trim-sd", "0.1") == 0
+        assert out.read_text().splitlines() == [header + ",gap_1,gap_2"]
+        report = json.loads((tmp_path / "prepared.report.json").read_text())
+        assert (report["n_input"], report["n_kept"]) == (3, 0)
+        assert report["mean_gap"] == [None, None]
+        assert report["mean_mpg_shortfall"] == [None, None]
+        assert report["gap_correlation"] is None
 
     def test_group_summary_output(self, tmp_path, data_file):
         out = tmp_path / "prepared.csv"

@@ -6,6 +6,7 @@ from fuelgap.errors import DegenerateDataError, EstimationError
 from fuelgap.sure import (
     ErrorCovariance,
     fgls_fit,
+    full_rank_qr,
     loglik_fixed,
     ols_fit,
     ols_system_fit,
@@ -73,6 +74,11 @@ class TestOls:
     def test_too_few_rows(self):
         with pytest.raises(DegenerateDataError):
             ols_fit(np.ones((2, 3)), np.ones(2))
+
+    def test_rank_check_rejects_fewer_rows_than_columns(self):
+        # the economic R of a 2 x 3 design has only two diagonal entries to test
+        with pytest.raises(EstimationError, match=r"fewer rows \(2\) than columns \(3\)"):
+            full_rank_qr(np.array([[1.0, 2.0, 3.0], [1.0, 5.0, 7.0]]), ("a", "b", "c"))
 
     def test_classical_se(self):
         rng = np.random.default_rng(3)

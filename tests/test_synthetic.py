@@ -114,10 +114,10 @@ class TestCsvRoundTrip:
         ds = simulate_dataset(basic_truth(n=40, seed=21))
         path = tmp_path / "synthetic.csv"
         ds.write_csv(path)
-        obs = compute_gaps(parse_raw(path))
-        np.testing.assert_array_equal([o.gap_1 for o in obs], ds.y1)
-        np.testing.assert_array_equal([o.gap_2 for o in obs], ds.y2)
-        np.testing.assert_array_equal([float(o.covariates["x1"]) for o in obs],
+        table = compute_gaps(parse_raw(path))
+        np.testing.assert_array_equal(table.gap[:, 0], ds.y1)
+        np.testing.assert_array_equal(table.gap[:, 1], ds.y2)
+        np.testing.assert_array_equal([float(v) for v in table.covariates["x1"]],
                                       ds.covariate_columns["x1"])
 
     def test_same_seed_same_bytes(self, tmp_path):
