@@ -35,7 +35,7 @@ from .data import (
     trim_outliers,
     write_group_summary_csv,
 )
-from .errors import DegenerateDataError, EstimationError, FuelGapError, ParseError, SpecError
+from .errors import DegenerateDataError, FuelGapError, SpecError
 from .halton import HaltonConfig, build_draw_store, first_primes
 from .modelspec import load_model_spec
 from .msl import RpFitOptions, RpSureFit, fit_rp_sure
@@ -47,9 +47,11 @@ EXIT_USAGE = 2
 EXIT_NOT_CONVERGED = 3
 EXIT_IO = 4
 
-
-class _NotConverged(Exception):
-    pass
+# columns of a prepared CSV that the input's covariates may not reuse:
+# the fixed fields, then the two gaps written after the covariates
+_PREPARED_FIELDS = ("garage_id", "my_mpg_1", "epa_mpg_1", "my_mpg_2", "epa_mpg_2",
+                    "model_year_1", "model_year_2", "us_division")
+_PREPARED_GAPS = ("gap_1", "gap_2")
 
 
 def _sha256(path: Path) -> str:
@@ -196,6 +198,10 @@ def cmd_prepare(args, parser) -> int:
     trim_sd = _positive_float(parser, args.trim_sd, "--trim-sd")
     user_col, epa_col = _split_mpg_columns(parser, args.mpg_columns)
     table = compute_gaps(parse_raw(args.input, user_col=user_col, epa_col=epa_col))
+    clashes = [c for c in table.covariates if c in _PREPARED_FIELDS + _PREPARED_GAPS]
+    if clashes:
+        raise SpecError(f"input columns {clashes} would repeat fixed columns of the "
+                        "prepared CSV; rename them")
     kept, _, report = trim_outliers(table, trim_sd)
 
     out = Path(args.out)
@@ -248,9 +254,7 @@ def _write_prepared_csv(table: GapTable, path: Path) -> None:
 
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["garage_id", "my_mpg_1", "epa_mpg_1", "my_mpg_2", "epa_mpg_2",
-                         "model_year_1", "model_year_2", "us_division"]
-                        + list(table.covariates) + ["gap_1", "gap_2"])
+        writer.writerow([*_PREPARED_FIELDS, *table.covariates, *_PREPARED_GAPS])
         writer.writerows(zip(
             table.garage_id.tolist(),
             floats(table.my_mpg[:, 0]), floats(table.epa_mpg[:, 0]),
@@ -502,9 +506,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args, parser)
-    except (ParseError, SpecError, DegenerateDataError, EstimationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except FuelGapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

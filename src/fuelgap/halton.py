@@ -3,7 +3,7 @@
 A single Halton stream per prime base is cut into contiguous per-observation
 blocks, so every observation owns a disjoint slice of the sequence and the
 draws stay fixed across optimizer iterations.  Uniforms are mapped to
-standard-normal deviates through a high-accuracy inverse normal CDF.
+standard-normal deviates through scipy's inverse normal CDF (ndtri).
 """
 
 from __future__ import annotations
@@ -11,25 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import ndtri
 
 from .errors import FuelGapError
-
-_SQRT2 = np.sqrt(2.0)
-_LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
-
-# Acklam's rational approximation to the inverse normal CDF
-# (relative error < 1.15e-9 before refinement).
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
-
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -139,40 +123,11 @@ def halton_block(config: HaltonConfig, obs_index: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _ndtr(x: np.ndarray) -> np.ndarray:
-    """Standard normal CDF, accurate in both tails."""
-    return 0.5 * erfc(-x / _SQRT2)
-
-
-def _inverse_normal_cdf_raw(p: np.ndarray) -> np.ndarray:
-    """Acklam's piecewise rational approximation for p in (0, 0.5]."""
-    x = np.empty_like(p)
-    tail = p < _P_LOW
-    mid = ~tail
-    if mid.any():
-        q = p[mid] - 0.5
-        r = q * q
-        num = ((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]
-        den = ((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0
-        x[mid] = num * q / den
-    if tail.any():
-        q = np.sqrt(-2.0 * np.log(p[tail]))
-        num = ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
-        den = (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
-        x[tail] = num / den
-    return x
-
-
 def _inverse_normal_cdf_array(u: np.ndarray) -> np.ndarray:
-    # Work on the lower half only: 1 - u is exact for u >= 0.5, and the
-    # Newton residual ndtr(x) - p is then free of cancellation near 1.
+    # Evaluate the lower half only (1 - u is exact for u >= 0.5), so the
+    # quantiles of u and 1 - u are exact negatives of each other.
     flip = u > 0.5
-    p = np.where(flip, 1.0 - u, u)
-    x = _inverse_normal_cdf_raw(p)
-    # One Newton step on the normal CDF pushes the absolute error from
-    # ~1e-9 down to machine precision over u in [1e-12, 1-1e-12].
-    pdf = np.exp(-0.5 * x * x - _LOG_SQRT_2PI)
-    x -= (_ndtr(x) - p) / pdf
+    x = ndtri(np.where(flip, 1.0 - u, u))
     return np.where(flip, -x, x)
 
 

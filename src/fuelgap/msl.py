@@ -3,9 +3,13 @@
 Selected coefficients become independent normal random variables across
 observations; the likelihood integrates them out by averaging the bivariate
 normal density over fixed per-observation Halton draws.  The optimizer works
-on an unconstrained transform (log spreads, Cholesky error covariance with
-log diagonal), so every iterate maps to a valid model.  The gradient is the
-analytic score, computed in the same pass over the draws as the value.
+on an unconstrained vector: each spread as a signed sigma (the likelihood is
+even in it, and |sigma| is reported) and the error covariance as a Cholesky
+factor with log diagonal, so every iterate maps to a valid model.  The
+gradient is the analytic score, computed in the same pass over the draws as
+the value.  A fit is "converged" only when the natural-scale score is zero
+to within a per-observation tolerance; otherwise it ends "stalled" (no
+descent step lowers the objective) or "not converged" (iteration cap).
 Standard errors come from the Hessian at the optimum, taken as central
 differences of the score, delta-method transformed to the natural scale.
 """
@@ -42,7 +46,8 @@ class RpParameters:
 
     coef1/coef2 hold every coefficient of each equation, with random
     positions holding their means; sigmas align with the random-effect
-    list (zeros are allowed and reproduce the fixed-parameter model).
+    list.  A spread may be signed (only |sigma| matters up to the draws'
+    asymmetry); zeros reproduce the fixed-parameter model.
     """
 
     coef1: np.ndarray
@@ -54,8 +59,8 @@ class RpParameters:
         object.__setattr__(self, "coef1", np.asarray(self.coef1, dtype=float))
         object.__setattr__(self, "coef2", np.asarray(self.coef2, dtype=float))
         object.__setattr__(self, "sigmas", np.asarray(self.sigmas, dtype=float))
-        if (self.sigmas < 0).any():
-            raise ValueError("random-coefficient spreads must be >= 0")
+        if not np.isfinite(self.sigmas).all():
+            raise ValueError("random-coefficient spreads must be finite")
 
 
 def effects_from_design(design: DesignMatrices) -> tuple[RandomEffect, ...]:
@@ -149,10 +154,9 @@ class LoglikKernel:
             k = self.x[eq].shape[1]
             out[:, col:col + k] = self.x[eq][lo:hi] * -mean_a(eq)[:, None]
             col += k
-        out[:, col:-3] = 0.0
         for eq in (0, 1):
             for d, p in self.products[eq]:
-                out[:, col + d] -= params.sigmas[d] * mean_a(eq, p[lo:hi])
+                out[:, col + d] = -mean_a(eq, p[lo:hi])
         s12 = mean(0, v2)
         out[:, -3] = mean(0, v1) - (l21 / l22) * s12 - 1.0
         out[:, -2] = s12 / l22
@@ -188,7 +192,7 @@ class LoglikKernel:
     def loglik_and_score(self, params: RpParameters) -> tuple[float, np.ndarray]:
         """Log-likelihood and its gradient in the optimizer coordinates.
 
-        The gradient is taken with respect to [coef1, coef2, log sigma_d ...,
+        The gradient is taken with respect to [coef1, coef2, sigma_d ...,
         log l11, l21, log l22], the layout of _Transform.
         """
         return self._evaluate(params, with_score=True)
@@ -203,13 +207,14 @@ def simulated_loglik(params: RpParameters, design: DesignMatrices,
 
 
 # ---------------------------------------------------------------------------
-# unconstrained transform
+# optimizer coordinates
 
 
 class _Transform:
     """Packing between the optimizer vector and natural-scale parameters.
 
-    Layout: [coef1, coef2, log sigma_d ..., log l11, l21, log l22].
+    Layout: [coef1, coef2, sigma_d ..., log l11, l21, log l22], with each
+    spread signed; natural() reports |sigma_d|.
     """
 
     def __init__(self, k1: int, k2: int, n_effects: int):
@@ -221,14 +226,13 @@ class _Transform:
     def pack(self, params: RpParameters) -> np.ndarray:
         low = params.cov.cholesky_lower()
         return np.concatenate([
-            params.coef1, params.coef2,
-            np.log(params.sigmas),
+            params.coef1, params.coef2, params.sigmas,
             [np.log(low[0, 0]), low[1, 0], np.log(low[1, 1])],
         ])
 
     def unpack(self, t: np.ndarray) -> RpParameters:
         k1, k2, d = self.k1, self.k2, self.d
-        sigmas = np.exp(t[k1 + k2:k1 + k2 + d])
+        sigmas = t[k1 + k2:k1 + k2 + d]
         l11 = np.exp(t[-3])
         l21 = t[-2]
         l22 = np.exp(t[-1])
@@ -243,7 +247,7 @@ class _Transform:
         l11, l21, l22 = np.exp(t[-3]), t[-2], np.exp(t[-1])
         s2 = np.hypot(l21, l22)
         return np.concatenate([
-            t[:k1 + k2], np.exp(t[k1 + k2:k1 + k2 + d]),
+            t[:k1 + k2], np.abs(t[k1 + k2:k1 + k2 + d]),
             [l11, s2, l21 / s2],
         ])
 
@@ -252,9 +256,9 @@ class _Transform:
         k1, k2, d = self.k1, self.k2, self.d
         j = np.zeros((self.size, self.size))
         j[:k1 + k2, :k1 + k2] = np.eye(k1 + k2)
-        sig = np.exp(t[k1 + k2:k1 + k2 + d])
         for i in range(d):
-            j[k1 + k2 + i, k1 + k2 + i] = sig[i]
+            # d |sigma| / d sigma, taken as +1 at 0
+            j[k1 + k2 + i, k1 + k2 + i] = -1.0 if t[k1 + k2 + i] < 0 else 1.0
         l11, l21, l22 = np.exp(t[-3]), t[-2], np.exp(t[-1])
         s2 = np.hypot(l21, l22)
         j[-3, -3] = l11                              # d sigma1 / d log l11
@@ -303,8 +307,10 @@ def _natural_covariance(hess: np.ndarray, jacobian: np.ndarray
 @dataclass(frozen=True)
 class RpFitOptions:
     max_iterations: int = 500
-    grad_tol: float = 1e-5           # natural-scale gradient infinity norm
-    loglik_rel_tol: float = 1e-9     # relative change between accepted points
+    # "converged" iff the natural-scale score's infinity norm is at most
+    # grad_tol * N: the smallest gradient a double-precision sum over N
+    # observations resolves grows with N
+    grad_tol: float = 1e-6
     hessian_step: float = 1e-4       # relative step for differencing the score
     threads: int = 1
     start: RpParameters | None = None
@@ -312,7 +318,7 @@ class RpFitOptions:
 
 @dataclass(frozen=True)
 class Convergence:
-    status: str
+    status: str                   # "converged", "stalled" or "not converged"
     iterations: int
     grad_norm: float
     loglik_path: tuple[float, ...] = field(repr=False, default=())
@@ -387,7 +393,9 @@ class _BfgsMinimizer:
         step = 1.0
         for _ in range(40):
             f_new = self.fun(self.x + step * direction)
-            if f_new <= self.f + 1e-4 * step * slope:
+            # a strict decrease too: below the resolution of f, the Armijo
+            # test alone accepts steps that leave f unchanged
+            if f_new < self.f and f_new <= self.f + 1e-4 * step * slope:
                 return step, f_new
             step *= 0.5
         return None
@@ -436,13 +444,22 @@ def fit_rp_sure(design: DesignMatrices, y1, y2,
     """Maximize the simulated likelihood by quasi-Newton ascent.
 
     Starting values come from the FGLS fit (random-coefficient spreads start
-    at 0.1 |coefficient|, floored at 1e-3).  Convergence requires the
-    natural-scale gradient infinity norm at or below grad_tol, or a relative
-    log-likelihood change at or below loglik_rel_tol; hitting the iteration
-    cap returns the fit with status "not converged" instead of raising.
+    at 0.1 |coefficient|, floored at 1e-3).  The fit stops in one of three
+    ways, and only the first is "converged": the natural-scale gradient
+    infinity norm falls to grad_tol * N or below; the line search, retried
+    from steepest descent, finds no step that lowers the objective
+    ("stalled"); or the iteration cap is hit ("not converged").  The last
+    two return the fit instead of raising.
     The line search evaluates the value alone; the search direction uses
     the analytic score.  SEs need a positive-definite Hessian, formed from
     central differences of the score (2p score evaluations).
+
+    Spreads are optimized signed and reported as |sigma|.  The likelihood
+    is even in each spread only up to the asymmetry of the Halton draws, so
+    a fit that ends on a negative spread reports the log-likelihood at the
+    signed point, which can differ from simulated_loglik at the reported
+    |sigma| by a few hundredths of a nat (a small share of the simulation
+    error itself).
     """
     y1 = np.asarray(y1, dtype=float)
     y2 = np.asarray(y2, dtype=float)
@@ -452,12 +469,8 @@ def fit_rp_sure(design: DesignMatrices, y1, y2,
     k1, k2 = design.x1.shape[1], design.x2.shape[1]
     transform = _Transform(k1, k2, len(effects))
 
-    if options.start is not None:
-        start = options.start
-        if start.sigmas.size and (start.sigmas <= 0).any():
-            raise SpecError("starting spreads must be strictly positive "
-                            "(the optimizer works on their logs)")
-    else:
+    start = options.start
+    if start is None:
         if start_fit is None:
             start_fit = fgls_fit(design.x1, design.x2, y1, y2,
                                  names1=design.names1, names2=design.names2,
@@ -491,22 +504,18 @@ def fit_rp_sure(design: DesignMatrices, y1, y2,
         return float(np.max(np.abs(g_nat)))
 
     minimizer = _BfgsMinimizer(objective, gradient, transform.pack(start))
-    status = "not converged"
+    status = "converged"
     grad_norm = natural_grad_norm(minimizer.x, minimizer.g)
     iterations = 0
-    while iterations < options.max_iterations:
-        if grad_norm <= options.grad_tol:
-            status = "converged"
+    while grad_norm > options.grad_tol * kernel.n:
+        if iterations >= options.max_iterations:
+            status = "not converged"
             break
-        f_before = minimizer.f
         if not minimizer.step():
-            # the line search cannot improve and the gradient test failed
+            status = "stalled"
             break
         iterations += 1
         grad_norm = natural_grad_norm(minimizer.x, minimizer.g)
-        if abs(f_before - minimizer.f) <= options.loglik_rel_tol * max(1.0, abs(f_before)):
-            status = "converged"
-            break
 
     t_hat = minimizer.x
     params = transform.unpack(t_hat)

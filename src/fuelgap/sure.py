@@ -52,9 +52,7 @@ class ErrorCovariance:
         """Lower Cholesky factor; raises if the matrix is only semi-definite."""
         try:
             return cholesky(self.matrix, lower=True)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy raises its own
-            raise EstimationError(f"covariance not positive definite: {exc}") from exc
-        except Exception as exc:
+        except ValueError as exc:  # LinAlgError, or a non-finite matrix
             raise EstimationError(f"covariance not positive definite: {exc}") from exc
 
 

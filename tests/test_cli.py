@@ -175,6 +175,21 @@ class TestPrepare:
         assert report["mean_mpg_shortfall"] == [None, None]
         assert report["gap_correlation"] is None
 
+    def test_covariate_named_like_a_prepared_column_is_exit_2(self, tmp_path, capsys):
+        # label ratings as the denominator leave the test-cycle columns as
+        # covariates, whose names the prepared CSV already uses
+        raw = tmp_path / "raw.csv"
+        raw.write_text("garage_id,my_mpg_1,epa_mpg_1,my_mpg_2,epa_mpg_2,model_year_1,"
+                       "model_year_2,us_division,epa_label_1,epa_label_2\n"
+                       "g1,20,25,22,25,1999,2004,Pacific,20,22\n"
+                       "g2,21,25,23,25,1999,2004,Pacific,21,23\n"
+                       "g3,22,25,21,25,1999,2004,Pacific,22,21\n")
+        out = tmp_path / "p.csv"
+        assert run_cli("prepare", "--input", str(raw), "--out", str(out),
+                       "--mpg-columns", "my_mpg,epa_label") == 2
+        assert "['epa_mpg_1', 'epa_mpg_2']" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_group_summary_output(self, tmp_path, data_file):
         out = tmp_path / "prepared.csv"
         assert run_cli("prepare", "--input", data_file, "--out", str(out),
@@ -263,6 +278,16 @@ class TestFit:
         assert code == 3
         fit = json.loads(out.read_text())
         assert fit["convergence"]["status"] == "not converged"
+
+    def test_small_fit_reports_spread_ses(self, tmp_path, data_file, spec_file):
+        out = tmp_path / "rp.json"
+        assert run_cli("fit", "--data", data_file, "--spec", spec_file,
+                       "--estimator", "rp-sure", "--draws", "50", "--out", str(out)) == 0
+        fit = json.loads(out.read_text())
+        assert fit["convergence"]["status"] == "converged"
+        for rc in fit["random_coefficients"]:
+            assert rc["sigma"] >= 0
+            assert rc["sigma_se"] is not None and rc["sigma_se"] > 0
 
     def test_thread_flag_does_not_change_bytes(self, tmp_path, data_file, spec_file):
         a, b = tmp_path / "t1.json", tmp_path / "t8.json"

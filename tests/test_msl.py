@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from fuelgap import msl
 from fuelgap.data import DesignMatrices
 from fuelgap.errors import SpecError
 from fuelgap.halton import HaltonConfig, build_draw_store
@@ -14,7 +16,6 @@ from fuelgap.msl import (
     RpParameters,
     RpSureFit,
     effects_from_design,
-    fit_rp_sure,
     rp_retention_test,
     simulated_loglik,
 )
@@ -27,6 +28,15 @@ from fuelgap.synthetic import (
     exact_marginal_loglik,
     simulate_dataset,
 )
+
+
+def fit_rp_sure(*args, **kwargs):
+    """msl.fit_rp_sure, checking that "converged" means a score near zero."""
+    fit = msl.fit_rp_sure(*args, **kwargs)
+    if fit.convergence.converged:
+        tol = kwargs.get("options", RpFitOptions()).grad_tol
+        assert fit.convergence.grad_norm <= tol * fit.n
+    return fit
 
 
 def rp_truth(n=200, seed=313, sigma_b=(0.05, 0.06), sigma_e=(0.1, 0.1), rho=0.5,
@@ -230,6 +240,21 @@ class TestFitRpSure:
         assert fit.convergence.converged
         assert fit.k == 2 + 2 + 3
 
+    def test_no_gradient_tolerance_ends_stalled_without_null_steps(self):
+        # with a zero tolerance only the line search can end the fit; it must
+        # stop when f stops improving, not walk on with steps that change nothing
+        truth = rp_truth(n=150, seed=8)
+        ds = simulate_dataset(truth)
+        design = design_of(ds)
+        draws = build_draw_store(150, HaltonConfig(bases=(2, 3), draws_per_obs=50))
+        fit = fit_rp_sure(design, ds.y1, ds.y2, draws=draws,
+                          options=RpFitOptions(grad_tol=0.0))
+        assert fit.convergence.status == "stalled"
+        assert fit.convergence.iterations < 100
+        path = fit.convergence.loglik_path
+        assert len(path) == fit.convergence.iterations + 1
+        assert all(b > a for a, b in zip(path, path[1:]))
+
     def test_monotone_loglik_path_and_determinism(self):
         truth = rp_truth(n=150, seed=8)
         ds = simulate_dataset(truth)
@@ -291,8 +316,39 @@ class TestFitRpSure:
         fit = fit_rp_sure(design, ds.y1, ds.y2, draws=draws)
         for c in fit.random_coefficients:
             assert c.sigma <= 0.01
+            # a spread at the boundary still gets an SE, so the paper's
+            # fixed-versus-random decision can be made
+            assert c.sigma_se is not None and c.sigma_se > 0
+            assert rp_retention_test(fit, c.name).verdict != "indeterminate"
         ref = fgls_fit(ds.x1, ds.x2, ds.y1, ds.y2)
         assert abs(fit.loglik - ref.loglik) <= 1.0
+
+    @pytest.mark.parametrize("seed", [62, 64])
+    def test_negative_spread_reported_as_magnitude(self, seed):
+        # on zero-spread data these fits end with the x1 spread negative
+        truth = rp_truth(n=1500, seed=seed, sigma_b=(0.0, 0.0), sigma_e=(0.05, 0.05),
+                         recipe=("normal", (0.0, 1.0)))
+        ds = simulate_dataset(truth)
+        design = design_of(ds)
+        draws = build_draw_store(1500, HaltonConfig(bases=(2, 3), draws_per_obs=100))
+        fit = fit_rp_sure(design, ds.y1, ds.y2, draws=draws)
+        coefs = [c.estimate for c in fit.coefficients]
+        reported = np.array([c.sigma for c in fit.random_coefficients])
+        assert (reported >= 0).all()
+
+        def loglik_at(sigmas):
+            params = RpParameters(coef1=coefs[:2], coef2=coefs[2:], sigmas=sigmas,
+                                  cov=fit.sigma)
+            return simulated_loglik(params, design, ds.y1, ds.y2, draws)
+
+        # fit.loglik is the value at the signed optimum, and that optimum has
+        # a negative spread
+        signs = [s for s in itertools.product((1.0, -1.0), repeat=2)
+                 if loglik_at(reported * np.array(s)) == fit.loglik]
+        assert signs and all(min(s) < 0 for s in signs)
+        # the draws' asymmetry moves the value at |sigma| by far less than
+        # the simulation error criterion 4 accepts
+        assert abs(fit.loglik - loglik_at(reported)) <= 0.1
 
     def test_not_converged_status_is_reported(self):
         truth = rp_truth(n=120, seed=5)
