@@ -274,6 +274,8 @@ def cmd_fit(args, parser) -> int:
         parser.error("--burn must be >= 0")
     if args.threads < 1:
         parser.error("--threads must be >= 1")
+    if args.max_iterations < 1:
+        parser.error("--max-iterations must be >= 1")
 
     spec = load_model_spec(args.spec)
     table = compute_gaps(parse_raw(args.data, user_col=user_col, epa_col=epa_col))

@@ -95,16 +95,44 @@ def radical_inverse(index: int, base: int) -> float:
     return value
 
 
+# largest digit table _radical_inverse_block builds, in entries
+_TABLE_SIZE = 4096
+
+
 def _radical_inverse_block(start: int, count: int, base: int) -> np.ndarray:
-    """Radical inverses of the `count` consecutive indices start..start+count-1."""
-    idx = np.arange(start, start + count, dtype=np.int64)
-    value = np.zeros(count)
+    """Radical inverses of the `count` consecutive indices start..start+count-1.
+
+    Each index is split as q * base**m + j.  A table holds the sums of the
+    low m digit terms for every j < base**m (at most _TABLE_SIZE entries,
+    and no more than `count`); the terms of q's digits are then added
+    once per distinct q, broadcast across a row of the table.
+
+    This is bit-identical to adding every digit term of the index in turn,
+    lowest first, as radical_inverse does: every element sees the same
+    chain of float additions, with the same repeated-division scales.  A
+    digit beyond an index's length adds +0.0, which is exact.
+    """
+    m = 0
+    while base ** (m + 1) <= min(count, _TABLE_SIZE):
+        m += 1
+    width = base ** m
+    j = np.arange(width, dtype=np.int64)
+    table = np.zeros(width)
     scale = 1.0
-    while idx.any():
+    for _ in range(m):
         scale /= base
-        value += scale * (idx % base)
-        idx //= base
-    return value
+        table += scale * (j % base)
+        j //= base
+    first = start // width
+    q = np.arange(first, (start + count - 1) // width + 1, dtype=np.int64)
+    value = np.empty((q.size, width))
+    value[:] = table
+    while q.any():
+        scale /= base
+        value += (scale * (q % base))[:, None]
+        q //= base
+    offset = start - first * width
+    return value.ravel()[offset:offset + count]
 
 
 def halton_block(config: HaltonConfig, obs_index: int) -> np.ndarray:

@@ -117,18 +117,25 @@ class LoglikKernel:
 
     def _block(self, params: RpParameters, low: np.ndarray, lo: int, hi: int,
                base: tuple, value: np.ndarray, score: np.ndarray | None) -> None:
-        """Fill value[lo:hi], and score[lo:hi] unless it is None."""
+        """Fill value[lo:hi], and score[lo:hi] unless it is None.
+
+        The (rows, draws) temporaries are written in place where the float
+        operations allow it; a residual of an equation without random
+        effects stays (rows, 1) and is broadcast.
+        """
         e = []
         for eq in (0, 1):
             resid = base[eq][lo:hi, None]
             for d, p in self.products[eq]:
-                resid = resid - params.sigmas[d] * p[lo:hi]
+                term = params.sigmas[d] * p[lo:hi]
+                resid = np.subtract(resid, term, out=term)
             e.append(resid)
         lnphi, v1, v2 = whitened_logpdf(e[0], e[1], low)
         # log of the mixture average over draws, computed in log space;
         # w are the draws' mixture weights before division by w_sum
         m = lnphi.max(axis=1)
-        w = np.exp(lnphi - m[:, None])
+        w = np.subtract(lnphi, m[:, None], out=lnphi)
+        np.exp(w, out=w)
         w_sum = w.sum(axis=1)
         value[lo:hi] = m + np.log(w_sum) - self.log_r
         if score is None:
@@ -137,26 +144,33 @@ class LoglikKernel:
         # (Train 2009, ch. 10); d lnphi / d e is linear in (v1, v2), so every
         # term is a weighted average of v1 or v2 times something
         l11, l21, l22 = low[0, 0], low[1, 0], low[1, 1]
-        wv = (w * v1, w * v2)
+        wv2 = w * v2
+        wv = (np.multiply(w, v1, out=w), wv2)
 
         def mean(i, b=None):
             return (wv[i].sum(axis=1) if b is None
                     else np.einsum("ij,ij->i", wv[i], b)) / w_sum
 
-        def mean_a(eq, b=None):
-            # a2 = -v2/l22 and a1 = -v1/l11 - a2*l21/l11 are d lnphi / d e
-            a2 = mean(1, b) * (-1.0 / l22)
-            return a2 if eq else mean(0, b) * (-1.0 / l11) - a2 * (l21 / l11)
+        # a2 = -v2/l22 and a1 = -v1/l11 - a2*l21/l11 are d lnphi / d e
+        def mean_a2(b=None):
+            return mean(1, b) * (-1.0 / l22)
 
+        def mean_a1(a2, b=None):
+            return mean(0, b) * (-1.0 / l11) - a2 * (l21 / l11)
+
+        a2 = mean_a2()
+        a = (mean_a1(a2), a2)
         out = score[lo:hi]
         col = 0
         for eq in (0, 1):
             k = self.x[eq].shape[1]
-            out[:, col:col + k] = self.x[eq][lo:hi] * -mean_a(eq)[:, None]
+            out[:, col:col + k] = self.x[eq][lo:hi] * -a[eq][:, None]
             col += k
-        for eq in (0, 1):
-            for d, p in self.products[eq]:
-                out[:, col + d] = -mean_a(eq, p[lo:hi])
+        for d, p in self.products[0]:
+            b = p[lo:hi]
+            out[:, col + d] = -mean_a1(mean_a2(b), b)
+        for d, p in self.products[1]:
+            out[:, col + d] = -mean_a2(p[lo:hi])
         s12 = mean(0, v2)
         out[:, -3] = mean(0, v1) - (l21 / l22) * s12 - 1.0
         out[:, -2] = s12 / l22

@@ -227,8 +227,15 @@ def whitened_logpdf(e1, e2, low: np.ndarray
     """
     l11, l21, l22 = low[0, 0], low[1, 0], low[1, 1]
     v1 = e1 / l11
-    v2 = (e2 - l21 * v1) / l22
-    return -_LOG_2PI - np.log(l11 * l22) - 0.5 * (v1 * v1 + v2 * v2), v1, v2
+    v2 = e2 - l21 * v1
+    v2 /= l22
+    # v2 has the broadcast shape of e1 and e2, v1 only that of e1; the
+    # in-place steps keep the float operations of
+    # -_LOG_2PI - log(l11 l22) - 0.5 (v1 v1 + v2 v2), so the bits are equal
+    lnphi = v2 * v2
+    lnphi += v1 * v1
+    lnphi *= 0.5
+    return np.subtract(-_LOG_2PI - np.log(l11 * l22), lnphi, out=lnphi), v1, v2
 
 
 def bivariate_normal_logpdf(e1: np.ndarray, e2: np.ndarray,

@@ -279,6 +279,17 @@ class TestFit:
         fit = json.loads(out.read_text())
         assert fit["convergence"]["status"] == "not converged"
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_iteration_cap_below_one_is_exit_2(self, tmp_path, data_file, spec_file,
+                                               value, capsys):
+        out = tmp_path / "rp.json"
+        code = run_cli("fit", "--data", data_file, "--spec", spec_file,
+                       "--estimator", "rp-sure", "--draws", "50",
+                       "--max-iterations", value, "--out", str(out))
+        assert code == 2
+        assert "--max-iterations must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_small_fit_reports_spread_ses(self, tmp_path, data_file, spec_file):
         out = tmp_path / "rp.json"
         assert run_cli("fit", "--data", data_file, "--spec", spec_file,

@@ -7,6 +7,8 @@ from fuelgap.errors import FuelGapError
 from fuelgap.halton import (
     DrawStore,
     HaltonConfig,
+    _inverse_normal_cdf_array,
+    _radical_inverse_block,
     build_draw_store,
     first_primes,
     halton_block,
@@ -67,6 +69,46 @@ class TestRadicalInverse:
             radical_inverse(1, 4)
         with pytest.raises(ValueError):
             radical_inverse(1, 1)
+
+
+def digit_loop_block(start, count, base):
+    """Every digit term of every index added in turn, lowest digit first."""
+    idx = np.arange(start, start + count, dtype=np.int64)
+    value = np.zeros(count)
+    scale = 1.0
+    while idx.any():
+        scale /= base
+        value += scale * (idx % base)
+        idx //= base
+    return value
+
+
+class TestRadicalInverseBlock:
+    # the block adds its low digits from a table of at most 4096 entries;
+    # 4099 is a prime above the table size
+    @pytest.mark.parametrize("base", [2, 3, 5, 7, 4099])
+    @pytest.mark.parametrize("start,count", [
+        (1, 1),                      # a single index
+        (4093, 1),
+        (2 ** 12 - 5, 2 ** 13 + 9),  # straddles several 4096-entry tables
+        (3 ** 7 * 2 - 3, 5000),      # straddles 2187-entry tables (base 3)
+        (51, 4097),                  # the draw-store start, not table-aligned
+        (2 ** 32 + 12345, 300),      # indices above 2**32
+        (2 ** 40 - 7, 4200),
+    ])
+    def test_equals_scalar_radical_inverse(self, base, start, count):
+        got = _radical_inverse_block(start, count, base)
+        expect = [radical_inverse(i, base) for i in range(start, start + count)]
+        assert got.shape == (count,)
+        assert got.tolist() == expect
+
+    def test_draw_store_bits_match_digit_loop(self):
+        cfg = HaltonConfig(bases=(2, 3), draws_per_obs=400)
+        z = np.empty((2000, 400, 2))
+        for dim, base in enumerate(cfg.bases):
+            u = digit_loop_block(cfg.burn + 1, 2000 * 400, base)
+            z[:, :, dim] = _inverse_normal_cdf_array(u).reshape(2000, 400)
+        assert build_draw_store(2000, cfg).z.tobytes() == z.tobytes()
 
 
 class TestHaltonBlock:

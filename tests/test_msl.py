@@ -165,47 +165,86 @@ def value_only_hessian(fun, t, rel_step):
     return hess
 
 
+# random coefficients in equation 1 only and in equation 2 only: the other
+# equation's residual is (rows, 1) in the kernel and broadcast over the draws
+ONE_EQUATION_LAYOUTS = [pytest.param((1,), (), id="eq1-only"),
+                        pytest.param((), (1,), id="eq2-only")]
+
+
+def layout_params(truth, random1, random2):
+    """truth_params with spreads only for the equations that have them."""
+    params = truth_params(truth)
+    sigmas = [s for s, cols in zip(params.sigmas, (random1, random2)) if cols]
+    return RpParameters(coef1=params.coef1, coef2=params.coef2, sigmas=sigmas,
+                        cov=params.cov)
+
+
+def layout_kernel(n, draws_per_obs, random1, random2, threads=1):
+    truth = rp_truth(n=n)
+    ds = simulate_dataset(truth)
+    effects = effects_from_design(design_of(ds, random1, random2))
+    draws = build_draw_store(n, HaltonConfig(bases=(2, 3)[:len(effects)],
+                                             draws_per_obs=draws_per_obs))
+    kernel = LoglikKernel(ds.x1, ds.x2, ds.y1, ds.y2, effects, draws, threads=threads)
+    return kernel, layout_params(truth, random1, random2)
+
+
+def check_score_matches_central_difference(random1, random2):
+    # the analytic score against central differences of the value,
+    # at five points away from the optimum
+    kernel, params = layout_kernel(60, 50, random1, random2)
+    from fuelgap.msl import _Transform
+    transform = _Transform(2, 2, len(kernel.effects))
+
+    def loglik(t):
+        return kernel.loglik(transform.unpack(t))
+
+    rng = np.random.default_rng(0)
+    base = transform.pack(params)
+    for _ in range(5):
+        t = base + 0.2 * rng.uniform(-1, 1, base.size)
+        value, score = kernel.loglik_and_score(transform.unpack(t))
+        assert value == loglik(t)
+        numeric = central_difference(loglik, t, 1e-5)
+        scale = np.maximum(np.abs(score), np.abs(numeric))
+        assert np.max(np.abs(score - numeric) / np.maximum(scale, 1.0)) <= 1e-6
+
+
+def check_score_bits_do_not_depend_on_threads(random1, random2, thread_counts):
+    # 2000 draws split the 111 observations into several kernel blocks
+    results = []
+    for threads in thread_counts:
+        kernel, params = layout_kernel(111, 2000, random1, random2, threads)
+        assert len(kernel.blocks) > 1
+        value, score = kernel.loglik_and_score(params)
+        results.append((value, score.tobytes()))
+    assert len(set(results)) == 1
+
+
 class TestGradientConsistency:
     def test_score_matches_central_difference(self):
-        # the analytic score against central differences of the value,
-        # at five points away from the optimum
-        truth = rp_truth(n=60)
-        ds = simulate_dataset(truth)
-        design = design_of(ds)
-        draws = build_draw_store(60, HaltonConfig(bases=(2, 3), draws_per_obs=50))
-        effects = effects_from_design(design)
-        kernel = LoglikKernel(ds.x1, ds.x2, ds.y1, ds.y2, effects, draws)
-        from fuelgap.msl import _Transform
-        transform = _Transform(2, 2, 2)
-
-        def loglik(t):
-            return kernel.loglik(transform.unpack(t))
-
-        rng = np.random.default_rng(0)
-        base = transform.pack(truth_params(truth))
-        for _ in range(5):
-            t = base + 0.2 * rng.uniform(-1, 1, base.size)
-            value, score = kernel.loglik_and_score(transform.unpack(t))
-            assert value == loglik(t)
-            numeric = central_difference(loglik, t, 1e-5)
-            scale = np.maximum(np.abs(score), np.abs(numeric))
-            assert np.max(np.abs(score - numeric) / np.maximum(scale, 1.0)) <= 1e-6
+        check_score_matches_central_difference((1,), (1,))
 
     def test_score_bits_do_not_depend_on_threads(self):
-        # 2000 draws split the 111 observations into several kernel blocks
-        truth = rp_truth(n=111)
-        ds = simulate_dataset(truth)
-        design = design_of(ds)
-        draws = build_draw_store(111, HaltonConfig(bases=(2, 3), draws_per_obs=2000))
-        params = truth_params(truth)
-        results = []
-        for threads in (1, 2, 4, 8):
-            kernel = LoglikKernel(ds.x1, ds.x2, ds.y1, ds.y2, effects_from_design(design),
-                                  draws, threads=threads)
-            assert len(kernel.blocks) > 1
-            value, score = kernel.loglik_and_score(params)
-            results.append((value, score.tobytes()))
-        assert len(set(results)) == 1
+        check_score_bits_do_not_depend_on_threads((1,), (1,), (1, 2, 4, 8))
+
+    @pytest.mark.parametrize("random1,random2", ONE_EQUATION_LAYOUTS)
+    def test_one_equation_score_matches_central_difference(self, random1, random2):
+        check_score_matches_central_difference(random1, random2)
+
+    @pytest.mark.parametrize("random1,random2", ONE_EQUATION_LAYOUTS)
+    def test_one_equation_score_bits_do_not_depend_on_threads(self, random1, random2):
+        check_score_bits_do_not_depend_on_threads(random1, random2, (1, 2))
+
+    @pytest.mark.parametrize("random1,random2",
+                             [pytest.param((1,), (1,), id="both")] + ONE_EQUATION_LAYOUTS)
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_value_pass_equals_score_pass_value(self, random1, random2, threads):
+        # a line search that takes its values from the score pass must
+        # accept exactly the steps the value pass accepts
+        kernel, params = layout_kernel(111, 2000, random1, random2, threads)
+        assert len(kernel.blocks) > 1
+        assert kernel.loglik(params) == kernel.loglik_and_score(params)[0]
 
 
 @pytest.fixture(scope="module")

@@ -11,6 +11,7 @@ from fuelgap.sure import (
     ols_fit,
     ols_system_fit,
     residual_covariance,
+    whitened_logpdf,
 )
 
 LOG_INV_2PI = -1.8378770664093453  # ln(1/(2*pi))
@@ -182,6 +183,25 @@ def simulate_sur(rng, n, rho=0.6, shared=False):
     e1 = s1 * z[:, 0]
     e2 = s2 * (rho * z[:, 0] + np.sqrt(1 - rho ** 2) * z[:, 1])
     return x1, x2, x1 @ b1 + e1, x2 @ b2 + e2, b1, b2
+
+
+class TestWhitenedLogpdf:
+    @pytest.mark.parametrize("wide", [0, 1])
+    def test_broadcast_bits_match_plain_expression(self, wide):
+        # the msl kernel passes a (rows, 1) residual for an equation without
+        # random effects and a (rows, draws) one for the other
+        rng = np.random.default_rng(41)
+        low = np.linalg.cholesky(np.array([[0.02, 0.006], [0.006, 0.03]]))
+        narrow, broad = rng.normal(0, 0.1, (30, 1)), rng.normal(0, 0.1, (30, 40))
+        e1, e2 = (narrow, broad) if wide else (broad, narrow)
+        l11, l21, l22 = low[0, 0], low[1, 0], low[1, 1]
+        v1 = e1 / l11
+        v2 = (e2 - l21 * v1) / l22
+        expect = -np.log(2.0 * np.pi) - np.log(l11 * l22) - 0.5 * (v1 * v1 + v2 * v2)
+        lnphi, got1, got2 = whitened_logpdf(e1, e2, low)
+        assert lnphi.shape == (30, 40)
+        assert lnphi.tobytes() == expect.tobytes()
+        assert got1.tobytes() == v1.tobytes() and got2.tobytes() == v2.tobytes()
 
 
 class TestFgls:
