@@ -50,7 +50,6 @@ from .halton import (
 from .modelspec import EquationSpec, ModelSpec, Term, load_model_spec, model_spec_from_dict
 from .msl import (
     RandomEffect,
-    RpFitOptions,
     RpParameters,
     RpSureFit,
     fit_rp_sure,

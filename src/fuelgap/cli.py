@@ -38,7 +38,7 @@ from .data import (
 from .errors import DegenerateDataError, FuelGapError, SpecError
 from .halton import HaltonConfig, build_draw_store, first_primes
 from .modelspec import load_model_spec
-from .msl import RpFitOptions, RpSureFit, fit_rp_sure
+from .msl import RpSureFit, fit_rp_sure
 from .sure import SureFit, fgls_fit, ols_system_fit
 from .synthetic import load_truth, simulate_dataset, truth_from_dict
 
@@ -185,18 +185,33 @@ def _positive_float(parser: argparse.ArgumentParser, value: str, flag: str) -> f
     return out
 
 
-def _parse_year_bins(text: str):
+def _parse_year_bins(parser: argparse.ArgumentParser, text: str):
     bins = []
     for part in text.split(","):
         lo, _, hi = part.strip().partition("-")
-        bins.append((int(lo), int(hi)))
+        try:
+            lo, hi = int(lo), int(hi)
+        except ValueError:
+            parser.error(f"--year-bins expects ranges like '1984-1988,1989-1993', "
+                         f"got {text!r}")
+        if lo > hi:
+            parser.error(f"--year-bins range {part.strip()!r} is empty")
+        bins.append((lo, hi))
     return tuple(bins)
+
+
+def _parse_bases(parser: argparse.ArgumentParser, text: str) -> tuple[int, ...]:
+    try:
+        return HaltonConfig(bases=tuple(int(b) for b in text.split(","))).bases
+    except ValueError as exc:
+        parser.error(f"--bases expects distinct primes like '2,3', got {text!r}: {exc}")
 
 
 def cmd_prepare(args, parser) -> int:
     started = time.monotonic()
     trim_sd = _positive_float(parser, args.trim_sd, "--trim-sd")
     user_col, epa_col = _split_mpg_columns(parser, args.mpg_columns)
+    bins = _parse_year_bins(parser, args.year_bins) if args.year_bins else DEFAULT_YEAR_BINS
     table = compute_gaps(parse_raw(args.input, user_col=user_col, epa_col=epa_col))
     clashes = [c for c in table.covariates if c in _PREPARED_FIELDS + _PREPARED_GAPS]
     if clashes:
@@ -221,7 +236,6 @@ def cmd_prepare(args, parser) -> int:
 
     if args.group_by:
         keys = [k.strip() for k in args.group_by.split(",") if k.strip()]
-        bins = _parse_year_bins(args.year_bins) if args.year_bins else DEFAULT_YEAR_BINS
         rows = group_summary(kept, keys, bins=bins)
         groups_path = Path(args.groups_out) if args.groups_out \
             else out.with_name(out.stem + ".groups.csv")
@@ -276,6 +290,7 @@ def cmd_fit(args, parser) -> int:
         parser.error("--threads must be >= 1")
     if args.max_iterations < 1:
         parser.error("--max-iterations must be >= 1")
+    bases = _parse_bases(parser, args.bases) if args.bases else None
 
     spec = load_model_spec(args.spec)
     table = compute_gaps(parse_raw(args.data, user_col=user_col, epa_col=epa_col))
@@ -297,14 +312,11 @@ def cmd_fit(args, parser) -> int:
     else:
         draws = None
         if spec.n_random > 0:
-            bases = tuple(int(b) for b in args.bases.split(",")) if args.bases \
-                else first_primes(spec.n_random)
-            config = HaltonConfig(bases=bases, draws_per_obs=args.draws, burn=args.burn)
+            config = HaltonConfig(bases=bases or first_primes(spec.n_random),
+                                  draws_per_obs=args.draws, burn=args.burn)
             draws = build_draw_store(len(table), config)
-        fit = fit_rp_sure(design, y1, y2, draws=draws,
-                          options=RpFitOptions(threads=args.threads,
-                                               max_iterations=args.max_iterations),
-                          eq_names=eq_names)
+        fit = fit_rp_sure(design, y1, y2, draws=draws, eq_names=eq_names,
+                          max_iterations=args.max_iterations, threads=args.threads)
         payload = rp_fit_payload(fit)
         if not fit.convergence.converged:
             exit_code = EXIT_NOT_CONVERGED
@@ -378,16 +390,20 @@ def cmd_effects(args, parser) -> int:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise SpecError(f"unreadable fit file {args.fit}: {exc}") from exc
-    randoms = raw.get("random_coefficients") or []
+    randoms = (raw.get("random_coefficients") if isinstance(raw, dict) else None) or []
     if not randoms:
         raise SpecError("no random coefficients in this fit")
+    try:
+        summaries = [effect_summary(rc["name"], float(rc["mu"]), float(rc["sigma"]))
+                     for rc in randoms]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SpecError(f"malformed random coefficient in {args.fit}: {exc}") from exc
     out = Path(args.out)
     with open(out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["name", "equation", "mu", "sigma", "lower", "upper",
                          "pct_above", "pct_below"])
-        for rc in randoms:
-            summary = effect_summary(rc["name"], float(rc["mu"]), float(rc["sigma"]))
+        for rc, summary in zip(randoms, summaries):
             writer.writerow([rc["name"], rc.get("equation", ""),
                              repr(summary.mu), repr(summary.sigma),
                              f"{summary.range_lower:.4f}", f"{summary.range_upper:.4f}",

@@ -183,8 +183,8 @@ class RpEffectSummary:
 
 
 def effect_summary(name: str, mu: float, sigma: float) -> RpEffectSummary:
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive for {name!r}, got {sigma}")
+    if not (np.isfinite(mu) and 0 < sigma < np.inf):
+        raise ValueError(f"need finite mu and finite sigma > 0 for {name!r}, got {mu}, {sigma}")
     share = float(ndtr(mu / sigma))
     return RpEffectSummary(name=name, mu=float(mu), sigma=float(sigma),
                            share_above_zero=share,

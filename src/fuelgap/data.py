@@ -119,9 +119,7 @@ def _check_width(row: list[str], row_number: int, header: list[str]) -> None:
     if len(row) > len(header):
         raise ParseError(row_number, "row has more fields than the header")
     if len(row) < len(header):
-        absent = set(header[len(row):])
-        short = [name for name in dict.fromkeys(header) if name in absent]
-        raise ParseError(row_number, f"row is missing columns {short}")
+        raise ParseError(row_number, f"row is missing columns {header[len(row):]}")
 
 
 def _floats(cells) -> np.ndarray:
@@ -181,12 +179,14 @@ def parse_raw(source, user_col: str = "my_mpg", epa_col: str = "epa_mpg") -> Gar
     header = next(reader, None)
     if header is None:
         raise ParseError(0, "input is empty (no header row)")
+    position = {name: i for i, name in enumerate(header)}
+    if len(position) < len(header):
+        repeated = [name for name in position if header.count(name) > 1]
+        raise ParseError(0, f"header repeats column names {repeated}")
     mpg_columns = tuple(f"{base}_{v}" for base in (user_col, epa_col) for v in (1, 2))
     missing = [c for c in REQUIRED_COLUMNS + mpg_columns if c not in header]
     if missing:
         raise ParseError(0, f"header is missing required columns {missing}")
-    # a name the header repeats reads its last column
-    position = {name: i for i, name in enumerate(header)}
     numeric = [(position[name], name) for name in
                (f"{user_col}_1", f"{epa_col}_1", f"{user_col}_2", f"{epa_col}_2",
                 "model_year_1", "model_year_2")]
@@ -301,10 +301,6 @@ class DesignMatrices:
     names2: tuple[str, ...]
     random1: tuple[int, ...]
     random2: tuple[int, ...]
-
-    @property
-    def n(self) -> int:
-        return self.x1.shape[0]
 
 
 def _resolve(table: GarageTable, column: str) -> np.ndarray:

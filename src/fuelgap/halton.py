@@ -69,10 +69,6 @@ class HaltonConfig:
         if self.burn < 0:
             raise ValueError("burn must be >= 0")
 
-    @property
-    def n_dims(self) -> int:
-        return len(self.bases)
-
 
 def radical_inverse(index: int, base: int) -> float:
     """Digit-reversal radical inverse of `index` in a prime `base`.
@@ -97,6 +93,8 @@ def radical_inverse(index: int, base: int) -> float:
 
 # largest digit table _radical_inverse_block builds, in entries
 _TABLE_SIZE = 4096
+# largest draw store build_draw_store allocates
+_MEMORY_CAP_BYTES = 2 ** 30
 
 
 def _radical_inverse_block(start: int, count: int, base: int) -> np.ndarray:
@@ -195,22 +193,21 @@ class DrawStore:
         return self.z.shape[2]
 
 
-def build_draw_store(n_obs: int, config: HaltonConfig,
-                     memory_cap_bytes: int = 2 ** 30) -> DrawStore:
+def build_draw_store(n_obs: int, config: HaltonConfig) -> DrawStore:
     """Build the full draw store for `n_obs` observations.
 
     The allocation is n_obs * draws_per_obs * n_dims doubles; an allocation
-    above `memory_cap_bytes` is refused with the size in the message.
+    above _MEMORY_CAP_BYTES is refused with the size in the message.
     """
     if n_obs < 1:
         raise ValueError("n_obs must be >= 1")
     r = config.draws_per_obs
-    d = config.n_dims
+    d = len(config.bases)
     nbytes = n_obs * r * d * 8
-    if nbytes > memory_cap_bytes:
+    if nbytes > _MEMORY_CAP_BYTES:
         raise FuelGapError(
             f"draw store of {n_obs} x {r} x {d} doubles needs {nbytes} bytes, "
-            f"above the cap of {memory_cap_bytes}")
+            f"above the cap of {_MEMORY_CAP_BYTES}")
     z = np.empty((n_obs, r, d))
     for dim, base in enumerate(config.bases):
         u = _radical_inverse_block(config.burn + 1, n_obs * r, base)

@@ -106,13 +106,6 @@ class ModelSpec:
     def n_random(self) -> int:
         return sum(len(eq.random_design_indices) for eq in self.equations)
 
-    def random_names(self) -> list[str]:
-        names = []
-        for eq in self.equations:
-            design = eq.design_names
-            names.extend(f"{eq.name}:{design[j]}" for j in eq.random_design_indices)
-        return names
-
 
 def _parse_term(raw: dict, eq_name: str) -> Term:
     if "column" not in raw:

@@ -24,9 +24,17 @@ import numpy as np
 from .data import DesignMatrices
 from .errors import DegenerateDataError, EstimationError, SpecError
 from .halton import DrawStore
-from .sure import ErrorCovariance, SureFit, fgls_fit, whitened_logpdf, _rowdot
+from .sure import ErrorCovariance, fgls_fit, whitened_logpdf, _rowdot
 
 _MIN_SIGMA_START = 1e-3
+# "converged" iff the natural-scale score's infinity norm is at most
+# _GRAD_TOL * N: the smallest gradient a double-precision sum over N
+# observations resolves grows with N
+_GRAD_TOL = 1e-6
+# relative step for differencing the score
+_HESSIAN_STEP = 1e-4
+# |sigma| / SE at or above which rp_retention_test keeps a coefficient random
+_RETENTION_Z = 1.96
 # doubles per (rows, draws) temporary of one kernel block
 _BLOCK_DOUBLES = 100_000
 
@@ -102,17 +110,16 @@ class LoglikKernel:
             if draws.n_obs != self.n:
                 raise SpecError(f"draw store covers {draws.n_obs} observations, "
                                 f"data has {self.n}")
-            self.r = draws.draws_per_obs
+            r = draws.draws_per_obs
         else:
-            self.r = 1
-        self.draws = draws
+            r = 1
         # x[:, col] * z[:, :, d] never changes across evaluations
         self.products: tuple[list[tuple[int, np.ndarray]], list[tuple[int, np.ndarray]]] = ([], [])
         for d, effect in enumerate(self.effects):
             p = self.x[effect.equation][:, effect.column][:, None] * draws.z[:, :, d]
             self.products[effect.equation].append((d, p))
-        self.log_r = np.log(float(self.r))
-        rows = max(1, _BLOCK_DOUBLES // self.r)
+        self.log_r = np.log(float(r))
+        rows = max(1, _BLOCK_DOUBLES // r)
         self.blocks = [(lo, min(lo + rows, self.n)) for lo in range(0, self.n, rows)]
 
     def _block(self, params: RpParameters, low: np.ndarray, lo: int, hi: int,
@@ -283,9 +290,9 @@ class _Transform:
         return j
 
 
-def _score_hessian(grad, t: np.ndarray, rel_step: float) -> np.ndarray:
+def _score_hessian(grad, t: np.ndarray) -> np.ndarray:
     """Central difference of the analytic gradient: 2p gradient calls."""
-    h = rel_step * np.maximum(1.0, np.abs(t))
+    h = _HESSIAN_STEP * np.maximum(1.0, np.abs(t))
     hess = np.empty((t.size, t.size))
     for j in range(t.size):
         tp = t.copy()
@@ -319,18 +326,6 @@ def _natural_covariance(hess: np.ndarray, jacobian: np.ndarray
 
 
 @dataclass(frozen=True)
-class RpFitOptions:
-    max_iterations: int = 500
-    # "converged" iff the natural-scale score's infinity norm is at most
-    # grad_tol * N: the smallest gradient a double-precision sum over N
-    # observations resolves grows with N
-    grad_tol: float = 1e-6
-    hessian_step: float = 1e-4       # relative step for differencing the score
-    threads: int = 1
-    start: RpParameters | None = None
-
-
-@dataclass(frozen=True)
 class Convergence:
     status: str                   # "converged", "stalled" or "not converged"
     iterations: int
@@ -361,7 +356,6 @@ class RpSureFit:
 
     n: int
     k: int
-    draws_per_obs: int
     loglik: float
     coefficients: tuple[CoefficientEstimate, ...]
     sigma: ErrorCovariance
@@ -452,15 +446,14 @@ class _BfgsMinimizer:
 
 def fit_rp_sure(design: DesignMatrices, y1, y2,
                 draws: DrawStore | None = None,
-                options: RpFitOptions = RpFitOptions(),
                 eq_names: tuple[str, str] = ("vehicle_1", "vehicle_2"),
-                start_fit: SureFit | None = None) -> RpSureFit:
+                *, max_iterations: int = 500, threads: int = 1) -> RpSureFit:
     """Maximize the simulated likelihood by quasi-Newton ascent.
 
     Starting values come from the FGLS fit (random-coefficient spreads start
     at 0.1 |coefficient|, floored at 1e-3).  The fit stops in one of three
     ways, and only the first is "converged": the natural-scale gradient
-    infinity norm falls to grad_tol * N or below; the line search, retried
+    infinity norm falls to _GRAD_TOL * N or below; the line search, retried
     from steepest descent, finds no step that lowers the objective
     ("stalled"); or the iteration cap is hit ("not converged").  The last
     two return the fit instead of raising.
@@ -475,26 +468,18 @@ def fit_rp_sure(design: DesignMatrices, y1, y2,
     |sigma| by a few hundredths of a nat (a small share of the simulation
     error itself).
     """
-    y1 = np.asarray(y1, dtype=float)
-    y2 = np.asarray(y2, dtype=float)
     effects = effects_from_design(design)
-    kernel = LoglikKernel(design.x1, design.x2, y1, y2, effects, draws,
-                          threads=options.threads)
+    kernel = LoglikKernel(design.x1, design.x2, y1, y2, effects, draws, threads=threads)
     k1, k2 = design.x1.shape[1], design.x2.shape[1]
     transform = _Transform(k1, k2, len(effects))
 
-    start = options.start
-    if start is None:
-        if start_fit is None:
-            start_fit = fgls_fit(design.x1, design.x2, y1, y2,
-                                 names1=design.names1, names2=design.names2,
-                                 eq_names=eq_names)
-        coef1 = start_fit.equations[0].coef.copy()
-        coef2 = start_fit.equations[1].coef.copy()
-        sigmas = [max(0.1 * abs((coef1, coef2)[e.equation][e.column]), _MIN_SIGMA_START)
-                  for e in effects]
-        start = RpParameters(coef1=coef1, coef2=coef2,
-                             sigmas=np.array(sigmas), cov=start_fit.sigma)
+    start_fit = fgls_fit(design.x1, design.x2, y1, y2,
+                         names1=design.names1, names2=design.names2, eq_names=eq_names)
+    coef1, coef2 = (eq.coef for eq in start_fit.equations)
+    sigmas = [max(0.1 * abs((coef1, coef2)[e.equation][e.column]), _MIN_SIGMA_START)
+              for e in effects]
+    start = RpParameters(coef1=coef1, coef2=coef2, sigmas=np.array(sigmas),
+                         cov=start_fit.sigma)
 
     def objective(t: np.ndarray) -> float:
         # a trial point whose likelihood underflows is simply rejected by
@@ -521,8 +506,8 @@ def fit_rp_sure(design: DesignMatrices, y1, y2,
     status = "converged"
     grad_norm = natural_grad_norm(minimizer.x, minimizer.g)
     iterations = 0
-    while grad_norm > options.grad_tol * kernel.n:
-        if iterations >= options.max_iterations:
+    while grad_norm > _GRAD_TOL * kernel.n:
+        if iterations >= max_iterations:
             status = "not converged"
             break
         if not minimizer.step():
@@ -536,7 +521,7 @@ def fit_rp_sure(design: DesignMatrices, y1, y2,
     loglik = -minimizer.f
     natural = transform.natural(t_hat)
 
-    hess = _score_hessian(gradient, t_hat, options.hessian_step)
+    hess = _score_hessian(gradient, t_hat)
     param_cov, ses = _natural_covariance(hess, transform.jacobian(t_hat))
 
     def se_at(i: int) -> float | None:
@@ -568,7 +553,6 @@ def fit_rp_sure(design: DesignMatrices, y1, y2,
     return RpSureFit(
         n=kernel.n,
         k=transform.size,
-        draws_per_obs=kernel.r if effects else 0,
         loglik=loglik,
         coefficients=tuple(coefficients),
         sigma=params.cov,
@@ -591,13 +575,12 @@ class RetentionVerdict:
     sigma_t: float | None
 
 
-def rp_retention_test(fit: RpSureFit, name: str,
-                      threshold: float = 1.96) -> RetentionVerdict:
+def rp_retention_test(fit: RpSureFit, name: str) -> RetentionVerdict:
     """Keep a coefficient random iff its spread is statistically significant.
 
     A significant spread retains the coefficient whether or not the mean is
     also significant (a zero mean with real spread still signals
-    heterogeneity); the threshold comparison is inclusive.
+    heterogeneity); the _RETENTION_Z comparison is inclusive.
     """
     coef = fit.coefficient(name)
     if coef.kind != "random-normal":
@@ -608,5 +591,5 @@ def rp_retention_test(fit: RpSureFit, name: str,
     if coef.sigma_se in (None, 0.0):
         return RetentionVerdict(verdict="indeterminate", mean_t=mean_t, sigma_t=None)
     sigma_t = coef.sigma / coef.sigma_se
-    verdict = "retain-random" if abs(sigma_t) >= threshold else "prefer-fixed"
+    verdict = "retain-random" if abs(sigma_t) >= _RETENTION_Z else "prefer-fixed"
     return RetentionVerdict(verdict=verdict, mean_t=mean_t, sigma_t=sigma_t)

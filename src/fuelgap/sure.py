@@ -80,7 +80,6 @@ class SureFit:
     covariance in the order given by `param_names`.
     """
 
-    estimator: str
     n: int
     k: int
     loglik: float
@@ -264,6 +263,17 @@ def _sigma_block_cov(cov: ErrorCovariance, n: int) -> np.ndarray:
     ]) / n
 
 
+def _equation_ols(x1, x2, y1, y2, names1, names2):
+    """(x, y, names, OLS fit) of each equation, both checked to share rows."""
+    xs = (np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
+    ys = (np.asarray(y1, dtype=float), np.asarray(y2, dtype=float))
+    names = (_check_design(xs[0], names1), _check_design(xs[1], names2))
+    n = xs[0].shape[0]
+    if xs[1].shape[0] != n or len(ys[0]) != n or len(ys[1]) != n:
+        raise ValueError("both equations must cover the same observations")
+    return tuple((x, y, nm, ols_fit(x, y, nm)) for x, y, nm in zip(xs, ys, names))
+
+
 def fgls_fit(x1: np.ndarray, x2: np.ndarray,
              y1: np.ndarray, y2: np.ndarray,
              names1: tuple[str, ...] | None = None,
@@ -278,19 +288,10 @@ def fgls_fit(x1: np.ndarray, x2: np.ndarray,
     re-estimated from the FGLS residuals, and the log-likelihood is the
     exact Gaussian value at the solution.
     """
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    y1 = np.asarray(y1, dtype=float)
-    y2 = np.asarray(y2, dtype=float)
-    names1 = _check_design(x1, names1)
-    names2 = _check_design(x2, names2)
+    (x1, y1, names1, ols1), (x2, y2, names2, ols2) = \
+        _equation_ols(x1, x2, y1, y2, names1, names2)
     n = x1.shape[0]
-    if x2.shape[0] != n or len(y1) != n or len(y2) != n:
-        raise ValueError("both equations must cover the same observations")
     k1, k2 = x1.shape[1], x2.shape[1]
-
-    ols1 = ols_fit(x1, y1, names1)
-    ols2 = ols_fit(x2, y2, names2)
     try:
         step1 = residual_covariance(ols1.residuals, ols2.residuals,
                                     denominator=cov_denominator, k1=k1, k2=k2)
@@ -330,7 +331,6 @@ def fgls_fit(x1: np.ndarray, x2: np.ndarray,
     param_names = stacked_names + ("sigma11", "sigma12", "sigma22")
     se = np.sqrt(np.diag(coef_cov))
     return SureFit(
-        estimator="FGLS",
         n=n,
         k=k,
         loglik=loglik,
@@ -355,32 +355,17 @@ def ols_system_fit(x1: np.ndarray, x2: np.ndarray,
     regressions (two variance parameters, no cross covariance), which makes
     this fit the summed pair of univariate models for comparison purposes.
     """
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    y1 = np.asarray(y1, dtype=float)
-    y2 = np.asarray(y2, dtype=float)
-    names1 = _check_design(x1, names1)
-    names2 = _check_design(x2, names2)
+    (x1, _, names1, ols1), (x2, _, names2, ols2) = \
+        _equation_ols(x1, x2, y1, y2, names1, names2)
     n = x1.shape[0]
-    if x2.shape[0] != n or len(y1) != n or len(y2) != n:
-        raise ValueError("both equations must cover the same observations")
     k1, k2 = x1.shape[1], x2.shape[1]
-
-    ols1 = ols_fit(x1, y1, names1)
-    ols2 = ols_fit(x2, y2, names2)
     k = k1 + k2 + 2
+    equations = (EquationFit(eq_names[0], names1, ols1.beta, ols1.se),
+                 EquationFit(eq_names[1], names2, ols2.beta, ols2.se))
     if ols1.sigma2_ml <= 0 or ols2.sigma2_ml <= 0:
         # perfect interpolation: coefficients are exact, likelihood unbounded
-        return SureFit(
-            estimator="OLS", n=n, k=k, loglik=float("inf"),
-            equations=(
-                EquationFit(eq_names[0], names1, ols1.beta, ols1.se),
-                EquationFit(eq_names[1], names2, ols2.beta, ols2.se),
-            ),
-            sigma=None,
-            param_names=(),
-            param_cov=None,
-        )
+        return SureFit(n=n, k=k, loglik=float("inf"), equations=equations,
+                       sigma=None, param_names=(), param_cov=None)
     loglik = 0.0
     for fit in (ols1, ols2):
         loglik += -0.5 * n * (_LOG_2PI + np.log(fit.sigma2_ml) + 1.0)
@@ -394,14 +379,10 @@ def ols_system_fit(x1: np.ndarray, x2: np.ndarray,
     param_names = tuple(f"{eq_names[0]}:{c}" for c in names1) + \
         tuple(f"{eq_names[1]}:{c}" for c in names2) + ("sigma1_sq", "sigma2_sq")
     return SureFit(
-        estimator="OLS",
         n=n,
         k=k,
         loglik=float(loglik),
-        equations=(
-            EquationFit(eq_names[0], names1, ols1.beta, ols1.se),
-            EquationFit(eq_names[1], names2, ols2.beta, ols2.se),
-        ),
+        equations=equations,
         sigma=sigma,
         param_names=param_names,
         param_cov=param_cov,

@@ -190,6 +190,14 @@ class TestPrepare:
         assert "['epa_mpg_1', 'epa_mpg_2']" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("bins", ["1990", "1990-x", "2000-1990"])
+    def test_malformed_year_bins_is_exit_2(self, tmp_path, data_file, bins, capsys):
+        out = tmp_path / "prepared.csv"
+        assert run_cli("prepare", "--input", data_file, "--out", str(out),
+                       "--group-by", "model_year_bin_1", "--year-bins", bins) == 2
+        assert "--year-bins" in capsys.readouterr().err
+        assert list(tmp_path.glob("prepared*")) == []
+
     def test_group_summary_output(self, tmp_path, data_file):
         out = tmp_path / "prepared.csv"
         assert run_cli("prepare", "--input", data_file, "--out", str(out),
@@ -290,6 +298,17 @@ class TestFit:
         assert "--max-iterations must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("bases", ["2,4", "2,2", "2,x"])
+    def test_malformed_bases_is_exit_2(self, tmp_path, data_file, spec_file, bases,
+                                       capsys):
+        out = tmp_path / "rp.json"
+        code = run_cli("fit", "--data", data_file, "--spec", spec_file,
+                       "--estimator", "rp-sure", "--draws", "50",
+                       "--bases", bases, "--out", str(out))
+        assert code == 2
+        assert "--bases expects distinct primes" in capsys.readouterr().err
+        assert list(tmp_path.glob("rp.json*")) == []
+
     def test_small_fit_reports_spread_ses(self, tmp_path, data_file, spec_file):
         out = tmp_path / "rp.json"
         assert run_cli("fit", "--data", data_file, "--spec", spec_file,
@@ -316,6 +335,37 @@ class TestFit:
         assert manifest["command"] == "fit"
         assert str(out) in manifest["outputs"]
         assert manifest["options"]["estimator"] == "sure"
+
+
+FIXED_FIT_KEYS = ["estimator", "n", "k", "loglik", "equations", "sigma", "rho",
+                  "param_names", "param_cov"]
+RP_FIT_KEYS = ["estimator", "n", "k", "loglik", "equations", "random_coefficients",
+               "sigma", "rho", "sigma1", "sigma2", "sigma1_se", "sigma2_se", "rho_se",
+               "draws", "convergence", "param_names", "param_cov"]
+
+
+class TestFitSchema:
+    @pytest.mark.parametrize("estimator", ["ols", "sure"])
+    def test_fixed_fit_keys(self, tmp_path, data_file, spec_file, estimator):
+        out = tmp_path / "fit.json"
+        assert run_cli("fit", "--data", data_file, "--spec", spec_file,
+                       "--estimator", estimator, "--out", str(out)) == 0
+        fit = json.loads(out.read_text())
+        assert list(fit) == FIXED_FIT_KEYS
+        assert fit["estimator"] == estimator
+
+    def test_rp_fit_keys(self, tmp_path, data_file, spec_file):
+        out = tmp_path / "fit.json"
+        assert run_cli("fit", "--data", data_file, "--spec", spec_file,
+                       "--estimator", "rp-sure", "--draws", "50",
+                       "--bases", "3,5", "--out", str(out)) == 0
+        fit = json.loads(out.read_text())
+        assert list(fit) == RP_FIT_KEYS
+        assert fit["estimator"] == "rp-sure"
+        assert list(fit["draws"].items()) == [("R", 50), ("burn", 50), ("bases", [3, 5])]
+        assert list(fit["convergence"]) == ["status", "iters", "grad_norm"]
+        assert [list(rc) for rc in fit["random_coefficients"]] == \
+            [["name", "equation", "mu", "mu_se", "sigma", "sigma_se"]] * 2
 
 
 def fake_fit(tmp_path, name, loglik, k=5, n=100):
@@ -377,11 +427,36 @@ class TestEffects:
         row = out.read_text().splitlines()[1].split(",")
         assert row[6] == "50.00"
 
+    @pytest.mark.parametrize("entry", [
+        {"mu": 0.1},
+        {"sigma": 0.2},
+        {"mu": 0.1, "sigma": None},
+        {"mu": None, "sigma": 0.2},
+        {"mu": 0.1, "sigma": 0.0},
+        {"mu": 0.1, "sigma": -0.2},
+        {"mu": 0.1, "sigma": float("nan")},
+        {"mu": float("inf"), "sigma": 0.2},
+    ], ids=["no-sigma", "no-mu", "null-sigma", "null-mu", "zero-sigma", "negative-sigma",
+            "nan-sigma", "infinite-mu"])
+    def test_malformed_random_coefficient_exit_2(self, tmp_path, entry, capsys):
+        good = {"name": "a", "equation": "vehicle_1", "mu": 0.0, "sigma": 0.1}
+        fit = self.rp_fit_file(tmp_path, [good, {"name": "b", **entry}])
+        out = tmp_path / "effects.csv"
+        assert run_cli("effects", "--fit", fit, "--out", str(out)) == 2
+        assert "malformed random coefficient" in capsys.readouterr().err
+        assert list(tmp_path.glob("effects.csv*")) == []
+
     def test_fixed_only_fit_exit_2(self, tmp_path, capsys):
         fit = write_json(tmp_path / "fixed.json", {
             "estimator": "sure", "n": 10, "k": 5, "loglik": 0.0, "equations": []})
         assert run_cli("effects", "--fit", fit, "--out", str(tmp_path / "e.csv")) == 2
         assert "no random coefficients" in capsys.readouterr().err
+
+    def test_non_object_fit_exit_2(self, tmp_path, capsys):
+        fit = write_json(tmp_path / "list.json", [1, 2])
+        assert run_cli("effects", "--fit", fit, "--out", str(tmp_path / "e.csv")) == 2
+        assert "no random coefficients" in capsys.readouterr().err
+        assert not (tmp_path / "e.csv").exists()
 
 
 class TestHelp:

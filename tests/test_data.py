@@ -57,12 +57,12 @@ class TestParseRaw:
             {"fuel_type_1": ["Weird Fuel"], "displacement_1": ["1.8"]}
         assert list(covariates) == ["fuel_type_1", "displacement_1"]
 
-    def test_repeated_header_name_reads_last_column(self):
-        stream = csv_stream("g1,20,25,22,30,1999,2004,Pacific,a,b,c",
-                            header=HEADER + ",x,y,x")
-        covariates = parse_raw(stream).covariates
-        assert list(covariates) == ["x", "y"]
-        assert covariates["x"].tolist() == ["c"]
+    def test_repeated_header_name_is_an_error(self):
+        stream = csv_stream("g1,20,25,22,30,1999,2004,Pacific,a,b,c,d",
+                            header=HEADER + ",x,y,x,garage_id")
+        with pytest.raises(ParseError, match=r"row 0: header repeats column names "
+                                             r"\['garage_id', 'x'\]"):
+            parse_raw(stream)
 
     def test_numbers_follow_python_float(self):
         cells = [" 20 ", "2_5", "+2.2e1", "30.000000000000004", "1999.9", " 2004"]

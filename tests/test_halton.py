@@ -205,9 +205,10 @@ class TestDrawStore:
                     assert store.z[i, r, d] == inverse_normal_cdf(u[r, d])
 
     def test_memory_cap(self):
+        # 2**20 x 1000 doubles is 8 GiB: refused before anything is allocated
         cfg = HaltonConfig(bases=(2,), draws_per_obs=1000)
         with pytest.raises(FuelGapError, match="bytes"):
-            build_draw_store(1000, cfg, memory_cap_bytes=1000)
+            build_draw_store(2 ** 20, cfg)
 
     def test_moments(self):
         # Stratified uniforms keep the first two sample moments very tight.

@@ -12,7 +12,6 @@ from fuelgap.msl import (
     CoefficientEstimate,
     Convergence,
     LoglikKernel,
-    RpFitOptions,
     RpParameters,
     RpSureFit,
     effects_from_design,
@@ -34,8 +33,7 @@ def fit_rp_sure(*args, **kwargs):
     """msl.fit_rp_sure, checking that "converged" means a score near zero."""
     fit = msl.fit_rp_sure(*args, **kwargs)
     if fit.convergence.converged:
-        tol = kwargs.get("options", RpFitOptions()).grad_tol
-        assert fit.convergence.grad_norm <= tol * fit.n
+        assert fit.convergence.grad_norm <= msl._GRAD_TOL * fit.n
     return fit
 
 
@@ -279,15 +277,15 @@ class TestFitRpSure:
         assert fit.convergence.converged
         assert fit.k == 2 + 2 + 3
 
-    def test_no_gradient_tolerance_ends_stalled_without_null_steps(self):
+    def test_no_gradient_tolerance_ends_stalled_without_null_steps(self, monkeypatch):
         # with a zero tolerance only the line search can end the fit; it must
         # stop when f stops improving, not walk on with steps that change nothing
         truth = rp_truth(n=150, seed=8)
         ds = simulate_dataset(truth)
         design = design_of(ds)
         draws = build_draw_store(150, HaltonConfig(bases=(2, 3), draws_per_obs=50))
-        fit = fit_rp_sure(design, ds.y1, ds.y2, draws=draws,
-                          options=RpFitOptions(grad_tol=0.0))
+        monkeypatch.setattr(msl, "_GRAD_TOL", 0.0)
+        fit = fit_rp_sure(design, ds.y1, ds.y2, draws=draws)
         assert fit.convergence.status == "stalled"
         assert fit.convergence.iterations < 100
         path = fit.convergence.loglik_path
@@ -299,10 +297,8 @@ class TestFitRpSure:
         ds = simulate_dataset(truth)
         design = design_of(ds)
         draws = build_draw_store(150, HaltonConfig(bases=(2, 3), draws_per_obs=50))
-        opts = RpFitOptions(threads=1)
-        fit_a = fit_rp_sure(design, ds.y1, ds.y2, draws=draws, options=opts)
-        fit_b = fit_rp_sure(design, ds.y1, ds.y2, draws=draws,
-                            options=RpFitOptions(threads=4))
+        fit_a = fit_rp_sure(design, ds.y1, ds.y2, draws=draws, threads=1)
+        fit_b = fit_rp_sure(design, ds.y1, ds.y2, draws=draws, threads=4)
         path = fit_a.convergence.loglik_path
         assert all(b >= a for a, b in zip(path, path[1:]))
         assert fit_a.convergence.loglik_path == fit_b.convergence.loglik_path
@@ -340,7 +336,7 @@ class TestFitRpSure:
             coef1=coefs[:2], coef2=coefs[2:],
             sigmas=[c.sigma for c in fit.random_coefficients], cov=fit.sigma))
         hess = value_only_hessian(lambda t: -kernel.loglik(transform.unpack(t)),
-                                  t_hat, RpFitOptions().hessian_step)
+                                  t_hat, msl._HESSIAN_STEP)
         _, reference = _natural_covariance(hess, transform.jacobian(t_hat))
         got = np.sqrt(np.diag(fit.param_cov))
         np.testing.assert_allclose(got, reference, rtol=1e-3)
@@ -394,8 +390,7 @@ class TestFitRpSure:
         ds = simulate_dataset(truth)
         design = design_of(ds)
         draws = build_draw_store(120, HaltonConfig(bases=(2, 3), draws_per_obs=50))
-        fit = fit_rp_sure(design, ds.y1, ds.y2, draws=draws,
-                          options=RpFitOptions(max_iterations=2))
+        fit = fit_rp_sure(design, ds.y1, ds.y2, draws=draws, max_iterations=2)
         assert fit.convergence.status == "not converged"
         assert fit.loglik == fit.convergence.loglik_path[-1]
 
@@ -415,7 +410,7 @@ def toy_fit(sigma, sigma_se, mu=0.1, mu_se=0.05):
     coef = CoefficientEstimate(name="x", equation="vehicle_1", kind="random-normal",
                                estimate=mu, se=mu_se, sigma=sigma, sigma_se=sigma_se)
     return RpSureFit(
-        n=10, k=4, draws_per_obs=50, loglik=0.0,
+        n=10, k=4, loglik=0.0,
         coefficients=(coef,
                       CoefficientEstimate(name="const", equation="vehicle_1",
                                           kind="fixed", estimate=0.9, se=0.1)),
