@@ -108,6 +108,8 @@ class ModelSpec:
 
 
 def _parse_term(raw: dict, eq_name: str) -> Term:
+    if not isinstance(raw, dict):
+        raise SpecError(f"equation {eq_name!r}: a term must be an object, got {raw!r}")
     if "column" not in raw:
         raise SpecError(f"equation {eq_name!r}: term missing 'column': {raw}")
     kind = raw.get("kind", FIXED)
@@ -128,11 +130,20 @@ def model_spec_from_dict(raw: dict) -> ModelSpec:
         raise SpecError(f"model spec must declare exactly {N_EQUATIONS} equations")
     equations = []
     for i, eq_raw in enumerate(equations_raw):
+        if not isinstance(eq_raw, dict):
+            raise SpecError(f"equation {i + 1} must be an object, got {eq_raw!r}")
         name = str(eq_raw.get("name", f"vehicle_{i + 1}"))
-        terms = tuple(_parse_term(t, name) for t in eq_raw.get("terms", []))
+        terms_raw = eq_raw.get("terms", [])
+        if not isinstance(terms_raw, list):
+            raise SpecError(f"equation {name!r}: 'terms' must be a list, got {terms_raw!r}")
+        terms = tuple(_parse_term(t, name) for t in terms_raw)
         equations.append(EquationSpec(name=name, terms=terms,
                                       intercept=bool(eq_raw.get("intercept", True))))
-    base_levels = {str(k): str(v) for k, v in raw.get("base_levels", {}).items()}
+    base_raw = raw.get("base_levels", {})
+    if not isinstance(base_raw, dict):
+        raise SpecError("'base_levels' must be an object mapping a column to its base "
+                        f"level, got {base_raw!r}")
+    base_levels = {str(k): str(v) for k, v in base_raw.items()}
     return ModelSpec(equations=(equations[0], equations[1]), base_levels=base_levels)
 
 

@@ -10,12 +10,17 @@ gradient is the analytic score, computed in the same pass over the draws as
 the value.  A fit is "converged" only when the natural-scale score is zero
 to within a per-observation tolerance; otherwise it ends "stalled" (no
 descent step lowers the objective) or "not converged" (iteration cap).
-Standard errors come from the Hessian at the optimum, taken as central
-differences of the score, delta-method transformed to the natural scale.
+Standard errors come from the Hessian at the optimum, delta-method
+transformed to the natural scale.  The Hessian is analytic too, formed in
+one more pass over the draws: for a simulated log-likelihood it is the
+mixture-weighted draw average of (d2 ln phi + g g') less the outer product
+of the score (Train 2009, Discrete Choice Methods with Simulation, ch. 10),
+and d2 ln phi is closed form for this linear-normal kernel.
 """
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -31,8 +36,6 @@ _MIN_SIGMA_START = 1e-3
 # _GRAD_TOL * N: the smallest gradient a double-precision sum over N
 # observations resolves grows with N
 _GRAD_TOL = 1e-6
-# relative step for differencing the score
-_HESSIAN_STEP = 1e-4
 # |sigma| / SE at or above which rp_retention_test keeps a coefficient random
 _RETENTION_Z = 1.96
 # doubles per (rows, draws) temporary of one kernel block
@@ -82,12 +85,13 @@ def effects_from_design(design: DesignMatrices) -> tuple[RandomEffect, ...]:
 
 
 class LoglikKernel:
-    """Simulated log-likelihood and score evaluator with precomputed draw products.
+    """Simulated log-likelihood, score and Hessian evaluator with precomputed
+    draw products.
 
     Observations are evaluated in fixed blocks of about _BLOCK_DOUBLES / R
-    rows, so temporaries stay small for any N.  Per-observation values and
-    score rows are summed in one fixed order, so results are bit-identical
-    for any thread count.
+    rows, so temporaries stay small for any N.  Per-observation values,
+    score rows and per-block Hessians are summed in one fixed order, so
+    results are bit-identical for any thread count.
     """
 
     def __init__(self, x1, x2, y1, y2, effects: tuple[RandomEffect, ...],
@@ -123,8 +127,11 @@ class LoglikKernel:
         self.blocks = [(lo, min(lo + rows, self.n)) for lo in range(0, self.n, rows)]
 
     def _block(self, params: RpParameters, low: np.ndarray, lo: int, hi: int,
-               base: tuple, value: np.ndarray, score: np.ndarray | None) -> None:
-        """Fill value[lo:hi], and score[lo:hi] unless it is None.
+               base: tuple, value: np.ndarray, score: np.ndarray | None,
+               hess: np.ndarray | None, workspace) -> None:
+        """Fill value[lo:hi], score[lo:hi] unless it is None, and hess with
+        the block's Hessian contribution unless it is None (needs score and
+        workspace, a threading.local that keeps this thread's buffers).
 
         The (rows, draws) temporaries are written in place where the float
         operations allow it; a residual of an equation without random
@@ -152,7 +159,7 @@ class LoglikKernel:
         # term is a weighted average of v1 or v2 times something
         l11, l21, l22 = low[0, 0], low[1, 0], low[1, 1]
         wv2 = w * v2
-        wv = (np.multiply(w, v1, out=w), wv2)
+        wv = (np.multiply(w, v1, out=w if hess is None else None), wv2)
 
         def mean(i, b=None):
             return (wv[i].sum(axis=1) if b is None
@@ -178,34 +185,145 @@ class LoglikKernel:
             out[:, col + d] = -mean_a1(mean_a2(b), b)
         for d, p in self.products[1]:
             out[:, col + d] = -mean_a2(p[lo:hi])
-        s12 = mean(0, v2)
-        out[:, -3] = mean(0, v1) - (l21 / l22) * s12 - 1.0
-        out[:, -2] = s12 / l22
-        out[:, -1] = mean(1, v2) - 1.0
+        m11, m12, m22 = mean(0, v1), mean(0, v2), mean(1, v2)
+        out[:, -3] = m11 - (l21 / l22) * m12 - 1.0
+        out[:, -2] = m12 / l22
+        out[:, -1] = m22 - 1.0
+        if hess is not None:
+            s_bar = [-a[0], -a[1]] + [out[:, j] for j in range(col, out.shape[1])]
+            self._block_hessian(low, lo, hi, w, w_sum, v1, v2, (m11, m12, m22),
+                                s_bar, hess, workspace)
 
-    def _evaluate(self, params: RpParameters, with_score: bool
-                  ) -> tuple[float, np.ndarray | None]:
+    def _block_hessian(self, low, lo, hi, w, w_sum, v1, v2, vv, s_bar, hess,
+                       workspace) -> None:
+        """Fill hess with the block's rows of the log-likelihood Hessian.
+
+        Per row this is E[d2 lnphi + g g'] - gbar gbar', E the mixture-weighted
+        draw mean (Train 2009, ch. 10).  Each row's matrix is formed in
+        reduced coordinates, one per equation residual, spread and Cholesky
+        coordinate, and then expanded: an equation's coefficient entries are
+        its residual entry times x x' (or x).  Per draw the reduced gradient
+        is sign * f with f = (a1, a2, p_d a_eq(d) ..., c11, c21, c22), where
+        a = d lnphi / d e and c holds d lnphi / d (log l11, l21, log l22);
+        its row mean is s_bar, the score already written.  vv holds the row
+        means of v1 v1, v1 v2 and v2 v2.  Only the upper triangle is set.
+        w is overwritten.
+        """
+        l11, l21, l22 = low[0, 0], low[1, 0], low[1, 1]
+        n_d = len(self.effects)
+        eq = [0, 1] + [e.equation for e in self.effects]
+        p = [None] * n_d
+        for e in (0, 1):
+            for d, prod in self.products[e]:
+                p[d] = prod[lo:hi]
+
+        # the draw-level factors go to buffers this thread reuses across
+        # blocks: a fresh (rows, draws) array costs more in page faults than
+        # the arithmetic that fills it
+        buf = getattr(workspace, "buf", None)
+        if buf is None or buf.shape[1] < w.shape[0]:
+            buf = workspace.buf = np.empty((5 + 2 * n_d,) + w.shape)
+        tmp = iter(buf[:, :w.shape[0]])
+
+        def mean(x, y):
+            return np.einsum("ij,ij->i", x, y) / w_sum
+
+        # every draw-level factor carries sqrt(w), so the row mean of a
+        # product of two is one dot product per row
+        sw = np.sqrt(w, out=w)
+        v1w = np.multiply(v1, sw, out=next(tmp))
+        v2w = np.multiply(v2, sw, out=next(tmp))
+        a2 = np.multiply(v2w, -1.0 / l22, out=next(tmp))
+        a1 = np.multiply(a2, l21, out=next(tmp))
+        a1 += v1w
+        a1 *= -1.0 / l11
+        a = (a1, a2)
+        r = l21 / l22
+        c11 = np.multiply(v2, -r, out=next(tmp))
+        c11 += v1
+        c11 *= v1w
+        c11 -= sw
+        c21 = np.multiply(v1w, v2, out=v1w)
+        c21 *= 1.0 / l22
+        c22 = np.multiply(v2w, v2, out=v2w)
+        c22 -= sw
+        f = [a1, a2] + [np.multiply(p[d], a[eq[2 + d]], out=next(tmp))
+                        for d in range(n_d)] + [c11, c21, c22]
+        sign = [-1.0] * (2 + n_d) + [1.0] * 3
+        wp = [np.multiply(sw, pd, out=next(tmp)) for pd in p]
+
+        # the mean of d2 lnphi: a = d lnphi / d e = -Sigma^-1 e, so the
+        # (coefficient, spread) block is -Sigma^-1 times the mean product of
+        # the two loadings (x or p_d), and d a / d (log l11, l21, log l22)
+        # is -Sigma^-1 (d Sigma) a
+        inv_low = np.array([[1.0 / l11, 0.0], [-l21 / (l11 * l22), 1.0 / l22]])
+        sinv = inv_low.T @ inv_low
+        dlow = np.zeros((3, 2, 2))
+        dlow[0, 0, 0], dlow[1, 1, 0], dlow[2, 1, 1] = l11, 1.0, l22
+        dsig = dlow @ low.T
+        da = -sinv @ (dsig + dsig.transpose(0, 2, 1))
+        # row means of a, and of p_d a, that the loadings multiply
+        mean_a = [(-s_bar[0], -s_bar[1])] * 2 + [(mean(x, a1), mean(x, a2)) for x in wp]
+        h = {}
+        for j in range(2 + n_d):
+            for k in range(j, 2 + n_d):
+                if j >= 2:
+                    load = mean(wp[j - 2], wp[k - 2])
+                else:
+                    load = 1.0 if k < 2 else mean(wp[k - 2], sw)
+                h[j, k] = -sinv[eq[j], eq[k]] * load
+            for c in range(3):
+                h[j, 2 + n_d + c] = -(da[c, eq[j], 0] * mean_a[j][0]
+                                      + da[c, eq[j], 1] * mean_a[j][1])
+        # second derivatives of lnphi in (log l11, l21, log l22)
+        m11, m12, m22 = vv
+        for (j, k), val in {(0, 0): r * m12 - (2.0 + r * r) * m11,
+                            (0, 1): (r * m11 - m12) / l22, (0, 2): 2.0 * r * m12,
+                            (1, 1): -m11 / (l22 * l22), (1, 2): -2.0 * m12 / l22,
+                            (2, 2): -2.0 * m22}.items():
+            h[2 + n_d + j, 2 + n_d + k] = val
+
+        k1, k2 = self.x[0].shape[1], self.x[1].shape[1]
+        x = (self.x[0][lo:hi], self.x[1][lo:hi])
+        pos = [slice(0, k1), slice(k1, k1 + k2)] + list(range(k1 + k2, k1 + k2 + n_d + 3))
+        for (j, k), hjk in h.items():
+            row = hjk + sign[j] * sign[k] * mean(f[j], f[k]) - s_bar[j] * s_bar[k]
+            if k < 2:
+                hess[pos[j], pos[k]] = np.einsum("i,ik,il->kl", row, x[j], x[k])
+            elif j < 2:
+                hess[pos[j], pos[k]] = np.einsum("i,ik->k", row, x[j])
+            else:
+                hess[pos[j], pos[k]] = row.sum()
+
+    def _evaluate(self, params: RpParameters, with_score: bool, with_hessian: bool = False
+                  ) -> tuple[float, np.ndarray | None, np.ndarray | None]:
         base = (self.y[0] - _rowdot(self.x[0], params.coef1),
                 self.y[1] - _rowdot(self.x[1], params.coef2))
         value = np.empty(self.n)
-        score = None
-        if with_score:
-            size = self.x[0].shape[1] + self.x[1].shape[1] + len(self.effects) + 3
-            score = np.empty((self.n, size))
+        size = self.x[0].shape[1] + self.x[1].shape[1] + len(self.effects) + 3
+        score = np.empty((self.n, size)) if with_score else None
+        # one (p, p) slot per block, summed in block order
+        hess = np.zeros((len(self.blocks), size, size)) if with_hessian else None
         low = params.cov.cholesky_lower()
+        workspace = threading.local() if with_hessian else None
+        tasks = [(params, low, lo, hi, base, value, score,
+                  None if hess is None else hess[b], workspace)
+                 for b, (lo, hi) in enumerate(self.blocks)]
         if self.threads == 1 or len(self.blocks) == 1:
-            for lo, hi in self.blocks:
-                self._block(params, low, lo, hi, base, value, score)
+            for task in tasks:
+                self._block(*task)
         else:
             with ThreadPoolExecutor(max_workers=min(self.threads, len(self.blocks))) as pool:
-                for fut in [pool.submit(self._block, params, low, lo, hi, base, value, score)
-                            for lo, hi in self.blocks]:
+                for fut in [pool.submit(self._block, *task) for task in tasks]:
                     fut.result()
         total = float(np.sum(value))
         if not np.isfinite(total):
             raise EstimationError("simulated log-likelihood is not finite "
                                   "(all draws underflowed)")
-        return total, None if score is None else score.sum(axis=0)
+        if hess is not None:
+            upper = np.triu(hess.sum(axis=0))
+            hess = upper + np.triu(upper, 1).T
+        return total, None if score is None else score.sum(axis=0), hess
 
     def loglik(self, params: RpParameters) -> float:
         return self._evaluate(params, with_score=False)[0]
@@ -216,7 +334,12 @@ class LoglikKernel:
         The gradient is taken with respect to [coef1, coef2, sigma_d ...,
         log l11, l21, log l22], the layout of _Transform.
         """
-        return self._evaluate(params, with_score=True)
+        return self._evaluate(params, with_score=True)[:2]
+
+    def hessian(self, params: RpParameters) -> np.ndarray:
+        """Exactly symmetric Hessian of the log-likelihood, in the score's
+        layout, from one pass over the draws."""
+        return self._evaluate(params, with_score=True, with_hessian=True)[2]
 
 
 def simulated_loglik(params: RpParameters, design: DesignMatrices,
@@ -290,28 +413,14 @@ class _Transform:
         return j
 
 
-def _score_hessian(grad, t: np.ndarray) -> np.ndarray:
-    """Central difference of the analytic gradient: 2p gradient calls."""
-    h = _HESSIAN_STEP * np.maximum(1.0, np.abs(t))
-    hess = np.empty((t.size, t.size))
-    for j in range(t.size):
-        tp = t.copy()
-        tm = t.copy()
-        tp[j] += h[j]
-        tm[j] -= h[j]
-        hess[:, j] = (grad(tp) - grad(tm)) / (2.0 * h[j])
-    return hess
-
-
 def _natural_covariance(hess: np.ndarray, jacobian: np.ndarray
                         ) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Delta-method parameter covariance from the objective Hessian.
+    """Delta-method parameter covariance from the symmetric objective Hessian.
 
-    Returns (None, None) unless the symmetrized Hessian is finite and
-    positive definite (a Cholesky factorization succeeds); the fit is
-    still usable, just without SEs.
+    Returns (None, None) unless the Hessian is finite and positive definite
+    (a Cholesky factorization succeeds); the fit is still usable, just
+    without SEs.
     """
-    hess = 0.5 * (hess + hess.T)
     if not np.isfinite(hess).all():
         return None, None
     try:
@@ -458,8 +567,8 @@ def fit_rp_sure(design: DesignMatrices, y1, y2,
     ("stalled"); or the iteration cap is hit ("not converged").  The last
     two return the fit instead of raising.
     The line search evaluates the value alone; the search direction uses
-    the analytic score.  SEs need a positive-definite Hessian, formed from
-    central differences of the score (2p score evaluations).
+    the analytic score.  SEs need a positive-definite Hessian, the analytic
+    one from a single kernel pass at the optimum (LoglikKernel.hessian).
 
     Spreads are optimized signed and reported as |sigma|.  The likelihood
     is even in each spread only up to the asymmetry of the Halton draws, so
@@ -490,8 +599,7 @@ def fit_rp_sure(design: DesignMatrices, y1, y2,
             return float("inf")
 
     def gradient(t: np.ndarray) -> np.ndarray:
-        # the analytic score; NaN where the likelihood underflows, so a
-        # Hessian probe there yields no SEs
+        # the analytic score; NaN where the likelihood underflows
         try:
             return -kernel.loglik_and_score(transform.unpack(t))[1]
         except (EstimationError, DegenerateDataError):
@@ -521,7 +629,11 @@ def fit_rp_sure(design: DesignMatrices, y1, y2,
     loglik = -minimizer.f
     natural = transform.natural(t_hat)
 
-    hess = _score_hessian(gradient, t_hat)
+    try:
+        hess = -kernel.hessian(params)
+    except (EstimationError, DegenerateDataError):
+        # the likelihood underflows at t_hat, so the fit gets no SEs
+        hess = np.full((transform.size, transform.size), np.nan)
     param_cov, ses = _natural_covariance(hess, transform.jacobian(t_hat))
 
     def se_at(i: int) -> float | None:

@@ -277,6 +277,26 @@ class TestFit:
         assert "'v1' has no design columns" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec,message", [
+        pytest.param({"equations": [5, {"name": "vehicle_2"}]},
+                     "equation 1 must be an object, got 5", id="equation-not-object"),
+        pytest.param({"equations": [{"name": "vehicle_1", "terms": 5}, {"name": "vehicle_2"}]},
+                     "'vehicle_1': 'terms' must be a list, got 5", id="terms-not-list"),
+        pytest.param({"equations": [{"name": "vehicle_1", "terms": [5]}, {"name": "vehicle_2"}]},
+                     "'vehicle_1': a term must be an object, got 5", id="term-not-object"),
+        pytest.param({"equations": [{"name": "vehicle_1"}, {"name": "vehicle_2"}],
+                      "base_levels": [1]},
+                     "'base_levels' must be an object", id="base-levels-not-object"),
+    ])
+    def test_malformed_spec_is_exit_2(self, tmp_path, data_file, spec, message, capsys):
+        path = write_json(tmp_path / "bad.json", spec)
+        out = tmp_path / "f.json"
+        code = run_cli("fit", "--data", data_file, "--spec", path,
+                       "--estimator", "sure", "--out", str(out))
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.glob("f.json*")) == []
+
     def test_non_convergence_exit_3_fit_still_written(self, tmp_path, data_file,
                                                       spec_file):
         out = tmp_path / "rp.json"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -131,14 +132,15 @@ class TestSimulatedLoglik:
 
 
 def central_difference(fun, t, rel_step):
-    g = np.empty_like(t)
+    """Column j is the central difference of fun (a value or a vector) in t[j]."""
+    columns = []
     for j in range(t.size):
         h = rel_step * max(1.0, abs(t[j]))
         tp, tm = t.copy(), t.copy()
         tp[j] += h
         tm[j] -= h
-        g[j] = (fun(tp) - fun(tm)) / (2.0 * h)
-    return g
+        columns.append((fun(tp) - fun(tm)) / (2.0 * h))
+    return np.array(columns).T
 
 
 def value_only_hessian(fun, t, rel_step):
@@ -181,8 +183,8 @@ def layout_kernel(n, draws_per_obs, random1, random2, threads=1):
     truth = rp_truth(n=n)
     ds = simulate_dataset(truth)
     effects = effects_from_design(design_of(ds, random1, random2))
-    draws = build_draw_store(n, HaltonConfig(bases=(2, 3)[:len(effects)],
-                                             draws_per_obs=draws_per_obs))
+    draws = None if not effects else build_draw_store(
+        n, HaltonConfig(bases=(2, 3)[:len(effects)], draws_per_obs=draws_per_obs))
     kernel = LoglikKernel(ds.x1, ds.x2, ds.y1, ds.y2, effects, draws, threads=threads)
     return kernel, layout_params(truth, random1, random2)
 
@@ -217,6 +219,74 @@ def check_score_bits_do_not_depend_on_threads(random1, random2, thread_counts):
         value, score = kernel.loglik_and_score(params)
         results.append((value, score.tobytes()))
     assert len(set(results)) == 1
+
+
+# random coefficients in both equations, in one of them, or in none
+# (no draw store: the exact fixed-parameter likelihood)
+ALL_LAYOUTS = ([pytest.param((1,), (1,), id="both")] + ONE_EQUATION_LAYOUTS
+               + [pytest.param((), (), id="none")])
+
+
+class TestHessian:
+    @pytest.mark.parametrize("random1,random2", ALL_LAYOUTS)
+    def test_matches_central_difference_of_score(self, random1, random2):
+        kernel, params = layout_kernel(60, 50, random1, random2)
+        from fuelgap.msl import _Transform
+        transform = _Transform(2, 2, len(kernel.effects))
+        rng = np.random.default_rng(0)
+        base = transform.pack(params)
+        points = [base + 0.2 * rng.uniform(-1, 1, base.size) for _ in range(3)]
+        if kernel.effects:
+            # a negative signed spread, and a spread of exactly 0
+            points[1][4] = -abs(points[1][4])
+            points[2][4] = 0.0
+        for t in points:
+            hess = kernel.hessian(transform.unpack(t))
+            assert (hess == hess.T).all()
+            # the Hessian oracle: central differences of the analytic score
+            numeric = central_difference(
+                lambda u: kernel.loglik_and_score(transform.unpack(u))[1], t, 1e-5)
+            scale = np.maximum(np.maximum(np.abs(hess), np.abs(numeric)), 1.0)
+            assert np.max(np.abs(hess - numeric) / scale) <= 1e-5
+
+    @pytest.mark.parametrize("random1,random2",
+                             [pytest.param((1,), (1,), id="both")] + ONE_EQUATION_LAYOUTS)
+    def test_bits_do_not_depend_on_threads(self, random1, random2):
+        # 2000 draws split the 111 observations into several kernel blocks;
+        # a short switch interval interleaves the workers' per-thread buffers
+        results = set()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for threads in (1, 2, 4):
+                kernel, params = layout_kernel(111, 2000, random1, random2, threads)
+                assert len(kernel.blocks) > 1
+                hess = kernel.hessian(params)
+                assert (hess == hess.T).all()
+                results.add(hess.tobytes())
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 1
+
+    def test_fit_makes_one_hessian_pass_and_one_score_pass_per_step(self, monkeypatch):
+        calls = {"loglik": 0, "loglik_and_score": 0, "hessian": 0}
+        for method in calls:
+            original = getattr(LoglikKernel, method)
+
+            def counted(self, params, _original=original, _method=method):
+                calls[_method] += 1
+                return _original(self, params)
+
+            monkeypatch.setattr(LoglikKernel, method, counted)
+        truth = rp_truth(n=150, seed=8)
+        ds = simulate_dataset(truth)
+        draws = build_draw_store(150, HaltonConfig(bases=(2, 3), draws_per_obs=50))
+        fit = fit_rp_sure(design_of(ds), ds.y1, ds.y2, draws=draws)
+        assert fit.convergence.converged and fit.param_cov is not None
+        assert calls["loglik_and_score"] == fit.convergence.iterations + 1
+        assert calls["hessian"] == 1
+        # the line search still takes its trial values from the value pass
+        assert calls["loglik"] >= fit.convergence.iterations
 
 
 class TestGradientConsistency:
@@ -325,8 +395,8 @@ class TestFitRpSure:
             assert abs(est - tv) <= 4 * se
 
     def test_ses_match_value_only_hessian(self, recovery_small):
-        # SEs from the differenced score against SEs from second differences
-        # of the value alone, at the same optimum and step
+        # SEs from the analytic Hessian against SEs from second differences
+        # of the value alone, at the same optimum
         from fuelgap.msl import _natural_covariance, _Transform
         fit, design, ds, draws = recovery_small
         kernel = LoglikKernel(ds.x1, ds.x2, ds.y1, ds.y2, effects_from_design(design), draws)
@@ -336,7 +406,7 @@ class TestFitRpSure:
             coef1=coefs[:2], coef2=coefs[2:],
             sigmas=[c.sigma for c in fit.random_coefficients], cov=fit.sigma))
         hess = value_only_hessian(lambda t: -kernel.loglik(transform.unpack(t)),
-                                  t_hat, msl._HESSIAN_STEP)
+                                  t_hat, 1e-4)
         _, reference = _natural_covariance(hess, transform.jacobian(t_hat))
         got = np.sqrt(np.diag(fit.param_cov))
         np.testing.assert_allclose(got, reference, rtol=1e-3)
