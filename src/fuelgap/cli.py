@@ -5,13 +5,15 @@ Every command writes a manifest next to its output recording the resolved
 options and SHA-256 hashes of inputs and outputs; re-running with identical
 inputs and options reproduces identical output hashes (only the duration
 field varies).  Exit codes: 0 success, 2 usage or validation, 3 estimation
-did not converge (the fit is still written), 4 I/O failure.
+did not converge (the fit is still written), 4 I/O failure.  A fit file
+given to compare or effects that cannot be read exits 2 like any other
+unusable fit file; every other input that cannot be read exits 4.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -22,10 +24,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .criteria import CriteriaInput, effect_summary, rank_models
+from .criteria import CRITERIA, CriteriaInput, effect_summary, rank_models
 from .data import (
     DEFAULT_YEAR_BINS,
-    GapTable,
+    GAP_COLUMNS,
+    GARAGE_COLUMNS,
     compute_gaps,
     encode_design,
     gap_correlation,
@@ -33,25 +36,21 @@ from .data import (
     parse_raw,
     responses,
     trim_outliers,
+    write_csv,
+    write_garage_csv,
     write_group_summary_csv,
 )
 from .errors import DegenerateDataError, FuelGapError, SpecError
 from .halton import HaltonConfig, build_draw_store, first_primes
-from .modelspec import load_model_spec
+from .modelspec import load_model_spec, read_json
 from .msl import RpSureFit, fit_rp_sure
 from .sure import SureFit, fgls_fit, ols_system_fit
-from .synthetic import load_truth, simulate_dataset, truth_from_dict
+from .synthetic import simulate_dataset, truth_from_dict
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NOT_CONVERGED = 3
 EXIT_IO = 4
-
-# columns of a prepared CSV that the input's covariates may not reuse:
-# the fixed fields, then the two gaps written after the covariates
-_PREPARED_FIELDS = ("garage_id", "my_mpg_1", "epa_mpg_1", "my_mpg_2", "epa_mpg_2",
-                    "model_year_1", "model_year_2", "us_division")
-_PREPARED_GAPS = ("gap_1", "gap_2")
 
 
 def _sha256(path: Path) -> str:
@@ -213,18 +212,18 @@ def cmd_prepare(args, parser) -> int:
     user_col, epa_col = _split_mpg_columns(parser, args.mpg_columns)
     bins = _parse_year_bins(parser, args.year_bins) if args.year_bins else DEFAULT_YEAR_BINS
     table = compute_gaps(parse_raw(args.input, user_col=user_col, epa_col=epa_col))
-    clashes = [c for c in table.covariates if c in _PREPARED_FIELDS + _PREPARED_GAPS]
+    clashes = [c for c in table.covariates if c in GARAGE_COLUMNS + GAP_COLUMNS]
     if clashes:
         raise SpecError(f"input columns {clashes} would repeat fixed columns of the "
                         "prepared CSV; rename them")
     kept, _, report = trim_outliers(table, trim_sd)
 
     out = Path(args.out)
-    _write_prepared_csv(kept, out)
+    write_garage_csv(kept, out)
     outputs = [out]
 
     report_path = out.with_name(out.stem + ".report.json")
-    payload = report.as_dict()
+    payload = dataclasses.asdict(report)
     payload["mean_gap"] = _column_means(kept.gap)
     payload["mean_mpg_shortfall"] = _column_means(kept.epa_mpg - kept.my_mpg)
     try:
@@ -260,23 +259,6 @@ def _column_means(values: np.ndarray) -> list:
     if not len(values):
         return [None, None]
     return [float(np.mean(column)) for column in values.T]
-
-
-def _write_prepared_csv(table: GapTable, path: Path) -> None:
-    def floats(column: np.ndarray):
-        return map(repr, column.tolist())
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([*_PREPARED_FIELDS, *table.covariates, *_PREPARED_GAPS])
-        writer.writerows(zip(
-            table.garage_id.tolist(),
-            floats(table.my_mpg[:, 0]), floats(table.epa_mpg[:, 0]),
-            floats(table.my_mpg[:, 1]), floats(table.epa_mpg[:, 1]),
-            table.model_year[:, 0].tolist(), table.model_year[:, 1].tolist(),
-            table.us_division.tolist(),
-            *(column.tolist() for column in table.covariates.values()),
-            floats(table.gap[:, 0]), floats(table.gap[:, 1])))
 
 
 def cmd_fit(args, parser) -> int:
@@ -339,8 +321,7 @@ def _fmt(value) -> str:
 
 def _read_fit_file(path: str) -> tuple[str, CriteriaInput]:
     try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = read_json(path, "fit file")
         loglik = raw["loglik"]
         if loglik is None:
             raise SpecError(f"fit file {path} has a degenerate log-likelihood; "
@@ -350,7 +331,7 @@ def _read_fit_file(path: str) -> tuple[str, CriteriaInput]:
                            fisher_inverse=None if cov is None else np.array(cov))
         label = f"{raw.get('estimator', 'fit')}:{Path(path).stem}"
         return label, ci
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise SpecError(f"unreadable fit file {path}: {exc}") from exc
 
 
@@ -364,19 +345,14 @@ def cmd_compare(args, parser) -> int:
         labelled = [(f"{lab}#{i}", ci) for i, (lab, ci) in enumerate(labelled)]
     ranking = rank_models(labelled)
 
+    def cell(value) -> str:
+        return "" if value is None else f"{value:.4f}"
+
     out = Path(args.out)
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label", "n", "k", "loglik", "aic", "caic", "sbic",
-                         "icomp", "best_on"])
-        for row in ranking.as_rows():
-            best = ";".join(c for c in ("aic", "caic", "sbic", "icomp")
-                            if ranking.winners.get(c) == row["label"])
-            writer.writerow([row["label"], row["n"], row["k"], f"{row['loglik']:.4f}",
-                             f"{row['aic']:.4f}", f"{row['caic']:.4f}",
-                             f"{row['sbic']:.4f}",
-                             "" if row["icomp"] is None else f"{row['icomp']:.4f}",
-                             best])
+    write_csv(out, ["label", "n", "k", "loglik", *CRITERIA, "best_on"], (
+        [m.label, m.n, m.k, cell(m.loglik), *(cell(m.scores.value(c)) for c in CRITERIA),
+         ";".join(c for c in CRITERIA if ranking.winners.get(c) == m.label)]
+        for m in ranking.models))
     _write_manifest("compare", vars(args), [Path(p) for p in args.fits],
                     [out], started)
     print(ranking.render_text())
@@ -386,9 +362,8 @@ def cmd_compare(args, parser) -> int:
 def cmd_effects(args, parser) -> int:
     started = time.monotonic()
     try:
-        with open(args.fit, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        raw = read_json(args.fit, "fit file")
+    except OSError as exc:
         raise SpecError(f"unreadable fit file {args.fit}: {exc}") from exc
     randoms = (raw.get("random_coefficients") if isinstance(raw, dict) else None) or []
     if not randoms:
@@ -399,16 +374,13 @@ def cmd_effects(args, parser) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecError(f"malformed random coefficient in {args.fit}: {exc}") from exc
     out = Path(args.out)
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["name", "equation", "mu", "sigma", "lower", "upper",
-                         "pct_above", "pct_below"])
-        for rc, summary in zip(randoms, summaries):
-            writer.writerow([rc["name"], rc.get("equation", ""),
-                             repr(summary.mu), repr(summary.sigma),
-                             f"{summary.range_lower:.4f}", f"{summary.range_upper:.4f}",
-                             f"{100 * summary.share_above_zero:.2f}",
-                             f"{100 * summary.share_below_zero:.2f}"])
+    write_csv(out, ["name", "equation", "mu", "sigma", "lower", "upper",
+                    "pct_above", "pct_below"],
+              ([rc["name"], rc.get("equation", ""), summary.mu, summary.sigma,
+                f"{summary.range_lower:.4f}", f"{summary.range_upper:.4f}",
+                f"{100 * summary.share_above_zero:.2f}",
+                f"{100 * summary.share_below_zero:.2f}"]
+               for rc, summary in zip(randoms, summaries)))
     _write_manifest("effects", vars(args), [Path(args.fit)], [out], started)
     print(f"wrote {len(randoms)} effect rows to {out}")
     return EXIT_OK
@@ -416,11 +388,9 @@ def cmd_effects(args, parser) -> int:
 
 def cmd_simulate(args, parser) -> int:
     started = time.monotonic()
-    try:
-        with open(args.truth, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"truth file {args.truth} is not valid JSON: {exc}") from exc
+    raw = read_json(args.truth, "truth file")
+    if not isinstance(raw, dict):
+        raise SpecError(f"truth file {args.truth} must hold a JSON object, got {raw!r}")
     if args.n is not None:
         if args.n < 1:
             parser.error("--n must be >= 1")

@@ -112,16 +112,6 @@ class ModelRanking:
     winners: dict[str, str]
     order: tuple[str, ...]
 
-    def as_rows(self) -> list[dict]:
-        rows = []
-        for m in self.models:
-            rows.append({
-                "label": m.label, "n": m.n, "k": m.k, "loglik": m.loglik,
-                "aic": m.scores.aic, "caic": m.scores.caic,
-                "sbic": m.scores.sbic, "icomp": m.scores.icomp,
-            })
-        return rows
-
     def render_text(self) -> str:
         header = f"{'model':<28}{'n':>7}{'k':>5}{'loglik':>14}" + \
             "".join(f"{c.upper():>14}" for c in CRITERIA)

@@ -27,7 +27,14 @@ from .errors import DegenerateDataError, ParseError, SpecError
 from .modelspec import ModelSpec
 from .sure import full_rank_qr
 
-REQUIRED_COLUMNS = ("garage_id", "model_year_1", "model_year_2", "us_division")
+# the garage CSV: these columns, then the covariates, then (prepared data)
+# the gaps; `parse_raw` reads it and `write_garage_csv` writes it
+GARAGE_COLUMNS = ("garage_id", "my_mpg_1", "epa_mpg_1", "my_mpg_2", "epa_mpg_2",
+                  "model_year_1", "model_year_2", "us_division")
+GAP_COLUMNS = ("gap_1", "gap_2")
+_ID, _YEAR_1, _YEAR_2, _DIVISION = GARAGE_COLUMNS[0], *GARAGE_COLUMNS[5:]
+# the garage columns that other MPG columns (--mpg-columns) cannot replace
+REQUIRED_COLUMNS = (_ID, _YEAR_1, _YEAR_2, _DIVISION)
 NOT_REPORTED = "Not reported"
 
 # model-year bins used for grouped summaries; configurable at the CLI
@@ -46,7 +53,8 @@ class GarageTable:
 
     my_mpg, epa_mpg (float) and model_year (int) have shape (n, 2), column 0
     for vehicle 1.  garage_id, us_division and each covariate (in header
-    order) are object arrays of the verbatim CSV strings.
+    order) are object arrays of the verbatim CSV strings; a table built in
+    code may hold numbers in a covariate column.
     """
 
     garage_id: np.ndarray = field(repr=False)
@@ -189,9 +197,9 @@ def parse_raw(source, user_col: str = "my_mpg", epa_col: str = "epa_mpg") -> Gar
         raise ParseError(0, f"header is missing required columns {missing}")
     numeric = [(position[name], name) for name in
                (f"{user_col}_1", f"{epa_col}_1", f"{user_col}_2", f"{epa_col}_2",
-                "model_year_1", "model_year_2")]
+                _YEAR_1, _YEAR_2)]
     special = set(REQUIRED_COLUMNS) | set(mpg_columns)
-    text = {name: [] for name in ("garage_id", "us_division",
+    text = {name: [] for name in (_ID, _DIVISION,
                                   *(c for c in position if c not in special))}
     # my_mpg, epa_mpg and model_year per batch; the empty first one fixes
     # the shapes of a file with no rows
@@ -215,8 +223,8 @@ def parse_raw(source, user_col: str = "my_mpg", epa_col: str = "epa_mpg") -> Gar
 
     strings = {name: np.array(values, dtype=object) for name, values in text.items()}
     my_mpg, epa_mpg, model_year = (np.concatenate(parts) for parts in zip(*numbers))
-    return GarageTable(garage_id=strings.pop("garage_id"), my_mpg=my_mpg, epa_mpg=epa_mpg,
-                       model_year=model_year, us_division=strings.pop("us_division"),
+    return GarageTable(garage_id=strings.pop(_ID), my_mpg=my_mpg, epa_mpg=epa_mpg,
+                       model_year=model_year, us_division=strings.pop(_DIVISION),
                        covariates=strings)
 
 
@@ -236,18 +244,6 @@ class TrimReport:
     sd: tuple[float, float]
     n_outside: tuple[int, int]
     multiplier: float
-
-    def as_dict(self) -> dict:
-        return {
-            "n_input": self.n_input,
-            "n_kept": self.n_kept,
-            "n_removed": self.n_removed,
-            "removed_ids": list(self.removed_ids),
-            "mu": list(self.mu),
-            "sd": list(self.sd),
-            "n_outside": list(self.n_outside),
-            "multiplier": self.multiplier,
-        }
 
 
 def trim_outliers(table: GapTable, c: float = 3.0
@@ -307,7 +303,7 @@ def _resolve(table: GarageTable, column: str) -> np.ndarray:
     """One column of the table by name: a covariate, or a field such as my_mpg_1."""
     if column in table.covariates:
         return table.covariates[column]
-    if column in ("garage_id", "us_division"):
+    if column in (_ID, _DIVISION):
         return getattr(table, column)
     base, _, vehicle = column.rpartition("_")
     if base in ("my_mpg", "epa_mpg", "model_year", "gap") and vehicle in ("1", "2") \
@@ -437,9 +433,32 @@ def group_summary(table: GapTable, keys: list[str],
 
 
 def write_group_summary_csv(rows: list[GroupSummaryRow], keys: list[str], path) -> None:
+    write_csv(path, [*keys, "n", "mean_gap_1", "mean_gap_2"],
+              ([*row.key, row.n, row.mean_gap_1, row.mean_gap_2] for row in rows))
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header row and then `rows` as UTF-8 CSV.
+
+    The csv writer writes a float by repr, so it reads back to the same bits.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(keys) + ["n", "mean_gap_1", "mean_gap_2"])
-        for row in rows:
-            writer.writerow(list(row.key) + [row.n,
-                                             repr(row.mean_gap_1), repr(row.mean_gap_2)])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_garage_csv(table: GarageTable, path) -> None:
+    """Write every column of `table` in the garage CSV layout `parse_raw` reads.
+
+    The garage columns, the covariates in table order, then for a GapTable
+    the two gaps.
+    """
+    columns = [table.garage_id, table.my_mpg[:, 0], table.epa_mpg[:, 0],
+               table.my_mpg[:, 1], table.epa_mpg[:, 1], table.model_year[:, 0],
+               table.model_year[:, 1], table.us_division, *table.covariates.values()]
+    header = [*GARAGE_COLUMNS, *table.covariates]
+    if isinstance(table, GapTable):
+        columns += [table.gap[:, 0], table.gap[:, 1]]
+        header += GAP_COLUMNS
+    write_csv(path, header, zip(*(column.tolist() for column in columns)))

@@ -107,16 +107,25 @@ class ModelSpec:
         return sum(len(eq.random_design_indices) for eq in self.equations)
 
 
+def _text(value, where: str, key: str, nullable: bool = False) -> str | None:
+    """`value` if it is a string (or, when `nullable`, null); else SpecError."""
+    if isinstance(value, str) or (nullable and value is None):
+        return value
+    kind = "a string or null" if nullable else "a string"
+    raise SpecError(f"{where}: {key!r} must be {kind}, got {value!r}")
+
+
 def _parse_term(raw: dict, eq_name: str) -> Term:
     if not isinstance(raw, dict):
         raise SpecError(f"equation {eq_name!r}: a term must be an object, got {raw!r}")
     if "column" not in raw:
         raise SpecError(f"equation {eq_name!r}: term missing 'column': {raw}")
-    kind = raw.get("kind", FIXED)
+    where = f"equation {eq_name!r}, term {raw}"
+    kind = _text(raw.get("kind", FIXED), where, "kind")
     if kind == "random":
         kind = RANDOM
-    return Term(column=str(raw["column"]),
-                level=None if raw.get("level") is None else str(raw["level"]),
+    return Term(column=_text(raw["column"], where, "column"),
+                level=_text(raw.get("level"), where, "level", nullable=True),
                 kind=kind)
 
 
@@ -132,25 +141,37 @@ def model_spec_from_dict(raw: dict) -> ModelSpec:
     for i, eq_raw in enumerate(equations_raw):
         if not isinstance(eq_raw, dict):
             raise SpecError(f"equation {i + 1} must be an object, got {eq_raw!r}")
-        name = str(eq_raw.get("name", f"vehicle_{i + 1}"))
+        name = _text(eq_raw.get("name", f"vehicle_{i + 1}"), f"equation {i + 1}", "name")
         terms_raw = eq_raw.get("terms", [])
         if not isinstance(terms_raw, list):
             raise SpecError(f"equation {name!r}: 'terms' must be a list, got {terms_raw!r}")
         terms = tuple(_parse_term(t, name) for t in terms_raw)
-        equations.append(EquationSpec(name=name, terms=terms,
-                                      intercept=bool(eq_raw.get("intercept", True))))
+        intercept = eq_raw.get("intercept", True)
+        if not isinstance(intercept, bool):
+            raise SpecError(f"equation {name!r}: 'intercept' must be true or false, "
+                            f"got {intercept!r}")
+        equations.append(EquationSpec(name=name, terms=terms, intercept=intercept))
     base_raw = raw.get("base_levels", {})
     if not isinstance(base_raw, dict):
         raise SpecError("'base_levels' must be an object mapping a column to its base "
                         f"level, got {base_raw!r}")
-    base_levels = {str(k): str(v) for k, v in base_raw.items()}
+    base_levels = {_text(k, "'base_levels'", "column"): _text(v, "'base_levels'", k)
+                   for k, v in base_raw.items()}
     return ModelSpec(equations=(equations[0], equations[1]), base_levels=base_levels)
 
 
-def load_model_spec(path: str | Path) -> ModelSpec:
+def read_json(path: str | Path, what: str):
+    """The JSON value held by the file at `path`; `what` names the file in errors.
+
+    A file that is not valid UTF-8 JSON raises SpecError; one that cannot be
+    read raises OSError.
+    """
     with open(path, encoding="utf-8") as fh:
         try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"model spec {path} is not valid JSON: {exc}") from exc
-    return model_spec_from_dict(raw)
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise SpecError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def load_model_spec(path: str | Path) -> ModelSpec:
+    return model_spec_from_dict(read_json(path, "model spec"))

@@ -15,15 +15,14 @@ per random term (equation order, term order), then the N x 2 error normals.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .data import GarageTable, write_csv, write_garage_csv
 from .errors import SpecError
-from .modelspec import EquationSpec, ModelSpec, Term, FIXED, RANDOM
+from .modelspec import EquationSpec, ModelSpec, Term, FIXED, RANDOM, read_json
 from .msl import RandomEffect
 from .sure import ErrorCovariance, bivariate_normal_logpdf, _LOG_2PI, _rowdot
 
@@ -154,9 +153,16 @@ def truth_from_dict(raw: dict) -> TruthSpec:
             covariates=covariates,
             sigma1=float(error["sigma1"]), sigma2=float(error["sigma2"]),
             rho=float(error.get("rho", 0.0)),
-            n=int(raw["n"]), seed=int(raw["seed"]))
+            n=_integer(raw, "n"), seed=_integer(raw, "seed"))
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise SpecError(f"invalid truth specification: {exc!r}") from exc
+
+
+def _integer(raw: dict, key: str) -> int:
+    value = raw[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SpecError(f"truth {key!r} must be an integer, got {value!r}")
+    return value
 
 
 def _recipe_params(c: dict) -> tuple[float, ...]:
@@ -171,12 +177,7 @@ def _recipe_params(c: dict) -> tuple[float, ...]:
 
 
 def load_truth(path: str | Path) -> TruthSpec:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"truth file {path} is not valid JSON: {exc}") from exc
-    return truth_from_dict(raw)
+    return truth_from_dict(read_json(path, "truth file"))
 
 
 @dataclass(frozen=True)
@@ -208,27 +209,20 @@ class SyntheticDataset:
         if (self.y1 <= 0).any() or (self.y2 <= 0).any():
             raise SpecError("responses must be positive to round-trip through "
                             "the MPG-ratio schema; shift the truth intercepts")
-        cov_names = [c.name for c in self.truth.covariates]
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["garage_id", "my_mpg_1", "epa_mpg_1", "my_mpg_2",
-                             "epa_mpg_2", "model_year_1", "model_year_2",
-                             "us_division"] + cov_names)
-            for i in range(self.n):
-                writer.writerow(
-                    [f"s{i:06d}", repr(float(self.y1[i])), "1.0",
-                     repr(float(self.y2[i])), "1.0", "2000", "2001", "Synthetic"]
-                    + [repr(float(self.covariate_columns[c][i])) for c in cov_names])
+        n = self.n
+        write_garage_csv(GarageTable(
+            garage_id=np.array([f"s{i:06d}" for i in range(n)], dtype=object),
+            my_mpg=np.column_stack([self.y1, self.y2]), epa_mpg=np.ones((n, 2)),
+            model_year=np.tile(np.array([2000, 2001]), (n, 1)),
+            us_division=np.full(n, "Synthetic", dtype=object),
+            covariates={c.name: self.covariate_columns[c.name]
+                        for c in self.truth.covariates}), path)
 
     def write_coefficient_draws_csv(self, path) -> None:
         """Debug sidecar: the realized per-observation coefficient draws."""
         names = sorted(self.coefficient_draws)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["row"] + names)
-            for i in range(self.n):
-                writer.writerow([i] + [repr(float(self.coefficient_draws[n][i]))
-                                       for n in names])
+        write_csv(path, ["row", *names],
+                  zip(range(self.n), *(self.coefficient_draws[n].tolist() for n in names)))
 
 
 def simulate_dataset(truth: TruthSpec) -> SyntheticDataset:

@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from fuelgap.cli import build_parser, main
+from fuelgap.data import compute_gaps, encode_design, parse_raw, responses
+from fuelgap.modelspec import model_spec_from_dict
+from fuelgap.sure import fgls_fit
 
 TRUTH = {
     "n": 200, "seed": 11,
@@ -111,6 +114,17 @@ class TestSimulate:
     def test_invalid_truth_is_exit_2(self, tmp_path):
         path = write_json(tmp_path / "bad.json", {"n": 3, "seed": 1})
         assert run_cli("simulate", "--truth", path, "--out", str(tmp_path / "x.csv")) == 2
+
+    @pytest.mark.parametrize("truth,flags", [
+        pytest.param(5, [], id="number"),
+        pytest.param([1], ["--n", "5"], id="list-with-n"),
+    ])
+    def test_non_object_truth_is_exit_2(self, tmp_path, truth, flags, capsys):
+        path = write_json(tmp_path / "bad.json", truth)
+        out = tmp_path / "x.csv"
+        assert run_cli("simulate", "--truth", path, "--out", str(out), *flags) == 2
+        assert f"truth file {path} must hold a JSON object" in capsys.readouterr().err
+        assert list(tmp_path.glob("x.csv*")) == []
 
 
 class TestPrepare:
@@ -287,6 +301,17 @@ class TestFit:
         pytest.param({"equations": [{"name": "vehicle_1"}, {"name": "vehicle_2"}],
                       "base_levels": [1]},
                      "'base_levels' must be an object", id="base-levels-not-object"),
+        pytest.param({"equations": [{"name": "vehicle_1", "intercept": "no"},
+                                    {"name": "vehicle_2"}]},
+                     "equation 'vehicle_1': 'intercept' must be true or false, got 'no'",
+                     id="intercept-not-boolean"),
+        pytest.param({"equations": [{"name": "vehicle_1",
+                                     "terms": [{"column": "x1", "level": {"a": 1}}]},
+                                    {"name": "vehicle_2"}],
+                      "base_levels": {"x1": "0"}},
+                     "equation 'vehicle_1', term {'column': 'x1', 'level': {'a': 1}}: "
+                     "'level' must be a string or null, got {'a': 1}",
+                     id="level-not-string"),
     ])
     def test_malformed_spec_is_exit_2(self, tmp_path, data_file, spec, message, capsys):
         path = write_json(tmp_path / "bad.json", spec)
@@ -295,6 +320,15 @@ class TestFit:
                        "--estimator", "sure", "--out", str(out))
         assert code == 2
         assert message in capsys.readouterr().err
+        assert list(tmp_path.glob("f.json*")) == []
+
+    def test_spec_not_utf8_is_exit_2(self, tmp_path, data_file, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_bytes(b'{"equations": "\xff"}')
+        out = tmp_path / "f.json"
+        assert run_cli("fit", "--data", data_file, "--spec", str(spec),
+                       "--estimator", "sure", "--out", str(out)) == 2
+        assert f"model spec {spec} is not valid JSON" in capsys.readouterr().err
         assert list(tmp_path.glob("f.json*")) == []
 
     def test_non_convergence_exit_3_fit_still_written(self, tmp_path, data_file,
@@ -346,6 +380,27 @@ class TestFit:
                            "--estimator", "rp-sure", "--draws", "50",
                            "--threads", threads, "--out", str(out)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_dof_denominator_matches_library_fit(self, tmp_path, data_file):
+        # unequal column counts, so the dof divisors rescale Sigma unevenly
+        raw_spec = {"equations": [
+            {"name": "vehicle_1", "terms": [{"column": "x1"}, {"column": "x2"}]},
+            {"name": "vehicle_2", "terms": []}]}
+        spec = write_json(tmp_path / "spec.json", raw_spec)
+        coefs = {}
+        for denominator in ("ml", "dof"):
+            out = tmp_path / f"{denominator}.json"
+            assert run_cli("fit", "--data", data_file, "--spec", spec, "--estimator", "sure",
+                           "--cov-denominator", denominator, "--out", str(out)) == 0
+            coefs[denominator] = [eq["coef"] for eq in json.loads(out.read_text())["equations"]]
+        table = compute_gaps(parse_raw(data_file))
+        design = encode_design(table, model_spec_from_dict(raw_spec))
+        library = fgls_fit(design.x1, design.x2, *responses(table),
+                           names1=design.names1, names2=design.names2,
+                           cov_denominator="dof")
+        assert coefs["dof"] == [dict(zip(eq.coef_names, eq.coef.tolist()))
+                                for eq in library.equations]
+        assert coefs["dof"] != coefs["ml"]
 
     def test_fit_manifest_written(self, tmp_path, data_file, spec_file):
         out = tmp_path / "sure.json"

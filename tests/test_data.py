@@ -1,4 +1,6 @@
+import dataclasses
 import io
+import re
 
 import numpy as np
 import pytest
@@ -244,7 +246,7 @@ class TestTrimOutliers:
         table = make_table(*(garage(0.8 + 0.01 * i, 0.9 - 0.01 * i, garage_id=f"g{i}")
                              for i in range(10)))
         _, _, report = trim_outliers(table)
-        d = report.as_dict()
+        d = dataclasses.asdict(report)
         assert d["n_input"] == 10
         assert set(d) == {"n_input", "n_kept", "n_removed", "removed_ids",
                           "mu", "sd", "n_outside", "multiplier"}
@@ -337,6 +339,21 @@ class TestEncodeDesign:
             model_spec_from_dict({"equations": [
                 {"name": "v1", "intercept": False, "terms": []},
                 {"name": "v2", "terms": [{"column": "x"}]}]})
+
+    @pytest.mark.parametrize("eq1,base_levels,message", [
+        ({"name": 5}, {}, "equation 1: 'name' must be a string, got 5"),
+        ({"intercept": 1}, {}, "'intercept' must be true or false, got 1"),
+        ({"terms": [{"column": 5}]}, {},
+         "term {'column': 5}: 'column' must be a string, got 5"),
+        ({"terms": [{"column": "x", "kind": 5}]}, {}, "'kind' must be a string, got 5"),
+        ({"terms": [{"column": "x", "level": 2}]}, {"x": "1"},
+         "'level' must be a string or null, got 2"),
+        ({}, {"x": 1}, "'base_levels': 'x' must be a string, got 1"),
+    ], ids=["name", "intercept", "column", "kind", "level", "base-level"])
+    def test_scalar_types_checked(self, eq1, base_levels, message):
+        with pytest.raises(SpecError, match=re.escape(message)):
+            model_spec_from_dict({"equations": [eq1, {"name": "v2"}],
+                                  "base_levels": base_levels})
 
     def test_random_indices_follow_spec_order(self):
         table = make_table(*(garage(0.8, 0.9, garage_id=f"g{i}", a_1=str(i), b_1=str(i * i),

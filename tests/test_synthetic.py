@@ -183,6 +183,16 @@ class TestTruthJson:
         with pytest.raises(SpecError):
             truth_from_dict({"n": 5})
 
+    @pytest.mark.parametrize("key,value", [
+        ("n", 2.5), ("n", 5.0), ("n", "5"), ("n", True), ("seed", True), ("seed", 1.0),
+    ])
+    def test_n_and_seed_must_be_integers(self, key, value):
+        raw = {"n": 5, "seed": 1, "error": {"sigma1": 0.1, "sigma2": 0.1},
+               "covariates": [], "equations": [{"intercept": 0.9}, {"intercept": 0.8}]}
+        truth_from_dict(raw)
+        with pytest.raises(SpecError, match=f"truth '{key}' must be an integer"):
+            truth_from_dict(dict(raw, **{key: value}))
+
 
 ONE_OBS_COV = ErrorCovariance(1.0, 1.0, 0.0)
 
