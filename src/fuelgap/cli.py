@@ -27,7 +27,6 @@ from . import __version__
 from .criteria import CRITERIA, CriteriaInput, effect_summary, rank_models
 from .data import (
     DEFAULT_YEAR_BINS,
-    GAP_COLUMNS,
     GARAGE_COLUMNS,
     compute_gaps,
     encode_design,
@@ -42,7 +41,16 @@ from .data import (
 )
 from .errors import DegenerateDataError, FuelGapError, SpecError
 from .halton import HaltonConfig, build_draw_store, first_primes
-from .modelspec import load_model_spec, read_json
+from .modelspec import (
+    INTEGER,
+    LIST,
+    NUMBER,
+    OBJECT,
+    STRING,
+    checked,
+    load_model_spec,
+    read_json,
+)
 from .msl import RpSureFit, fit_rp_sure
 from .sure import SureFit, fgls_fit, ols_system_fit
 from .synthetic import simulate_dataset, truth_from_dict
@@ -179,8 +187,8 @@ def _positive_float(parser: argparse.ArgumentParser, value: str, flag: str) -> f
         out = float(value)
     except ValueError:
         parser.error(f"{flag} expects a number, got {value!r}")
-    if out <= 0:
-        parser.error(f"{flag} must be positive, got {value}")
+    if not 0 < out < math.inf:
+        parser.error(f"{flag} must be positive and finite, got {value}")
     return out
 
 
@@ -212,11 +220,15 @@ def cmd_prepare(args, parser) -> int:
     user_col, epa_col = _split_mpg_columns(parser, args.mpg_columns)
     bins = _parse_year_bins(parser, args.year_bins) if args.year_bins else DEFAULT_YEAR_BINS
     table = compute_gaps(parse_raw(args.input, user_col=user_col, epa_col=epa_col))
-    clashes = [c for c in table.covariates if c in GARAGE_COLUMNS + GAP_COLUMNS]
+    clashes = [c for c in table.covariates if c in GARAGE_COLUMNS]
     if clashes:
         raise SpecError(f"input columns {clashes} would repeat fixed columns of the "
                         "prepared CSV; rename them")
     kept, _, report = trim_outliers(table, trim_sd)
+    groups = None
+    if args.group_by:           # before the first write, so a bad key writes nothing
+        keys = [k.strip() for k in args.group_by.split(",") if k.strip()]
+        groups = group_summary(kept, keys, bins=bins)
 
     out = Path(args.out)
     write_garage_csv(kept, out)
@@ -233,12 +245,10 @@ def cmd_prepare(args, parser) -> int:
     _write_json(payload, report_path)
     outputs.append(report_path)
 
-    if args.group_by:
-        keys = [k.strip() for k in args.group_by.split(",") if k.strip()]
-        rows = group_summary(kept, keys, bins=bins)
+    if groups is not None:
         groups_path = Path(args.groups_out) if args.groups_out \
             else out.with_name(out.stem + ".groups.csv")
-        write_group_summary_csv(rows, keys, groups_path)
+        write_group_summary_csv(groups, keys, groups_path)
         outputs.append(groups_path)
 
     _write_manifest("prepare", vars(args), [Path(args.input)], outputs, started)
@@ -320,18 +330,22 @@ def _fmt(value) -> str:
 
 
 def _read_fit_file(path: str) -> tuple[str, CriteriaInput]:
+    where = f"fit file {path}"
     try:
-        raw = read_json(path, "fit file")
-        loglik = raw["loglik"]
+        raw = checked(read_json(path, "fit file"), OBJECT, where)
+        loglik = checked(raw["loglik"], NUMBER, f"{where}: 'loglik'", nullable=True)
         if loglik is None:
-            raise SpecError(f"fit file {path} has a degenerate log-likelihood; "
-                            "it cannot be scored")
-        cov = raw.get("param_cov")
-        ci = CriteriaInput(loglik=float(loglik), k=int(raw["k"]), n=int(raw["n"]),
+            raise SpecError(f"{where} has a degenerate log-likelihood; it cannot be scored")
+        cov = checked(raw.get("param_cov"), LIST, f"{where}: 'param_cov'", nullable=True)
+        for row in cov or []:   # a null entry is how a fit records a non-finite one
+            for value in checked(row, LIST, f"{where}: a 'param_cov' row"):
+                checked(value, NUMBER, f"{where}: a 'param_cov' entry", nullable=True)
+        ci = CriteriaInput(loglik=loglik, k=checked(raw["k"], INTEGER, f"{where}: 'k'"),
+                           n=checked(raw["n"], INTEGER, f"{where}: 'n'"),
                            fisher_inverse=None if cov is None else np.array(cov))
-        label = f"{raw.get('estimator', 'fit')}:{Path(path).stem}"
-        return label, ci
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+        estimator = checked(raw.get("estimator", "fit"), STRING, f"{where}: 'estimator'")
+        return f"{estimator}:{Path(path).stem}", ci
+    except (OSError, KeyError, ValueError) as exc:
         raise SpecError(f"unreadable fit file {path}: {exc}") from exc
 
 
@@ -368,11 +382,17 @@ def cmd_effects(args, parser) -> int:
     randoms = (raw.get("random_coefficients") if isinstance(raw, dict) else None) or []
     if not randoms:
         raise SpecError("no random coefficients in this fit")
+    where = f"malformed random coefficient in {args.fit}"
     try:
-        summaries = [effect_summary(rc["name"], float(rc["mu"]), float(rc["sigma"]))
-                     for rc in randoms]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecError(f"malformed random coefficient in {args.fit}: {exc}") from exc
+        summaries = []
+        for rc in checked(randoms, LIST, f"{where}: 'random_coefficients'"):
+            rc = checked(rc, OBJECT, where)
+            checked(rc.get("equation", ""), STRING, f"{where}: 'equation'")
+            summaries.append(effect_summary(checked(rc["name"], STRING, f"{where}: 'name'"),
+                                            checked(rc["mu"], NUMBER, f"{where}: 'mu'"),
+                                            checked(rc["sigma"], NUMBER, f"{where}: 'sigma'")))
+    except (KeyError, ValueError) as exc:
+        raise SpecError(f"{where}: {exc}") from exc
     out = Path(args.out)
     write_csv(out, ["name", "equation", "mu", "sigma", "lower", "upper",
                     "pct_above", "pct_below"],

@@ -173,7 +173,9 @@ def parse_raw(source, user_col: str = "my_mpg", epa_col: str = "epa_mpg") -> Gar
     so label-based ratings can be substituted for the default test-cycle
     columns.  Any row with a missing field, an unparseable number, or a
     nonpositive MPG aborts the parse with its row number; nothing is
-    silently dropped.  Blank lines are skipped and not counted.
+    silently dropped.  Blank lines are skipped and not counted.  The gap
+    columns of a prepared CSV (GAP_COLUMNS) are derived, so they are skipped:
+    `compute_gaps` computes the gaps again from the MPG columns picked.
     """
     if isinstance(source, (str, Path)):
         with open(source, newline="", encoding="utf-8") as fh:
@@ -198,7 +200,7 @@ def parse_raw(source, user_col: str = "my_mpg", epa_col: str = "epa_mpg") -> Gar
     numeric = [(position[name], name) for name in
                (f"{user_col}_1", f"{epa_col}_1", f"{user_col}_2", f"{epa_col}_2",
                 _YEAR_1, _YEAR_2)]
-    special = set(REQUIRED_COLUMNS) | set(mpg_columns)
+    special = set(REQUIRED_COLUMNS) | set(mpg_columns) | set(GAP_COLUMNS)
     text = {name: [] for name in (_ID, _DIVISION,
                                   *(c for c in position if c not in special))}
     # my_mpg, epa_mpg and model_year per batch; the empty first one fixes
@@ -256,8 +258,8 @@ def trim_outliers(table: GapTable, c: float = 3.0
     outside counts always sum (minus overlaps) to the union count.  Returns
     the kept rows, the removed rows and the report.
     """
-    if c <= 0:
-        raise ValueError(f"multiplier must be positive, got {c}")
+    if not 0 < c < np.inf:
+        raise ValueError(f"multiplier must be positive and finite, got {c}")
     if len(table) < 3:
         raise DegenerateDataError("insufficient sample for trimming (need >= 3)")
     # axis-0 moments of the C-ordered (n, 2) array: per-column 1-D moments

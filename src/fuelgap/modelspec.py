@@ -10,6 +10,7 @@ once per categorical and never enter the design matrix.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -107,25 +108,16 @@ class ModelSpec:
         return sum(len(eq.random_design_indices) for eq in self.equations)
 
 
-def _text(value, where: str, key: str, nullable: bool = False) -> str | None:
-    """`value` if it is a string (or, when `nullable`, null); else SpecError."""
-    if isinstance(value, str) or (nullable and value is None):
-        return value
-    kind = "a string or null" if nullable else "a string"
-    raise SpecError(f"{where}: {key!r} must be {kind}, got {value!r}")
-
-
-def _parse_term(raw: dict, eq_name: str) -> Term:
-    if not isinstance(raw, dict):
-        raise SpecError(f"equation {eq_name!r}: a term must be an object, got {raw!r}")
+def _parse_term(raw, eq_name: str) -> Term:
+    raw = checked(raw, OBJECT, f"equation {eq_name!r}: a term")
     if "column" not in raw:
         raise SpecError(f"equation {eq_name!r}: term missing 'column': {raw}")
     where = f"equation {eq_name!r}, term {raw}"
-    kind = _text(raw.get("kind", FIXED), where, "kind")
+    kind = checked(raw.get("kind", FIXED), STRING, f"{where}: 'kind'")
     if kind == "random":
         kind = RANDOM
-    return Term(column=_text(raw["column"], where, "column"),
-                level=_text(raw.get("level"), where, "level", nullable=True),
+    return Term(column=checked(raw["column"], STRING, f"{where}: 'column'"),
+                level=checked(raw.get("level"), STRING, f"{where}: 'level'", nullable=True),
                 kind=kind)
 
 
@@ -135,29 +127,48 @@ def model_spec_from_dict(raw: dict) -> ModelSpec:
         equations_raw = raw["equations"]
     except (KeyError, TypeError) as exc:
         raise SpecError("model spec JSON must contain an 'equations' list") from exc
-    if not isinstance(equations_raw, list) or len(equations_raw) != N_EQUATIONS:
+    if len(checked(equations_raw, LIST, "'equations'")) != N_EQUATIONS:
         raise SpecError(f"model spec must declare exactly {N_EQUATIONS} equations")
     equations = []
     for i, eq_raw in enumerate(equations_raw):
-        if not isinstance(eq_raw, dict):
-            raise SpecError(f"equation {i + 1} must be an object, got {eq_raw!r}")
-        name = _text(eq_raw.get("name", f"vehicle_{i + 1}"), f"equation {i + 1}", "name")
-        terms_raw = eq_raw.get("terms", [])
-        if not isinstance(terms_raw, list):
-            raise SpecError(f"equation {name!r}: 'terms' must be a list, got {terms_raw!r}")
-        terms = tuple(_parse_term(t, name) for t in terms_raw)
-        intercept = eq_raw.get("intercept", True)
-        if not isinstance(intercept, bool):
-            raise SpecError(f"equation {name!r}: 'intercept' must be true or false, "
-                            f"got {intercept!r}")
+        eq_raw = checked(eq_raw, OBJECT, f"equation {i + 1}")
+        name = checked(eq_raw.get("name", f"vehicle_{i + 1}"), STRING,
+                       f"equation {i + 1}: 'name'")
+        where = f"equation {name!r}"
+        terms = tuple(_parse_term(t, name)
+                      for t in checked(eq_raw.get("terms", []), LIST, f"{where}: 'terms'"))
+        intercept = checked(eq_raw.get("intercept", True), BOOLEAN, f"{where}: 'intercept'")
         equations.append(EquationSpec(name=name, terms=terms, intercept=intercept))
-    base_raw = raw.get("base_levels", {})
-    if not isinstance(base_raw, dict):
-        raise SpecError("'base_levels' must be an object mapping a column to its base "
-                        f"level, got {base_raw!r}")
-    base_levels = {_text(k, "'base_levels'", "column"): _text(v, "'base_levels'", k)
-                   for k, v in base_raw.items()}
+    base_levels = checked(raw.get("base_levels", {}), OBJECT, "'base_levels'")
+    for column, level in base_levels.items():
+        checked(level, STRING, f"'base_levels': {column!r}")
     return ModelSpec(equations=(equations[0], equations[1]), base_levels=base_levels)
+
+
+# the JSON kinds `checked` tells apart, named as its errors name them
+STRING, INTEGER, NUMBER = "a string", "an integer", "a number"
+BOOLEAN, LIST, OBJECT = "true or false", "a list", "an object"
+_PYTHON_TYPES = {STRING: str, INTEGER: int, NUMBER: (int, float), BOOLEAN: bool,
+                 LIST: list, OBJECT: dict}
+
+
+def checked(value, kind: str, what: str, nullable: bool = False):
+    """`value` unchanged if it is a JSON value of `kind`, else SpecError.
+
+    The one type rule for every JSON input.  `kind` is one of STRING,
+    INTEGER, NUMBER, BOOLEAN, LIST and OBJECT, and `what` names the value in
+    the error.  A number is an integer or a float no larger in magnitude
+    than the largest float: true and false are never numbers, nor are NaN
+    and the infinities, which `json` reads although JSON has no such
+    numbers.  With `nullable`, null is accepted.
+    """
+    if nullable and value is None:
+        return value
+    if (isinstance(value, _PYTHON_TYPES[kind])
+            and isinstance(value, bool) == (kind == BOOLEAN)
+            and (kind != NUMBER or abs(value) <= sys.float_info.max)):
+        return value
+    raise SpecError(f"{what} must be {kind}{' or null' if nullable else ''}, got {value!r}")
 
 
 def read_json(path: str | Path, what: str):

@@ -22,9 +22,14 @@ import numpy as np
 
 from .data import GarageTable, write_csv, write_garage_csv
 from .errors import SpecError
-from .modelspec import EquationSpec, ModelSpec, Term, FIXED, RANDOM, read_json
+from .modelspec import (FIXED, INTEGER, LIST, NUMBER, OBJECT, RANDOM, STRING, EquationSpec,
+                        ModelSpec, Term, checked, read_json)
 from .msl import RandomEffect
 from .sure import ErrorCovariance, bivariate_normal_logpdf, _LOG_2PI, _rowdot
+
+
+# the truth-JSON keys of each covariate kind's parameters, in `params` order
+RECIPE_KEYS = {"bernoulli": ("p",), "uniform": ("low", "high"), "normal": ("mean", "sd")}
 
 
 @dataclass(frozen=True)
@@ -36,13 +41,12 @@ class CovariateRecipe:
     params: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        expected = {"bernoulli": 1, "uniform": 2, "normal": 2}
-        if self.kind not in expected:
+        object.__setattr__(self, "params", tuple(self.params))
+        if self.kind not in RECIPE_KEYS:
             raise SpecError(f"unknown covariate kind {self.kind!r} for {self.name!r}")
-        if len(self.params) != expected[self.kind]:
+        if len(self.params) != len(RECIPE_KEYS[self.kind]):
             raise SpecError(f"covariate {self.name!r}: {self.kind} takes "
-                            f"{expected[self.kind]} parameter(s), got {self.params}")
+                            f"{len(RECIPE_KEYS[self.kind])} parameter(s), got {self.params}")
         if self.kind == "bernoulli" and not 0.0 <= self.params[0] <= 1.0:
             raise SpecError(f"covariate {self.name!r}: bernoulli p must be in [0, 1]")
 
@@ -102,6 +106,8 @@ class TruthSpec:
             raise SpecError("|rho| must be < 1")
         if self.n < 1:
             raise SpecError("n must be >= 1")
+        if not 0 <= self.seed < 2 ** 128:      # the key of numpy's Philox generator
+            raise SpecError(f"seed must be in [0, 2**128), got {self.seed}")
         known = {c.name for c in self.covariates}
         if len(known) != len(self.covariates):
             raise SpecError("covariate names must be distinct")
@@ -130,50 +136,60 @@ class TruthSpec:
 
 
 def truth_from_dict(raw: dict) -> TruthSpec:
-    """Build a TruthSpec from its JSON structure."""
+    """Build a TruthSpec from its JSON structure.
+
+    Every value must have the JSON type listed (`modelspec.checked`); a key
+    with a default may be left out:
+    - "n" and "seed": integers.
+    - "error": an object of the numbers "sigma1", "sigma2" and "rho"
+      (default 0).
+    - "covariates": a list of objects, each with a string "name", a string
+      "kind" and that kind's numbers (RECIPE_KEYS): "p" for "bernoulli",
+      "low" and "high" for "uniform", "mean" and "sd" for "normal".
+    - "equations": a list of two objects, each with a string "name" (default
+      "vehicle_1", "vehicle_2"), a number or null "intercept" (default null,
+      no intercept) and a list "terms" (default empty) of objects with a
+      string "column", a number "coef" and a number "sigma" (default 0; a
+      positive sigma makes the coefficient random).
+    """
     try:
-        covariates = tuple(
-            CovariateRecipe(
-                name=str(c["name"]), kind=str(c["kind"]),
-                params=tuple(c.get("params") if "params" in c else _recipe_params(c)))
-            for c in raw["covariates"])
+        covariates = []
+        for i, c in enumerate(checked(raw["covariates"], LIST, "truth 'covariates'")):
+            where = f"truth covariate {i + 1}"
+            c = checked(c, OBJECT, where)
+            kind = checked(c["kind"], STRING, f"{where}: 'kind'")
+            covariates.append(CovariateRecipe(
+                name=checked(c["name"], STRING, f"{where}: 'name'"), kind=kind,
+                params=tuple(checked(c[key], NUMBER, f"{where}: {key!r}")
+                             for key in RECIPE_KEYS.get(kind, ()))))
         equations = []
-        for i, eq in enumerate(raw["equations"]):
-            terms = tuple(TermTruth(column=str(t["column"]),
-                                    value=float(t["coef"]),
-                                    sigma=float(t.get("sigma", 0.0)))
-                          for t in eq.get("terms", []))
-            intercept = eq.get("intercept")
+        for i, eq in enumerate(checked(raw["equations"], LIST, "truth 'equations'")):
+            eq = checked(eq, OBJECT, f"truth equation {i + 1}")
+            name = checked(eq.get("name", f"vehicle_{i + 1}"), STRING,
+                           f"truth equation {i + 1}: 'name'")
+            terms = []
+            for j, t in enumerate(checked(eq.get("terms", []), LIST,
+                                          f"truth equation {name!r}: 'terms'")):
+                where = f"truth equation {name!r}, term {j + 1}"
+                t = checked(t, OBJECT, where)
+                terms.append(TermTruth(
+                    column=checked(t["column"], STRING, f"{where}: 'column'"),
+                    value=checked(t["coef"], NUMBER, f"{where}: 'coef'"),
+                    sigma=checked(t.get("sigma", 0.0), NUMBER, f"{where}: 'sigma'")))
             equations.append(EquationTruth(
-                name=str(eq.get("name", f"vehicle_{i + 1}")), terms=terms,
-                intercept=None if intercept is None else float(intercept)))
-        error = raw["error"]
+                name=name, terms=tuple(terms),
+                intercept=checked(eq.get("intercept"), NUMBER,
+                                  f"truth equation {name!r}: 'intercept'", nullable=True)))
+        error = checked(raw["error"], OBJECT, "truth 'error'")
         return TruthSpec(
-            equations=(equations[0], equations[1]),
-            covariates=covariates,
-            sigma1=float(error["sigma1"]), sigma2=float(error["sigma2"]),
-            rho=float(error.get("rho", 0.0)),
-            n=_integer(raw, "n"), seed=_integer(raw, "seed"))
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise SpecError(f"invalid truth specification: {exc!r}") from exc
-
-
-def _integer(raw: dict, key: str) -> int:
-    value = raw[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SpecError(f"truth {key!r} must be an integer, got {value!r}")
-    return value
-
-
-def _recipe_params(c: dict) -> tuple[float, ...]:
-    kind = c.get("kind")
-    if kind == "bernoulli":
-        return (float(c["p"]),)
-    if kind == "uniform":
-        return (float(c["low"]), float(c["high"]))
-    if kind == "normal":
-        return (float(c["mean"]), float(c["sd"]))
-    raise SpecError(f"unknown covariate kind {kind!r}")
+            equations=tuple(equations), covariates=tuple(covariates),
+            sigma1=checked(error["sigma1"], NUMBER, "truth 'error': 'sigma1'"),
+            sigma2=checked(error["sigma2"], NUMBER, "truth 'error': 'sigma2'"),
+            rho=checked(error.get("rho", 0.0), NUMBER, "truth 'error': 'rho'"),
+            n=checked(raw["n"], INTEGER, "truth 'n'"),
+            seed=checked(raw["seed"], INTEGER, "truth 'seed'"))
+    except KeyError as exc:
+        raise SpecError(f"invalid truth specification: missing key {exc}") from exc
 
 
 def load_truth(path: str | Path) -> TruthSpec:

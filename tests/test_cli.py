@@ -1,3 +1,4 @@
+import copy
 import json
 import warnings
 
@@ -111,6 +112,18 @@ class TestSimulate:
             assert y1 == pytest.approx(0.8 + 0.1 * x1, abs=1e-12)
             assert float(cells[3]) == pytest.approx(0.9, abs=1e-12)
 
+    @pytest.mark.parametrize("seed,flags", [
+        pytest.param(11, ["--seed", "-1"], id="flag-negative"),
+        pytest.param(-3, [], id="file-negative"),
+        pytest.param(2 ** 128, [], id="file-too-large"),
+    ])
+    def test_seed_out_of_range_is_exit_2(self, tmp_path, seed, flags, capsys):
+        path = write_json(tmp_path / "t.json", dict(TRUTH, seed=seed))
+        out = tmp_path / "x.csv"
+        assert run_cli("simulate", "--truth", path, "--out", str(out), *flags) == 2
+        assert "seed must be in [0, 2**128)" in capsys.readouterr().err
+        assert list(tmp_path.glob("x.csv*")) == []
+
     def test_invalid_truth_is_exit_2(self, tmp_path):
         path = write_json(tmp_path / "bad.json", {"n": 3, "seed": 1})
         assert run_cli("simulate", "--truth", path, "--out", str(tmp_path / "x.csv")) == 2
@@ -136,8 +149,10 @@ class TestPrepare:
         assert (tmp_path / "prepared.csv.manifest.json").exists()
 
     def test_trim_sd_zero_usage_error(self, tmp_path, data_file):
-        assert run_cli("prepare", "--input", data_file,
-                       "--out", str(tmp_path / "p.csv"), "--trim-sd", "0") == 2
+        for trim_sd in ("0", "nan", "inf"):
+            assert run_cli("prepare", "--input", data_file,
+                           "--out", str(tmp_path / "p.csv"), "--trim-sd", trim_sd) == 2
+            assert list(tmp_path.glob("p.*")) == []
 
     def test_missing_input_is_io_error(self, tmp_path):
         assert run_cli("prepare", "--input", str(tmp_path / "nope.csv"),
@@ -210,6 +225,20 @@ class TestPrepare:
         assert run_cli("prepare", "--input", data_file, "--out", str(out),
                        "--group-by", "model_year_bin_1", "--year-bins", bins) == 2
         assert "--year-bins" in capsys.readouterr().err
+        assert list(tmp_path.glob("prepared*")) == []
+
+    def test_prepared_csv_prepares_again_to_the_same_bytes(self, tmp_path, data_file):
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        assert run_cli("prepare", "--input", data_file, "--out", str(first)) == 0
+        assert run_cli("prepare", "--input", str(first), "--out", str(second),
+                       "--trim-sd", "100") == 0
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_unknown_group_key_writes_nothing(self, tmp_path, data_file, capsys):
+        out = tmp_path / "prepared.csv"
+        assert run_cli("prepare", "--input", data_file, "--out", str(out),
+                       "--group-by", "us_division,no_such") == 2
+        assert "'no_such' not found" in capsys.readouterr().err
         assert list(tmp_path.glob("prepared*")) == []
 
     def test_group_summary_output(self, tmp_path, data_file):
@@ -443,12 +472,14 @@ class TestFitSchema:
             [["name", "equation", "mu", "mu_se", "sigma", "sigma_se"]] * 2
 
 
+def fit_payload(loglik, k=5, n=100):
+    return {"estimator": "sure", "n": n, "k": k, "loglik": loglik,
+            "equations": [], "sigma": [[1, 0], [0, 1]], "rho": 0.0,
+            "param_names": [], "param_cov": np.eye(k).tolist()}
+
+
 def fake_fit(tmp_path, name, loglik, k=5, n=100):
-    return write_json(tmp_path / name, {
-        "estimator": "sure", "n": n, "k": k, "loglik": loglik,
-        "equations": [], "sigma": [[1, 0], [0, 1]], "rho": 0.0,
-        "param_names": [], "param_cov": np.eye(k).tolist(),
-    })
+    return write_json(tmp_path / name, fit_payload(loglik, k, n))
 
 
 class TestCompare:
@@ -532,6 +563,50 @@ class TestEffects:
         assert run_cli("effects", "--fit", fit, "--out", str(tmp_path / "e.csv")) == 2
         assert "no random coefficients" in capsys.readouterr().err
         assert not (tmp_path / "e.csv").exists()
+
+
+RP_FIT = {"estimator": "rp-sure", "n": 100, "k": 9, "loglik": 1.0, "equations": [],
+          "random_coefficients": [{"name": "a", "equation": "vehicle_1",
+                                   "mu": 0.0, "sigma": 0.1}]}
+
+
+class TestJsonTypes:
+    """Every JSON input has one type rule: a wrong type exits 2 naming its key."""
+
+    @pytest.mark.parametrize("command,keys,value", [
+        pytest.param("simulate", ["error", "sigma2"], True, id="simulate-sigma2-true"),
+        pytest.param("simulate", ["error", "sigma1"], "0.1", id="simulate-sigma1-string"),
+        pytest.param("simulate", ["equations", 0, "terms", 0, "coef"], True,
+                     id="simulate-coef-true"),
+        pytest.param("simulate", ["covariates", 0, "name"], 7, id="simulate-name-number"),
+        pytest.param("simulate", ["covariates", 0, "mean"], float("nan"),
+                     id="simulate-mean-nan"),
+        pytest.param("compare", ["k"], 2.9, id="compare-k-fraction"),
+        pytest.param("compare", ["n"], 99.5, id="compare-n-fraction"),
+        pytest.param("compare", ["loglik"], "5", id="compare-loglik-string"),
+        pytest.param("compare", ["param_cov", 0, 0], True, id="compare-param-cov-true"),
+        pytest.param("effects", ["random_coefficients", 0, "mu"], "0.1",
+                     id="effects-mu-string"),
+        pytest.param("effects", ["random_coefficients", 0, "sigma"], True,
+                     id="effects-sigma-true"),
+    ])
+    def test_wrong_type_is_exit_2(self, tmp_path, command, keys, value, capsys):
+        payload = copy.deepcopy({"simulate": TRUTH, "compare": fit_payload(20.0),
+                                 "effects": RP_FIT}[command])
+        parent = payload
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = value
+        path = write_json(tmp_path / "input.json", payload)
+        out = tmp_path / "out.csv"
+        argv = {"simulate": ["simulate", "--truth", path],
+                "compare": ["compare", fake_fit(tmp_path, "a.json", 10.0), path],
+                "effects": ["effects", "--fit", path]}[command]
+        assert run_cli(*argv, "--out", str(out)) == 2
+        named = next(k for k in reversed(keys) if isinstance(k, str))
+        err = capsys.readouterr().err
+        assert f"{named!r}" in err and " must be " in err
+        assert list(tmp_path.glob("out.csv*")) == []
 
 
 class TestHelp:

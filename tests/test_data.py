@@ -16,7 +16,16 @@ from fuelgap.data import (
     trim_outliers,
 )
 from fuelgap.errors import DegenerateDataError, EstimationError, ParseError, SpecError
-from fuelgap.modelspec import EquationSpec, ModelSpec, Term, model_spec_from_dict
+from fuelgap.modelspec import (
+    BOOLEAN,
+    INTEGER,
+    NUMBER,
+    EquationSpec,
+    ModelSpec,
+    Term,
+    checked,
+    model_spec_from_dict,
+)
 
 HEADER = "garage_id,my_mpg_1,epa_mpg_1,my_mpg_2,epa_mpg_2,model_year_1,model_year_2,us_division"
 
@@ -58,6 +67,13 @@ class TestParseRaw:
         assert {k: v.tolist() for k, v in covariates.items()} == \
             {"fuel_type_1": ["Weird Fuel"], "displacement_1": ["1.8"]}
         assert list(covariates) == ["fuel_type_1", "displacement_1"]
+
+    def test_gap_columns_are_derived_not_covariates(self):
+        stream = csv_stream("g1,20,25,22,30,1999,2004,Pacific,0.5,9,1.8",
+                            header=HEADER + ",gap_1,gap_2,displacement_1")
+        table = compute_gaps(parse_raw(stream))
+        assert list(table.covariates) == ["displacement_1"]
+        assert table.gap.tolist() == [[0.8, 22 / 30]]
 
     def test_repeated_header_name_is_an_error(self):
         stream = csv_stream("g1,20,25,22,30,1999,2004,Pacific,a,b,c,d",
@@ -239,8 +255,9 @@ class TestTrimOutliers:
 
     def test_nonpositive_multiplier(self):
         table = make_table(*(garage(0.8, 0.9, garage_id=f"g{i}") for i in range(5)))
-        with pytest.raises(ValueError):
-            trim_outliers(table, 0.0)
+        for c in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                trim_outliers(table, c)
 
     def test_report_round_trip(self):
         table = make_table(*(garage(0.8 + 0.01 * i, 0.9 - 0.01 * i, garage_id=f"g{i}")
@@ -354,6 +371,21 @@ class TestEncodeDesign:
         with pytest.raises(SpecError, match=re.escape(message)):
             model_spec_from_dict({"equations": [eq1, {"name": "v2"}],
                                   "base_levels": base_levels})
+
+    @pytest.mark.parametrize("value,kind,ok", [
+        (3, NUMBER, True), (-2.5, NUMBER, True), (1.7e308, NUMBER, True),
+        (True, NUMBER, False), (float("nan"), NUMBER, False), (float("-inf"), NUMBER, False),
+        (10 ** 400, NUMBER, False), ("1", NUMBER, False), (3, INTEGER, True),
+        (3.0, INTEGER, False), (False, INTEGER, False), (False, BOOLEAN, True),
+        (0, BOOLEAN, False),
+    ])
+    def test_checked_json_kinds(self, value, kind, ok):
+        if ok:
+            assert checked(value, kind, "x") is value
+        else:
+            with pytest.raises(SpecError, match=re.escape(f"x must be {kind}, got {value!r}")):
+                checked(value, kind, "x")
+        assert checked(None, kind, "x", nullable=True) is None
 
     def test_random_indices_follow_spec_order(self):
         table = make_table(*(garage(0.8, 0.9, garage_id=f"g{i}", a_1=str(i), b_1=str(i * i),

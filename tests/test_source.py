@@ -7,8 +7,8 @@ import pytest
 
 import fuelgap
 
-MODULES = sorted(p for p in Path(fuelgap.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+SOURCES = sorted(Path(fuelgap.__file__).parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def imported_names(tree: ast.Module) -> list[str]:
@@ -27,3 +27,43 @@ def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert [name for name in imported_names(tree) if name not in used] == []
+
+
+def callers(module: str, names: set[str]) -> set[tuple[str, str]]:
+    """(file stem, innermost enclosing function) of each call `module.<name>(...)`."""
+    found = set()
+
+    def visit(node, path, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        func = getattr(node, "func", None)
+        if (isinstance(node, ast.Call) and isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Name) and func.value.id == module
+                and func.attr in names):
+            found.add((path.stem, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, function)
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, "<module>")
+    return found
+
+
+@pytest.mark.parametrize("module,names,home", [
+    ("json", {"load", "loads"}, ("modelspec", "read_json")),
+    ("csv", {"writer", "DictWriter"}, ("data", "write_csv")),
+    ("csv", {"reader", "DictReader"}, ("data", "parse_raw")),
+], ids=["json-read", "csv-write", "csv-read"])
+def test_one_home_per_file_format(module, names, home):
+    assert callers(module, names) == {home}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
+def test_json_and_csv_are_imported_only_by_their_own_names(path):
+    # so `json.load(...)` and `csv.writer(...)` are the only ways to call them
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    renamed = [ast.unparse(node) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module in ("json", "csv")
+               or isinstance(node, ast.Import)
+               and any(a.name in ("json", "csv") and a.asname for a in node.names)]
+    assert renamed == []

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -182,6 +183,14 @@ class TestTruthJson:
     def test_invalid_truth(self, tmp_path):
         with pytest.raises(SpecError):
             truth_from_dict({"n": 5})
+
+    def test_seed_is_a_128_bit_key(self):
+        raw = {"n": 5, "seed": 2 ** 128 - 1, "error": {"sigma1": 0.1, "sigma2": 0.1},
+               "covariates": [], "equations": [{"intercept": 0.9}, {"intercept": 0.8}]}
+        assert simulate_dataset(truth_from_dict(raw)).n == 5
+        for seed in (-1, 2 ** 128):
+            with pytest.raises(SpecError, match=re.escape("seed must be in [0, 2**128)")):
+                truth_from_dict(dict(raw, seed=seed))
 
     @pytest.mark.parametrize("key,value", [
         ("n", 2.5), ("n", 5.0), ("n", "5"), ("n", True), ("seed", True), ("seed", 1.0),
