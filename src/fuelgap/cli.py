@@ -204,6 +204,10 @@ def _parse_year_bins(parser: argparse.ArgumentParser, text: str):
         if lo > hi:
             parser.error(f"--year-bins range {part.strip()!r} is empty")
         bins.append((lo, hi))
+    ordered = sorted(bins)
+    for (lo1, hi1), (lo2, hi2) in zip(ordered, ordered[1:]):
+        if lo2 <= hi1:
+            parser.error(f"--year-bins ranges {lo1}-{hi1} and {lo2}-{hi2} overlap")
     return tuple(bins)
 
 
@@ -218,6 +222,11 @@ def cmd_prepare(args, parser) -> int:
     started = time.monotonic()
     trim_sd = _positive_float(parser, args.trim_sd, "--trim-sd")
     user_col, epa_col = _split_mpg_columns(parser, args.mpg_columns)
+    keys = [k.strip() for k in (args.group_by or "").split(",") if k.strip()]
+    if args.groups_out and not args.group_by:
+        parser.error("--groups-out needs --group-by")
+    if args.year_bins and not {"model_year_bin_1", "model_year_bin_2"} & set(keys):
+        parser.error("--year-bins needs --group-by with model_year_bin_1 or model_year_bin_2")
     bins = _parse_year_bins(parser, args.year_bins) if args.year_bins else DEFAULT_YEAR_BINS
     table = compute_gaps(parse_raw(args.input, user_col=user_col, epa_col=epa_col))
     clashes = [c for c in table.covariates if c in GARAGE_COLUMNS]
@@ -225,10 +234,8 @@ def cmd_prepare(args, parser) -> int:
         raise SpecError(f"input columns {clashes} would repeat fixed columns of the "
                         "prepared CSV; rename them")
     kept, _, report = trim_outliers(table, trim_sd)
-    groups = None
-    if args.group_by:           # before the first write, so a bad key writes nothing
-        keys = [k.strip() for k in args.group_by.split(",") if k.strip()]
-        groups = group_summary(kept, keys, bins=bins)
+    # before the first write, so a bad key writes nothing
+    groups = group_summary(kept, keys, bins=bins) if args.group_by else None
 
     out = Path(args.out)
     write_garage_csv(kept, out)
@@ -460,7 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--groups-out", default=None,
                    help="path for the grouped summary (default <out>.groups.csv)")
     p.add_argument("--year-bins", default=None,
-                   help="model-year bins like '1984-1988,1989-1993'")
+                   help="model-year bins of the model_year_bin_1/2 group keys, "
+                        "like '1984-1988,1989-1993'")
     p.set_defaults(handler=cmd_prepare)
 
     p = sub.add_parser("fit", formatter_class=fmt,

@@ -75,10 +75,13 @@ class RpParameters:
 
 
 def effects_from_design(design: DesignMatrices) -> tuple[RandomEffect, ...]:
-    """One effect per random design column, equation 1 first, in spec order."""
+    """One effect per random design column, equation 1 first, in design order."""
     effects = []
     for eq, (names, cols) in enumerate(((design.names1, design.random1),
                                         (design.names2, design.random2))):
+        if list(cols) != sorted(set(cols)) or not all(0 <= c < len(names) for c in cols):
+            raise SpecError(f"random columns of equation {eq + 1} must be distinct "
+                            f"design indices in increasing order, got {tuple(cols)}")
         for col in cols:
             effects.append(RandomEffect(name=names[col], equation=eq, column=col))
     return tuple(effects)
@@ -362,38 +365,35 @@ class _Transform:
     """
 
     def __init__(self, k1: int, k2: int, n_effects: int):
-        self.k1 = k1
-        self.k2 = k2
-        self.d = n_effects
+        self.k1, self.k2, self.d = k1, k2, n_effects
         self.size = k1 + k2 + n_effects + 3
 
     def pack(self, params: RpParameters) -> np.ndarray:
         low = params.cov.cholesky_lower()
-        return np.concatenate([
-            params.coef1, params.coef2, params.sigmas,
-            [np.log(low[0, 0]), low[1, 0], np.log(low[1, 1])],
-        ])
+        return np.concatenate([params.coef1, params.coef2, params.sigmas,
+                               [np.log(low[0, 0]), low[1, 0], np.log(low[1, 1])]])
+
+    @staticmethod
+    def _cholesky(t: np.ndarray) -> tuple[float, float, float]:
+        """(l11, l21, l22), the error covariance's Cholesky factor at t."""
+        return np.exp(t[-3]), t[-2], np.exp(t[-1])
 
     def unpack(self, t: np.ndarray) -> RpParameters:
         k1, k2, d = self.k1, self.k2, self.d
-        sigmas = t[k1 + k2:k1 + k2 + d]
-        l11 = np.exp(t[-3])
-        l21 = t[-2]
-        l22 = np.exp(t[-1])
+        l11, l21, l22 = self._cholesky(t)
         cov = ErrorCovariance(sigma11=l11 * l11,
                               sigma22=l21 * l21 + l22 * l22,
                               sigma12=l11 * l21)
-        return RpParameters(coef1=t[:k1], coef2=t[k1:k1 + k2], sigmas=sigmas, cov=cov)
+        return RpParameters(coef1=t[:k1], coef2=t[k1:k1 + k2],
+                            sigmas=t[k1 + k2:k1 + k2 + d], cov=cov)
 
     def natural(self, t: np.ndarray) -> np.ndarray:
         """Natural-scale vector: [coefs..., sigma_d..., sigma1, sigma2, rho]."""
         k1, k2, d = self.k1, self.k2, self.d
-        l11, l21, l22 = np.exp(t[-3]), t[-2], np.exp(t[-1])
+        l11, l21, l22 = self._cholesky(t)
         s2 = np.hypot(l21, l22)
-        return np.concatenate([
-            t[:k1 + k2], np.abs(t[k1 + k2:k1 + k2 + d]),
-            [l11, s2, l21 / s2],
-        ])
+        return np.concatenate([t[:k1 + k2], np.abs(t[k1 + k2:k1 + k2 + d]),
+                               [l11, s2, l21 / s2]])
 
     def jacobian(self, t: np.ndarray) -> np.ndarray:
         """d natural / d t, square and invertible for all finite t."""
@@ -403,7 +403,7 @@ class _Transform:
         for i in range(d):
             # d |sigma| / d sigma, taken as +1 at 0
             j[k1 + k2 + i, k1 + k2 + i] = -1.0 if t[k1 + k2 + i] < 0 else 1.0
-        l11, l21, l22 = np.exp(t[-3]), t[-2], np.exp(t[-1])
+        l11, l21, l22 = self._cholesky(t)
         s2 = np.hypot(l21, l22)
         j[-3, -3] = l11                              # d sigma1 / d log l11
         j[-2, -2] = l21 / s2                         # d sigma2 / d l21
@@ -590,20 +590,21 @@ def fit_rp_sure(design: DesignMatrices, y1, y2,
     start = RpParameters(coef1=coef1, coef2=coef2, sigmas=np.array(sigmas),
                          cov=start_fit.sigma)
 
-    def objective(t: np.ndarray) -> float:
+    def guarded(evaluate, underflow):
         # a trial point whose likelihood underflows is simply rejected by
         # the line search; only the accepted path must stay finite
-        try:
-            return -kernel.loglik(transform.unpack(t))
-        except (EstimationError, DegenerateDataError):
-            return float("inf")
+        def at(t: np.ndarray):
+            try:
+                return evaluate(transform.unpack(t))
+            except (EstimationError, DegenerateDataError):
+                return underflow
+        return at
 
-    def gradient(t: np.ndarray) -> np.ndarray:
-        # the analytic score; NaN where the likelihood underflows
-        try:
-            return -kernel.loglik_and_score(transform.unpack(t))[1]
-        except (EstimationError, DegenerateDataError):
-            return np.full(t.size, np.nan)
+    size = transform.size
+    objective = guarded(lambda p: -kernel.loglik(p), float("inf"))
+    gradient = guarded(lambda p: -kernel.loglik_and_score(p)[1], np.full(size, np.nan))
+    # at t_hat an underflow leaves the fit without SEs
+    hessian = guarded(lambda p: -kernel.hessian(p), np.full((size, size), np.nan))
 
     def natural_grad_norm(t: np.ndarray, g: np.ndarray) -> float:
         # g is the transform-space gradient of -loglik; map through J^-T
@@ -625,52 +626,34 @@ def fit_rp_sure(design: DesignMatrices, y1, y2,
         grad_norm = natural_grad_norm(minimizer.x, minimizer.g)
 
     t_hat = minimizer.x
-    params = transform.unpack(t_hat)
-    loglik = -minimizer.f
-    natural = transform.natural(t_hat)
-
-    try:
-        hess = -kernel.hessian(params)
-    except (EstimationError, DegenerateDataError):
-        # the likelihood underflows at t_hat, so the fit gets no SEs
-        hess = np.full((transform.size, transform.size), np.nan)
-    param_cov, ses = _natural_covariance(hess, transform.jacobian(t_hat))
-
-    def se_at(i: int) -> float | None:
-        return None if ses is None else float(ses[i])
-
-    names = []
-    coefficients = []
-    random_positions = {(e.equation, e.column): k1 + k2 + d for d, e in enumerate(effects)}
-    offset = 0
-    for eq, (eq_design_names, coefs) in enumerate(
-            ((design.names1, params.coef1), (design.names2, params.coef2))):
-        for col, coef_name in enumerate(eq_design_names):
-            idx = offset + col
+    param_cov, ses = _natural_covariance(hessian(t_hat), transform.jacobian(t_hat))
+    # report by layout position; effects are in design order, so the pass
+    # over the columns meets the random ones in spread order
+    estimates = transform.natural(t_hat).tolist()
+    se = [None] * size if ses is None else ses.tolist()
+    spreads = zip(estimates[k1 + k2:], se[k1 + k2:])
+    names, coefficients = [], []
+    for eq, random in enumerate((design.random1, design.random2)):
+        for col, coef_name in enumerate((design.names1, design.names2)[eq]):
+            i = len(names)
             names.append(f"{eq_names[eq]}:{coef_name}")
-            spread_idx = random_positions.get((eq, col))
-            if spread_idx is None:
-                coefficients.append(CoefficientEstimate(
-                    name=coef_name, equation=eq_names[eq], kind="fixed",
-                    estimate=float(coefs[col]), se=se_at(idx)))
-            else:
-                coefficients.append(CoefficientEstimate(
-                    name=coef_name, equation=eq_names[eq], kind="random-normal",
-                    estimate=float(coefs[col]), se=se_at(idx),
-                    sigma=float(natural[spread_idx]), sigma_se=se_at(spread_idx)))
-        offset += len(eq_design_names)
+            sigma, sigma_se = next(spreads) if col in random else (None, None)
+            coefficients.append(CoefficientEstimate(
+                name=coef_name, equation=eq_names[eq],
+                kind="random-normal" if col in random else "fixed",
+                estimate=estimates[i], se=se[i], sigma=sigma, sigma_se=sigma_se))
     names.extend(f"sd:{e.name}" for e in effects)
     names.extend(["sigma1", "sigma2", "rho"])
 
     return RpSureFit(
         n=kernel.n,
-        k=transform.size,
-        loglik=loglik,
+        k=size,
+        loglik=-minimizer.f,
         coefficients=tuple(coefficients),
-        sigma=params.cov,
-        sigma1_se=se_at(transform.size - 3),
-        sigma2_se=se_at(transform.size - 2),
-        rho_se=se_at(transform.size - 1),
+        sigma=transform.unpack(t_hat).cov,
+        sigma1_se=se[-3],
+        sigma2_se=se[-2],
+        rho_se=se[-1],
         param_names=tuple(names),
         param_cov=param_cov,
         convergence=Convergence(status=status, iterations=iterations,

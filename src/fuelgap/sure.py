@@ -35,6 +35,9 @@ class ErrorCovariance:
     rho: float = field(init=False)
 
     def __post_init__(self):
+        if not np.isfinite([self.sigma11, self.sigma22, self.sigma12]).all():
+            raise DegenerateDataError(f"error covariance entries must be finite, got "
+                                      f"{self.sigma11}, {self.sigma22}, {self.sigma12}")
         if self.sigma11 <= 0 or self.sigma22 <= 0:
             raise DegenerateDataError(
                 f"error variances must be positive, got {self.sigma11}, {self.sigma22}")

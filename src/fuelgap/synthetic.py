@@ -15,6 +15,7 @@ per random term (equation order, term order), then the N x 2 error normals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,6 +33,11 @@ from .sure import ErrorCovariance, bivariate_normal_logpdf, _LOG_2PI, _rowdot
 RECIPE_KEYS = {"bernoulli": ("p",), "uniform": ("low", "high"), "normal": ("mean", "sd")}
 
 
+def _require_finite(value: float, what: str) -> None:
+    if not math.isfinite(value):
+        raise SpecError(f"{what} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class CovariateRecipe:
     """Recipe for one independent covariate column."""
@@ -47,6 +53,8 @@ class CovariateRecipe:
         if len(self.params) != len(RECIPE_KEYS[self.kind]):
             raise SpecError(f"covariate {self.name!r}: {self.kind} takes "
                             f"{len(RECIPE_KEYS[self.kind])} parameter(s), got {self.params}")
+        for key, value in zip(RECIPE_KEYS[self.kind], self.params):
+            _require_finite(value, f"covariate {self.name!r}: {key!r}")
         if self.kind == "bernoulli" and not 0.0 <= self.params[0] <= 1.0:
             raise SpecError(f"covariate {self.name!r}: bernoulli p must be in [0, 1]")
 
@@ -69,6 +77,8 @@ class TermTruth:
     sigma: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self.value, f"term {self.column!r}: coef")
+        _require_finite(self.sigma, f"term {self.column!r}: sigma")
         if self.sigma < 0:
             raise SpecError(f"term {self.column!r}: sigma must be >= 0")
 
@@ -81,6 +91,8 @@ class EquationTruth:
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
+        if self.intercept is not None:
+            _require_finite(self.intercept, f"equation {self.name!r}: intercept")
 
 
 @dataclass(frozen=True)
@@ -100,6 +112,8 @@ class TruthSpec:
         object.__setattr__(self, "covariates", tuple(self.covariates))
         if len(self.equations) != 2:
             raise SpecError("exactly two equations are required")
+        for key in ("sigma1", "sigma2"):
+            _require_finite(getattr(self, key), key)
         if self.sigma1 <= 0 or self.sigma2 <= 0:
             raise SpecError("error standard deviations must be positive")
         if not abs(self.rho) < 1:
@@ -222,7 +236,7 @@ class SyntheticDataset:
         computed downstream reproduces y exactly.  Covariate columns keep
         their recipe names.
         """
-        if (self.y1 <= 0).any() or (self.y2 <= 0).any():
+        if not ((self.y1 > 0).all() and (self.y2 > 0).all()):
             raise SpecError("responses must be positive to round-trip through "
                             "the MPG-ratio schema; shift the truth intercepts")
         n = self.n

@@ -1,0 +1,74 @@
+"""The traced benchmark operation runs against the sources.
+
+bench/op.py wraps names bound in fuelgap.cli and fuelgap.msl and reads fit
+fields and LoglikKernel.products; a refactor that moves one of them breaks
+the benchmark.  One small traced plan exercises every layer it measures.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from fuelgap.synthetic import simulate_dataset, truth_from_dict
+
+ROOT = Path(__file__).resolve().parents[1]
+# per-layer metrics bench/run.py derives from all operations, not from one
+RUN_LEVEL = {"failed_share", "loglik_shortfall", "trace_overhead_s"}
+
+TRUTH = {
+    "n": 300, "seed": 5,
+    "error": {"sigma1": 0.1, "sigma2": 0.1, "rho": 0.5},
+    "covariates": [{"name": "x1", "kind": "normal", "mean": 0.0, "sd": 1.0},
+                   {"name": "x2", "kind": "normal", "mean": 0.0, "sd": 1.0}],
+    "equations": [{"name": "vehicle_1", "intercept": 0.88,
+                   "terms": [{"column": "x1", "coef": -0.03, "sigma": 0.05}]},
+                  {"name": "vehicle_2", "intercept": 0.92,
+                   "terms": [{"column": "x2", "coef": 0.02, "sigma": 0.06}]}],
+}
+
+
+def spec(kind):
+    return {"equations": [
+        {"name": name, "intercept": True, "terms": [{"column": column, "kind": kind}]}
+        for name, column in (("vehicle_1", "x1"), ("vehicle_2", "x2"))]}
+
+
+def test_traced_operation_reports_every_layer(tmp_path):
+    data, prepared = tmp_path / "data.csv", tmp_path / "prepared.csv"
+    simulate_dataset(truth_from_dict(TRUTH)).write_csv(data)
+    rp_spec, spec_path = tmp_path / "rp_spec.json", tmp_path / "spec.json"
+    rp_spec.write_text(json.dumps(spec("random-normal")), encoding="utf-8")
+    spec_path.write_text(json.dumps(spec("fixed")), encoding="utf-8")
+    out = {name: str(tmp_path / name) for name in
+           ("rp.json", "sure.json", "ols.json", "groups.csv", "table.csv")}
+    commands = [
+        ["fit", "--data", str(data), "--spec", str(rp_spec), "--estimator", "rp-sure",
+         "--out", out["rp.json"], "--draws", "20", "--bases", "2,3"],
+        ["prepare", "--input", str(data), "--out", str(prepared),
+         "--group-by", "us_division,model_year_bin_1", "--groups-out", out["groups.csv"]],
+        ["fit", "--data", str(prepared), "--spec", str(spec_path), "--estimator", "sure",
+         "--out", out["sure.json"]],
+        ["fit", "--data", str(prepared), "--spec", str(spec_path), "--estimator", "ols",
+         "--out", out["ols.json"]],
+        ["compare", out["sure.json"], out["ols.json"], "--out", out["table.csv"]],
+    ]
+    plan, result = tmp_path / "plan.json", tmp_path / "result.json"
+    plan.write_text(json.dumps({"commands": commands, "trace": True}), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OMP_NUM_THREADS="1",
+               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, str(ROOT / "bench" / "op.py"), str(plan),
+                           str(result)], cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(result.read_text(encoding="utf-8"))
+    assert report["exit_codes"] == [0] * len(commands), proc.stdout + proc.stderr
+
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    expected = {m["name"] for m in declared["per_layer"]} - RUN_LEVEL
+    layers = report["layers"]
+    assert len(expected) == 22 and set(layers) == expected
+    # every layer ran in this plan, so a traced name that is bound but no
+    # longer called reads zero
+    assert [name for name, value in layers.items() if not value > 0] == []

@@ -219,13 +219,28 @@ class TestPrepare:
         assert "['epa_mpg_1', 'epa_mpg_2']" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("bins", ["1990", "1990-x", "2000-1990"])
+    @pytest.mark.parametrize("bins", ["1990", "1990-x", "2000-1990", "1990-2005,2000-2010"])
     def test_malformed_year_bins_is_exit_2(self, tmp_path, data_file, bins, capsys):
         out = tmp_path / "prepared.csv"
         assert run_cli("prepare", "--input", data_file, "--out", str(out),
                        "--group-by", "model_year_bin_1", "--year-bins", bins) == 2
         assert "--year-bins" in capsys.readouterr().err
         assert list(tmp_path.glob("prepared*")) == []
+
+    @pytest.mark.parametrize("flags", [
+        pytest.param(["--groups-out", "groups.csv"], id="groups-out"),
+        pytest.param(["--year-bins", "1984-1999,2000-2012"], id="year-bins"),
+        pytest.param(["--group-by", "us_division", "--year-bins", "1984-1999,2000-2012"],
+                     id="year-bins-without-a-year-key"),
+    ])
+    def test_flag_without_its_group_key_is_exit_2(self, tmp_path, data_file, flags, capsys):
+        # each flag alone does nothing, so it is a usage error, not a no-op
+        out = tmp_path / "prepared.csv"
+        flags = [str(tmp_path / f) if f.endswith(".csv") else f for f in flags]
+        assert run_cli("prepare", "--input", data_file, "--out", str(out), *flags) == 2
+        assert flags[-2] in capsys.readouterr().err
+        assert list(tmp_path.glob("prepared*")) == []
+        assert not (tmp_path / "groups.csv").exists()
 
     def test_prepared_csv_prepares_again_to_the_same_bytes(self, tmp_path, data_file):
         first, second = tmp_path / "first.csv", tmp_path / "second.csv"

@@ -464,6 +464,28 @@ class TestFitRpSure:
         assert fit.convergence.status == "not converged"
         assert fit.loglik == fit.convergence.loglik_path[-1]
 
+    @pytest.mark.parametrize("random1,random2", ALL_LAYOUTS)
+    def test_report_follows_the_parameter_layout(self, random1, random2):
+        # [coef1 | coef2 | sigma_d | sigma1, sigma2, rho]: names, SEs and
+        # param_cov rows all follow the one order
+        truth = rp_truth(n=300, seed=23)
+        ds = simulate_dataset(truth)
+        design = design_of(ds, random1, random2)
+        d = len(effects_from_design(design))
+        draws = None if not d else build_draw_store(
+            300, HaltonConfig(bases=(2, 3)[:d], draws_per_obs=50))
+        fit = fit_rp_sure(design, ds.y1, ds.y2, draws=draws)
+        names, coefs = fit.param_names, fit.coefficients
+        assert fit.param_cov is not None
+        assert fit.k == len(names) == fit.param_cov.shape[0] == len(coefs) + d + 3
+        assert list(names[:len(coefs)]) == [f"{c.equation}:{c.name}" for c in coefs]
+        assert list(names[len(coefs):]) == ([f"sd:{c.name}" for c in fit.random_coefficients]
+                                            + ["sigma1", "sigma2", "rho"])
+        se = np.sqrt(np.diag(fit.param_cov)).tolist()
+        assert [c.se for c in coefs] == se[:len(coefs)]
+        assert [c.sigma_se for c in fit.random_coefficients] == se[len(coefs):-3]
+        assert [fit.sigma1_se, fit.sigma2_se, fit.rho_se] == se[-3:]
+
     def test_rho_and_sigma_respect_type_invariants(self):
         truth = rp_truth(n=200, seed=17, rho=-0.8)
         ds = simulate_dataset(truth)
@@ -523,6 +545,16 @@ class TestRetention:
 
 
 class TestEffectsFromDesign:
+    @pytest.mark.parametrize("random2", [(2, 0), (1, 1), (3,), (-1,)])
+    def test_random_columns_out_of_design_order_are_refused(self, random2):
+        # the fit reports spreads by a pass over the design columns
+        design = DesignMatrices(
+            x1=np.ones((3, 2)), x2=np.ones((3, 3)),
+            names1=("const", "a"), names2=("const", "b", "c"),
+            random1=(1,), random2=random2)
+        with pytest.raises(SpecError, match="equation 2 .* increasing order"):
+            effects_from_design(design)
+
     def test_equation_one_dims_come_first(self):
         design = DesignMatrices(
             x1=np.ones((3, 2)), x2=np.ones((3, 3)),

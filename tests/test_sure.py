@@ -1,3 +1,4 @@
+import math
 import mpmath as mp
 import numpy as np
 import pytest
@@ -131,6 +132,13 @@ class TestErrorCovariance:
             ErrorCovariance(sigma11=1.0, sigma22=1.0, sigma12=1.5)
         with pytest.raises(DegenerateDataError):
             ErrorCovariance(sigma11=-1.0, sigma22=1.0, sigma12=0.0)
+
+    @pytest.mark.parametrize("entries", [(math.nan, 1.0, 0.0), (1.0, math.inf, 0.0),
+                                         (1.0, 1.0, math.nan)])
+    def test_rejects_non_finite(self, entries):
+        # NaN fails every comparison, so the positivity check alone accepts it
+        with pytest.raises(DegenerateDataError, match="finite"):
+            ErrorCovariance(*entries)
 
 
 class TestLoglikFixed:

@@ -95,6 +95,36 @@ class TestSimulateDataset:
             basic_truth(rho=1.0)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+class TestNonFinite:
+    # a NaN fails every comparison, so a "> 0" or "< 0" check alone lets it through
+    @pytest.mark.parametrize("build,named", [
+        pytest.param(lambda: basic_truth(sigma_e=(NAN, 0.1)), "sigma1", id="sigma1"),
+        pytest.param(lambda: basic_truth(sigma_e=(0.1, INF)), "sigma2", id="sigma2"),
+        pytest.param(lambda: TermTruth("x1", -0.03, NAN), "'x1': sigma", id="term-sigma"),
+        pytest.param(lambda: TermTruth("x1", INF), "'x1': coef", id="term-coef"),
+        pytest.param(lambda: EquationTruth("vehicle_1", (), intercept=NAN),
+                     "'vehicle_1': intercept", id="intercept"),
+        pytest.param(lambda: CovariateRecipe("x1", "normal", (NAN, 1.0)), "'mean'",
+                     id="normal-mean"),
+        pytest.param(lambda: CovariateRecipe("x1", "uniform", (0.0, INF)), "'high'",
+                     id="uniform-high"),
+    ])
+    def test_truth_value_must_be_finite(self, build, named):
+        with pytest.raises(SpecError, match="must be finite") as exc:
+            build()
+        assert named in str(exc.value)
+
+    def test_nan_response_is_not_written(self, tmp_path):
+        ds = simulate_dataset(basic_truth(n=3, seed=1))
+        ds.y1[1] = NAN
+        with pytest.raises(SpecError, match="positive"):
+            ds.write_csv(tmp_path / "bad.csv")
+        assert not (tmp_path / "bad.csv").exists()
+
+
 class TestNoiselessDegenerate:
     def test_sigma_zero_reproduces_linear_predictor(self):
         truth = TruthSpec(
