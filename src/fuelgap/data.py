@@ -11,6 +11,14 @@ arrays of shape (n, 2), column 0 for vehicle 1, and garage ids, divisions
 and covariates are object arrays of the verbatim CSV strings.
 `compute_gaps` adds the (n, 2) gap array (`GapTable`); trimming, encoding
 and summaries work on whole columns and select rows with `take`.
+
+The garage CSV is read and written `_PARSE_ROWS` rows at a time, so neither
+direction holds more than one batch of text.  A batch with no quote, NUL or
+bare CR is split with `str.split` at every comma, as `csv.reader` would
+split it; from the first batch that is not so plain, `csv.reader` splits
+the rest of the file.  Likewise a batch whose cells need no quoting is
+written as one joined string, byte for byte what `csv.writer` writes, and
+any other batch goes through `csv.writer`.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field, fields
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -41,8 +49,11 @@ NOT_REPORTED = "Not reported"
 DEFAULT_YEAR_BINS = ((1984, 1988), (1989, 1993), (1994, 1998),
                      (1999, 2003), (2004, 2008), (2009, 2014))
 
-# rows parsed per batch: bounds the numeric text held at once
+# rows per batch, read or written: bounds the CSV text held at once, and a
+# batch is split (or joined) by str methods or by the csv module as a whole
 _PARSE_ROWS = 4096
+# cell types whose str() csv.writer writes as it is when it needs no quotes
+_PLAIN_CELLS = {str, int, float, bool}
 # a model year must fit the int64 column that holds it
 _YEAR_LIMIT = 2.0 ** 63
 
@@ -123,11 +134,12 @@ def _check_row(row: list[str], row_number: int, numeric: list[tuple[int, str]]) 
                          f"(model_year_1={year1} > model_year_2={year2})")
 
 
-def _check_width(row: list[str], row_number: int, header: list[str]) -> None:
-    if len(row) > len(header):
+def _check_width(width: int, row_number: int, header: list[str]) -> None:
+    """Raise if a row of `width` fields does not match the header."""
+    if width > len(header):
         raise ParseError(row_number, "row has more fields than the header")
-    if len(row) < len(header):
-        raise ParseError(row_number, f"row is missing columns {header[len(row):]}")
+    if width < len(header):
+        raise ParseError(row_number, f"row is missing columns {header[width:]}")
 
 
 def _floats(cells) -> np.ndarray:
@@ -144,14 +156,45 @@ def _floats(cells) -> np.ndarray:
         return out
 
 
-def _parse_batch(rows: list[list[str]], columns: list[tuple[str, ...]], first: int,
-                 numeric: list[tuple[int, str]]):
-    """my_mpg, epa_mpg and model_year, each (n, 2), of rows of full width.
+def _plain_lines(block: list[str]) -> list[str] | None:
+    """The non-blank lines of `block`, line ends removed, if `csv.reader` would
+    split each one at every comma; None if it might not.
 
-    `columns` are the rows transposed.  Every field takes the fast path, a
-    bulk float(); a row where any field fails is checked again field by
-    field, which raises with the message and row number (`first` is the
-    first row's) of its first fault.
+    That holds when the text has no quote, no NUL (which `csv.reader`
+    refuses before Python 3.11), no CR outside a CRLF and no line longer
+    than the csv field size limit.
+    """
+    text = "".join(block)
+    if '"' in text or "\0" in text \
+            or max(map(len, block), default=0) > csv.field_size_limit():
+        return None
+    crs = text.count("\r")
+    lines = text.split("\r\n")
+    if len(lines) != crs + 1:           # a CR outside a CRLF
+        return None
+    if text.count("\n") != crs:         # a line that ends in LF alone
+        lines = "\n".join(lines).split("\n")
+    return list(filter(None, lines))
+
+
+def _columns(batch: list, width: int, plain: bool) -> list:
+    """The columns of a batch of rows of `width` fields each.
+
+    The rows are `csv.reader` rows, or `plain` lines of `_plain_lines`,
+    which are split here at every comma in one pass over the batch.
+    """
+    if not plain:
+        return list(zip(*batch))
+    flat = ",".join(batch).split(",")
+    return [flat[i::width] for i in range(width)]
+
+
+def _parse_batch(columns: list, first: int, numeric: list[tuple[int, str]]):
+    """my_mpg, epa_mpg and model_year, each (n, 2), of a batch's columns.
+
+    Every field takes the fast path, a bulk float(); a row where any field
+    fails is checked again field by field, which raises with the message and
+    row number (`first` is the first row's) of its first fault.
     """
     mpg = np.column_stack([_floats(columns[i]) for i, _ in numeric[:4]])
     years = np.column_stack([_floats(columns[i]) for i, _ in numeric[4:]])
@@ -161,7 +204,7 @@ def _parse_batch(rows: list[list[str]], columns: list[tuple[str, ...]], first: i
         years = years.astype(np.int64)
         bad = years[:, 0] > years[:, 1]
     for j in np.flatnonzero(bad).tolist():
-        _check_row(rows[j], first + j, numeric)
+        _check_row([column[j] for column in columns], first + j, numeric)
     return mpg[:, [0, 2]], mpg[:, [1, 3]], years
 
 
@@ -185,8 +228,8 @@ def parse_raw(source, user_col: str = "my_mpg", epa_col: str = "epa_mpg") -> Gar
     elif hasattr(source, "read") and isinstance(source.read(0), bytes):
         source = io.TextIOWrapper(source, encoding="utf-8")
 
-    reader = csv.reader(source)
-    header = next(reader, None)
+    lines = iter(source)
+    header = next(csv.reader(lines), None)
     if header is None:
         raise ParseError(0, "input is empty (no header row)")
     position = {name: i for i, name in enumerate(header)}
@@ -206,22 +249,34 @@ def parse_raw(source, user_col: str = "my_mpg", epa_col: str = "epa_mpg") -> Gar
     # my_mpg, epa_mpg and model_year per batch; the empty first one fixes
     # the shapes of a file with no rows
     numbers = [(np.empty((0, 2)), np.empty((0, 2)), np.empty((0, 2), dtype=np.int64))]
-
-    rows = filter(None, reader)
+    width = len(header)
     parsed = 0
-    while batch := list(islice(rows, _PARSE_ROWS)):
-        widths = list(map(len, batch))
-        if widths.count(len(header)) != len(batch):
+
+    def add(batch: list, plain: bool) -> None:
+        """Check and keep a batch of csv.reader rows, or of plain lines."""
+        nonlocal parsed
+        widths = [line.count(",") + 1 for line in batch] if plain else list(map(len, batch))
+        if widths.count(width) != len(batch):
             # the rows before the first misshapen one are checked first
-            cut = next(j for j, w in enumerate(widths) if w != len(header))
+            cut = next(j for j, w in enumerate(widths) if w != width)
             if cut:
-                _parse_batch(batch[:cut], list(zip(*batch[:cut])), parsed + 1, numeric)
-            _check_width(batch[cut], parsed + cut + 1, header)
-        columns = list(zip(*batch))
-        numbers.append(_parse_batch(batch, columns, parsed + 1, numeric))
-        for name, values in text.items():
-            values.extend(columns[position[name]])
-        parsed += len(batch)
+                _parse_batch(_columns(batch[:cut], width, plain), parsed + 1, numeric)
+            _check_width(widths[cut], parsed + cut + 1, header)
+        if batch:                       # a block of blank lines is no batch
+            columns = _columns(batch, width, plain)
+            numbers.append(_parse_batch(columns, parsed + 1, numeric))
+            for name, values in text.items():
+                values.extend(columns[position[name]])
+            parsed += len(batch)
+
+    while (block := list(islice(lines, _PARSE_ROWS))) \
+            and (batch := _plain_lines(block)) is not None:
+        del block                       # split already: one copy of the text at a time
+        add(batch, plain=True)
+    # the csv module reads on from the first block that is not plain
+    rows = filter(None, csv.reader(chain(block, lines)))
+    while batch := list(islice(rows, _PARSE_ROWS)):
+        add(batch, plain=False)
 
     strings = {name: np.array(values, dtype=object) for name, values in text.items()}
     my_mpg, epa_mpg, model_year = (np.concatenate(parts) for parts in zip(*numbers))
@@ -439,22 +494,53 @@ def write_group_summary_csv(rows: list[GroupSummaryRow], keys: list[str], path) 
               ([*row.key, row.n, row.mean_gap_1, row.mean_gap_2] for row in rows))
 
 
-def write_csv(path, header, rows) -> None:
-    """Write a header row and then `rows` as UTF-8 CSV.
+def _plain_text(batch: list) -> str | None:
+    """The rows of `batch` as `csv.writer` writes them, if no cell needs
+    quoting; None if one might.
 
-    The csv writer writes a float by repr, so it reads back to the same bits.
+    Every row must be a list or tuple of str, int, float or bool cells,
+    whose text `csv.writer` writes as str() gives it (a float by its
+    shortest repr); none may hold a comma, quote, CR, LF or NUL, and no row
+    may be empty or one empty cell, which `csv.writer` writes as `""`.
+    """
+    if not (set(map(type, batch)) <= {list, tuple}
+            and set(map(type, chain.from_iterable(batch))) <= _PLAIN_CELLS):
+        return None
+    lines = [",".join(map(str, row)) for row in batch]
+    text = "\r\n".join(lines)
+    breaks = len(lines) - 1
+    if text.count(",") != sum(map(len, batch)) - len(batch) \
+            or text.count("\r") != breaks or text.count("\n") != breaks \
+            or '"' in text or "\0" in text or not all(lines):
+        return None
+    return text + "\r\n"
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header row and then `rows` as UTF-8 CSV, the bytes of `csv.writer`.
+
+    A float is written by repr, so it reads back to the same bits.  Rows are
+    taken `_PARSE_ROWS` at a time, and a batch that needs no quotes is
+    joined in one piece (`_plain_text`).
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        rows = iter(rows)
+        while batch := list(islice(rows, _PARSE_ROWS)):
+            plain = _plain_text(batch)
+            if plain is None:
+                writer.writerows(batch)
+            else:
+                fh.write(plain)
 
 
 def write_garage_csv(table: GarageTable, path) -> None:
     """Write every column of `table` in the garage CSV layout `parse_raw` reads.
 
     The garage columns, the covariates in table order, then for a GapTable
-    the two gaps.
+    the two gaps.  The columns become Python values one batch of rows at a
+    time, so memory stays bounded by the batch, not the table.
     """
     columns = [table.garage_id, table.my_mpg[:, 0], table.epa_mpg[:, 0],
                table.my_mpg[:, 1], table.epa_mpg[:, 1], table.model_year[:, 0],
@@ -463,4 +549,6 @@ def write_garage_csv(table: GarageTable, path) -> None:
     if isinstance(table, GapTable):
         columns += [table.gap[:, 0], table.gap[:, 1]]
         header += GAP_COLUMNS
-    write_csv(path, header, zip(*(column.tolist() for column in columns)))
+    write_csv(path, header, chain.from_iterable(
+        zip(*(column[start:start + _PARSE_ROWS].tolist() for column in columns))
+        for start in range(0, len(table), _PARSE_ROWS)))

@@ -1,0 +1,234 @@
+"""The garage CSV's batched split and join against the csv module itself.
+
+`parse_raw` splits a batch with no quote, NUL or bare CR at every comma and
+hands the first other batch, and the rest of the file, to `csv.reader`;
+`write_csv` joins a batch whose cells need no quotes and writes any other
+batch with `csv.writer`.  Here `csv.reader` and `csv.writer` are the
+oracles, and `_PARSE_ROWS` is 2, so a small file spans many batches.
+"""
+
+import csv
+import io
+import random
+
+import numpy as np
+import pytest
+
+from fuelgap import data
+from fuelgap.cli import main
+from fuelgap.data import (
+    GarageTable,
+    compute_gaps,
+    parse_raw,
+    trim_outliers,
+    write_csv,
+)
+from fuelgap.errors import ParseError
+
+HEADER = ("garage_id,my_mpg_1,epa_mpg_1,my_mpg_2,epa_mpg_2,model_year_1,model_year_2,"
+          "us_division,note")
+
+
+@pytest.fixture(autouse=True)
+def two_row_batches(monkeypatch):
+    monkeypatch.setattr(data, "_PARSE_ROWS", 2)
+
+
+def row(i: int, note: str = "n") -> str:
+    return f"g{i},{20 + i}.5,25,{22 + i},3{i % 10}.25,1999,2004,Pacific,{note}"
+
+
+def reader_table(text: str) -> GarageTable:
+    """The table of `text` built row by row from `csv.reader`'s rows."""
+    header, *rows = filter(None, csv.reader(io.StringIO(text, newline="")))
+    cells = {name: [r[i] for r in rows] for i, name in enumerate(header)}
+
+    def pair(base, kind):
+        return np.array([[kind(a), kind(b)] for a, b in
+                         zip(cells[f"{base}_1"], cells[f"{base}_2"])]).reshape(-1, 2)
+
+    def strings(name):
+        return np.array(cells[name], dtype=object)
+
+    return GarageTable(garage_id=strings("garage_id"), my_mpg=pair("my_mpg", float),
+                       epa_mpg=pair("epa_mpg", float),
+                       model_year=pair("model_year", lambda s: int(float(s))),
+                       us_division=strings("us_division"),
+                       covariates={"note": strings("note")})
+
+
+def assert_same_table(got: GarageTable, want: GarageTable) -> None:
+    for name in ("garage_id", "my_mpg", "epa_mpg", "model_year", "us_division"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes() if a.dtype != object else a.tolist() == b.tolist()
+    assert list(got.covariates) == list(want.covariates)
+    for name, column in got.covariates.items():
+        assert column.dtype == object
+        assert column.tolist() == want.covariates[name].tolist()
+
+
+def lf(*lines: str) -> str:
+    return "\n".join([HEADER, *lines]) + "\n"
+
+
+QUOTED = [row(4, '"a,b"'), row(5, '"two\nlines"'), row(6, '"say ""hi"""')]
+
+INPUTS = {
+    "lf": lf(*map(row, range(7))),
+    "crlf": lf(*map(row, range(7))).replace("\n", "\r\n"),
+    "mixed-line-ends": "\r\n".join([HEADER, *map(row, range(3))]) + "\n"
+                       + "\n".join(map(row, range(3, 7))) + "\r\n",
+    "no-final-newline": lf(*map(row, range(7)))[:-1],
+    "blank-lines": lf("", row(0), "", "", row(1), row(2), "\r", row(3), "", row(4)),
+    "only-crlf-lines": "\r\n".join([HEADER, "", row(0), "", "", row(1), row(2), "",
+                                    row(3), row(4)]) + "\r\n\r\n",
+    # batches of two lines: the quoted cells first come in the third
+    "quoted-from-batch-3": lf(*map(row, range(4)), *QUOTED, row(7)),
+    "quoted-crlf-from-batch-3": lf(*map(row, range(4)), *QUOTED, row(7))
+    .replace("\n", "\r\n"),
+    "bare-cr": "\n".join([HEADER, row(0), row(1), row(2), row(3) + "\r" + row(4),
+                          row(5)]) + "\n",
+    "bare-cr-line-ends": "\r".join([HEADER, *map(row, range(5))]) + "\r",
+    "nul-in-batch-2": lf(*map(row, range(3)), row(3, "a\0b"), row(4)),
+}
+
+
+class TestParseMatchesReader:
+    @pytest.mark.parametrize("name", INPUTS)
+    def test_same_table_as_csv_reader(self, name):
+        text = INPUTS[name]
+        assert_same_table(parse_raw(io.StringIO(text, newline="")), reader_table(text))
+
+    @pytest.mark.parametrize("name", INPUTS)
+    def test_same_table_from_a_file(self, name, tmp_path):
+        path = tmp_path / "garages.csv"
+        path.write_bytes(INPUTS[name].encode())
+        assert_same_table(parse_raw(path), reader_table(INPUTS[name]))
+
+    def test_bare_cr_inside_a_line_is_the_csv_error(self):
+        # without universal newlines a CR inside a line is csv.reader's fault
+        text = lf(row(0), row(1), row(2) + "\r" + row(3))
+        with pytest.raises(csv.Error) as want:
+            list(csv.reader(io.StringIO(text)))
+        with pytest.raises(csv.Error) as got:
+            parse_raw(io.StringIO(text))
+        assert str(got.value) == str(want.value)
+
+    def test_field_over_the_csv_limit_is_the_csv_error(self):
+        note = "x" * (csv.field_size_limit() + 1)
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            parse_raw(io.StringIO(lf(row(0), row(1, note))))
+
+    @pytest.mark.parametrize("fault,message", [
+        ("g9,20,25,22,30,1999,2004", "row is missing columns ['us_division', 'note']"),
+        (row(9) + ",extra", "row has more fields than the header"),
+        ("g9,20,25,abc,30,1999,2004,Pacific,n",
+         "field 'my_mpg_2' is not a number: 'abc'"),
+        ("g9,20,25,22,30,2010,2004,Pacific,n",
+         "vehicle 1 must be the older vehicle (model_year_1=2010 > model_year_2=2004)"),
+    ], ids=["short-row", "long-row", "bad-number", "newer-vehicle-1"])
+    @pytest.mark.parametrize("at", [1, 2, 3, 6, 7, 8])
+    def test_same_error_before_and_after_the_handover(self, fault, message, at):
+        # the quoted note of row 5 hands the rest of the file to csv.reader
+        lines = [row(i) for i in range(9)]
+        lines[4] = row(4, '"a,b"')
+        lines[at - 1] = fault
+        for text in (lf(*lines), lf(*lines).replace("\n", "\r\n")):
+            with pytest.raises(ParseError) as err:
+                parse_raw(io.StringIO(text))
+            assert (err.value.row, str(err.value)) == (at, f"row {at}: {message}")
+
+    @pytest.mark.parametrize("at", [1, 7])
+    def test_short_row_beside_a_long_row(self, at):
+        # one field too few, then one too many: the batch's comma count is right
+        lines = [row(i) for i in range(9)]
+        lines[4] = row(4, '"a,b"')
+        lines[at - 1] = "g9,20,25,22,30,1999,2004,Pacific"
+        lines[at] += ",extra"
+        with pytest.raises(ParseError) as err:
+            parse_raw(io.StringIO(lf(*lines)))
+        assert (err.value.row, str(err.value)) == (at, f"row {at}: row is missing "
+                                                       "columns ['note']")
+
+    def test_every_plain_batch_splits_as_csv_reader_does(self):
+        # random lines over an alphabet of the characters that matter to a
+        # CSV reader; every block the fast path takes must split alike
+        rng = random.Random(16)
+        alphabet = ["a", "1", ",", " ", "\t", "\r", "\n", "\r\n", '"', "\0", "\\", "'",
+                    "\x0b", "\x0c", "\x1c", " ", "\u0085", "é"]
+        taken = 0
+        for _ in range(3000):
+            lines = ["".join(rng.choices(alphabet, k=rng.randint(0, 6)))
+                     for _ in range(rng.randint(1, 4))]
+            block = io.StringIO("\n".join(lines) + rng.choice(["", "\n", "\r\n"]),
+                                newline="").readlines()
+            split = data._plain_lines(block)
+            if split is not None:
+                taken += 1
+                want = list(filter(None, csv.reader(block)))
+                assert [line.split(",") for line in split] == want, block
+        assert taken > 500
+
+
+# cells whose text csv.writer writes unquoted, quoted, or otherwise specially
+CELLS = [None, "", "plain", "a,b", 'say "hi"', "a\rb", "a\nb", "a\r\nb", "a\0b", " pad ",
+         float("nan"), float("inf"), -float("inf"), -0.0, 1e-300, 0.1, 1 / 3,
+         np.float64(0.1), np.int64(7), 0, -12, 2 ** 70, True, False, "None"]
+
+
+def writer_bytes(header, rows) -> bytes:
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue().encode()
+
+
+class TestWriteMatchesWriter:
+    @pytest.mark.parametrize("cell", CELLS, ids=repr)
+    def test_one_cell_in_every_position(self, cell, tmp_path):
+        rows = [("a", 1.5, 2), ["b", 2.5, 3], (cell, 1.0, 4), ("c", cell, 5),
+                ("d", 3.0, cell), ("e", 4.0, 6), [cell], ("f", 5.0, 7)]
+        path = tmp_path / "out.csv"
+        write_csv(path, ["id", "x", "n"], rows)
+        assert path.read_bytes() == writer_bytes(["id", "x", "n"], rows)
+
+    @pytest.mark.parametrize("rows", [
+        lambda: [[""], ["x"]], lambda: [[None], ["x"]], lambda: [[], ["x"]],
+        lambda: [["x"], ["y"]], lambda: [("a", "b"), ("", "")], lambda: [(1.0,), (2.0,)],
+        lambda: [iter(["a", "b"]), ("c", "d")], lambda: ["ab", "cd"],
+    ], ids=["empty-cell-row", "none-row", "empty-row", "one-column", "empty-cells",
+            "one-float-column", "iterator-row", "string-rows"])
+    def test_short_and_odd_rows(self, rows, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv(path, ["h"], rows())
+        assert path.read_bytes() == writer_bytes(["h"], rows())
+
+    def test_random_cells(self, tmp_path):
+        rng = random.Random(16)
+        rows = [[rng.choice(CELLS) if rng.random() < 0.1 else rng.uniform(-1e3, 1e3)
+                 for _ in range(rng.randint(1, 4))] for _ in range(400)]
+        path = tmp_path / "out.csv"
+        write_csv(path, ["a", "b"], iter(rows))
+        assert path.read_bytes() == writer_bytes(["a", "b"], rows)
+
+
+def test_prepare_output_reads_back_as_the_kept_table(tmp_path):
+    rng = np.random.default_rng(16)
+    n = 41
+    epa = rng.uniform(10, 50, (n, 2))
+    mpg = epa * rng.normal(0.85, 0.01, (n, 2))
+    mpg[7, 0] = 3 * epa[7, 0]               # the one garage trimmed
+    mpg, epa = mpg.tolist(), epa.tolist()
+    lines = [f"g{i},{mpg[i][0]!r},{epa[i][0]!r},{mpg[i][1]!r},{epa[i][1]!r},"
+             f"{1990 + i % 9},2004,Pacific,{rng.uniform():.17g}" for i in range(n)]
+    raw = tmp_path / "raw.csv"
+    raw.write_text(lf(*lines))
+    out = tmp_path / "prepared.csv"
+    assert main(["prepare", "--input", str(raw), "--out", str(out), "--trim-sd", "3"]) == 0
+    kept, removed, _ = trim_outliers(compute_gaps(parse_raw(raw)))
+    assert removed.garage_id.tolist() == ["g7"]
+    again = compute_gaps(parse_raw(out))
+    assert_same_table(again, kept)
+    assert again.gap.tobytes() == kept.gap.tobytes()
