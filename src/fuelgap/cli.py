@@ -8,6 +8,16 @@ field varies).  Exit codes: 0 success, 2 usage or validation, 3 estimation
 did not converge (the fit is still written), 4 I/O failure.  A fit file
 given to compare or effects that cannot be read exits 2 like any other
 unusable fit file; every other input that cannot be read exits 4.
+
+Every estimator writes one fit JSON schema (`fit_payload`): estimator, n,
+k, loglik, equations, random_coefficients, sigma, rho, sigma1, sigma2,
+sigma1_se, sigma2_se, rho_se, draws, convergence, param_names, param_cov.
+The parameters follow one layout, [coef1 | coef2 | sigma_d ... | sigma1,
+sigma2, rho]: the coefficients, the spread |sigma_d| of each random one,
+then the error standard deviations and correlation; `ols` fixes rho at 0
+and leaves it out.  param_cov is in that order, and every SE is the root
+of its diagonal entry.  A fixed-parameter fit writes random_coefficients
+[], draws null and convergence null.  Non-finite numbers are written null.
 """
 
 from __future__ import annotations
@@ -114,34 +124,8 @@ def _t_stat(coef: float, se) -> float | None:
     return coef / se
 
 
-def _equations_payload(fit: SureFit) -> list[dict]:
-    payload = []
-    for eq in fit.equations:
-        payload.append({
-            "name": eq.name,
-            "coef": {n: v for n, v in zip(eq.coef_names, eq.coef)},
-            "se": {n: v for n, v in zip(eq.coef_names, eq.se)},
-            "t": {n: _t_stat(v, s) for n, v, s in zip(eq.coef_names, eq.coef, eq.se)},
-        })
-    return payload
-
-
-def sure_fit_payload(fit: SureFit, estimator: str) -> dict:
-    sigma = None if fit.sigma is None else fit.sigma.matrix.tolist()
-    return {
-        "estimator": estimator,
-        "n": fit.n,
-        "k": fit.k,
-        "loglik": fit.loglik,
-        "equations": _equations_payload(fit),
-        "sigma": sigma,
-        "rho": None if fit.sigma is None else fit.sigma.rho,
-        "param_names": list(fit.param_names),
-        "param_cov": None if fit.param_cov is None else fit.param_cov.tolist(),
-    }
-
-
-def rp_fit_payload(fit: RpSureFit) -> dict:
+def fit_payload(fit: SureFit | RpSureFit, estimator: str) -> dict:
+    """The fit JSON of any estimator (see the module docstring)."""
     equations: dict[str, dict] = {}
     for coef in fit.coefficients:
         eq = equations.setdefault(coef.equation, {"name": coef.equation,
@@ -149,9 +133,9 @@ def rp_fit_payload(fit: RpSureFit) -> dict:
         eq["coef"][coef.name] = coef.estimate
         eq["se"][coef.name] = coef.se
         eq["t"][coef.name] = _t_stat(coef.estimate, coef.se)
-    config = fit.draw_config
+    sigma, config, convergence = fit.sigma, fit.draw_config, fit.convergence
     return {
-        "estimator": "rp-sure",
+        "estimator": estimator,
         "n": fit.n,
         "k": fit.k,
         "loglik": fit.loglik,
@@ -161,18 +145,18 @@ def rp_fit_payload(fit: RpSureFit) -> dict:
              "sigma": c.sigma, "sigma_se": c.sigma_se}
             for c in fit.random_coefficients
         ],
-        "sigma": fit.sigma.matrix.tolist(),
-        "rho": fit.sigma.rho,
-        "sigma1": math.sqrt(fit.sigma.sigma11),
-        "sigma2": math.sqrt(fit.sigma.sigma22),
+        "sigma": None if sigma is None else sigma.matrix.tolist(),
+        "rho": None if sigma is None else sigma.rho,
+        "sigma1": None if sigma is None else math.sqrt(sigma.sigma11),
+        "sigma2": None if sigma is None else math.sqrt(sigma.sigma22),
         "sigma1_se": fit.sigma1_se,
         "sigma2_se": fit.sigma2_se,
         "rho_se": fit.rho_se,
         "draws": None if config is None else {
             "R": config.draws_per_obs, "burn": config.burn, "bases": list(config.bases)},
-        "convergence": {"status": fit.convergence.status,
-                        "iters": fit.convergence.iterations,
-                        "grad_norm": fit.convergence.grad_norm},
+        "convergence": None if convergence is None else {
+            "status": convergence.status, "iters": convergence.iterations,
+            "grad_norm": convergence.grad_norm},
         "param_names": list(fit.param_names),
         "param_cov": None if fit.param_cov is None else fit.param_cov.tolist(),
     }
@@ -297,17 +281,14 @@ def cmd_fit(args, parser) -> int:
     y1, y2 = responses(table)
     eq_names = (spec.equations[0].name, spec.equations[1].name)
 
-    exit_code = EXIT_OK
     if args.estimator == "ols":
         fit = ols_system_fit(design.x1, design.x2, y1, y2,
                              names1=design.names1, names2=design.names2,
                              eq_names=eq_names)
-        payload = sure_fit_payload(fit, "ols")
     elif args.estimator == "sure":
         fit = fgls_fit(design.x1, design.x2, y1, y2,
                        names1=design.names1, names2=design.names2,
                        eq_names=eq_names, cov_denominator=args.cov_denominator)
-        payload = sure_fit_payload(fit, "sure")
     else:
         draws = None
         if spec.n_random > 0:
@@ -316,24 +297,19 @@ def cmd_fit(args, parser) -> int:
             draws = build_draw_store(len(table), config)
         fit = fit_rp_sure(design, y1, y2, draws=draws, eq_names=eq_names,
                           max_iterations=args.max_iterations, threads=args.threads)
-        payload = rp_fit_payload(fit)
-        if not fit.convergence.converged:
-            exit_code = EXIT_NOT_CONVERGED
 
     out = Path(args.out)
-    _write_json(payload, out)
+    _write_json(fit_payload(fit, args.estimator), out)
     _write_manifest("fit", vars(args), [Path(args.data), Path(args.spec)],
                     [out], started)
-    status = payload.get("convergence", {}).get("status", "ok")
+    convergence = fit.convergence
+    status = "ok" if convergence is None else convergence.status
     print(f"{args.estimator} fit written to {out} "
-          f"(loglik={_fmt(payload['loglik'])}, k={payload['k']}, status={status})")
-    if exit_code == EXIT_NOT_CONVERGED:
-        print("warning: estimation did not converge", file=sys.stderr)
-    return exit_code
-
-
-def _fmt(value) -> str:
-    return "inf" if value is None else f"{value:.4f}"
+          f"(loglik={fit.loglik:.4f}, k={fit.k}, status={status})")
+    if convergence is None or convergence.converged:
+        return EXIT_OK
+    print("warning: estimation did not converge", file=sys.stderr)
+    return EXIT_NOT_CONVERGED
 
 
 def _read_fit_file(path: str) -> tuple[str, CriteriaInput]:

@@ -66,8 +66,8 @@ def score_criteria(inputs: CriteriaInput) -> CriteriaScores:
     ICOMP = -2 lnL + s ln(tr(F^-1)/s) - ln|F^-1|, with s = rank(F^-1),
             taken as k once the Cholesky factorization succeeds.
 
-    A missing or non-positive-definite fisher_inverse leaves icomp as None
-    with a note; the other three scores are always returned.
+    A missing, non-finite or non-positive-definite fisher_inverse leaves
+    icomp as None with a note; the other three scores are always returned.
     """
     neg2ll = -2.0 * inputs.loglik
     ln_n = np.log(inputs.n)
@@ -79,6 +79,8 @@ def score_criteria(inputs: CriteriaInput) -> CriteriaScores:
     note = None
     if inputs.fisher_inverse is None:
         note = "icomp omitted: no parameter covariance available"
+    elif not np.isfinite(inputs.fisher_inverse).all():
+        note = "icomp omitted: parameter covariance has non-finite entries"
     else:
         try:
             low = np.linalg.cholesky(inputs.fisher_inverse)

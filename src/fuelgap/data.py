@@ -214,9 +214,10 @@ def parse_raw(source, user_col: str = "my_mpg", epa_col: str = "epa_mpg") -> Gar
     `source` may be a path or an open text/byte stream.  `user_col` and
     `epa_col` pick the numerator/denominator column bases (suffixed _1/_2),
     so label-based ratings can be substituted for the default test-cycle
-    columns.  Any row with a missing field, an unparseable number, or a
-    nonpositive MPG aborts the parse with its row number; nothing is
-    silently dropped.  Blank lines are skipped and not counted.  The gap
+    columns.  Any row with a missing field, an unparseable number, a
+    nonpositive MPG or text that `csv.reader` refuses aborts the parse with
+    a ParseError at its row number (0 for the header); nothing is silently
+    dropped.  Blank lines are skipped and not counted.  The gap
     columns of a prepared CSV (GAP_COLUMNS) are derived, so they are skipped:
     `compute_gaps` computes the gaps again from the MPG columns picked.
     """
@@ -229,7 +230,10 @@ def parse_raw(source, user_col: str = "my_mpg", epa_col: str = "epa_mpg") -> Gar
         source = io.TextIOWrapper(source, encoding="utf-8")
 
     lines = iter(source)
-    header = next(csv.reader(lines), None)
+    try:
+        header = next(csv.reader(lines), None)
+    except csv.Error as exc:
+        raise ParseError(0, str(exc)) from exc
     if header is None:
         raise ParseError(0, "input is empty (no header row)")
     position = {name: i for i, name in enumerate(header)}
@@ -275,7 +279,15 @@ def parse_raw(source, user_col: str = "my_mpg", epa_col: str = "epa_mpg") -> Gar
         add(batch, plain=True)
     # the csv module reads on from the first block that is not plain
     rows = filter(None, csv.reader(chain(block, lines)))
-    while batch := list(islice(rows, _PARSE_ROWS)):
+    while True:
+        batch = []
+        try:
+            batch.extend(islice(rows, _PARSE_ROWS))   # keeps the rows before a fault
+        except csv.Error as exc:
+            add(batch, plain=False)                   # an earlier row's fault comes first
+            raise ParseError(parsed + 1, str(exc)) from exc
+        if not batch:
+            break
         add(batch, plain=False)
 
     strings = {name: np.array(values, dtype=object) for name, values in text.items()}

@@ -29,7 +29,8 @@ import numpy as np
 from .data import DesignMatrices
 from .errors import DegenerateDataError, EstimationError, SpecError
 from .halton import DrawStore
-from .sure import ErrorCovariance, fgls_fit, whitened_logpdf, _rowdot
+from .sure import (SIGMA_NAMES, CoefficientEstimate, ErrorCovariance, fgls_fit,
+                   whitened_logpdf, _rowdot)
 
 _MIN_SIGMA_START = 1e-3
 # "converged" iff the natural-scale score's infinity norm is at most
@@ -447,21 +448,9 @@ class Convergence:
 
 
 @dataclass(frozen=True)
-class CoefficientEstimate:
-    """One reported coefficient: a fixed value, or a normal (mu, sigma) pair."""
-
-    name: str
-    equation: str
-    kind: str                     # "fixed" or "random-normal"
-    estimate: float               # the fixed value, or the random mean
-    se: float | None
-    sigma: float | None = None
-    sigma_se: float | None = None
-
-
-@dataclass(frozen=True)
 class RpSureFit:
-    """Random-parameter fit on the natural scale, with delta-method SEs."""
+    """Random-parameter fit on the natural scale, with delta-method SEs, in
+    the layout [coef1 | coef2 | sigma_d ... | sigma1, sigma2, rho]."""
 
     n: int
     k: int
@@ -644,7 +633,7 @@ def fit_rp_sure(design: DesignMatrices, y1, y2,
                 kind="random-normal" if col in random else "fixed",
                 estimate=estimates[i], se=se[i], sigma=sigma, sigma_se=sigma_se))
     names.extend(f"sd:{e.name}" for e in effects)
-    names.extend(["sigma1", "sigma2", "rho"])
+    names.extend(SIGMA_NAMES)
 
     return RpSureFit(
         n=kernel.n,

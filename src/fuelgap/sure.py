@@ -12,11 +12,13 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cholesky, qr, solve_triangular
+from scipy.linalg import block_diag, cholesky, qr, solve_triangular
 
 from .errors import DegenerateDataError, EstimationError
 
 _LOG_2PI = np.log(2.0 * np.pi)
+# the error covariance's entries in every estimator's parameter layout
+SIGMA_NAMES = ("sigma1", "sigma2", "rho")
 CONDITION_WARN_THRESHOLD = 1e10
 
 
@@ -74,23 +76,54 @@ class EquationFit:
 
 
 @dataclass(frozen=True)
-class SureFit:
-    """Result of a fixed-parameter system fit.
+class CoefficientEstimate:
+    """One reported coefficient: a fixed value, or a normal (mu, sigma) pair."""
 
-    `k` counts every estimated quantity: all coefficients plus the error
-    covariance parameters (3 for the full bivariate matrix, 2 when the
-    equations are fit independently).  `param_cov` is the k x k parameter
-    covariance in the order given by `param_names`.
+    name: str
+    equation: str
+    kind: str                     # "fixed" or "random-normal"
+    estimate: float               # the fixed value, or the random mean
+    se: float | None
+    sigma: float | None = None
+    sigma_se: float | None = None
+
+
+@dataclass(frozen=True)
+class SureFit:
+    """Result of a fixed-parameter system fit, in the parameter layout of
+    every estimator: [coef1 | coef2 | sigma1, sigma2, rho], without rho for
+    the equation-by-equation OLS fit (its rho is fixed at 0, so `rho_se` is
+    None).  `param_cov` is the k x k parameter covariance in the order of
+    `param_names`, and every SE is the root of its diagonal entry; a
+    degenerate perfect-interpolation fit has neither it nor `sigma`.  It
+    reads as a random-parameter fit (RpSureFit) with no random terms.
     """
 
     n: int
-    k: int
     loglik: float
     equations: tuple[EquationFit, EquationFit]
-    # None only for a degenerate perfect-interpolation fit
     sigma: ErrorCovariance | None
     param_names: tuple[str, ...]
     param_cov: np.ndarray | None = field(repr=False, default=None)
+    sigma1_se: float | None = None
+    sigma2_se: float | None = None
+    rho_se: float | None = None
+
+    # closed form: no random terms, no draws, no optimizer
+    random_coefficients = ()
+    draw_config = None
+    convergence = None
+
+    @property
+    def k(self) -> int:
+        return len(self.param_names)
+
+    @property
+    def coefficients(self) -> tuple[CoefficientEstimate, ...]:
+        return tuple(CoefficientEstimate(name=name, equation=eq.name, kind="fixed",
+                                         estimate=float(coef), se=float(se))
+                     for eq in self.equations
+                     for name, coef, se in zip(eq.coef_names, eq.coef, eq.se))
 
 
 @dataclass(frozen=True)
@@ -257,13 +290,22 @@ def loglik_fixed(x1: np.ndarray, x2: np.ndarray,
 
 
 def _sigma_block_cov(cov: ErrorCovariance, n: int) -> np.ndarray:
-    """Asymptotic covariance of (sigma11, sigma12, sigma22) under normality."""
-    s11, s12, s22 = cov.sigma11, cov.sigma12, cov.sigma22
+    """Asymptotic covariance of (sigma1, sigma2, rho) under normality: the
+    delta-method image of that of (sigma11, sigma12, sigma22), in closed form."""
+    s1, s2, rho = np.sqrt(cov.sigma11), np.sqrt(cov.sigma22), cov.rho
+    r2 = rho * rho
+    c = rho * (1.0 - r2)
     return np.array([
-        [2 * s11 * s11, 2 * s11 * s12, 2 * s12 * s12],
-        [2 * s11 * s12, s11 * s22 + s12 * s12, 2 * s12 * s22],
-        [2 * s12 * s12, 2 * s12 * s22, 2 * s22 * s22],
-    ]) / n
+        [cov.sigma11, r2 * s1 * s2, c * s1],
+        [r2 * s1 * s2, cov.sigma22, c * s2],
+        [c * s1, c * s2, 2.0 * (1.0 - r2) ** 2],
+    ]) / (2.0 * n)
+
+
+def _layout_names(eq_names, names1, names2, sigma_names) -> tuple[str, ...]:
+    """[coef1 | coef2 | sigma_names], each coefficient named "equation:column"."""
+    return tuple(f"{eq_names[0]}:{c}" for c in names1) + \
+        tuple(f"{eq_names[1]}:{c}" for c in names2) + sigma_names
 
 
 def _equation_ols(x1, x2, y1, y2, names1, names2):
@@ -289,7 +331,9 @@ def fgls_fit(x1: np.ndarray, x2: np.ndarray,
     covariance from those residuals and solves the stacked system whitened
     by its Cholesky inverse.  The reported covariance and correlation are
     re-estimated from the FGLS residuals, and the log-likelihood is the
-    exact Gaussian value at the solution.
+    exact Gaussian value at the solution.  `param_cov` holds the
+    coefficients' GLS covariance, then the closed-form covariance of
+    (sigma1, sigma2, rho), which is uncorrelated with the coefficients.
     """
     (x1, y1, names1, ols1), (x2, y2, names2, ols2) = \
         _equation_ols(x1, x2, y1, y2, names1, names2)
@@ -315,11 +359,8 @@ def fgls_fit(x1: np.ndarray, x2: np.ndarray,
         np.hstack([inv10 * x1, inv11 * x2]),
     ])
     yt = np.concatenate([inv00 * y1, inv10 * y1 + inv11 * y2])
-    stacked_names = tuple(f"{eq_names[0]}:{c}" for c in names1) + \
-        tuple(f"{eq_names[1]}:{c}" for c in names2)
-    beta, a = _qr_solve(zt, yt, stacked_names)
-    # With unit-variance whitened errors the GLS covariance is (Z'Z)^-1.
-    coef_cov = a @ a.T
+    param_names = _layout_names(eq_names, names1, names2, SIGMA_NAMES)
+    beta, a = _qr_solve(zt, yt, param_names[:k1 + k2])
     beta1, beta2 = beta[:k1], beta[k1:]
 
     res1 = y1 - _rowdot(x1, beta1)
@@ -327,24 +368,13 @@ def fgls_fit(x1: np.ndarray, x2: np.ndarray,
     sigma = residual_covariance(res1, res2, denominator="ml")
     loglik = float(np.sum(bivariate_normal_logpdf(res1, res2, sigma)))
 
-    k = k1 + k2 + 3
-    param_cov = np.zeros((k, k))
-    param_cov[:k1 + k2, :k1 + k2] = coef_cov
-    param_cov[k1 + k2:, k1 + k2:] = _sigma_block_cov(sigma, n)
-    param_names = stacked_names + ("sigma11", "sigma12", "sigma22")
-    se = np.sqrt(np.diag(coef_cov))
-    return SureFit(
-        n=n,
-        k=k,
-        loglik=loglik,
-        equations=(
-            EquationFit(eq_names[0], names1, beta1, se[:k1]),
-            EquationFit(eq_names[1], names2, beta2, se[k1:]),
-        ),
-        sigma=sigma,
-        param_names=param_names,
-        param_cov=param_cov,
-    )
+    # With unit-variance whitened errors the GLS covariance is (Z'Z)^-1.
+    param_cov = block_diag(a @ a.T, _sigma_block_cov(sigma, n))
+    se = np.sqrt(np.diag(param_cov))
+    return SureFit(n=n, loglik=loglik, sigma=sigma, param_names=param_names,
+                   equations=(EquationFit(eq_names[0], names1, beta1, se[:k1]),
+                              EquationFit(eq_names[1], names2, beta2, se[k1:k1 + k2])),
+                   param_cov=param_cov, sigma1_se=se[-3], sigma2_se=se[-2], rho_se=se[-1])
 
 
 def ols_system_fit(x1: np.ndarray, x2: np.ndarray,
@@ -357,36 +387,25 @@ def ols_system_fit(x1: np.ndarray, x2: np.ndarray,
     The log-likelihood treats the equations as independent Gaussian
     regressions (two variance parameters, no cross covariance), which makes
     this fit the summed pair of univariate models for comparison purposes.
+    Its layout is [coef1 | coef2 | sigma1, sigma2]: rho is not estimated.
     """
     (x1, _, names1, ols1), (x2, _, names2, ols2) = \
         _equation_ols(x1, x2, y1, y2, names1, names2)
     n = x1.shape[0]
-    k1, k2 = x1.shape[1], x2.shape[1]
-    k = k1 + k2 + 2
+    param_names = _layout_names(eq_names, names1, names2, SIGMA_NAMES[:2])
     equations = (EquationFit(eq_names[0], names1, ols1.beta, ols1.se),
                  EquationFit(eq_names[1], names2, ols2.beta, ols2.se))
     if ols1.sigma2_ml <= 0 or ols2.sigma2_ml <= 0:
         # perfect interpolation: coefficients are exact, likelihood unbounded
-        return SureFit(n=n, k=k, loglik=float("inf"), equations=equations,
-                       sigma=None, param_names=(), param_cov=None)
+        return SureFit(n=n, loglik=float("inf"), equations=equations, sigma=None,
+                       param_names=param_names)
     loglik = 0.0
     for fit in (ols1, ols2):
         loglik += -0.5 * n * (_LOG_2PI + np.log(fit.sigma2_ml) + 1.0)
 
     sigma = ErrorCovariance(sigma11=ols1.sigma2_ml, sigma22=ols2.sigma2_ml, sigma12=0.0)
-    param_cov = np.zeros((k, k))
-    param_cov[:k1, :k1] = ols1.cov
-    param_cov[k1:k1 + k2, k1:k1 + k2] = ols2.cov
-    param_cov[k1 + k2, k1 + k2] = 2 * ols1.sigma2_ml ** 2 / n
-    param_cov[k1 + k2 + 1, k1 + k2 + 1] = 2 * ols2.sigma2_ml ** 2 / n
-    param_names = tuple(f"{eq_names[0]}:{c}" for c in names1) + \
-        tuple(f"{eq_names[1]}:{c}" for c in names2) + ("sigma1_sq", "sigma2_sq")
-    return SureFit(
-        n=n,
-        k=k,
-        loglik=float(loglik),
-        equations=equations,
-        sigma=sigma,
-        param_names=param_names,
-        param_cov=param_cov,
-    )
+    param_cov = block_diag(ols1.cov, ols2.cov, _sigma_block_cov(sigma, n)[:2, :2])
+    se = np.sqrt(np.diag(param_cov))
+    return SureFit(n=n, loglik=float(loglik), equations=equations, sigma=sigma,
+                   param_names=param_names, param_cov=param_cov,
+                   sigma1_se=se[-2], sigma2_se=se[-1])

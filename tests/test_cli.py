@@ -1,11 +1,13 @@
 import copy
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fuelgap.cli import build_parser, main
+from fuelgap.criteria import CriteriaInput, score_criteria
 from fuelgap.data import compute_gaps, encode_design, parse_raw, responses
 from fuelgap.modelspec import model_spec_from_dict
 from fuelgap.sure import fgls_fit
@@ -274,23 +276,28 @@ class TestPrepare:
         assert list(man_a["outputs"].values()) == list(man_b["outputs"].values())
 
 
+def two_point_ols_fit(tmp_path) -> str:
+    """An ols fit of two garages on two columns per equation: it interpolates."""
+    raw = tmp_path / "two.csv"
+    raw.write_text(
+        "garage_id,my_mpg_1,epa_mpg_1,my_mpg_2,epa_mpg_2,"
+        "model_year_1,model_year_2,us_division,x\n"
+        "a,25,25,25,25,1999,2004,Pacific,0\n"
+        "b,50,25,50,25,1999,2004,Pacific,1\n")
+    spec = write_json(tmp_path / "interp.json", {
+        "equations": [
+            {"name": "vehicle_1", "intercept": True, "terms": [{"column": "x"}]},
+            {"name": "vehicle_2", "intercept": True, "terms": [{"column": "x"}]},
+        ]})
+    out = tmp_path / "fit.json"
+    assert run_cli("fit", "--data", str(raw), "--spec", spec,
+                   "--estimator", "ols", "--out", str(out)) == 0
+    return str(out)
+
+
 class TestFit:
     def test_ols_two_point_interpolation(self, tmp_path):
-        raw = tmp_path / "two.csv"
-        raw.write_text(
-            "garage_id,my_mpg_1,epa_mpg_1,my_mpg_2,epa_mpg_2,"
-            "model_year_1,model_year_2,us_division,x\n"
-            "a,25,25,25,25,1999,2004,Pacific,0\n"
-            "b,50,25,50,25,1999,2004,Pacific,1\n")
-        spec = write_json(tmp_path / "interp.json", {
-            "equations": [
-                {"name": "vehicle_1", "intercept": True, "terms": [{"column": "x"}]},
-                {"name": "vehicle_2", "intercept": True, "terms": [{"column": "x"}]},
-            ]})
-        out = tmp_path / "fit.json"
-        assert run_cli("fit", "--data", str(raw), "--spec", spec,
-                       "--estimator", "ols", "--out", str(out)) == 0
-        fit = json.loads(out.read_text())
+        fit = json.loads(Path(two_point_ols_fit(tmp_path)).read_text())
         coef = fit["equations"][0]["coef"]
         assert coef["const"] == pytest.approx(1.0, abs=1e-10)
         assert coef["x"] == pytest.approx(1.0, abs=1e-10)
@@ -308,6 +315,12 @@ class TestFit:
         for eq_s, eq_r in zip(sure["equations"], rp["equations"]):
             for name, value in eq_s["coef"].items():
                 assert eq_r["coef"][name] == pytest.approx(value, abs=1e-4)
+        # one model in one parameter layout, so one ICOMP
+        assert sure["param_names"] == rp["param_names"]
+        sure_icomp, rp_icomp = (score_criteria(CriteriaInput(
+            fit["loglik"], fit["k"], fit["n"], fisher_inverse=np.array(fit["param_cov"]))).icomp
+            for fit in (sure, rp))
+        assert rp_icomp == pytest.approx(sure_icomp, abs=1e-6)
 
     def test_spec_data_mismatch_names_variable(self, tmp_path, data_file, capsys):
         spec = write_json(tmp_path / "bad.json", {
@@ -456,11 +469,11 @@ class TestFit:
         assert manifest["options"]["estimator"] == "sure"
 
 
-FIXED_FIT_KEYS = ["estimator", "n", "k", "loglik", "equations", "sigma", "rho",
-                  "param_names", "param_cov"]
 RP_FIT_KEYS = ["estimator", "n", "k", "loglik", "equations", "random_coefficients",
                "sigma", "rho", "sigma1", "sigma2", "sigma1_se", "sigma2_se", "rho_se",
                "draws", "convergence", "param_names", "param_cov"]
+# one schema for every estimator
+FIXED_FIT_KEYS = RP_FIT_KEYS
 
 
 class TestFitSchema:
@@ -472,6 +485,8 @@ class TestFitSchema:
         fit = json.loads(out.read_text())
         assert list(fit) == FIXED_FIT_KEYS
         assert fit["estimator"] == estimator
+        assert (fit["random_coefficients"], fit["draws"], fit["convergence"]) == ([], None, None)
+        assert (fit["rho_se"] is None) == (estimator == "ols")
 
     def test_rp_fit_keys(self, tmp_path, data_file, spec_file):
         out = tmp_path / "fit.json"
@@ -506,6 +521,19 @@ class TestCompare:
         rows = {r.split(",")[0]: r for r in out.read_text().splitlines()[1:]}
         assert rows["sure:b"].endswith("aic;caic;sbic;icomp")
         assert rows["sure:a"].endswith(",")
+
+    def test_non_finite_covariance_scores_no_icomp(self, tmp_path, capsys):
+        # n = k per equation: the classical coefficient covariance is NaN,
+        # written as null, so the fit has no ICOMP, let alone the best one
+        ols = two_point_ols_fit(tmp_path)
+        assert None in sum(json.loads(Path(ols).read_text())["param_cov"], [])
+        finite = fake_fit(tmp_path, "b.json", 10.0)
+        out = tmp_path / "criteria.csv"
+        assert run_cli("compare", ols, finite, "--out", str(out)) == 0
+        rows = {r.split(",")[0]: r.split(",") for r in out.read_text().splitlines()[1:]}
+        assert rows["ols:fit"][7:] == ["", "aic;caic;sbic"]
+        assert rows["sure:b"][8] == "icomp"
+        assert "nan" not in capsys.readouterr().out
 
     def test_single_file_usage_error(self, tmp_path):
         a = fake_fit(tmp_path, "a.json", 10.0)

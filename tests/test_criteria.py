@@ -72,6 +72,14 @@ class TestScoreCriteria:
         assert "not positive definite" in scores.icomp_note
         assert np.isfinite(scores.aic) and np.isfinite(scores.sbic)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_icomp_omitted_on_non_finite(self, entry):
+        f = np.eye(2)
+        f[0, 0] = entry
+        scores = score_criteria(CriteriaInput(loglik=1.0, k=2, n=10, fisher_inverse=f))
+        assert scores.icomp is None
+        assert "non-finite" in scores.icomp_note
+
     def test_monotone_in_k(self):
         for criterion in ("aic", "caic", "sbic"):
             vals = [score_criteria(CriteriaInput(loglik=10.0, k=k, n=100)).value(criterion)

@@ -72,6 +72,8 @@ def lf(*lines: str) -> str:
     return "\n".join([HEADER, *lines]) + "\n"
 
 
+# a cell one character over the csv module's field size limit
+BIG = "x" * (csv.field_size_limit() + 1)
 QUOTED = [row(4, '"a,b"'), row(5, '"two\nlines"'), row(6, '"say ""hi"""')]
 
 INPUTS = {
@@ -107,18 +109,48 @@ class TestParseMatchesReader:
         assert_same_table(parse_raw(path), reader_table(INPUTS[name]))
 
     def test_bare_cr_inside_a_line_is_the_csv_error(self):
-        # without universal newlines a CR inside a line is csv.reader's fault
+        # without universal newlines a CR inside a line is csv.reader's fault,
+        # reported at its row
         text = lf(row(0), row(1), row(2) + "\r" + row(3))
         with pytest.raises(csv.Error) as want:
             list(csv.reader(io.StringIO(text)))
-        with pytest.raises(csv.Error) as got:
+        with pytest.raises(ParseError) as got:
             parse_raw(io.StringIO(text))
-        assert str(got.value) == str(want.value)
+        assert (got.value.row, str(got.value)) == (3, f"row 3: {want.value}")
 
     def test_field_over_the_csv_limit_is_the_csv_error(self):
         note = "x" * (csv.field_size_limit() + 1)
-        with pytest.raises(csv.Error, match="field larger than field limit"):
+        with pytest.raises(ParseError, match="row 2: field larger than field limit"):
             parse_raw(io.StringIO(lf(row(0), row(1, note))))
+
+    @pytest.mark.parametrize("text,at", [
+        pytest.param(lf(row(0)).replace("note", BIG, 1), 0, id="header"),
+        pytest.param(lf(row(0, BIG), row(1)), 1, id="batch-1"),
+        pytest.param(lf(row(0), row(1), row(2, BIG)), 3, id="after-plain-batch-1"),
+        # the quoted note of row 5 hands the rest of the file to csv.reader
+        pytest.param(lf(*map(row, range(4)), row(4, '"a,b"'), row(5), row(6, BIG)), 7,
+                     id="after-the-handover"),
+        pytest.param(lf(*map(row, range(4)), row(4, '"a,b"'), row(5, BIG)), 6,
+                     id="second-row-of-a-reader-batch"),
+    ])
+    def test_csv_error_is_a_parse_error_at_its_row(self, text, at):
+        with pytest.raises(ParseError) as err:
+            parse_raw(io.StringIO(text))
+        assert (err.value.row, str(err.value)) == \
+            (at, f"row {at}: field larger than field limit ({csv.field_size_limit()})")
+
+    def test_earlier_fault_in_the_batch_comes_first(self):
+        lines = [row(0), row(1), "g2,20,25,abc,30,1999,2004,Pacific,n", row(3, BIG)]
+        with pytest.raises(ParseError) as err:
+            parse_raw(io.StringIO(lf(*lines)))
+        assert str(err.value) == "row 3: field 'my_mpg_2' is not a number: 'abc'"
+
+    def test_csv_error_exits_2(self, tmp_path, capsys):
+        raw = tmp_path / "raw.csv"
+        raw.write_text(lf(row(0), row(1, BIG)))
+        assert main(["prepare", "--input", str(raw), "--out", str(tmp_path / "p.csv")]) == 2
+        assert "error: row 2: field larger than field limit" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
 
     @pytest.mark.parametrize("fault,message", [
         ("g9,20,25,22,30,1999,2004", "row is missing columns ['us_division', 'note']"),

@@ -19,7 +19,8 @@ from fuelgap.msl import (
     rp_retention_test,
     simulated_loglik,
 )
-from fuelgap.sure import ErrorCovariance, fgls_fit, loglik_fixed
+from fuelgap.criteria import CriteriaInput, score_criteria
+from fuelgap.sure import ErrorCovariance, fgls_fit, loglik_fixed, ols_system_fit
 from fuelgap.synthetic import (
     CovariateRecipe,
     EquationTruth,
@@ -27,7 +28,24 @@ from fuelgap.synthetic import (
     TruthSpec,
     exact_marginal_loglik,
     simulate_dataset,
+    truth_from_dict,
 )
+
+# the truth of acceptance criterion 5, without its seed
+CRITERION_5_TRUTH = {
+    "n": 2000,
+    "error": {"sigma1": 0.1, "sigma2": 0.1, "rho": 0.5},
+    "covariates": [
+        {"name": "x1", "kind": "normal", "mean": 0.0, "sd": 1.0},
+        {"name": "x2", "kind": "normal", "mean": 0.0, "sd": 1.0},
+    ],
+    "equations": [
+        {"name": "vehicle_1", "intercept": 0.88,
+         "terms": [{"column": "x1", "coef": -0.03, "sigma": 0.05}]},
+        {"name": "vehicle_2", "intercept": 0.92,
+         "terms": [{"column": "x2", "coef": 0.02, "sigma": 0.06}]},
+    ],
+}
 
 
 def fit_rp_sure(*args, **kwargs):
@@ -476,16 +494,32 @@ class TestFitRpSure:
         draws = None if not d else build_draw_store(
             300, HaltonConfig(bases=(2, 3)[:d], draws_per_obs=50))
         fit = fit_rp_sure(design, ds.y1, ds.y2, draws=draws)
-        names, coefs = fit.param_names, fit.coefficients
-        assert fit.param_cov is not None
-        assert fit.k == len(names) == fit.param_cov.shape[0] == len(coefs) + d + 3
-        assert list(names[:len(coefs)]) == [f"{c.equation}:{c.name}" for c in coefs]
-        assert list(names[len(coefs):]) == ([f"sd:{c.name}" for c in fit.random_coefficients]
-                                            + ["sigma1", "sigma2", "rho"])
-        se = np.sqrt(np.diag(fit.param_cov)).tolist()
-        assert [c.se for c in coefs] == se[:len(coefs)]
-        assert [c.sigma_se for c in fit.random_coefficients] == se[len(coefs):-3]
-        assert [fit.sigma1_se, fit.sigma2_se, fit.rho_se] == se[-3:]
+        assert_follows_layout(fit, d, ["sigma1", "sigma2", "rho"])
+
+    @pytest.mark.parametrize("estimator,tail", [
+        pytest.param(fgls_fit, ["sigma1", "sigma2", "rho"], id="sure"),
+        pytest.param(ols_system_fit, ["sigma1", "sigma2"], id="ols"),
+    ])
+    def test_fixed_fits_follow_the_parameter_layout(self, estimator, tail):
+        ds = simulate_dataset(rp_truth(n=300, seed=23))
+        fit = estimator(ds.x1, ds.x2, ds.y1, ds.y2, names1=ds.names1, names2=ds.names2)
+        assert fit.random_coefficients == () and fit.convergence is None
+        assert_follows_layout(fit, 0, tail)
+
+    @pytest.mark.parametrize("seed", [20240, 1])
+    def test_fixed_and_random_parameter_fits_agree_on_icomp(self, seed):
+        # the criterion-5 data fit with no random terms: one model, by FGLS
+        # and by ML, so ICOMP may differ only by the FGLS-versus-ML gap (it
+        # differed by 4.5-5.2 with the FGLS error block in other coordinates)
+        ds = simulate_dataset(truth_from_dict(dict(CRITERION_5_TRUTH, seed=seed)))
+        sure = fgls_fit(ds.x1, ds.x2, ds.y1, ds.y2, names1=ds.names1, names2=ds.names2)
+        rp = fit_rp_sure(design_of(ds, (), ()), ds.y1, ds.y2)
+        assert rp.param_names == sure.param_names
+        assert abs(rp.loglik - sure.loglik) < 1e-3
+        sure_icomp, rp_icomp = (score_criteria(CriteriaInput(f.loglik, f.k, f.n,
+                                                             fisher_inverse=f.param_cov)).icomp
+                                for f in (sure, rp))
+        assert abs(rp_icomp - sure_icomp) <= 0.01
 
     def test_rho_and_sigma_respect_type_invariants(self):
         truth = rp_truth(n=200, seed=17, rho=-0.8)
@@ -497,6 +531,22 @@ class TestFitRpSure:
         assert fit.sigma.sigma11 > 0 and fit.sigma.sigma22 > 0
         for c in fit.random_coefficients:
             assert c.sigma > 0
+
+
+def assert_follows_layout(fit, d, tail):
+    """[coef1 | coef2 | sigma_d | tail]: names, SEs and param_cov rows all
+    follow the one order, and every SE is the root of its param_cov entry."""
+    names, coefs, randoms = fit.param_names, fit.coefficients, fit.random_coefficients
+    assert fit.param_cov is not None
+    assert fit.k == len(names) == fit.param_cov.shape[0] == len(coefs) + d + len(tail)
+    assert list(names[:len(coefs)]) == [f"{c.equation}:{c.name}" for c in coefs]
+    assert list(names[len(coefs):]) == [f"sd:{c.name}" for c in randoms] + tail
+    se = np.sqrt(np.diag(fit.param_cov)).tolist()
+    assert [c.se for c in coefs] == se[:len(coefs)]
+    assert [c.sigma_se for c in randoms] == se[len(coefs):len(coefs) + d]
+    # ols does not estimate rho
+    assert [fit.sigma1_se, fit.sigma2_se, fit.rho_se] == \
+        se[len(coefs) + d:] + [None] * (3 - len(tail))
 
 
 def toy_fit(sigma, sigma_se, mu=0.1, mu_se=0.05):

@@ -277,6 +277,24 @@ class TestFgls:
         # parameter covariance must admit a Cholesky factorization
         np.linalg.cholesky(fit.param_cov)
 
+    def test_sigma_block_is_the_delta_method_image_of_the_covariance_entries(self):
+        rng = np.random.default_rng(5)
+        x1, x2, y1, y2, _, _ = simulate_sur(rng, 300)
+        fit = fgls_fit(x1, x2, y1, y2)
+        s11, s12, s22, n = fit.sigma.sigma11, fit.sigma.sigma12, fit.sigma.sigma22, fit.n
+        # ML covariance of (sigma11, sigma12, sigma22) under normality
+        c = np.array([[2 * s11 * s11, 2 * s11 * s12, 2 * s12 * s12],
+                      [2 * s11 * s12, s11 * s22 + s12 * s12, 2 * s12 * s22],
+                      [2 * s12 * s12, 2 * s12 * s22, 2 * s22 * s22]]) / n
+        s1, s2, rho = math.sqrt(s11), math.sqrt(s22), s12 / math.sqrt(s11 * s22)
+        # d (sigma1, sigma2, rho) / d (sigma11, sigma12, sigma22)
+        j = np.array([[1 / (2 * s1), 0, 0],
+                      [0, 0, 1 / (2 * s2)],
+                      [-rho / (2 * s11), 1 / (s1 * s2), -rho / (2 * s22)]])
+        assert fit.param_names[-3:] == ("sigma1", "sigma2", "rho")
+        np.testing.assert_allclose(fit.param_cov[-3:, -3:], j @ c @ j.T, rtol=1e-12)
+        assert (fit.param_cov[-3:, :-3] == 0).all() and (fit.param_cov[:-3, -3:] == 0).all()
+
     def test_degenerate_residual_covariance(self):
         n = 10
         x = np.ones((n, 1))
@@ -312,6 +330,11 @@ class TestOlsSystem:
         fit = ols_system_fit(x, x, y, y)
         assert fit.sigma is None and fit.loglik == float("inf")
         np.testing.assert_allclose(fit.equations[0].coef, [0.9])
+        # the layout of every ols fit, without a covariance to report
+        assert fit.param_names == ("vehicle_1:x0", "vehicle_2:x0", "sigma1", "sigma2")
+        assert fit.k == len(fit.param_names)
+        assert fit.param_cov is None
+        assert (fit.sigma1_se, fit.sigma2_se, fit.rho_se) == (None, None, None)
 
 
 class TestConditioning:
