@@ -30,14 +30,14 @@ print(f"FGLS: n={fit.n}, k={fit.k}, loglik={fit.loglik:.2f}, "
 
 print(f"\n{'coefficient':22s}{'truth':>9s}{'OLS':>10s}{'FGLS':>10s}"
       f"{'OLS se':>9s}{'FGLS se':>9s}")
-for eq_index, (x, y, truth) in enumerate(((x1, y1, b1), (x2, y2, b2))):
-    ols = ols_fit(x, y)
-    eq = fit.equations[eq_index]
-    for j, name in enumerate(eq.coef_names):
-        print(f"{eq.name + ':' + name:22s}{truth[j]:9.4f}{ols.beta[j]:10.4f}"
-              f"{eq.coef[j]:10.4f}{ols.se[j]:9.5f}{eq.se[j]:9.5f}")
+ols_rows = [row for x, y, truth in ((x1, y1, b1), (x2, y2, b2))
+            for ols in [ols_fit(x, y)] for row in zip(ols.beta, ols.se, truth)]
+for c, (ols_coef, ols_se, truth) in zip(fit.coefficients, ols_rows):
+    print(f"{c.equation + ':' + c.name:22s}{truth:9.4f}{ols_coef:10.4f}"
+          f"{c.estimate:10.4f}{ols_se:9.5f}{c.se:9.5f}")
 
 shared = fgls_fit(x1, x1, y1, y2)
 ols_shared = ols_fit(x1, y1)
+shared_coef = np.array([c.estimate for c in shared.coefficients[:x1.shape[1]]])
 print("\nKruskal check with identical regressors: max |FGLS - OLS| =",
-      f"{np.max(np.abs(shared.equations[0].coef - ols_shared.beta)):.2e}")
+      f"{np.max(np.abs(shared_coef - ols_shared.beta)):.2e}")

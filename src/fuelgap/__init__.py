@@ -15,7 +15,6 @@ from .criteria import (
     RpEffectSummary,
     effect_summary,
     rank_models,
-    rp_effects,
     score_criteria,
 )
 from .data import (
@@ -51,7 +50,6 @@ from .modelspec import EquationSpec, ModelSpec, Term, load_model_spec, model_spe
 from .msl import (
     RandomEffect,
     RpParameters,
-    RpSureFit,
     fit_rp_sure,
     rp_retention_test,
     simulated_loglik,

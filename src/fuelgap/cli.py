@@ -9,7 +9,8 @@ did not converge (the fit is still written), 4 I/O failure.  A fit file
 given to compare or effects that cannot be read exits 2 like any other
 unusable fit file; every other input that cannot be read exits 4.
 
-Every estimator writes one fit JSON schema (`fit_payload`): estimator, n,
+One result type, `sure.SureFit` (built only by `sure.layout_fit`), backs
+the one fit JSON schema of every estimator (`fit_payload`): estimator, n,
 k, loglik, equations, random_coefficients, sigma, rho, sigma1, sigma2,
 sigma1_se, sigma2_se, rho_se, draws, convergence, param_names, param_cov.
 The parameters follow one layout, [coef1 | coef2 | sigma_d ... | sigma1,
@@ -61,7 +62,7 @@ from .modelspec import (
     load_model_spec,
     read_json,
 )
-from .msl import RpSureFit, fit_rp_sure
+from .msl import fit_rp_sure
 from .sure import SureFit, fgls_fit, ols_system_fit
 from .synthetic import simulate_dataset, truth_from_dict
 
@@ -124,7 +125,7 @@ def _t_stat(coef: float, se) -> float | None:
     return coef / se
 
 
-def fit_payload(fit: SureFit | RpSureFit, estimator: str) -> dict:
+def fit_payload(fit: SureFit, estimator: str) -> dict:
     """The fit JSON of any estimator (see the module docstring)."""
     equations: dict[str, dict] = {}
     for coef in fit.coefficients:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import FuelGapError
+from .errors import SpecError
 
 CRITERIA = ("aic", "caic", "sbic", "icomp")
 
@@ -133,12 +133,16 @@ class ModelRanking:
 
 
 def rank_models(fits: list[tuple[str, CriteriaInput]]) -> ModelRanking:
-    """Score and rank at least two competing fits."""
+    """Score and rank at least two competing fits of one sample: information
+    criteria compare models only on the same data."""
     if len(fits) < 2:
         raise ValueError("need at least two fits to rank")
     labels = [label for label, _ in fits]
     if len(set(labels)) != len(labels):
         raise ValueError("fit labels must be distinct")
+    if len({ci.n for _, ci in fits}) > 1:
+        raise SpecError("fits of different samples cannot be ranked: "
+                        + ", ".join(f"{label} has n={ci.n}" for label, ci in fits))
     models = tuple(
         RankedModel(label=label, n=ci.n, k=ci.k, loglik=ci.loglik,
                     scores=score_criteria(ci))
@@ -182,11 +186,3 @@ def effect_summary(name: str, mu: float, sigma: float) -> RpEffectSummary:
                            share_above_zero=share,
                            range_lower=float(mu - 2.0 * sigma),
                            range_upper=float(mu + 2.0 * sigma))
-
-
-def rp_effects(fit) -> list[RpEffectSummary]:
-    """Effect summaries for every random coefficient of a random-parameter fit."""
-    coefficients = list(fit.random_coefficients)
-    if not coefficients:
-        raise FuelGapError("fit contains no random coefficients")
-    return [effect_summary(rc.name, rc.estimate, rc.sigma) for rc in coefficients]

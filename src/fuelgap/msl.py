@@ -29,8 +29,8 @@ import numpy as np
 from .data import DesignMatrices
 from .errors import DegenerateDataError, EstimationError, SpecError
 from .halton import DrawStore
-from .sure import (SIGMA_NAMES, CoefficientEstimate, ErrorCovariance, fgls_fit,
-                   whitened_logpdf, _rowdot)
+from .sure import (ErrorCovariance, SureFit, fgls_fit, layout_fit, whitened_logpdf,
+                   _rowdot)
 
 _MIN_SIGMA_START = 1e-3
 # "converged" iff the natural-scale score's infinity norm is at most
@@ -414,25 +414,24 @@ class _Transform:
         return j
 
 
-def _natural_covariance(hess: np.ndarray, jacobian: np.ndarray
-                        ) -> tuple[np.ndarray | None, np.ndarray | None]:
+def _natural_covariance(hess: np.ndarray, jacobian: np.ndarray) -> np.ndarray | None:
     """Delta-method parameter covariance from the symmetric objective Hessian.
 
-    Returns (None, None) unless the Hessian is finite and positive definite
-    (a Cholesky factorization succeeds); the fit is still usable, just
-    without SEs.
+    Returns None unless the Hessian is finite and positive definite (a
+    Cholesky factorization succeeds) and the covariance has a positive,
+    finite diagonal; the fit is still usable, just without SEs.
     """
     if not np.isfinite(hess).all():
-        return None, None
+        return None
     try:
         low_inv = np.linalg.inv(np.linalg.cholesky(hess))
     except np.linalg.LinAlgError:
-        return None, None
+        return None
     cov_nat = jacobian @ (low_inv.T @ low_inv) @ jacobian.T
     diag = np.diag(cov_nat)
     if (diag <= 0).any() or not np.isfinite(diag).all():
-        return None, None
-    return cov_nat, np.sqrt(diag)
+        return None
+    return cov_nat
 
 
 @dataclass(frozen=True)
@@ -445,38 +444,6 @@ class Convergence:
     @property
     def converged(self) -> bool:
         return self.status == "converged"
-
-
-@dataclass(frozen=True)
-class RpSureFit:
-    """Random-parameter fit on the natural scale, with delta-method SEs, in
-    the layout [coef1 | coef2 | sigma_d ... | sigma1, sigma2, rho]."""
-
-    n: int
-    k: int
-    loglik: float
-    coefficients: tuple[CoefficientEstimate, ...]
-    sigma: ErrorCovariance
-    sigma1_se: float | None
-    sigma2_se: float | None
-    rho_se: float | None
-    param_names: tuple[str, ...]
-    param_cov: np.ndarray | None
-    convergence: Convergence
-    draw_config: object | None = None
-
-    @property
-    def random_coefficients(self) -> tuple[CoefficientEstimate, ...]:
-        return tuple(c for c in self.coefficients if c.kind == "random-normal")
-
-    def coefficient(self, name: str) -> CoefficientEstimate:
-        matches = [c for c in self.coefficients
-                   if c.name == name or f"{c.equation}:{c.name}" == name]
-        if not matches:
-            raise KeyError(f"no coefficient named {name!r}")
-        if len(matches) > 1:
-            raise KeyError(f"coefficient name {name!r} is ambiguous; qualify with equation")
-        return matches[0]
 
 
 class _BfgsMinimizer:
@@ -545,8 +512,11 @@ class _BfgsMinimizer:
 def fit_rp_sure(design: DesignMatrices, y1, y2,
                 draws: DrawStore | None = None,
                 eq_names: tuple[str, str] = ("vehicle_1", "vehicle_2"),
-                *, max_iterations: int = 500, threads: int = 1) -> RpSureFit:
+                *, max_iterations: int = 500, threads: int = 1) -> SureFit:
     """Maximize the simulated likelihood by quasi-Newton ascent.
+
+    Returns a SureFit (see sure.layout_fit) with delta-method SEs and the
+    Convergence record; with no random terms it is the FGLS model by ML.
 
     Starting values come from the FGLS fit (random-coefficient spreads start
     at 0.1 |coefficient|, floored at 1e-3).  The fit stops in one of three
@@ -574,7 +544,8 @@ def fit_rp_sure(design: DesignMatrices, y1, y2,
 
     start_fit = fgls_fit(design.x1, design.x2, y1, y2,
                          names1=design.names1, names2=design.names2, eq_names=eq_names)
-    coef1, coef2 = (eq.coef for eq in start_fit.equations)
+    coef = np.array([c.estimate for c in start_fit.coefficients])
+    coef1, coef2 = coef[:k1], coef[k1:]
     sigmas = [max(0.1 * abs((coef1, coef2)[e.equation][e.column]), _MIN_SIGMA_START)
               for e in effects]
     start = RpParameters(coef1=coef1, coef2=coef2, sigmas=np.array(sigmas),
@@ -616,41 +587,14 @@ def fit_rp_sure(design: DesignMatrices, y1, y2,
         grad_norm = natural_grad_norm(minimizer.x, minimizer.g)
 
     t_hat = minimizer.x
-    param_cov, ses = _natural_covariance(hessian(t_hat), transform.jacobian(t_hat))
-    # report by layout position; effects are in design order, so the pass
-    # over the columns meets the random ones in spread order
-    estimates = transform.natural(t_hat).tolist()
-    se = [None] * size if ses is None else ses.tolist()
-    spreads = zip(estimates[k1 + k2:], se[k1 + k2:])
-    names, coefficients = [], []
-    for eq, random in enumerate((design.random1, design.random2)):
-        for col, coef_name in enumerate((design.names1, design.names2)[eq]):
-            i = len(names)
-            names.append(f"{eq_names[eq]}:{coef_name}")
-            sigma, sigma_se = next(spreads) if col in random else (None, None)
-            coefficients.append(CoefficientEstimate(
-                name=coef_name, equation=eq_names[eq],
-                kind="random-normal" if col in random else "fixed",
-                estimate=estimates[i], se=se[i], sigma=sigma, sigma_se=sigma_se))
-    names.extend(f"sd:{e.name}" for e in effects)
-    names.extend(SIGMA_NAMES)
-
-    return RpSureFit(
-        n=kernel.n,
-        k=size,
-        loglik=-minimizer.f,
-        coefficients=tuple(coefficients),
-        sigma=transform.unpack(t_hat).cov,
-        sigma1_se=se[-3],
-        sigma2_se=se[-2],
-        rho_se=se[-1],
-        param_names=tuple(names),
-        param_cov=param_cov,
-        convergence=Convergence(status=status, iterations=iterations,
-                                grad_norm=grad_norm,
+    return layout_fit(
+        eq_names, (design.names1, design.names2), (design.random1, design.random2),
+        transform.natural(t_hat)[:-3],
+        _natural_covariance(hessian(t_hat), transform.jacobian(t_hat)),
+        n=kernel.n, loglik=-minimizer.f, sigma=transform.unpack(t_hat).cov,
+        convergence=Convergence(status=status, iterations=iterations, grad_norm=grad_norm,
                                 loglik_path=tuple(-f for f in minimizer.path)),
-        draw_config=None if draws is None else draws.config,
-    )
+        draw_config=None if draws is None else draws.config)
 
 
 @dataclass(frozen=True)
@@ -660,7 +604,7 @@ class RetentionVerdict:
     sigma_t: float | None
 
 
-def rp_retention_test(fit: RpSureFit, name: str) -> RetentionVerdict:
+def rp_retention_test(fit: SureFit, name: str) -> RetentionVerdict:
     """Keep a coefficient random iff its spread is statistically significant.
 
     A significant spread retains the coefficient whether or not the mean is

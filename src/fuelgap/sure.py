@@ -62,20 +62,6 @@ class ErrorCovariance:
 
 
 @dataclass(frozen=True)
-class EquationFit:
-    """Coefficients of one equation, aligned with their names."""
-
-    name: str
-    coef_names: tuple[str, ...]
-    coef: np.ndarray
-    se: np.ndarray
-
-    def __post_init__(self):
-        if not (len(self.coef_names) == self.coef.size == self.se.size):
-            raise ValueError("coefficient, SE and name lengths differ")
-
-
-@dataclass(frozen=True)
 class CoefficientEstimate:
     """One reported coefficient: a fixed value, or a normal (mu, sigma) pair."""
 
@@ -90,40 +76,82 @@ class CoefficientEstimate:
 
 @dataclass(frozen=True)
 class SureFit:
-    """Result of a fixed-parameter system fit, in the parameter layout of
-    every estimator: [coef1 | coef2 | sigma1, sigma2, rho], without rho for
-    the equation-by-equation OLS fit (its rho is fixed at 0, so `rho_se` is
-    None).  `param_cov` is the k x k parameter covariance in the order of
-    `param_names`, and every SE is the root of its diagonal entry; a
-    degenerate perfect-interpolation fit has neither it nor `sigma`.  It
-    reads as a random-parameter fit (RpSureFit) with no random terms.
+    """The result of every estimator, built only by layout_fit.
+
+    The parameters follow [coef1 | coef2 | sigma_d ... | sigma1, sigma2, rho]
+    (`ols` leaves rho out, so its rho_se is None); param_cov is in that order,
+    and every SE is the root of its diagonal entry, or None without it.  An
+    interpolating fit has no sigma or param_cov; a closed-form fit has no
+    convergence (msl.Convergence) and one without draws no draw_config.
     """
 
     n: int
     loglik: float
-    equations: tuple[EquationFit, EquationFit]
+    coefficients: tuple[CoefficientEstimate, ...]
     sigma: ErrorCovariance | None
+    sigma1_se: float | None
+    sigma2_se: float | None
+    rho_se: float | None
     param_names: tuple[str, ...]
-    param_cov: np.ndarray | None = field(repr=False, default=None)
-    sigma1_se: float | None = None
-    sigma2_se: float | None = None
-    rho_se: float | None = None
-
-    # closed form: no random terms, no draws, no optimizer
-    random_coefficients = ()
-    draw_config = None
-    convergence = None
+    param_cov: np.ndarray | None = field(repr=False)
+    convergence: object | None
+    draw_config: object | None
 
     @property
     def k(self) -> int:
         return len(self.param_names)
 
     @property
-    def coefficients(self) -> tuple[CoefficientEstimate, ...]:
-        return tuple(CoefficientEstimate(name=name, equation=eq.name, kind="fixed",
-                                         estimate=float(coef), se=float(se))
-                     for eq in self.equations
-                     for name, coef, se in zip(eq.coef_names, eq.coef, eq.se))
+    def random_coefficients(self) -> tuple[CoefficientEstimate, ...]:
+        return tuple(c for c in self.coefficients if c.kind == "random-normal")
+
+    def coefficient(self, name: str) -> CoefficientEstimate:
+        matches = [c for c in self.coefficients
+                   if c.name == name or f"{c.equation}:{c.name}" == name]
+        if not matches:
+            raise KeyError(f"no coefficient named {name!r}")
+        if len(matches) > 1:
+            raise KeyError(f"coefficient name {name!r} is ambiguous; qualify with equation")
+        return matches[0]
+
+
+def layout_fit(eq_names: tuple[str, str], names, random, estimates,
+               param_cov: np.ndarray | None, *, n: int, loglik: float,
+               sigma: ErrorCovariance | None, sigma_names: tuple[str, ...] = SIGMA_NAMES,
+               convergence=None, draw_config=None) -> SureFit:
+    """Build a fit in the one parameter layout (see SureFit).
+
+    names and random hold each equation's design column names and its random
+    columns (increasing design indices); estimates is [coef1 | coef2 |
+    sigma_d ...], the spreads in the order of the random columns, equation 1
+    first.  param_cov, when given, covers those parameters and then
+    sigma_names.  A coefficient is named "equation:column" and a spread
+    "sd:column".
+    """
+    columns = [(eq, col) for eq in (0, 1) for col in range(len(names[eq]))]
+    randoms = [(eq, col) for eq in (0, 1) for col in random[eq]]
+    spread = {r: len(columns) + d for d, r in enumerate(randoms)}
+    param_names = [f"{eq_names[eq]}:{names[eq][col]}" for eq, col in columns] \
+        + [f"sd:{names[eq][col]}" for eq, col in randoms] + list(sigma_names)
+    estimates = np.asarray(estimates, dtype=float).tolist()
+    se = [None] * len(param_names) if param_cov is None \
+        else np.sqrt(np.diag(param_cov)).tolist()
+    if len(estimates) != len(columns) + len(randoms) or len(se) != len(param_names):
+        raise ValueError("estimates, param_cov and the parameter layout differ in size")
+    coefficients = []
+    for i, (eq, col) in enumerate(columns):
+        d = spread.get((eq, col))
+        coefficients.append(CoefficientEstimate(
+            name=names[eq][col], equation=eq_names[eq],
+            kind="fixed" if d is None else "random-normal",
+            estimate=estimates[i], se=se[i],
+            sigma=None if d is None else estimates[d],
+            sigma_se=None if d is None else se[d]))
+    sigma1_se, sigma2_se, rho_se = se[len(estimates):] + [None] * (3 - len(sigma_names))
+    return SureFit(n=n, loglik=loglik, coefficients=tuple(coefficients), sigma=sigma,
+                   sigma1_se=sigma1_se, sigma2_se=sigma2_se, rho_se=rho_se,
+                   param_names=tuple(param_names), param_cov=param_cov,
+                   convergence=convergence, draw_config=draw_config)
 
 
 @dataclass(frozen=True)
@@ -302,12 +330,6 @@ def _sigma_block_cov(cov: ErrorCovariance, n: int) -> np.ndarray:
     ]) / (2.0 * n)
 
 
-def _layout_names(eq_names, names1, names2, sigma_names) -> tuple[str, ...]:
-    """[coef1 | coef2 | sigma_names], each coefficient named "equation:column"."""
-    return tuple(f"{eq_names[0]}:{c}" for c in names1) + \
-        tuple(f"{eq_names[1]}:{c}" for c in names2) + sigma_names
-
-
 def _equation_ols(x1, x2, y1, y2, names1, names2):
     """(x, y, names, OLS fit) of each equation, both checked to share rows."""
     xs = (np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
@@ -334,6 +356,8 @@ def fgls_fit(x1: np.ndarray, x2: np.ndarray,
     exact Gaussian value at the solution.  `param_cov` holds the
     coefficients' GLS covariance, then the closed-form covariance of
     (sigma1, sigma2, rho), which is uncorrelated with the coefficients.
+    The SureFit has no random coefficients, draws or convergence record;
+    fit_rp_sure starts from it.
     """
     (x1, y1, names1, ols1), (x2, y2, names2, ols2) = \
         _equation_ols(x1, x2, y1, y2, names1, names2)
@@ -359,8 +383,8 @@ def fgls_fit(x1: np.ndarray, x2: np.ndarray,
         np.hstack([inv10 * x1, inv11 * x2]),
     ])
     yt = np.concatenate([inv00 * y1, inv10 * y1 + inv11 * y2])
-    param_names = _layout_names(eq_names, names1, names2, SIGMA_NAMES)
-    beta, a = _qr_solve(zt, yt, param_names[:k1 + k2])
+    beta, a = _qr_solve(zt, yt, tuple(f"{eq}:{c}" for eq, cols in
+                                      zip(eq_names, (names1, names2)) for c in cols))
     beta1, beta2 = beta[:k1], beta[k1:]
 
     res1 = y1 - _rowdot(x1, beta1)
@@ -370,11 +394,8 @@ def fgls_fit(x1: np.ndarray, x2: np.ndarray,
 
     # With unit-variance whitened errors the GLS covariance is (Z'Z)^-1.
     param_cov = block_diag(a @ a.T, _sigma_block_cov(sigma, n))
-    se = np.sqrt(np.diag(param_cov))
-    return SureFit(n=n, loglik=loglik, sigma=sigma, param_names=param_names,
-                   equations=(EquationFit(eq_names[0], names1, beta1, se[:k1]),
-                              EquationFit(eq_names[1], names2, beta2, se[k1:k1 + k2])),
-                   param_cov=param_cov, sigma1_se=se[-3], sigma2_se=se[-2], rho_se=se[-1])
+    return layout_fit(eq_names, (names1, names2), ((), ()), beta, param_cov,
+                      n=n, loglik=loglik, sigma=sigma)
 
 
 def ols_system_fit(x1: np.ndarray, x2: np.ndarray,
@@ -388,24 +409,23 @@ def ols_system_fit(x1: np.ndarray, x2: np.ndarray,
     regressions (two variance parameters, no cross covariance), which makes
     this fit the summed pair of univariate models for comparison purposes.
     Its layout is [coef1 | coef2 | sigma1, sigma2]: rho is not estimated.
+    An equation with zero residuals or as many observations as coefficients
+    interpolates: the fit has loglik inf and no sigma, param_cov or SEs.
     """
     (x1, _, names1, ols1), (x2, _, names2, ols2) = \
         _equation_ols(x1, x2, y1, y2, names1, names2)
     n = x1.shape[0]
-    param_names = _layout_names(eq_names, names1, names2, SIGMA_NAMES[:2])
-    equations = (EquationFit(eq_names[0], names1, ols1.beta, ols1.se),
-                 EquationFit(eq_names[1], names2, ols2.beta, ols2.se))
-    if ols1.sigma2_ml <= 0 or ols2.sigma2_ml <= 0:
-        # perfect interpolation: coefficients are exact, likelihood unbounded
-        return SureFit(n=n, loglik=float("inf"), equations=equations, sigma=None,
-                       param_names=param_names)
+    layout = (eq_names, (names1, names2), ((), ()), np.concatenate([ols1.beta, ols2.beta]))
+    if min(ols1.sigma2_ml, ols2.sigma2_ml) <= 0 or n in (x1.shape[1], x2.shape[1]):
+        # perfect interpolation, or as many observations as coefficients:
+        # the coefficients are exact and the likelihood unbounded
+        return layout_fit(*layout, None, n=n, loglik=float("inf"), sigma=None,
+                          sigma_names=SIGMA_NAMES[:2])
     loglik = 0.0
     for fit in (ols1, ols2):
         loglik += -0.5 * n * (_LOG_2PI + np.log(fit.sigma2_ml) + 1.0)
 
     sigma = ErrorCovariance(sigma11=ols1.sigma2_ml, sigma22=ols2.sigma2_ml, sigma12=0.0)
     param_cov = block_diag(ols1.cov, ols2.cov, _sigma_block_cov(sigma, n)[:2, :2])
-    se = np.sqrt(np.diag(param_cov))
-    return SureFit(n=n, loglik=float(loglik), equations=equations, sigma=sigma,
-                   param_names=param_names, param_cov=param_cov,
-                   sigma1_se=se[-2], sigma2_se=se[-1])
+    return layout_fit(*layout, param_cov, n=n, loglik=float(loglik), sigma=sigma,
+                      sigma_names=SIGMA_NAMES[:2])

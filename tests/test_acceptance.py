@@ -24,6 +24,7 @@ from fuelgap.synthetic import (
     simulate_dataset,
 )
 from test_criteria import REFERENCE_EFFECT_ROWS
+from test_sure import equation_values
 
 
 class Stopwatch:
@@ -86,8 +87,8 @@ def test_criterion_3_kruskal_equivalence():
             y2 = x @ rng.normal(size=5) + 0.4 * rng.normal(size=200)
             fit = fgls_fit(x, x, y1, y2)
             diff = max(
-                np.max(np.abs(fit.equations[0].coef - ols_fit(x, y1).beta)),
-                np.max(np.abs(fit.equations[1].coef - ols_fit(x, y2).beta)))
+                np.max(np.abs(equation_values(fit, 0) - ols_fit(x, y1).beta)),
+                np.max(np.abs(equation_values(fit, 1) - ols_fit(x, y2).beta)))
             assert diff <= 1e-8
     assert clock.elapsed < 5.0
 

@@ -455,8 +455,8 @@ class TestFit:
         library = fgls_fit(design.x1, design.x2, *responses(table),
                            names1=design.names1, names2=design.names2,
                            cov_denominator="dof")
-        assert coefs["dof"] == [dict(zip(eq.coef_names, eq.coef.tolist()))
-                                for eq in library.equations]
+        assert coefs["dof"] == [{c.name: c.estimate for c in library.coefficients
+                                 if c.equation == eq} for eq in ("vehicle_1", "vehicle_2")]
         assert coefs["dof"] != coefs["ml"]
 
     def test_fit_manifest_written(self, tmp_path, data_file, spec_file):
@@ -523,10 +523,11 @@ class TestCompare:
         assert rows["sure:a"].endswith(",")
 
     def test_non_finite_covariance_scores_no_icomp(self, tmp_path, capsys):
-        # n = k per equation: the classical coefficient covariance is NaN,
-        # written as null, so the fit has no ICOMP, let alone the best one
-        ols = two_point_ols_fit(tmp_path)
-        assert None in sum(json.loads(Path(ols).read_text())["param_cov"], [])
+        # a non-finite param_cov entry is written as null, so the fit has no
+        # ICOMP, let alone the best one
+        payload = dict(fit_payload(136.67, k=8), estimator="ols")
+        payload["param_cov"][3][3] = None
+        ols = write_json(tmp_path / "fit.json", payload)
         finite = fake_fit(tmp_path, "b.json", 10.0)
         out = tmp_path / "criteria.csv"
         assert run_cli("compare", ols, finite, "--out", str(out)) == 0
@@ -534,6 +535,29 @@ class TestCompare:
         assert rows["ols:fit"][7:] == ["", "aic;caic;sbic"]
         assert rows["sure:b"][8] == "icomp"
         assert "nan" not in capsys.readouterr().out
+
+    def test_interpolating_fit_is_not_scored(self, tmp_path, capsys):
+        # n = k per equation: the fit interpolates, so its log-likelihood is
+        # unbounded and written null, and compare refuses it
+        ols = two_point_ols_fit(tmp_path)
+        fit = json.loads(Path(ols).read_text())
+        assert (fit["n"], fit["loglik"], fit["sigma"], fit["param_cov"]) == (2, None, None, None)
+        assert fit["equations"][0]["se"] == {"const": None, "x": None}
+        out = tmp_path / "criteria.csv"
+        assert run_cli("compare", ols, fake_fit(tmp_path, "b.json", 10.0, n=2),
+                       "--out", str(out)) == 2
+        assert "degenerate log-likelihood" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fits_of_different_samples_exit_2(self, tmp_path, capsys):
+        a = fake_fit(tmp_path, "a.json", 10.0, n=100)
+        b = fake_fit(tmp_path, "b.json", 20.0, n=99)
+        out = tmp_path / "criteria.csv"
+        assert run_cli("compare", a, b, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "different samples" in err and "sure:a has n=100" in err \
+            and "sure:b has n=99" in err
+        assert list(tmp_path.glob("criteria.csv*")) == []
 
     def test_single_file_usage_error(self, tmp_path):
         a = fake_fit(tmp_path, "a.json", 10.0)

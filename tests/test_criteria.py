@@ -9,6 +9,7 @@ from fuelgap.criteria import (
     rank_models,
     score_criteria,
 )
+from fuelgap.errors import SpecError
 
 # Published reference rows for normally distributed random coefficients:
 # (name, mu, sigma, range_lower, range_upper, pct_above, pct_below).
@@ -124,6 +125,14 @@ class TestRankModels:
         with pytest.raises(ValueError):
             rank_models([("only", CriteriaInput(loglik=1.0, k=1, n=10))])
 
+    def test_fits_of_different_samples_are_refused(self):
+        # information criteria compare models only on the same data
+        with pytest.raises(SpecError, match="different samples.*a has n=100, b has n=50"):
+            rank_models([
+                ("a", CriteriaInput(loglik=10.0, k=4, n=100)),
+                ("b", CriteriaInput(loglik=20.0, k=4, n=50)),
+            ])
+
     def test_tie_break_by_k_then_label(self):
         ranking = rank_models([
             ("b", CriteriaInput(loglik=10.0 + 3 * np.log(100) / 2, k=3, n=100)),
@@ -174,34 +183,3 @@ class TestEffectSummary:
                 assert mu > 0 and above < 50.0
             else:
                 assert (mu > 0) == (above > 50.0)
-
-
-class _StubRandomCoefficient:
-    def __init__(self, name, estimate, sigma):
-        self.name = name
-        self.estimate = estimate
-        self.sigma = sigma
-
-
-class _StubFit:
-    def __init__(self, coefficients):
-        self.random_coefficients = coefficients
-
-
-class TestRpEffects:
-    def test_summaries_per_random_coefficient(self):
-        from fuelgap.criteria import rp_effects
-
-        fit = _StubFit([_StubRandomCoefficient("gasoline", 0.01294, 0.0521),
-                        _StubRandomCoefficient("turbo", 0.03358, 0.0349)])
-        rows = rp_effects(fit)
-        assert [r.name for r in rows] == ["gasoline", "turbo"]
-        assert 100 * rows[0].share_above_zero == pytest.approx(59.81, abs=0.05)
-        assert 100 * rows[1].share_above_zero == pytest.approx(83.20, abs=0.05)
-
-    def test_no_random_coefficients_is_an_error(self):
-        from fuelgap.criteria import rp_effects
-        from fuelgap.errors import FuelGapError
-
-        with pytest.raises(FuelGapError, match="no random"):
-            rp_effects(_StubFit([]))

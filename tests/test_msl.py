@@ -10,17 +10,16 @@ from fuelgap.data import DesignMatrices
 from fuelgap.errors import SpecError
 from fuelgap.halton import HaltonConfig, build_draw_store
 from fuelgap.msl import (
-    CoefficientEstimate,
     Convergence,
     LoglikKernel,
     RpParameters,
-    RpSureFit,
     effects_from_design,
     rp_retention_test,
     simulated_loglik,
 )
 from fuelgap.criteria import CriteriaInput, score_criteria
-from fuelgap.sure import ErrorCovariance, fgls_fit, loglik_fixed, ols_system_fit
+from fuelgap.sure import (CoefficientEstimate, ErrorCovariance, SureFit, fgls_fit,
+                          loglik_fixed, ols_system_fit)
 from fuelgap.synthetic import (
     CovariateRecipe,
     EquationTruth,
@@ -30,6 +29,7 @@ from fuelgap.synthetic import (
     simulate_dataset,
     truth_from_dict,
 )
+from test_sure import equation_values
 
 # the truth of acceptance criterion 5, without its seed
 CRITERION_5_TRUTH = {
@@ -356,10 +356,10 @@ class TestFitRpSure:
         fit = fit_rp_sure(design, ds.y1, ds.y2, draws=None)
         ref = fgls_fit(ds.x1, ds.x2, ds.y1, ds.y2)
         got = np.array([c.estimate for c in fit.coefficients])
-        expect = np.concatenate([ref.equations[0].coef, ref.equations[1].coef])
+        expect = np.concatenate([equation_values(ref, 0), equation_values(ref, 1)])
         assert np.max(np.abs(got - expect)) <= 1e-4
         exact_at_optimum = loglik_fixed(ds.x1, ds.x2, ds.y1, ds.y2,
-                                        ref.equations[0].coef, ref.equations[1].coef,
+                                        equation_values(ref, 0), equation_values(ref, 1),
                                         ref.sigma)
         assert abs(fit.loglik - exact_at_optimum) <= 1e-6
         assert fit.convergence.converged
@@ -425,7 +425,7 @@ class TestFitRpSure:
             sigmas=[c.sigma for c in fit.random_coefficients], cov=fit.sigma))
         hess = value_only_hessian(lambda t: -kernel.loglik(transform.unpack(t)),
                                   t_hat, 1e-4)
-        _, reference = _natural_covariance(hess, transform.jacobian(t_hat))
+        reference = np.sqrt(np.diag(_natural_covariance(hess, transform.jacobian(t_hat))))
         got = np.sqrt(np.diag(fit.param_cov))
         np.testing.assert_allclose(got, reference, rtol=1e-3)
 
@@ -552,15 +552,16 @@ def assert_follows_layout(fit, d, tail):
 def toy_fit(sigma, sigma_se, mu=0.1, mu_se=0.05):
     coef = CoefficientEstimate(name="x", equation="vehicle_1", kind="random-normal",
                                estimate=mu, se=mu_se, sigma=sigma, sigma_se=sigma_se)
-    return RpSureFit(
-        n=10, k=4, loglik=0.0,
+    return SureFit(
+        n=10, loglik=0.0,
         coefficients=(coef,
                       CoefficientEstimate(name="const", equation="vehicle_1",
                                           kind="fixed", estimate=0.9, se=0.1)),
         sigma=ErrorCovariance(1.0, 1.0, 0.0),
         sigma1_se=None, sigma2_se=None, rho_se=None,
         param_names=(), param_cov=None,
-        convergence=Convergence(status="converged", iterations=1, grad_norm=0.0))
+        convergence=Convergence(status="converged", iterations=1, grad_norm=0.0),
+        draw_config=None)
 
 
 class TestRetention:
@@ -621,15 +622,13 @@ class TestNaturalCovariance:
         from fuelgap.msl import _natural_covariance
 
         singular = np.zeros((3, 3))
-        cov, ses = _natural_covariance(singular, np.eye(3))
-        assert cov is None and ses is None
+        assert _natural_covariance(singular, np.eye(3)) is None
 
     def test_negative_curvature_flags_ses_unavailable(self):
         from fuelgap.msl import _natural_covariance
 
         hess = np.diag([1.0, -2.0, 3.0])
-        cov, ses = _natural_covariance(hess, np.eye(3))
-        assert cov is None and ses is None
+        assert _natural_covariance(hess, np.eye(3)) is None
 
     def test_indefinite_hessian_flags_ses_unavailable(self):
         # eigenvalues -1, 0.33 and 1: every diagonal entry of the inverse is
@@ -640,14 +639,13 @@ class TestNaturalCovariance:
                          [-0.5837, -0.6095, -0.2313],
                          [-0.491, -0.2313, 0.5829]])
         assert (np.diag(np.linalg.inv(hess)) > 0).all()
-        cov, ses = _natural_covariance(hess, np.eye(3))
-        assert cov is None and ses is None
+        assert _natural_covariance(hess, np.eye(3)) is None
 
     def test_well_posed_case(self):
         from fuelgap.msl import _natural_covariance
 
         hess = np.diag([4.0, 25.0])
         jac = np.diag([1.0, 2.0])
-        cov, ses = _natural_covariance(hess, jac)
-        np.testing.assert_allclose(ses, [0.5, 0.4])
+        cov = _natural_covariance(hess, jac)
+        np.testing.assert_allclose(np.sqrt(np.diag(cov)), [0.5, 0.4])
         np.testing.assert_allclose(cov, np.diag([0.25, 0.16]))

@@ -29,17 +29,21 @@ def test_every_import_is_used(path):
     assert [name for name in imported_names(tree) if name not in used] == []
 
 
-def callers(module: str, names: set[str]) -> set[tuple[str, str]]:
-    """(file stem, innermost enclosing function) of each call `module.<name>(...)`."""
+def callers(module: str | None, names: set[str]) -> set[tuple[str, str]]:
+    """(file stem, innermost enclosing function) of each call `module.<name>(...)`;
+    with module None, of each call `<name>(...)` or `<anything>.<name>(...)`."""
     found = set()
+
+    def called(func) -> bool:
+        if module is None:
+            return getattr(func, "id", getattr(func, "attr", None)) in names
+        return (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                and func.value.id == module and func.attr in names)
 
     def visit(node, path, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        func = getattr(node, "func", None)
-        if (isinstance(node, ast.Call) and isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Name) and func.value.id == module
-                and func.attr in names):
+        if isinstance(node, ast.Call) and called(node.func):
             found.add((path.stem, function))
         for child in ast.iter_child_nodes(node):
             visit(child, path, function)
@@ -56,6 +60,12 @@ def callers(module: str, names: set[str]) -> set[tuple[str, str]]:
 ], ids=["json-read", "csv-write", "csv-read"])
 def test_one_home_per_file_format(module, names, home):
     assert callers(module, names) == {home}
+
+
+def test_one_home_for_the_fit_result():
+    # every estimator's result is built by the one layout builder, so a new
+    # estimator or result field cannot grow a second parameter layout
+    assert callers(None, {"SureFit", "CoefficientEstimate"}) == {("sure", "layout_fit")}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])

@@ -18,6 +18,13 @@ from fuelgap.sure import (
 LOG_INV_2PI = -1.8378770664093453  # ln(1/(2*pi))
 
 
+def equation_values(fit, eq, attr="estimate"):
+    """One equation's coefficient estimates (or SEs), in design order."""
+    first = fit.coefficients[0].equation
+    return np.array([getattr(c, attr) for c in fit.coefficients
+                     if (c.equation == first) == (eq == 0)])
+
+
 def mp_normal_equations(x, y, dps=50):
     """Independent oracle: explicit (X'X)^-1 X'y at high precision."""
     with mp.workdps(dps):
@@ -223,8 +230,8 @@ class TestFgls:
             fit = fgls_fit(x1, x2, y1, y2)
             o1 = ols_fit(x1, y1)
             o2 = ols_fit(x2, y2)
-            assert np.max(np.abs(fit.equations[0].coef - o1.beta)) <= 1e-8
-            assert np.max(np.abs(fit.equations[1].coef - o2.beta)) <= 1e-8
+            assert np.max(np.abs(equation_values(fit, 0) - o1.beta)) <= 1e-8
+            assert np.max(np.abs(equation_values(fit, 1) - o2.beta)) <= 1e-8
 
     def test_diagonal_covariance_reduces_to_ols(self):
         # residual cross product exactly zero after stage one
@@ -234,8 +241,8 @@ class TestFgls:
         y2 = np.array([1.0, 1.0, -1.0, -1.0, 1.0, 1.0, -1.0, -1.0])
         x2 = np.column_stack([np.ones(n), np.tile([1.0, -1.0], 4)])
         fit = fgls_fit(x, x2, y1, y2)
-        np.testing.assert_allclose(fit.equations[0].coef, ols_fit(x, y1).beta, atol=1e-12)
-        np.testing.assert_allclose(fit.equations[1].coef, ols_fit(x2, y2).beta, atol=1e-12)
+        np.testing.assert_allclose(equation_values(fit, 0), ols_fit(x, y1).beta, atol=1e-12)
+        np.testing.assert_allclose(equation_values(fit, 1), ols_fit(x2, y2).beta, atol=1e-12)
 
     def test_rho_recovery_and_efficiency(self):
         rng = np.random.default_rng(42)
@@ -243,10 +250,11 @@ class TestFgls:
         fit = fgls_fit(x1, x2, y1, y2)
         assert abs(fit.sigma.rho - 0.6) <= 0.05
         ols_se = np.concatenate([ols_fit(x1, y1).se[1:], ols_fit(x2, y2).se[1:]])
-        fgls_se = np.concatenate([fit.equations[0].se[1:], fit.equations[1].se[1:]])
+        fgls_se = np.concatenate([equation_values(fit, 0, "se")[1:],
+                                  equation_values(fit, 1, "se")[1:]])
         assert fgls_se.mean() <= ols_se.mean()
-        np.testing.assert_allclose(fit.equations[0].coef, b1, atol=0.02)
-        np.testing.assert_allclose(fit.equations[1].coef, b2, atol=0.02)
+        np.testing.assert_allclose(equation_values(fit, 0), b1, atol=0.02)
+        np.testing.assert_allclose(equation_values(fit, 1), b2, atol=0.02)
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(9)
@@ -254,7 +262,7 @@ class TestFgls:
         base = fgls_fit(x1, x2, y1, y2)
         lam = 3.5
         scaled = fgls_fit(x1, x2, lam * y1, y2)
-        np.testing.assert_allclose(scaled.equations[0].coef, lam * base.equations[0].coef,
+        np.testing.assert_allclose(equation_values(scaled, 0), lam * equation_values(base, 0),
                                    rtol=1e-9)
         assert np.sqrt(scaled.sigma.sigma11) == pytest.approx(
             lam * np.sqrt(base.sigma.sigma11), rel=1e-9)
@@ -265,7 +273,7 @@ class TestFgls:
         x1, x2, y1, y2, _, _ = simulate_sur(rng, 400)
         fit = fgls_fit(x1, x2, y1, y2)
         expect = loglik_fixed(x1, x2, y1, y2,
-                              fit.equations[0].coef, fit.equations[1].coef, fit.sigma)
+                              equation_values(fit, 0), equation_values(fit, 1), fit.sigma)
         assert fit.loglik == pytest.approx(expect, abs=1e-10)
 
     def test_k_counts_covariance_parameters(self):
@@ -321,20 +329,22 @@ class TestOlsSystem:
     def test_perfect_interpolation_still_reports_coefficients(self):
         x = np.array([[1.0, 0.0], [1.0, 1.0]])
         fit = ols_system_fit(x, x, np.array([1.0, 2.0]), np.array([1.0, 2.0]))
-        np.testing.assert_allclose(fit.equations[0].coef, [1.0, 1.0], atol=1e-14)
-        np.testing.assert_allclose(fit.equations[1].coef, [1.0, 1.0], atol=1e-14)
+        np.testing.assert_allclose(equation_values(fit, 0), [1.0, 1.0], atol=1e-14)
+        np.testing.assert_allclose(equation_values(fit, 1), [1.0, 1.0], atol=1e-14)
 
     def test_exactly_zero_residuals_yield_degenerate_fit(self):
         x = np.ones((4, 1))
         y = np.full(4, 0.9)
         fit = ols_system_fit(x, x, y, y)
         assert fit.sigma is None and fit.loglik == float("inf")
-        np.testing.assert_allclose(fit.equations[0].coef, [0.9])
+        np.testing.assert_allclose(equation_values(fit, 0), [0.9])
         # the layout of every ols fit, without a covariance to report
         assert fit.param_names == ("vehicle_1:x0", "vehicle_2:x0", "sigma1", "sigma2")
         assert fit.k == len(fit.param_names)
         assert fit.param_cov is None
         assert (fit.sigma1_se, fit.sigma2_se, fit.rho_se) == (None, None, None)
+        # every SE is the root of a param_cov entry, so there are none
+        assert [c.se for c in fit.coefficients] == [None, None]
 
 
 class TestConditioning:
