@@ -7,7 +7,7 @@ OLS exactly (Kruskal's equivalence).
 
 import numpy as np
 
-from fuelgap import fgls_fit, ols_fit
+from fuelgap import DesignMatrices, fgls_fit, ols_fit
 
 rng = np.random.default_rng(42)
 n = 3000
@@ -23,8 +23,11 @@ e2 = 0.15 * (rho * z[:, 0] + np.sqrt(1 - rho ** 2) * z[:, 1])
 y1 = x1 @ b1 + e1
 y2 = x2 @ b2 + e2
 
-fit = fgls_fit(x1, x2, y1, y2, names1=("const", "style", "hybrid"),
-               names2=("const", "style", "weight"))
+# the encoded design is the one input of every estimator: both matrices,
+# their column names and the equation names
+names1 = ("const", "style", "hybrid")
+fit = fgls_fit(DesignMatrices(x1, x2, names1=names1, names2=("const", "style", "weight")),
+               y1, y2)
 print(f"FGLS: n={fit.n}, k={fit.k}, loglik={fit.loglik:.2f}, "
       f"cross-equation rho={fit.sigma.rho:.3f} (truth {rho})")
 
@@ -36,7 +39,7 @@ for c, (ols_coef, ols_se, truth) in zip(fit.coefficients, ols_rows):
     print(f"{c.equation + ':' + c.name:22s}{truth:9.4f}{ols_coef:10.4f}"
           f"{c.estimate:10.4f}{ols_se:9.5f}{c.se:9.5f}")
 
-shared = fgls_fit(x1, x1, y1, y2)
+shared = fgls_fit(DesignMatrices(x1, x1, names1=names1, names2=names1), y1, y2)
 ols_shared = ols_fit(x1, y1)
 shared_coef = np.array([c.estimate for c in shared.coefficients[:x1.shape[1]]])
 print("\nKruskal check with identical regressors: max |FGLS - OLS| =",

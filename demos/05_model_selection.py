@@ -40,8 +40,10 @@ ds = simulate_dataset(truth)
 design = DesignMatrices(x1=ds.x1, x2=ds.x2, names1=ds.names1, names2=ds.names2,
                         random1=(1,), random2=(1,))
 
-ols = ols_system_fit(ds.x1, ds.x2, ds.y1, ds.y2)
-sure = fgls_fit(ds.x1, ds.x2, ds.y1, ds.y2)
+# one design serves all three estimators; the fixed-parameter ones ignore
+# its random columns
+ols = ols_system_fit(design, ds.y1, ds.y2)
+sure = fgls_fit(design, ds.y1, ds.y2)
 draws = build_draw_store(ds.n, HaltonConfig(bases=(2, 3), draws_per_obs=200))
 rp = fit_rp_sure(design, ds.y1, ds.y2, draws=draws)
 

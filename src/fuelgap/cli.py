@@ -146,10 +146,10 @@ def fit_payload(fit: SureFit, estimator: str) -> dict:
              "sigma": c.sigma, "sigma_se": c.sigma_se}
             for c in fit.random_coefficients
         ],
-        "sigma": None if sigma is None else sigma.matrix.tolist(),
-        "rho": None if sigma is None else sigma.rho,
-        "sigma1": None if sigma is None else math.sqrt(sigma.sigma11),
-        "sigma2": None if sigma is None else math.sqrt(sigma.sigma22),
+        "sigma": sigma.matrix.tolist(),
+        "rho": sigma.rho,
+        "sigma1": math.sqrt(sigma.sigma11),
+        "sigma2": math.sqrt(sigma.sigma22),
         "sigma1_se": fit.sigma1_se,
         "sigma2_se": fit.sigma2_se,
         "rho_se": fit.rho_se,
@@ -280,23 +280,18 @@ def cmd_fit(args, parser) -> int:
     table = compute_gaps(parse_raw(args.data, user_col=user_col, epa_col=epa_col))
     design = encode_design(table, spec)
     y1, y2 = responses(table)
-    eq_names = (spec.equations[0].name, spec.equations[1].name)
 
     if args.estimator == "ols":
-        fit = ols_system_fit(design.x1, design.x2, y1, y2,
-                             names1=design.names1, names2=design.names2,
-                             eq_names=eq_names)
+        fit = ols_system_fit(design, y1, y2)
     elif args.estimator == "sure":
-        fit = fgls_fit(design.x1, design.x2, y1, y2,
-                       names1=design.names1, names2=design.names2,
-                       eq_names=eq_names, cov_denominator=args.cov_denominator)
+        fit = fgls_fit(design, y1, y2, cov_denominator=args.cov_denominator)
     else:
         draws = None
         if spec.n_random > 0:
             config = HaltonConfig(bases=bases or first_primes(spec.n_random),
                                   draws_per_obs=args.draws, burn=args.burn)
             draws = build_draw_store(len(table), config)
-        fit = fit_rp_sure(design, y1, y2, draws=draws, eq_names=eq_names,
+        fit = fit_rp_sure(design, y1, y2, draws=draws,
                           max_iterations=args.max_iterations, threads=args.threads)
 
     out = Path(args.out)

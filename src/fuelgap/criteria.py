@@ -129,6 +129,8 @@ class ModelRanking:
             lines.append(cells)
         lines.append("(* = lowest score on that criterion; overall order by SBIC: "
                      + " > ".join(self.order) + ")")
+        lines += [f"{m.label}: {m.scores.icomp_note}" for m in self.models
+                  if m.scores.icomp_note]
         return "\n".join(lines)
 
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DegenerateDataError, ParseError, SpecError
 from .modelspec import ModelSpec
-from .sure import full_rank_qr
+from .sure import DesignMatrices, full_rank_qr
 
 # the garage CSV: these columns, then the covariates, then (prepared data)
 # the gaps; `parse_raw` reads it and `write_garage_csv` writes it
@@ -352,22 +352,6 @@ def trim_outliers(table: GapTable, c: float = 3.0
     return kept, removed, report
 
 
-@dataclass(frozen=True)
-class DesignMatrices:
-    """Row-aligned design matrices for the two equations.
-
-    random1/random2 hold the column indices whose coefficients the spec
-    marks random-normal, in design order.
-    """
-
-    x1: np.ndarray = field(repr=False)
-    x2: np.ndarray = field(repr=False)
-    names1: tuple[str, ...]
-    names2: tuple[str, ...]
-    random1: tuple[int, ...]
-    random2: tuple[int, ...]
-
-
 def _resolve(table: GarageTable, column: str) -> np.ndarray:
     """One column of the table by name: a covariate, or a field such as my_mpg_1."""
     if column in table.covariates:
@@ -428,6 +412,7 @@ def encode_design(table: GarageTable, spec: ModelSpec) -> DesignMatrices:
         x1=matrices[0], x2=matrices[1],
         names1=eq1.design_names, names2=eq2.design_names,
         random1=eq1.random_design_indices, random2=eq2.random_design_indices,
+        eq_names=(eq1.name, eq2.name),
     )
     full_rank_qr(design.x1, design.names1)
     full_rank_qr(design.x2, design.names2)

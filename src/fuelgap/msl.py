@@ -26,11 +26,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DesignMatrices
 from .errors import DegenerateDataError, EstimationError, SpecError
 from .halton import DrawStore
-from .sure import (ErrorCovariance, SureFit, fgls_fit, layout_fit, whitened_logpdf,
-                   _rowdot)
+from .sure import (DesignMatrices, ErrorCovariance, SureFit, fgls_fit, full_rank_qr,
+                   layout_fit, whitened_logpdf, _rowdot)
 
 _MIN_SIGMA_START = 1e-3
 # "converged" iff the natural-scale score's infinity norm is at most
@@ -77,15 +76,10 @@ class RpParameters:
 
 def effects_from_design(design: DesignMatrices) -> tuple[RandomEffect, ...]:
     """One effect per random design column, equation 1 first, in design order."""
-    effects = []
-    for eq, (names, cols) in enumerate(((design.names1, design.random1),
-                                        (design.names2, design.random2))):
-        if list(cols) != sorted(set(cols)) or not all(0 <= c < len(names) for c in cols):
-            raise SpecError(f"random columns of equation {eq + 1} must be distinct "
-                            f"design indices in increasing order, got {tuple(cols)}")
-        for col in cols:
-            effects.append(RandomEffect(name=names[col], equation=eq, column=col))
-    return tuple(effects)
+    return tuple(RandomEffect(name=names[col], equation=eq, column=col)
+                 for eq, (names, cols) in enumerate(((design.names1, design.random1),
+                                                     (design.names2, design.random2)))
+                 for col in cols)
 
 
 class LoglikKernel:
@@ -98,14 +92,12 @@ class LoglikKernel:
     results are bit-identical for any thread count.
     """
 
-    def __init__(self, x1, x2, y1, y2, effects: tuple[RandomEffect, ...],
-                 draws: DrawStore | None, threads: int = 1):
-        self.x = (np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
+    def __init__(self, design: DesignMatrices, y1, y2, draws: DrawStore | None,
+                 threads: int = 1):
+        self.x = (design.x1, design.x2)
         self.y = (np.asarray(y1, dtype=float), np.asarray(y2, dtype=float))
-        self.effects = tuple(effects)
-        self.n = self.x[0].shape[0]
-        if self.x[1].shape[0] != self.n or len(y1) != self.n or len(y2) != self.n:
-            raise ValueError("design matrices and responses must share rows")
+        self.effects = effects_from_design(design)
+        self.n = design.n
         if threads < 1:
             raise ValueError("threads must be >= 1")
         self.threads = threads
@@ -349,9 +341,7 @@ class LoglikKernel:
 def simulated_loglik(params: RpParameters, design: DesignMatrices,
                      y1, y2, draws: DrawStore | None, threads: int = 1) -> float:
     """Simulated log-likelihood at one natural-scale parameter point."""
-    effects = effects_from_design(design)
-    kernel = LoglikKernel(design.x1, design.x2, y1, y2, effects, draws, threads)
-    return kernel.loglik(params)
+    return LoglikKernel(design, y1, y2, draws, threads).loglik(params)
 
 
 # ---------------------------------------------------------------------------
@@ -509,14 +499,31 @@ class _BfgsMinimizer:
         return True
 
 
-def fit_rp_sure(design: DesignMatrices, y1, y2,
-                draws: DrawStore | None = None,
-                eq_names: tuple[str, str] = ("vehicle_1", "vehicle_2"),
+def _check_spreads_identified(design: DesignMatrices) -> None:
+    """With one observation per garage, equation e's variance is sigma_e^2 +
+    sum_d sigma_d^2 x_d^2, so its spreads are identified only if
+    [1 | x_d^2 for each random d of e] has full column rank."""
+    for eq, x, names, cols in zip(design.eq_names, (design.x1, design.x2),
+                                  (design.names1, design.names2),
+                                  (design.random1, design.random2)):
+        if not cols:
+            continue
+        terms = [names[c] for c in cols]
+        try:
+            full_rank_qr(np.column_stack([np.ones(design.n), x[:, list(cols)] ** 2]),
+                         ("constant", *terms))
+        except EstimationError as exc:
+            raise SpecError(f"the spreads of random terms {terms} of equation {eq} "
+                            f"are not identified: {exc}") from exc
+
+
+def fit_rp_sure(design: DesignMatrices, y1, y2, draws: DrawStore | None = None,
                 *, max_iterations: int = 500, threads: int = 1) -> SureFit:
     """Maximize the simulated likelihood by quasi-Newton ascent.
 
     Returns a SureFit (see sure.layout_fit) with delta-method SEs and the
     Convergence record; with no random terms it is the FGLS model by ML.
+    Spreads the data cannot identify are refused (SpecError).
 
     Starting values come from the FGLS fit (random-coefficient spreads start
     at 0.1 |coefficient|, floored at 1e-3).  The fit stops in one of three
@@ -537,13 +544,13 @@ def fit_rp_sure(design: DesignMatrices, y1, y2,
     at R=400 on the criterion-5 model (N=2000, 2 random coefficients), and
     by 0 to 0.21 nats on zero-spread data (N=1500, R=100, seeds 61-72).
     """
-    effects = effects_from_design(design)
-    kernel = LoglikKernel(design.x1, design.x2, y1, y2, effects, draws, threads=threads)
+    _check_spreads_identified(design)
+    start_fit = fgls_fit(design, y1, y2)
+    kernel = LoglikKernel(design, y1, y2, draws, threads=threads)
+    effects = kernel.effects
     k1, k2 = design.x1.shape[1], design.x2.shape[1]
     transform = _Transform(k1, k2, len(effects))
 
-    start_fit = fgls_fit(design.x1, design.x2, y1, y2,
-                         names1=design.names1, names2=design.names2, eq_names=eq_names)
     coef = np.array([c.estimate for c in start_fit.coefficients])
     coef1, coef2 = coef[:k1], coef[k1:]
     sigmas = [max(0.1 * abs((coef1, coef2)[e.equation][e.column]), _MIN_SIGMA_START)
@@ -588,7 +595,7 @@ def fit_rp_sure(design: DesignMatrices, y1, y2,
 
     t_hat = minimizer.x
     return layout_fit(
-        eq_names, (design.names1, design.names2), (design.random1, design.random2),
+        design.eq_names, (design.names1, design.names2), (design.random1, design.random2),
         transform.natural(t_hat)[:-3],
         _natural_covariance(hessian(t_hat), transform.jacobian(t_hat)),
         n=kernel.n, loglik=-minimizer.f, sigma=transform.unpack(t_hat).cov,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import block_diag, cholesky, qr, solve_triangular
 
-from .errors import DegenerateDataError, EstimationError
+from .errors import DegenerateDataError, EstimationError, SpecError
 
 _LOG_2PI = np.log(2.0 * np.pi)
 # the error covariance's entries in every estimator's parameter layout
@@ -62,6 +62,39 @@ class ErrorCovariance:
 
 
 @dataclass(frozen=True)
+class DesignMatrices:
+    """The one input of every estimator, checked once: two float matrices
+    sharing their rows (one per garage), one name per column, and the
+    columns of random-normal coefficients, distinct and increasing."""
+
+    x1: np.ndarray = field(repr=False)
+    x2: np.ndarray = field(repr=False)
+    names1: tuple[str, ...]
+    names2: tuple[str, ...]
+    random1: tuple[int, ...] = ()
+    random2: tuple[int, ...] = ()
+    eq_names: tuple[str, str] = ("vehicle_1", "vehicle_2")
+
+    def __post_init__(self):
+        x1, x2 = self.x1, self.x2
+        if not all(isinstance(x, np.ndarray) and x.ndim == 2 and x.dtype == float
+                   for x in (x1, x2)) or x1.shape[0] != x2.shape[0]:
+            raise ValueError("design matrices must be 2-D float arrays that share their rows")
+        for eq, (x, names, cols) in enumerate(((x1, self.names1, self.random1),
+                                               (x2, self.names2, self.random2))):
+            if len(names) != x.shape[1]:
+                raise ValueError(f"equation {eq + 1} has {x.shape[1]} columns "
+                                 f"but {len(names)} names")
+            if list(cols) != sorted(set(cols)) or not all(0 <= c < len(names) for c in cols):
+                raise SpecError(f"random columns of equation {eq + 1} must be distinct "
+                                f"design indices in increasing order, got {tuple(cols)}")
+
+    @property
+    def n(self) -> int:
+        return self.x1.shape[0]
+
+
+@dataclass(frozen=True)
 class CoefficientEstimate:
     """One reported coefficient: a fixed value, or a normal (mu, sigma) pair."""
 
@@ -80,15 +113,15 @@ class SureFit:
 
     The parameters follow [coef1 | coef2 | sigma_d ... | sigma1, sigma2, rho]
     (`ols` leaves rho out, so its rho_se is None); param_cov is in that order,
-    and every SE is the root of its diagonal entry, or None without it.  An
-    interpolating fit has no sigma or param_cov; a closed-form fit has no
-    convergence (msl.Convergence) and one without draws no draw_config.
+    and every SE is the root of its diagonal entry, or None without it.  A
+    closed-form fit has no convergence (msl.Convergence) and one without
+    draws no draw_config.
     """
 
     n: int
     loglik: float
     coefficients: tuple[CoefficientEstimate, ...]
-    sigma: ErrorCovariance | None
+    sigma: ErrorCovariance
     sigma1_se: float | None
     sigma2_se: float | None
     rho_se: float | None
@@ -117,7 +150,7 @@ class SureFit:
 
 def layout_fit(eq_names: tuple[str, str], names, random, estimates,
                param_cov: np.ndarray | None, *, n: int, loglik: float,
-               sigma: ErrorCovariance | None, sigma_names: tuple[str, ...] = SIGMA_NAMES,
+               sigma: ErrorCovariance, sigma_names: tuple[str, ...] = SIGMA_NAMES,
                convergence=None, draw_config=None) -> SureFit:
     """Build a fit in the one parameter layout (see SureFit).
 
@@ -161,18 +194,6 @@ class OlsFit:
     se: np.ndarray
     cov: np.ndarray          # classical s^2 (X'X)^-1
     sigma2_ml: float         # RSS / N
-
-
-def _check_design(x: np.ndarray, names: tuple[str, ...] | None) -> tuple[str, ...]:
-    x = np.asarray(x)
-    if x.ndim != 2:
-        raise ValueError("design matrix must be 2-dimensional")
-    n, k = x.shape
-    if names is None:
-        names = tuple(f"x{j}" for j in range(k))
-    if len(names) != k:
-        raise ValueError("one name per design column is required")
-    return names
 
 
 def full_rank_qr(x: np.ndarray, names: tuple[str, ...]):
@@ -230,8 +251,12 @@ def ols_fit(x: np.ndarray, y: np.ndarray,
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    names = _check_design(x, names)
+    if x.ndim != 2:
+        raise ValueError("design matrix must be 2-dimensional")
     n, k = x.shape
+    names = tuple(f"x{j}" for j in range(k)) if names is None else names
+    if len(names) != k:
+        raise ValueError("one name per design column is required")
     if len(y) != n:
         raise ValueError(f"X has {n} rows but y has {len(y)}")
     if n < k:
@@ -330,23 +355,23 @@ def _sigma_block_cov(cov: ErrorCovariance, n: int) -> np.ndarray:
     ]) / (2.0 * n)
 
 
-def _equation_ols(x1, x2, y1, y2, names1, names2):
-    """(x, y, names, OLS fit) of each equation, both checked to share rows."""
-    xs = (np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
-    ys = (np.asarray(y1, dtype=float), np.asarray(y2, dtype=float))
-    names = (_check_design(xs[0], names1), _check_design(xs[1], names2))
-    n = xs[0].shape[0]
-    if xs[1].shape[0] != n or len(ys[0]) != n or len(ys[1]) != n:
-        raise ValueError("both equations must cover the same observations")
-    return tuple((x, y, nm, ols_fit(x, y, nm)) for x, y, nm in zip(xs, ys, names))
+def _equation_ols(design: DesignMatrices, y1, y2):
+    """(y, OLS fit) of each equation, and the one identification rule: an
+    equation with n <= k, or exactly zero residuals, leaves no residual
+    variance, so its error variance and every SE are not identified."""
+    out = []
+    for eq, x, y, names in zip(design.eq_names, (design.x1, design.x2), (y1, y2),
+                               (design.names1, design.names2)):
+        n, k = x.shape
+        fit = ols_fit(x, y, names) if n > k else None
+        if fit is None or fit.sigma2_ml <= 0:
+            raise EstimationError(f"equation {eq} is not identified: no residual "
+                                  f"variance is left (n={n} garages, k={k} columns)")
+        out.append((np.asarray(y, dtype=float), fit))
+    return out
 
 
-def fgls_fit(x1: np.ndarray, x2: np.ndarray,
-             y1: np.ndarray, y2: np.ndarray,
-             names1: tuple[str, ...] | None = None,
-             names2: tuple[str, ...] | None = None,
-             eq_names: tuple[str, str] = ("vehicle_1", "vehicle_2"),
-             cov_denominator: str = "ml") -> SureFit:
+def fgls_fit(design: DesignMatrices, y1, y2, cov_denominator: str = "ml") -> SureFit:
     """Two-step Zellner FGLS for the bivariate system.
 
     Step one fits each equation by OLS; step two estimates the error
@@ -359,9 +384,8 @@ def fgls_fit(x1: np.ndarray, x2: np.ndarray,
     The SureFit has no random coefficients, draws or convergence record;
     fit_rp_sure starts from it.
     """
-    (x1, y1, names1, ols1), (x2, y2, names2, ols2) = \
-        _equation_ols(x1, x2, y1, y2, names1, names2)
-    n = x1.shape[0]
+    (y1, ols1), (y2, ols2) = _equation_ols(design, y1, y2)
+    x1, x2, n = design.x1, design.x2, design.n
     k1, k2 = x1.shape[1], x2.shape[1]
     try:
         step1 = residual_covariance(ols1.residuals, ols2.residuals,
@@ -383,8 +407,9 @@ def fgls_fit(x1: np.ndarray, x2: np.ndarray,
         np.hstack([inv10 * x1, inv11 * x2]),
     ])
     yt = np.concatenate([inv00 * y1, inv10 * y1 + inv11 * y2])
+    names = (design.names1, design.names2)
     beta, a = _qr_solve(zt, yt, tuple(f"{eq}:{c}" for eq, cols in
-                                      zip(eq_names, (names1, names2)) for c in cols))
+                                      zip(design.eq_names, names) for c in cols))
     beta1, beta2 = beta[:k1], beta[k1:]
 
     res1 = y1 - _rowdot(x1, beta1)
@@ -394,38 +419,26 @@ def fgls_fit(x1: np.ndarray, x2: np.ndarray,
 
     # With unit-variance whitened errors the GLS covariance is (Z'Z)^-1.
     param_cov = block_diag(a @ a.T, _sigma_block_cov(sigma, n))
-    return layout_fit(eq_names, (names1, names2), ((), ()), beta, param_cov,
+    return layout_fit(design.eq_names, names, ((), ()), beta, param_cov,
                       n=n, loglik=loglik, sigma=sigma)
 
 
-def ols_system_fit(x1: np.ndarray, x2: np.ndarray,
-                   y1: np.ndarray, y2: np.ndarray,
-                   names1: tuple[str, ...] | None = None,
-                   names2: tuple[str, ...] | None = None,
-                   eq_names: tuple[str, str] = ("vehicle_1", "vehicle_2")) -> SureFit:
+def ols_system_fit(design: DesignMatrices, y1, y2) -> SureFit:
     """Equation-by-equation OLS packaged as a system fit.
 
     The log-likelihood treats the equations as independent Gaussian
     regressions (two variance parameters, no cross covariance), which makes
     this fit the summed pair of univariate models for comparison purposes.
     Its layout is [coef1 | coef2 | sigma1, sigma2]: rho is not estimated.
-    An equation with zero residuals or as many observations as coefficients
-    interpolates: the fit has loglik inf and no sigma, param_cov or SEs.
     """
-    (x1, _, names1, ols1), (x2, _, names2, ols2) = \
-        _equation_ols(x1, x2, y1, y2, names1, names2)
-    n = x1.shape[0]
-    layout = (eq_names, (names1, names2), ((), ()), np.concatenate([ols1.beta, ols2.beta]))
-    if min(ols1.sigma2_ml, ols2.sigma2_ml) <= 0 or n in (x1.shape[1], x2.shape[1]):
-        # perfect interpolation, or as many observations as coefficients:
-        # the coefficients are exact and the likelihood unbounded
-        return layout_fit(*layout, None, n=n, loglik=float("inf"), sigma=None,
-                          sigma_names=SIGMA_NAMES[:2])
+    (_, ols1), (_, ols2) = _equation_ols(design, y1, y2)
+    n = design.n
     loglik = 0.0
     for fit in (ols1, ols2):
         loglik += -0.5 * n * (_LOG_2PI + np.log(fit.sigma2_ml) + 1.0)
 
     sigma = ErrorCovariance(sigma11=ols1.sigma2_ml, sigma22=ols2.sigma2_ml, sigma12=0.0)
     param_cov = block_diag(ols1.cov, ols2.cov, _sigma_block_cov(sigma, n)[:2, :2])
-    return layout_fit(*layout, param_cov, n=n, loglik=float(loglik), sigma=sigma,
-                      sigma_names=SIGMA_NAMES[:2])
+    return layout_fit(design.eq_names, (design.names1, design.names2), ((), ()),
+                      np.concatenate([ols1.beta, ols2.beta]), param_cov,
+                      n=n, loglik=float(loglik), sigma=sigma, sigma_names=SIGMA_NAMES[:2])

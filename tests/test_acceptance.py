@@ -24,7 +24,7 @@ from fuelgap.synthetic import (
     simulate_dataset,
 )
 from test_criteria import REFERENCE_EFFECT_ROWS
-from test_sure import equation_values
+from test_sure import design_of, equation_values
 
 
 class Stopwatch:
@@ -85,7 +85,7 @@ def test_criterion_3_kruskal_equivalence():
             x = np.column_stack([np.ones(200), rng.normal(size=(200, 4))])
             y1 = x @ rng.normal(size=5) + 0.3 * rng.normal(size=200)
             y2 = x @ rng.normal(size=5) + 0.4 * rng.normal(size=200)
-            fit = fgls_fit(x, x, y1, y2)
+            fit = fgls_fit(design_of(x, x), y1, y2)
             diff = max(
                 np.max(np.abs(equation_values(fit, 0) - ols_fit(x, y1).beta)),
                 np.max(np.abs(equation_values(fit, 1) - ols_fit(x, y2).beta)))

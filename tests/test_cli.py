@@ -1,7 +1,6 @@
 import copy
 import json
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,31 +275,71 @@ class TestPrepare:
         assert list(man_a["outputs"].values()) == list(man_b["outputs"].values())
 
 
-def two_point_ols_fit(tmp_path) -> str:
-    """An ols fit of two garages on two columns per equation: it interpolates."""
-    raw = tmp_path / "two.csv"
-    raw.write_text(
-        "garage_id,my_mpg_1,epa_mpg_1,my_mpg_2,epa_mpg_2,"
-        "model_year_1,model_year_2,us_division,x\n"
-        "a,25,25,25,25,1999,2004,Pacific,0\n"
-        "b,50,25,50,25,1999,2004,Pacific,1\n")
-    spec = write_json(tmp_path / "interp.json", {
-        "equations": [
-            {"name": "vehicle_1", "intercept": True, "terms": [{"column": "x"}]},
-            {"name": "vehicle_2", "intercept": True, "terms": [{"column": "x"}]},
-        ]})
+GARAGE_HEADER = ("garage_id,my_mpg_1,epa_mpg_1,my_mpg_2,epa_mpg_2,"
+                 "model_year_1,model_year_2,us_division,x\n")
+# two garages, two columns per equation: vehicle 1 gaps 1.0/2.0, vehicle 2
+# gaps 0.84/1.2; each equation interpolates its garages
+TWO_GARAGES = (GARAGE_HEADER + "a,25,25,21,25,1999,2004,Pacific,0\n"
+               "b,50,25,30,25,1999,2004,Pacific,1\n")
+# four garages whose vehicle 2 gaps are all 0.9: with an intercept alone its
+# OLS residuals are exactly zero
+ZERO_RESIDUALS = (GARAGE_HEADER + "".join(
+    f"{g},{m},25,18,20,1999,2004,Pacific,{x}\n"
+    for g, m, x in (("a", 25, 0), ("b", 50, 1), ("c", 30, 0), ("d", 20, 1))))
+ESTIMATOR_FLAGS = [pytest.param(["--estimator", "ols"], id="ols"),
+                   pytest.param(["--estimator", "sure"], id="sure"),
+                   pytest.param(["--estimator", "sure", "--cov-denominator", "dof"], id="dof"),
+                   pytest.param(["--estimator", "rp-sure"], id="rp-sure")]
+
+
+def refused_fit(tmp_path, data: str, spec: dict, flags: list[str], capsys) -> str:
+    """Run fit on a data text and spec; check it exits 2 and writes nothing,
+    and return its error message."""
+    raw = tmp_path / "data.csv"
+    raw.write_text(data)
     out = tmp_path / "fit.json"
-    assert run_cli("fit", "--data", str(raw), "--spec", spec,
-                   "--estimator", "ols", "--out", str(out)) == 0
-    return str(out)
+    assert run_cli("fit", "--data", str(raw), "--spec", write_json(tmp_path / "spec.json", spec),
+                   "--out", str(out), *flags) == 2
+    assert list(tmp_path.glob("fit.json*")) == []
+    return capsys.readouterr().err
 
 
 class TestFit:
-    def test_ols_two_point_interpolation(self, tmp_path):
-        fit = json.loads(Path(two_point_ols_fit(tmp_path)).read_text())
-        coef = fit["equations"][0]["coef"]
-        assert coef["const"] == pytest.approx(1.0, abs=1e-10)
-        assert coef["x"] == pytest.approx(1.0, abs=1e-10)
+    @pytest.mark.parametrize("flags", ESTIMATOR_FLAGS)
+    def test_no_residual_degrees_of_freedom_is_exit_2(self, tmp_path, flags, capsys):
+        # n = k per equation: the fit interpolates, so every estimator
+        # refuses it with one message
+        spec = {"equations": [{"name": name, "intercept": True, "terms": [{"column": "x"}]}
+                              for name in ("vehicle_1", "vehicle_2")]}
+        err = refused_fit(tmp_path, TWO_GARAGES, spec, flags, capsys)
+        assert "equation vehicle_1 is not identified: no residual variance is left " \
+               "(n=2 garages, k=2 columns)" in err
+
+    @pytest.mark.parametrize("flags", ESTIMATOR_FLAGS)
+    def test_zero_residuals_are_exit_2(self, tmp_path, flags, capsys):
+        spec = {"equations": [{"name": "vehicle_1", "intercept": True,
+                               "terms": [{"column": "x"}]},
+                              {"name": "vehicle_2", "intercept": True, "terms": []}]}
+        err = refused_fit(tmp_path, ZERO_RESIDUALS, spec, flags, capsys)
+        assert "equation vehicle_2 is not identified: no residual variance is left " \
+               "(n=4 garages, k=1 columns)" in err
+
+    def test_unidentified_spread_is_exit_2(self, tmp_path, capsys):
+        # a random +/-1 column without an intercept: x^2 = 1, so its spread
+        # and the error variance move the likelihood alike
+        rng = np.random.default_rng(3)
+        rows = "".join(f"g{i},{m1:.3f},25,{m2:.3f},25,1999,2004,Pacific,{s}\n"
+                       for i, (m1, m2, s) in enumerate(zip(
+                           rng.uniform(20, 30, 40), rng.uniform(20, 30, 40),
+                           rng.choice([-1, 1], 40))))
+        spec = {"equations": [
+            {"name": "vehicle_1", "intercept": False,
+             "terms": [{"column": "x", "kind": "random-normal"}]},
+            {"name": "vehicle_2", "intercept": True, "terms": []}]}
+        err = refused_fit(tmp_path, GARAGE_HEADER + rows, spec,
+                          ["--estimator", "rp-sure", "--draws", "20"], capsys)
+        assert "the spreads of random terms ['x'] of equation vehicle_1 are not " \
+               "identified" in err
 
     def test_rp_with_zero_randoms_matches_sure(self, tmp_path, data_file):
         spec = write_json(tmp_path / "shared.json", SHARED_SPEC)
@@ -452,9 +491,7 @@ class TestFit:
             coefs[denominator] = [eq["coef"] for eq in json.loads(out.read_text())["equations"]]
         table = compute_gaps(parse_raw(data_file))
         design = encode_design(table, model_spec_from_dict(raw_spec))
-        library = fgls_fit(design.x1, design.x2, *responses(table),
-                           names1=design.names1, names2=design.names2,
-                           cov_denominator="dof")
+        library = fgls_fit(design, *responses(table), cov_denominator="dof")
         assert coefs["dof"] == [{c.name: c.estimate for c in library.coefficients
                                  if c.equation == eq} for eq in ("vehicle_1", "vehicle_2")]
         assert coefs["dof"] != coefs["ml"]
@@ -534,15 +571,17 @@ class TestCompare:
         rows = {r.split(",")[0]: r.split(",") for r in out.read_text().splitlines()[1:]}
         assert rows["ols:fit"][7:] == ["", "aic;caic;sbic"]
         assert rows["sure:b"][8] == "icomp"
-        assert "nan" not in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "nan" not in printed
+        # the table shows --- for the missing ICOMP, and the reason under it
+        assert printed.splitlines()[2].split()[-1] == "---"
+        assert printed.splitlines()[-1] == \
+            "ols:fit: icomp omitted: parameter covariance has non-finite entries"
 
-    def test_interpolating_fit_is_not_scored(self, tmp_path, capsys):
-        # n = k per equation: the fit interpolates, so its log-likelihood is
-        # unbounded and written null, and compare refuses it
-        ols = two_point_ols_fit(tmp_path)
-        fit = json.loads(Path(ols).read_text())
-        assert (fit["n"], fit["loglik"], fit["sigma"], fit["param_cov"]) == (2, None, None, None)
-        assert fit["equations"][0]["se"] == {"const": None, "x": None}
+    def test_null_loglik_fit_is_not_scored(self, tmp_path, capsys):
+        # no estimator writes one (an unidentified fit is refused), but a fit
+        # file with an unbounded log-likelihood, written null, is refused too
+        ols = fake_fit(tmp_path, "fit.json", None, n=2)
         out = tmp_path / "criteria.csv"
         assert run_cli("compare", ols, fake_fit(tmp_path, "b.json", 10.0, n=2),
                        "--out", str(out)) == 2

@@ -200,10 +200,11 @@ def layout_params(truth, random1, random2):
 def layout_kernel(n, draws_per_obs, random1, random2, threads=1):
     truth = rp_truth(n=n)
     ds = simulate_dataset(truth)
-    effects = effects_from_design(design_of(ds, random1, random2))
+    design = design_of(ds, random1, random2)
+    effects = effects_from_design(design)
     draws = None if not effects else build_draw_store(
         n, HaltonConfig(bases=(2, 3)[:len(effects)], draws_per_obs=draws_per_obs))
-    kernel = LoglikKernel(ds.x1, ds.x2, ds.y1, ds.y2, effects, draws, threads=threads)
+    kernel = LoglikKernel(design, ds.y1, ds.y2, draws, threads=threads)
     return kernel, layout_params(truth, random1, random2)
 
 
@@ -354,7 +355,7 @@ class TestFitRpSure:
         ds = simulate_dataset(truth)
         design = design_of(ds, random1=(), random2=())
         fit = fit_rp_sure(design, ds.y1, ds.y2, draws=None)
-        ref = fgls_fit(ds.x1, ds.x2, ds.y1, ds.y2)
+        ref = fgls_fit(design, ds.y1, ds.y2)
         got = np.array([c.estimate for c in fit.coefficients])
         expect = np.concatenate([equation_values(ref, 0), equation_values(ref, 1)])
         assert np.max(np.abs(got - expect)) <= 1e-4
@@ -417,7 +418,7 @@ class TestFitRpSure:
         # of the value alone, at the same optimum
         from fuelgap.msl import _natural_covariance, _Transform
         fit, design, ds, draws = recovery_small
-        kernel = LoglikKernel(ds.x1, ds.x2, ds.y1, ds.y2, effects_from_design(design), draws)
+        kernel = LoglikKernel(design, ds.y1, ds.y2, draws)
         transform = _Transform(2, 2, 2)
         coefs = [c.estimate for c in fit.coefficients]
         t_hat = transform.pack(RpParameters(
@@ -443,7 +444,7 @@ class TestFitRpSure:
             # fixed-versus-random decision can be made
             assert c.sigma_se is not None and c.sigma_se > 0
             assert rp_retention_test(fit, c.name).verdict != "indeterminate"
-        ref = fgls_fit(ds.x1, ds.x2, ds.y1, ds.y2)
+        ref = fgls_fit(design, ds.y1, ds.y2)
         assert abs(fit.loglik - ref.loglik) <= 1.0
 
     @pytest.mark.parametrize("seed", [62, 64])
@@ -502,7 +503,7 @@ class TestFitRpSure:
     ])
     def test_fixed_fits_follow_the_parameter_layout(self, estimator, tail):
         ds = simulate_dataset(rp_truth(n=300, seed=23))
-        fit = estimator(ds.x1, ds.x2, ds.y1, ds.y2, names1=ds.names1, names2=ds.names2)
+        fit = estimator(design_of(ds, (), ()), ds.y1, ds.y2)
         assert fit.random_coefficients == () and fit.convergence is None
         assert_follows_layout(fit, 0, tail)
 
@@ -512,14 +513,34 @@ class TestFitRpSure:
         # and by ML, so ICOMP may differ only by the FGLS-versus-ML gap (it
         # differed by 4.5-5.2 with the FGLS error block in other coordinates)
         ds = simulate_dataset(truth_from_dict(dict(CRITERION_5_TRUTH, seed=seed)))
-        sure = fgls_fit(ds.x1, ds.x2, ds.y1, ds.y2, names1=ds.names1, names2=ds.names2)
-        rp = fit_rp_sure(design_of(ds, (), ()), ds.y1, ds.y2)
+        design = design_of(ds, (), ())
+        sure = fgls_fit(design, ds.y1, ds.y2)
+        rp = fit_rp_sure(design, ds.y1, ds.y2)
         assert rp.param_names == sure.param_names
         assert abs(rp.loglik - sure.loglik) < 1e-3
         sure_icomp, rp_icomp = (score_criteria(CriteriaInput(f.loglik, f.k, f.n,
                                                              fisher_inverse=f.param_cov)).icomp
                                 for f in (sure, rp))
         assert abs(rp_icomp - sure_icomp) <= 0.01
+
+    def test_random_intercept_is_refused(self):
+        # x^2 = 1 for the constant: its spread and the error variance move
+        # the likelihood alike, so the fit refuses it before starting
+        ds = simulate_dataset(rp_truth(n=100))
+        draws = build_draw_store(100, HaltonConfig(bases=(2, 3), draws_per_obs=20))
+        with pytest.raises(SpecError, match=r"the spreads of random terms \['const'\] of "
+                           r"equation vehicle_2 are not identified: .*collinear"):
+            fit_rp_sure(design_of(ds, (1,), (0,)), ds.y1, ds.y2, draws=draws)
+
+    def test_random_dummy_with_intercept_fits(self):
+        # a 0/1 column has x^2 = x, which a constant does not span
+        truth = rp_truth(n=400, sigma_b=(0.1, 0.12), recipe=("bernoulli", (0.4,)))
+        ds = simulate_dataset(truth)
+        draws = build_draw_store(400, HaltonConfig(bases=(2, 3), draws_per_obs=50))
+        fit = fit_rp_sure(design_of(ds), ds.y1, ds.y2, draws=draws)
+        assert fit.convergence.converged
+        for c, sigma in zip(fit.random_coefficients, (0.1, 0.12)):
+            assert c.sigma_se is not None and abs(c.sigma - sigma) <= 3 * c.sigma_se
 
     def test_rho_and_sigma_respect_type_invariants(self):
         truth = rp_truth(n=200, seed=17, rho=-0.8)
@@ -599,13 +620,13 @@ class TestRetention:
 class TestEffectsFromDesign:
     @pytest.mark.parametrize("random2", [(2, 0), (1, 1), (3,), (-1,)])
     def test_random_columns_out_of_design_order_are_refused(self, random2):
-        # the fit reports spreads by a pass over the design columns
-        design = DesignMatrices(
-            x1=np.ones((3, 2)), x2=np.ones((3, 3)),
-            names1=("const", "a"), names2=("const", "b", "c"),
-            random1=(1,), random2=random2)
+        # the fit reports spreads by a pass over the design columns, so the
+        # design refuses any other order when it is built
         with pytest.raises(SpecError, match="equation 2 .* increasing order"):
-            effects_from_design(design)
+            DesignMatrices(
+                x1=np.ones((3, 2)), x2=np.ones((3, 3)),
+                names1=("const", "a"), names2=("const", "b", "c"),
+                random1=(1,), random2=random2)
 
     def test_equation_one_dims_come_first(self):
         design = DesignMatrices(

@@ -1,11 +1,14 @@
 """Checks on the package source itself."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
 
 import fuelgap
+from fuelgap.msl import LoglikKernel, fit_rp_sure
+from fuelgap.sure import fgls_fit, ols_system_fit
 
 SOURCES = sorted(Path(fuelgap.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
@@ -66,6 +69,16 @@ def test_one_home_for_the_fit_result():
     # every estimator's result is built by the one layout builder, so a new
     # estimator or result field cannot grow a second parameter layout
     assert callers(None, {"SureFit", "CoefficientEstimate"}) == {("sure", "layout_fit")}
+
+
+@pytest.mark.parametrize("entry", [ols_system_fit, fgls_fit, fit_rp_sure, LoglikKernel],
+                         ids=lambda entry: entry.__name__)
+def test_every_estimator_takes_the_design(entry):
+    # the encoded design is the one description of the model's columns, so
+    # no entry point may take the matrices or their names on their own
+    params = list(inspect.signature(entry).parameters)
+    assert params[0] == "design"
+    assert {"x1", "x2", "names1", "names2", "eq_names"} & set(params) == set()
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])

@@ -5,6 +5,7 @@ import pytest
 
 from fuelgap.errors import DegenerateDataError, EstimationError
 from fuelgap.sure import (
+    DesignMatrices,
     ErrorCovariance,
     fgls_fit,
     full_rank_qr,
@@ -23,6 +24,12 @@ def equation_values(fit, eq, attr="estimate"):
     first = fit.coefficients[0].equation
     return np.array([getattr(c, attr) for c in fit.coefficients
                      if (c.equation == first) == (eq == 0)])
+
+
+def design_of(x1, x2, **kwargs):
+    """The design of two bare matrices, their columns named x0, x1, ..."""
+    return DesignMatrices(x1, x2, tuple(f"x{j}" for j in range(x1.shape[1])),
+                          tuple(f"x{j}" for j in range(x2.shape[1])), **kwargs)
 
 
 def mp_normal_equations(x, y, dps=50):
@@ -227,7 +234,7 @@ class TestFgls:
             x1, x2, y1, y2, _, _ = simulate_sur(rng, 200, shared=True)
             x1 = np.column_stack([x1, rng.normal(size=200), rng.normal(size=200)])
             x2 = x1
-            fit = fgls_fit(x1, x2, y1, y2)
+            fit = fgls_fit(design_of(x1, x2), y1, y2)
             o1 = ols_fit(x1, y1)
             o2 = ols_fit(x2, y2)
             assert np.max(np.abs(equation_values(fit, 0) - o1.beta)) <= 1e-8
@@ -240,14 +247,14 @@ class TestFgls:
         y1 = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
         y2 = np.array([1.0, 1.0, -1.0, -1.0, 1.0, 1.0, -1.0, -1.0])
         x2 = np.column_stack([np.ones(n), np.tile([1.0, -1.0], 4)])
-        fit = fgls_fit(x, x2, y1, y2)
+        fit = fgls_fit(design_of(x, x2), y1, y2)
         np.testing.assert_allclose(equation_values(fit, 0), ols_fit(x, y1).beta, atol=1e-12)
         np.testing.assert_allclose(equation_values(fit, 1), ols_fit(x2, y2).beta, atol=1e-12)
 
     def test_rho_recovery_and_efficiency(self):
         rng = np.random.default_rng(42)
         x1, x2, y1, y2, b1, b2 = simulate_sur(rng, 5000, rho=0.6)
-        fit = fgls_fit(x1, x2, y1, y2)
+        fit = fgls_fit(design_of(x1, x2), y1, y2)
         assert abs(fit.sigma.rho - 0.6) <= 0.05
         ols_se = np.concatenate([ols_fit(x1, y1).se[1:], ols_fit(x2, y2).se[1:]])
         fgls_se = np.concatenate([equation_values(fit, 0, "se")[1:],
@@ -259,9 +266,9 @@ class TestFgls:
     def test_scale_equivariance(self):
         rng = np.random.default_rng(9)
         x1, x2, y1, y2, _, _ = simulate_sur(rng, 300)
-        base = fgls_fit(x1, x2, y1, y2)
+        base = fgls_fit(design_of(x1, x2), y1, y2)
         lam = 3.5
-        scaled = fgls_fit(x1, x2, lam * y1, y2)
+        scaled = fgls_fit(design_of(x1, x2), lam * y1, y2)
         np.testing.assert_allclose(equation_values(scaled, 0), lam * equation_values(base, 0),
                                    rtol=1e-9)
         assert np.sqrt(scaled.sigma.sigma11) == pytest.approx(
@@ -271,7 +278,7 @@ class TestFgls:
     def test_loglik_matches_exact_evaluation(self):
         rng = np.random.default_rng(13)
         x1, x2, y1, y2, _, _ = simulate_sur(rng, 400)
-        fit = fgls_fit(x1, x2, y1, y2)
+        fit = fgls_fit(design_of(x1, x2), y1, y2)
         expect = loglik_fixed(x1, x2, y1, y2,
                               equation_values(fit, 0), equation_values(fit, 1), fit.sigma)
         assert fit.loglik == pytest.approx(expect, abs=1e-10)
@@ -279,7 +286,7 @@ class TestFgls:
     def test_k_counts_covariance_parameters(self):
         rng = np.random.default_rng(1)
         x1, x2, y1, y2, _, _ = simulate_sur(rng, 100)
-        fit = fgls_fit(x1, x2, y1, y2)
+        fit = fgls_fit(design_of(x1, x2), y1, y2)
         assert fit.k == 3 + 3 + 3
         assert fit.param_cov.shape == (fit.k, fit.k)
         # parameter covariance must admit a Cholesky factorization
@@ -288,7 +295,7 @@ class TestFgls:
     def test_sigma_block_is_the_delta_method_image_of_the_covariance_entries(self):
         rng = np.random.default_rng(5)
         x1, x2, y1, y2, _, _ = simulate_sur(rng, 300)
-        fit = fgls_fit(x1, x2, y1, y2)
+        fit = fgls_fit(design_of(x1, x2), y1, y2)
         s11, s12, s22, n = fit.sigma.sigma11, fit.sigma.sigma12, fit.sigma.sigma22, fit.n
         # ML covariance of (sigma11, sigma12, sigma22) under normality
         c = np.array([[2 * s11 * s11, 2 * s11 * s12, 2 * s12 * s12],
@@ -308,14 +315,35 @@ class TestFgls:
         x = np.ones((n, 1))
         y = np.arange(float(n))
         with pytest.raises(EstimationError, match="degenerate residual covariance"):
-            fgls_fit(x, x, y, y)
+            fgls_fit(design_of(x, x), y, y)
+
+
+class TestDesignMatrices:
+    @pytest.mark.parametrize("x1,x2", [(np.ones(3), np.ones((3, 1))),
+                                       (np.ones((3, 1), dtype=int), np.ones((3, 1))),
+                                       (np.ones((3, 1)), [[1.0]] * 3),
+                                       (np.ones((3, 1)), np.ones((4, 1)))],
+                             ids=["one-dimensional", "integer", "list", "unequal-rows"])
+    def test_matrices_are_2d_floats_that_share_their_rows(self, x1, x2):
+        with pytest.raises(ValueError, match="2-D float arrays that share their rows"):
+            DesignMatrices(x1, x2, ("a",), ("b",))
+
+    def test_one_name_per_column(self):
+        with pytest.raises(ValueError, match="equation 2 has 2 columns but 1 names"):
+            DesignMatrices(np.ones((3, 1)), np.ones((3, 2)), ("a",), ("b",))
+
+    @pytest.mark.parametrize("estimator", [ols_system_fit, fgls_fit], ids=["ols", "sure"])
+    def test_responses_cover_the_design_rows(self, estimator):
+        x = np.column_stack([np.ones(5), np.arange(5.0)])
+        with pytest.raises(ValueError, match="X has 5 rows but y has 4"):
+            estimator(design_of(x, x), np.arange(5.0) ** 2, np.ones(4))
 
 
 class TestOlsSystem:
     def test_loglik_is_sum_of_univariate_logliks(self):
         rng = np.random.default_rng(17)
         x1, x2, y1, y2, _, _ = simulate_sur(rng, 150)
-        fit = ols_system_fit(x1, x2, y1, y2)
+        fit = ols_system_fit(design_of(x1, x2), y1, y2)
         total = 0.0
         for x, y in ((x1, y1), (x2, y2)):
             o = ols_fit(x, y)
@@ -326,25 +354,26 @@ class TestOlsSystem:
         assert fit.k == 3 + 3 + 2
         assert fit.sigma.rho == 0.0
 
-    def test_perfect_interpolation_still_reports_coefficients(self):
+    @pytest.mark.parametrize("estimator", [ols_system_fit, fgls_fit], ids=["ols", "sure"])
+    def test_perfect_interpolation_is_refused(self, estimator):
+        # as many garages as columns: the coefficients are exact, but no
+        # residual variance is left to estimate the error variance from
         x = np.array([[1.0, 0.0], [1.0, 1.0]])
-        fit = ols_system_fit(x, x, np.array([1.0, 2.0]), np.array([1.0, 2.0]))
-        np.testing.assert_allclose(equation_values(fit, 0), [1.0, 1.0], atol=1e-14)
-        np.testing.assert_allclose(equation_values(fit, 1), [1.0, 1.0], atol=1e-14)
+        y = np.array([1.0, 2.0])
+        np.testing.assert_allclose(ols_fit(x, y).beta, [1.0, 1.0], atol=1e-14)
+        with pytest.raises(EstimationError, match=r"equation vehicle_1 is not identified: "
+                           r"no residual variance is left \(n=2 garages, k=2 columns\)"):
+            estimator(design_of(x, x), y, y)
 
-    def test_exactly_zero_residuals_yield_degenerate_fit(self):
+    @pytest.mark.parametrize("estimator", [ols_system_fit, fgls_fit], ids=["ols", "sure"])
+    def test_exactly_zero_residuals_are_refused(self, estimator):
         x = np.ones((4, 1))
         y = np.full(4, 0.9)
-        fit = ols_system_fit(x, x, y, y)
-        assert fit.sigma is None and fit.loglik == float("inf")
-        np.testing.assert_allclose(equation_values(fit, 0), [0.9])
-        # the layout of every ols fit, without a covariance to report
-        assert fit.param_names == ("vehicle_1:x0", "vehicle_2:x0", "sigma1", "sigma2")
-        assert fit.k == len(fit.param_names)
-        assert fit.param_cov is None
-        assert (fit.sigma1_se, fit.sigma2_se, fit.rho_se) == (None, None, None)
-        # every SE is the root of a param_cov entry, so there are none
-        assert [c.se for c in fit.coefficients] == [None, None]
+        assert ols_fit(x, y).sigma2_ml == 0.0
+        np.testing.assert_allclose(ols_fit(x, y).beta, [0.9])
+        with pytest.raises(EstimationError, match=r"equation b is not identified: "
+                           r"no residual variance is left \(n=4 garages, k=1 columns\)"):
+            estimator(design_of(x, x, eq_names=("a", "b")), np.arange(4.0), y)
 
 
 class TestConditioning:
