@@ -328,6 +328,22 @@ def _read_fit_file(path: str) -> tuple[str, CriteriaInput]:
         raise SpecError(f"unreadable fit file {path}: {exc}") from exc
 
 
+def _fit_data_hash(path: str) -> str | None:
+    """SHA-256 of the data file that the fit's manifest records; None, named
+    on stderr, for a fit without a manifest."""
+    manifest = Path(path).with_name(Path(path).name + ".manifest.json")
+    if not manifest.exists():
+        print(f"warning: fit file {path} has no manifest, so its data is not checked",
+              file=sys.stderr)
+        return None
+    where = f"manifest {manifest}"
+    raw = checked(read_json(manifest, "manifest"), OBJECT, where)
+    options = checked(raw.get("options"), OBJECT, f"{where}: 'options'")
+    inputs = checked(raw.get("inputs"), OBJECT, f"{where}: 'inputs'")
+    data = checked(options.get("data"), STRING, f"{where}: 'options.data'")
+    return checked(inputs.get(str(Path(data))), STRING, f"{where}: the hash of {data}")
+
+
 def cmd_compare(args, parser) -> int:
     started = time.monotonic()
     if len(args.fits) < 2:
@@ -336,6 +352,11 @@ def cmd_compare(args, parser) -> int:
     labels = [lab for lab, _ in labelled]
     if len(set(labels)) != len(labels):
         labelled = [(f"{lab}#{i}", ci) for i, (lab, ci) in enumerate(labelled)]
+    # information criteria compare models only on the same data
+    hashes = [(lab, _fit_data_hash(p)) for (lab, _), p in zip(labelled, args.fits)]
+    if len({h for _, h in hashes if h is not None}) > 1:
+        raise SpecError("fits of different data cannot be ranked: " + ", ".join(
+            f"{lab} was fit to {h}" for lab, h in hashes if h is not None))
     ranking = rank_models(labelled)
 
     def cell(value) -> str:

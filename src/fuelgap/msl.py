@@ -5,11 +5,13 @@ observations; the likelihood integrates them out by averaging the bivariate
 normal density over fixed per-observation Halton draws.  The optimizer works
 on an unconstrained vector: each spread as a signed sigma (the likelihood is
 even in it, and |sigma| is reported) and the error covariance as a Cholesky
-factor with log diagonal, so every iterate maps to a valid model.  The
-gradient is the analytic score, computed in the same pass over the draws as
-the value.  A fit is "converged" only when the natural-scale score is zero
-to within a per-observation tolerance; otherwise it ends "stalled" (no
-descent step lowers the objective) or "not converged" (iteration cap).
+factor with log diagonal, so every iterate maps to a valid model.  Each
+point the optimizer tries, line-search trials included, gets its value and
+its analytic score from one pass over the draws; the value has the same
+bits as a value-only pass.  A fit is "converged" only when the
+natural-scale score is zero to within a per-observation tolerance;
+otherwise it ends "stalled" (no descent step lowers the objective) or "not
+converged" (iteration cap).
 Standard errors come from the Hessian at the optimum, delta-method
 transformed to the natural scale.  The Hessian is analytic too, formed in
 one more pass over the draws: for a simulated log-likelihood it is the
@@ -321,16 +323,17 @@ class LoglikKernel:
             hess = upper + np.triu(upper, 1).T
         return total, None if score is None else score.sum(axis=0), hess
 
-    def loglik(self, params: RpParameters) -> float:
-        return self._evaluate(params, with_score=False)[0]
+    def loglik(self, params: RpParameters, score: bool = False
+               ) -> float | tuple[float, np.ndarray]:
+        """Log-likelihood, or with score=True (value, score) from one pass.
 
-    def loglik_and_score(self, params: RpParameters) -> tuple[float, np.ndarray]:
-        """Log-likelihood and its gradient in the optimizer coordinates.
-
-        The gradient is taken with respect to [coef1, coef2, sigma_d ...,
-        log l11, l21, log l22], the layout of _Transform.
+        The score is the gradient with respect to [coef1, coef2, sigma_d
+        ..., log l11, l21, log l22], the layout of _Transform.  The value is
+        computed before the score in the same pass, so it has the same bits
+        either way.
         """
-        return self._evaluate(params, with_score=True)[:2]
+        total, grad, _ = self._evaluate(params, with_score=score)
+        return (total, grad) if score else total
 
     def hessian(self, params: RpParameters) -> np.ndarray:
         """Exactly symmetric Hessian of the log-likelihood, in the score's
@@ -437,29 +440,35 @@ class Convergence:
 
 
 class _BfgsMinimizer:
-    """Monotone BFGS with backtracking line search on the transform space."""
+    """Monotone BFGS with backtracking line search on the transform space.
 
-    def __init__(self, fun, grad, x0: np.ndarray):
-        self.fun = fun
-        self.grad = grad
+    evaluate(x) returns (f, g), the objective and its gradient from one
+    pass.  Every line-search trial is evaluated that way, so the accepted
+    trial's gradient is already at hand for the update and the next step.
+    """
+
+    def __init__(self, evaluate, x0: np.ndarray):
+        self.evaluate = evaluate
         self.x = x0.copy()
-        self.f = fun(self.x)
-        self.g = grad(self.x)
+        self.f, self.g = evaluate(self.x)
         self.h = np.eye(x0.size)
         self.first_update = True
         self.path = [self.f]
 
-    def _line_search(self, direction: np.ndarray) -> tuple[float, float] | None:
+    def _line_search(self, direction: np.ndarray
+                     ) -> tuple[np.ndarray, float, np.ndarray] | None:
+        """(x, f, g) at the first accepted trial point, or None."""
         slope = float(self.g @ direction)
         if slope >= 0:
             return None
         step = 1.0
         for _ in range(40):
-            f_new = self.fun(self.x + step * direction)
+            x_new = self.x + step * direction
+            f_new, g_new = self.evaluate(x_new)
             # a strict decrease too: below the resolution of f, the Armijo
             # test alone accepts steps that leave f unchanged
             if f_new < self.f and f_new <= self.f + 1e-4 * step * slope:
-                return step, f_new
+                return x_new, f_new, g_new
             step *= 0.5
         return None
 
@@ -476,13 +485,10 @@ class _BfgsMinimizer:
             # curvature information went stale; retry once from steepest descent
             self.h = np.eye(self.x.size)
             self.first_update = True
-            direction = -self.g
-            result = self._line_search(direction)
+            result = self._line_search(-self.g)
             if result is None:
                 return False
-        step, f_new = result
-        x_new = self.x + step * direction
-        g_new = self.grad(x_new)
+        x_new, f_new, g_new = result
         s = x_new - self.x
         yv = g_new - self.g
         ys = float(yv @ s)
@@ -532,9 +538,10 @@ def fit_rp_sure(design: DesignMatrices, y1, y2, draws: DrawStore | None = None,
     from steepest descent, finds no step that lowers the objective
     ("stalled"); or the iteration cap is hit ("not converged").  The last
     two return the fit instead of raising.
-    The line search evaluates the value alone; the search direction uses
-    the analytic score.  SEs need a positive-definite Hessian, the analytic
-    one from a single kernel pass at the optimum (LoglikKernel.hessian).
+    Every line-search trial gets its value and analytic score from one
+    kernel pass, and the accepted trial's score is the next step's gradient.
+    SEs need a positive-definite Hessian, the analytic one from a single
+    kernel pass at the optimum (LoglikKernel.hessian).
 
     Spreads are optimized signed and reported as |sigma|.  The likelihood
     is even in each spread only up to the asymmetry of the Halton draws, so
@@ -568,9 +575,12 @@ def fit_rp_sure(design: DesignMatrices, y1, y2, draws: DrawStore | None = None,
                 return underflow
         return at
 
+    def negated(params: RpParameters) -> tuple[float, np.ndarray]:
+        value, score = kernel.loglik(params, score=True)
+        return -value, -score
+
     size = transform.size
-    objective = guarded(lambda p: -kernel.loglik(p), float("inf"))
-    gradient = guarded(lambda p: -kernel.loglik_and_score(p)[1], np.full(size, np.nan))
+    objective = guarded(negated, (float("inf"), np.full(size, np.nan)))
     # at t_hat an underflow leaves the fit without SEs
     hessian = guarded(lambda p: -kernel.hessian(p), np.full((size, size), np.nan))
 
@@ -579,7 +589,7 @@ def fit_rp_sure(design: DesignMatrices, y1, y2, draws: DrawStore | None = None,
         g_nat = np.linalg.solve(transform.jacobian(t).T, g)
         return float(np.max(np.abs(g_nat)))
 
-    minimizer = _BfgsMinimizer(objective, gradient, transform.pack(start))
+    minimizer = _BfgsMinimizer(objective, transform.pack(start))
     status = "converged"
     grad_norm = natural_grad_norm(minimizer.x, minimizer.g)
     iterations = 0

@@ -357,17 +357,21 @@ def _sigma_block_cov(cov: ErrorCovariance, n: int) -> np.ndarray:
 
 def _equation_ols(design: DesignMatrices, y1, y2):
     """(y, OLS fit) of each equation, and the one identification rule: an
-    equation with n <= k, or exactly zero residuals, leaves no residual
-    variance, so its error variance and every SE are not identified."""
+    equation with n <= k, or residuals that are zero up to rounding, leaves
+    no residual variance, so its error variance and every SE are not
+    identified.  A response linear in the design leaves a residual variance
+    of rounding noise, at most about (n eps)^2 mean(y^2)."""
     out = []
     for eq, x, y, names in zip(design.eq_names, (design.x1, design.x2), (y1, y2),
                                (design.names1, design.names2)):
+        y = np.asarray(y, dtype=float)
         n, k = x.shape
         fit = ols_fit(x, y, names) if n > k else None
-        if fit is None or fit.sigma2_ml <= 0:
+        rounding = (n * np.finfo(float).eps) ** 2 * float(np.mean(y * y))
+        if fit is None or fit.sigma2_ml <= rounding:
             raise EstimationError(f"equation {eq} is not identified: no residual "
                                   f"variance is left (n={n} garages, k={k} columns)")
-        out.append((np.asarray(y, dtype=float), fit))
+        out.append((y, fit))
     return out
 
 

@@ -286,6 +286,11 @@ TWO_GARAGES = (GARAGE_HEADER + "a,25,25,21,25,1999,2004,Pacific,0\n"
 ZERO_RESIDUALS = (GARAGE_HEADER + "".join(
     f"{g},{m},25,18,20,1999,2004,Pacific,{x}\n"
     for g, m, x in (("a", 25, 0), ("b", 50, 1), ("c", 30, 0), ("d", 20, 1))))
+# six garages whose vehicle 1 gaps are 0.9 + 0.1 x up to rounding: on the
+# columns [1, x] its OLS residual variance is rounding noise (about 1e-32)
+LINEAR_UP_TO_ROUNDING = (GARAGE_HEADER + "".join(
+    f"{g},{22.5 + 2.5 * x},25,{m},25,1999,2004,Pacific,{x}\n"
+    for x, (g, m) in enumerate(zip("abcdef", (21, 30, 24, 19, 26, 23)))))
 ESTIMATOR_FLAGS = [pytest.param(["--estimator", "ols"], id="ols"),
                    pytest.param(["--estimator", "sure"], id="sure"),
                    pytest.param(["--estimator", "sure", "--cov-denominator", "dof"], id="dof"),
@@ -323,6 +328,14 @@ class TestFit:
         err = refused_fit(tmp_path, ZERO_RESIDUALS, spec, flags, capsys)
         assert "equation vehicle_2 is not identified: no residual variance is left " \
                "(n=4 garages, k=1 columns)" in err
+
+    @pytest.mark.parametrize("flags", ESTIMATOR_FLAGS)
+    def test_residuals_zero_up_to_rounding_are_exit_2(self, tmp_path, flags, capsys):
+        spec = {"equations": [{"name": name, "intercept": True, "terms": [{"column": "x"}]}
+                              for name in ("vehicle_1", "vehicle_2")]}
+        err = refused_fit(tmp_path, LINEAR_UP_TO_ROUNDING, spec, flags, capsys)
+        assert "equation vehicle_1 is not identified: no residual variance is left " \
+               "(n=6 garages, k=2 columns)" in err
 
     def test_unidentified_spread_is_exit_2(self, tmp_path, capsys):
         # a random +/-1 column without an intercept: x^2 = 1, so its spread
@@ -597,6 +610,42 @@ class TestCompare:
         assert "different samples" in err and "sure:a has n=100" in err \
             and "sure:b has n=99" in err
         assert list(tmp_path.glob("criteria.csv*")) == []
+
+    def test_fits_of_different_data_exit_2(self, tmp_path, truth_file, capsys):
+        # the same n, but each fit's manifest records another data file hash
+        spec = write_json(tmp_path / "spec.json", SHARED_SPEC)
+        fits = []
+        for seed in ("1", "2"):
+            data, fit = tmp_path / f"data{seed}.csv", tmp_path / f"fit{seed}.json"
+            assert run_cli("simulate", "--truth", truth_file, "--out", str(data),
+                           "--seed", seed) == 0
+            assert run_cli("fit", "--data", str(data), "--spec", spec,
+                           "--estimator", "ols", "--out", str(fit)) == 0
+            fits.append(str(fit))
+        capsys.readouterr()
+        out = tmp_path / "criteria.csv"
+        assert run_cli("compare", *fits, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "fits of different data cannot be ranked: ols:fit1 was fit to sha256:" in err
+        assert list(tmp_path.glob("criteria.csv*")) == []
+        # a fit of the same data as the first compares without a warning
+        same = tmp_path / "sure.json"
+        assert run_cli("fit", "--data", str(tmp_path / "data1.csv"), "--spec", spec,
+                       "--estimator", "sure", "--out", str(same)) == 0
+        capsys.readouterr()
+        assert run_cli("compare", fits[0], str(same), "--out", str(out)) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_fit_without_manifest_is_named_and_compared(self, tmp_path, data_file, capsys):
+        spec = write_json(tmp_path / "spec.json", SHARED_SPEC)
+        fit = tmp_path / "fit.json"
+        assert run_cli("fit", "--data", data_file, "--spec", spec,
+                       "--estimator", "ols", "--out", str(fit)) == 0
+        bare = fake_fit(tmp_path, "bare.json", 10.0, n=json.loads(fit.read_text())["n"])
+        capsys.readouterr()
+        assert run_cli("compare", str(fit), bare, "--out", str(tmp_path / "c.csv")) == 0
+        assert capsys.readouterr().err == \
+            f"warning: fit file {bare} has no manifest, so its data is not checked\n"
 
     def test_single_file_usage_error(self, tmp_path):
         a = fake_fit(tmp_path, "a.json", 10.0)

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import sys
@@ -7,7 +8,7 @@ import pytest
 
 from fuelgap import msl
 from fuelgap.data import DesignMatrices
-from fuelgap.errors import SpecError
+from fuelgap.errors import DegenerateDataError, EstimationError, SpecError
 from fuelgap.halton import HaltonConfig, build_draw_store
 from fuelgap.msl import (
     Convergence,
@@ -222,7 +223,7 @@ def check_score_matches_central_difference(random1, random2):
     base = transform.pack(params)
     for _ in range(5):
         t = base + 0.2 * rng.uniform(-1, 1, base.size)
-        value, score = kernel.loglik_and_score(transform.unpack(t))
+        value, score = kernel.loglik(transform.unpack(t), score=True)
         assert value == loglik(t)
         numeric = central_difference(loglik, t, 1e-5)
         scale = np.maximum(np.abs(score), np.abs(numeric))
@@ -235,7 +236,7 @@ def check_score_bits_do_not_depend_on_threads(random1, random2, thread_counts):
     for threads in thread_counts:
         kernel, params = layout_kernel(111, 2000, random1, random2, threads)
         assert len(kernel.blocks) > 1
-        value, score = kernel.loglik_and_score(params)
+        value, score = kernel.loglik(params, score=True)
         results.append((value, score.tobytes()))
     assert len(set(results)) == 1
 
@@ -264,7 +265,7 @@ class TestHessian:
             assert (hess == hess.T).all()
             # the Hessian oracle: central differences of the analytic score
             numeric = central_difference(
-                lambda u: kernel.loglik_and_score(transform.unpack(u))[1], t, 1e-5)
+                lambda u: kernel.loglik(transform.unpack(u), score=True)[1], t, 1e-5)
             scale = np.maximum(np.maximum(np.abs(hess), np.abs(numeric)), 1.0)
             assert np.max(np.abs(hess - numeric) / scale) <= 1e-5
 
@@ -287,25 +288,173 @@ class TestHessian:
             sys.setswitchinterval(interval)
         assert len(results) == 1
 
-    def test_fit_makes_one_hessian_pass_and_one_score_pass_per_step(self, monkeypatch):
-        calls = {"loglik": 0, "loglik_and_score": 0, "hessian": 0}
-        for method in calls:
-            original = getattr(LoglikKernel, method)
-
-            def counted(self, params, _original=original, _method=method):
-                calls[_method] += 1
-                return _original(self, params)
-
-            monkeypatch.setattr(LoglikKernel, method, counted)
-        truth = rp_truth(n=150, seed=8)
-        ds = simulate_dataset(truth)
-        draws = build_draw_store(150, HaltonConfig(bases=(2, 3), draws_per_obs=50))
-        fit = fit_rp_sure(design_of(ds), ds.y1, ds.y2, draws=draws)
+    def test_fit_makes_one_hessian_pass_and_one_score_pass_per_trial(self, monkeypatch):
+        # every point the fit evaluates gets its value and score from one
+        # pass: as many score passes as the value-then-score fit makes value
+        # passes (the start and each line-search trial), and no value pass
+        ds = simulate_dataset(rp_truth(n=150, seed=8))
+        design, draws = design_of(ds), build_draw_store(
+            150, HaltonConfig(bases=(2, 3), draws_per_obs=50))
+        passes = count_passes(monkeypatch)
+        runs = record_minimizers(monkeypatch)
+        fit = fit_rp_sure(design, ds.y1, ds.y2, draws=draws)
         assert fit.convergence.converged and fit.param_cov is not None
-        assert calls["loglik_and_score"] == fit.convergence.iterations + 1
-        assert calls["hessian"] == 1
-        # the line search still takes its trial values from the value pass
-        assert calls["loglik"] >= fit.convergence.iterations
+        fused = dict(passes)
+        passes.clear()
+        kernel = LoglikKernel(design, ds.y1, ds.y2, draws)
+        reference = value_then_score_fit(kernel, runs[0].iterates[0])
+        assert reference["iterations"] == fit.convergence.iterations
+        trials = passes["value"] - 1
+        assert passes["score"] == fit.convergence.iterations + 1 <= trials
+        assert fused == {"score": trials + 1, "hessian": 1}
+
+
+class ValueThenScoreBfgs:
+    """The fit's BFGS as it was before the fused line search: trial values
+    from the value pass alone, the score only at each accepted point."""
+
+    def __init__(self, fun, grad, x0):
+        self.fun, self.grad = fun, grad
+        self.x = x0.copy()
+        self.f, self.g = fun(self.x), grad(self.x)
+        self.h = np.eye(x0.size)
+        self.first_update = True
+        self.path = [self.f]
+
+    def _line_search(self, direction):
+        slope = float(self.g @ direction)
+        if slope >= 0:
+            return None
+        step = 1.0
+        for _ in range(40):
+            f_new = self.fun(self.x + step * direction)
+            if f_new < self.f and f_new <= self.f + 1e-4 * step * slope:
+                return step, f_new
+            step *= 0.5
+        return None
+
+    def step(self):
+        direction = -self.h @ self.g
+        if self.first_update:
+            scale = np.max(np.abs(direction))
+            if scale > 1.0:
+                direction = direction / scale
+        result = self._line_search(direction)
+        if result is None:
+            self.h = np.eye(self.x.size)
+            self.first_update = True
+            direction = -self.g
+            result = self._line_search(direction)
+            if result is None:
+                return False
+        step, f_new = result
+        x_new = self.x + step * direction
+        g_new = self.grad(x_new)
+        s, yv = x_new - self.x, g_new - self.g
+        ys = float(yv @ s)
+        if ys > 1e-10 * np.linalg.norm(s) * np.linalg.norm(yv):
+            if self.first_update:
+                self.h = (ys / float(yv @ yv)) * np.eye(self.x.size)
+                self.first_update = False
+            hy = self.h @ yv
+            rho = 1.0 / ys
+            self.h += (rho * rho * (float(yv @ hy) + ys)) * np.outer(s, s) \
+                - rho * (np.outer(hy, s) + np.outer(s, hy))
+        self.x, self.f, self.g = x_new, f_new, g_new
+        self.path.append(self.f)
+        return True
+
+
+def value_then_score_fit(kernel, x0, max_iterations=500):
+    """fit_rp_sure's iteration from x0, driven by ValueThenScoreBfgs."""
+    from fuelgap.msl import _Transform
+    transform = _Transform(kernel.x[0].shape[1], kernel.x[1].shape[1], len(kernel.effects))
+
+    def guarded(evaluate, underflow):
+        def at(t):
+            try:
+                return evaluate(transform.unpack(t))
+            except (EstimationError, DegenerateDataError):
+                return underflow
+        return at
+
+    def natural_grad_norm(t, g):
+        return float(np.max(np.abs(np.linalg.solve(transform.jacobian(t).T, g))))
+
+    minimizer = ValueThenScoreBfgs(
+        guarded(lambda p: -kernel.loglik(p), float("inf")),
+        guarded(lambda p: -kernel.loglik(p, score=True)[1], np.full(x0.size, np.nan)), x0)
+    iterates, status, iterations = [minimizer.x], "converged", 0
+    grad_norm = natural_grad_norm(minimizer.x, minimizer.g)
+    while grad_norm > msl._GRAD_TOL * kernel.n:
+        if iterations >= max_iterations:
+            status = "not converged"
+            break
+        if not minimizer.step():
+            status = "stalled"
+            break
+        iterations += 1
+        iterates.append(minimizer.x)
+        grad_norm = natural_grad_norm(minimizer.x, minimizer.g)
+    return {"iterates": iterates, "loglik_path": tuple(-f for f in minimizer.path),
+            "grad_norm": grad_norm, "status": status, "iterations": iterations}
+
+
+def record_minimizers(monkeypatch):
+    """Make every fit's minimizer keep its iterates; the list of minimizers."""
+    runs = []
+
+    class Recorded(msl._BfgsMinimizer):
+        def __init__(self, evaluate, x0):
+            super().__init__(evaluate, x0)
+            self.iterates = [self.x.copy()]
+            runs.append(self)
+
+        def step(self):
+            moved = super().step()
+            if moved:
+                self.iterates.append(self.x.copy())
+            return moved
+
+    monkeypatch.setattr(msl, "_BfgsMinimizer", Recorded)
+    return runs
+
+
+def count_passes(monkeypatch):
+    """Count the kernel's passes by kind: "value", "score" or "hessian"."""
+    passes = collections.Counter()
+    original = LoglikKernel._evaluate
+
+    def counted(self, params, with_score, with_hessian=False):
+        passes["hessian" if with_hessian else "score" if with_score else "value"] += 1
+        return original(self, params, with_score, with_hessian)
+
+    monkeypatch.setattr(LoglikKernel, "_evaluate", counted)
+    return passes
+
+
+class TestFusedLineSearch:
+    @pytest.mark.parametrize("random1,random2",
+                             [pytest.param((1,), (1,), id="both")] + ONE_EQUATION_LAYOUTS)
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_same_bits_as_value_then_score(self, random1, random2, threads, monkeypatch):
+        # 800 draws split the 250 observations into two kernel blocks
+        ds = simulate_dataset(rp_truth(n=250, seed=8))
+        design = design_of(ds, random1, random2)
+        d = len(effects_from_design(design))
+        draws = build_draw_store(250, HaltonConfig(bases=(2, 3)[:d], draws_per_obs=800))
+        runs = record_minimizers(monkeypatch)
+        fit = fit_rp_sure(design, ds.y1, ds.y2, draws=draws, threads=threads)
+        kernel = LoglikKernel(design, ds.y1, ds.y2, draws, threads=threads)
+        assert len(kernel.blocks) > 1
+        reference = value_then_score_fit(kernel, runs[0].iterates[0])
+        assert fit.convergence.converged and fit.convergence.iterations > 5
+        assert [x.tobytes() for x in runs[0].iterates] == \
+            [x.tobytes() for x in reference["iterates"]]
+        assert fit.convergence.loglik_path == reference["loglik_path"]
+        assert fit.convergence.grad_norm == reference["grad_norm"]
+        assert fit.convergence.status == reference["status"]
+        assert fit.loglik == reference["loglik_path"][-1]
 
 
 class TestGradientConsistency:
@@ -331,7 +480,7 @@ class TestGradientConsistency:
         # accept exactly the steps the value pass accepts
         kernel, params = layout_kernel(111, 2000, random1, random2, threads)
         assert len(kernel.blocks) > 1
-        assert kernel.loglik(params) == kernel.loglik_and_score(params)[0]
+        assert kernel.loglik(params) == kernel.loglik(params, score=True)[0]
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import fuelgap
-from fuelgap.msl import LoglikKernel, fit_rp_sure
+from fuelgap.msl import LoglikKernel, _BfgsMinimizer, fit_rp_sure
 from fuelgap.sure import fgls_fit, ols_system_fit
 
 SOURCES = sorted(Path(fuelgap.__file__).parent.glob("*.py"))
@@ -79,6 +79,17 @@ def test_every_estimator_takes_the_design(entry):
     params = list(inspect.signature(entry).parameters)
     assert params[0] == "design"
     assert {"x1", "x2", "names1", "names2", "eq_names"} & set(params) == set()
+
+
+def test_one_evaluation_path_for_the_fit():
+    # the kernel has one entry point for value and score, and the minimizer
+    # takes one callable that returns both, so no line search can go back
+    # to evaluating a trial point's value and its score in separate passes
+    assert not hasattr(LoglikKernel, "loglik_and_score")
+    assert list(inspect.signature(LoglikKernel.loglik).parameters) == \
+        ["self", "params", "score"]
+    assert list(inspect.signature(_BfgsMinimizer.__init__).parameters) == \
+        ["self", "evaluate", "x0"]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
