@@ -43,7 +43,6 @@ from .halton import (
     build_draw_store,
     first_primes,
     halton_block,
-    inverse_normal_cdf,
     radical_inverse,
 )
 from .modelspec import EquationSpec, ModelSpec, Term, load_model_spec, model_spec_from_dict
@@ -66,7 +65,6 @@ from .sure import (
 from .synthetic import (
     TruthSpec,
     exact_marginal_loglik,
-    load_truth,
     quadrature_loglik,
     simulate_dataset,
     truth_from_dict,

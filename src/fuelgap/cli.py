@@ -86,13 +86,8 @@ def _jsonable(value):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return _jsonable(value.tolist())
-    if isinstance(value, (np.floating, float)):
-        value = float(value)
+    if isinstance(value, float):
         return value if math.isfinite(value) else None
-    if isinstance(value, np.integer):
-        return int(value)
     return value
 
 
@@ -376,10 +371,10 @@ def cmd_compare(args, parser) -> int:
 def cmd_effects(args, parser) -> int:
     started = time.monotonic()
     try:
-        raw = read_json(args.fit, "fit file")
+        raw = checked(read_json(args.fit, "fit file"), OBJECT, f"fit file {args.fit}")
     except OSError as exc:
         raise SpecError(f"unreadable fit file {args.fit}: {exc}") from exc
-    randoms = (raw.get("random_coefficients") if isinstance(raw, dict) else None) or []
+    randoms = raw.get("random_coefficients") or []
     if not randoms:
         raise SpecError("no random coefficients in this fit")
     where = f"malformed random coefficient in {args.fit}"

@@ -24,7 +24,6 @@ any other batch goes through `csv.writer`.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, field, fields
 from itertools import chain, islice
 from pathlib import Path
@@ -33,7 +32,7 @@ import numpy as np
 
 from .errors import DegenerateDataError, ParseError, SpecError
 from .modelspec import ModelSpec
-from .sure import DesignMatrices, full_rank_qr
+from .sure import DesignMatrices
 
 # the garage CSV: these columns, then the covariates, then (prepared data)
 # the gaps; `parse_raw` reads it and `write_garage_csv` writes it
@@ -209,9 +208,9 @@ def _parse_batch(columns: list, first: int, numeric: list[tuple[int, str]]):
 
 
 def parse_raw(source, user_col: str = "my_mpg", epa_col: str = "epa_mpg") -> GarageTable:
-    """Parse a header-bearing CSV stream into a garage table.
+    """Parse a header-bearing CSV into a garage table.
 
-    `source` may be a path or an open text/byte stream.  `user_col` and
+    `source` is a path or an open text stream, not bytes.  `user_col` and
     `epa_col` pick the numerator/denominator column bases (suffixed _1/_2),
     so label-based ratings can be substituted for the default test-cycle
     columns.  Any row with a missing field, an unparseable number, a
@@ -224,11 +223,6 @@ def parse_raw(source, user_col: str = "my_mpg", epa_col: str = "epa_mpg") -> Gar
     if isinstance(source, (str, Path)):
         with open(source, newline="", encoding="utf-8") as fh:
             return parse_raw(fh, user_col=user_col, epa_col=epa_col)
-    if isinstance(source, bytes):
-        source = io.StringIO(source.decode("utf-8"))
-    elif hasattr(source, "read") and isinstance(source.read(0), bytes):
-        source = io.TextIOWrapper(source, encoding="utf-8")
-
     lines = iter(source)
     try:
         header = next(csv.reader(lines), None)
@@ -394,7 +388,7 @@ def encode_design(table: GarageTable, spec: ModelSpec) -> DesignMatrices:
     One 0/1 column per non-base category level, continuous columns passed
     through unchanged, and a leading intercept column of ones when enabled.
     Missing categorical values count as the explicit "Not reported" level.
-    Both matrices must have full column rank.
+    Column rank is left to the estimators (sure._equation_ols).
     """
     if not len(table):
         raise SpecError("cannot encode an empty table")
@@ -408,15 +402,12 @@ def encode_design(table: GarageTable, spec: ModelSpec) -> DesignMatrices:
         matrices.append(np.column_stack(columns))
 
     eq1, eq2 = spec.equations
-    design = DesignMatrices(
+    return DesignMatrices(
         x1=matrices[0], x2=matrices[1],
         names1=eq1.design_names, names2=eq2.design_names,
         random1=eq1.random_design_indices, random2=eq2.random_design_indices,
         eq_names=(eq1.name, eq2.name),
     )
-    full_rank_qr(design.x1, design.names1)
-    full_rank_qr(design.x2, design.names2)
-    return design
 
 
 def responses(table: GapTable) -> tuple[np.ndarray, np.ndarray]:

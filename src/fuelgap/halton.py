@@ -157,16 +157,6 @@ def _inverse_normal_cdf_array(u: np.ndarray) -> np.ndarray:
     return np.where(flip, -x, x)
 
 
-def inverse_normal_cdf(u: float) -> float:
-    """Quantile function of the standard normal, absolute error <= 1e-9.
-
-    Raises ValueError outside the open interval (0, 1).
-    """
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"u must lie strictly in (0, 1), got {u}")
-    return float(_inverse_normal_cdf_array(np.array([u]))[0])
-
-
 @dataclass(frozen=True)
 class DrawStore:
     """Immutable standard-normal Halton draws, z[obs, draw, dim].

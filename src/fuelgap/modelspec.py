@@ -2,9 +2,9 @@
 
 A spec lists, per equation, the design columns in order: either a dummy for
 one level of a categorical source column, or a continuous source column.
-Each entry is independently fixed or random-normal, so two levels of the
-same categorical can receive different treatment.  Base levels are declared
-once per categorical and never enter the design matrix.
+Each entry is "fixed" (the default kind) or "random-normal", independently,
+so two levels of the same categorical can receive different treatment.  Base
+levels are declared once per categorical and never enter the design matrix.
 """
 
 from __future__ import annotations
@@ -114,8 +114,6 @@ def _parse_term(raw, eq_name: str) -> Term:
         raise SpecError(f"equation {eq_name!r}: term missing 'column': {raw}")
     where = f"equation {eq_name!r}, term {raw}"
     kind = checked(raw.get("kind", FIXED), STRING, f"{where}: 'kind'")
-    if kind == "random":
-        kind = RANDOM
     return Term(column=checked(raw["column"], STRING, f"{where}: 'column'"),
                 level=checked(raw.get("level"), STRING, f"{where}: 'level'", nullable=True),
                 kind=kind)

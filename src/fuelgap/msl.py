@@ -2,7 +2,10 @@
 
 Selected coefficients become independent normal random variables across
 observations; the likelihood integrates them out by averaging the bivariate
-normal density over fixed per-observation Halton draws.  The optimizer works
+normal density over fixed per-observation Halton draws, in log space:
+m + log sum exp(ln phi - m) sums at least 1, so it cannot underflow, and it
+is non-finite only when ln phi is, when the whitened residuals or the
+covariance factor l11 l22 leave double-precision range.  The optimizer works
 on an unconstrained vector: each spread as a signed sigma (the likelihood is
 even in it, and |sigma| is reported) and the error covariance as a Cholesky
 factor with log diagonal, so every iterate maps to a valid model.  Each
@@ -316,8 +319,9 @@ class LoglikKernel:
                     fut.result()
         total = float(np.sum(value))
         if not np.isfinite(total):
-            raise EstimationError("simulated log-likelihood is not finite "
-                                  "(all draws underflowed)")
+            raise EstimationError("simulated log-likelihood is not finite: the whitened "
+                                  "residuals or the covariance factor l11 l22 left "
+                                  "double-precision range")
         if hess is not None:
             upper = np.triu(hess.sum(axis=0))
             hess = upper + np.triu(upper, 1).T
@@ -551,8 +555,8 @@ def fit_rp_sure(design: DesignMatrices, y1, y2, draws: DrawStore | None = None,
     at R=400 on the criterion-5 model (N=2000, 2 random coefficients), and
     by 0 to 0.21 nats on zero-spread data (N=1500, R=100, seeds 61-72).
     """
+    start_fit = fgls_fit(design, y1, y2)   # refuses a rank-deficient design first
     _check_spreads_identified(design)
-    start_fit = fgls_fit(design, y1, y2)
     kernel = LoglikKernel(design, y1, y2, draws, threads=threads)
     effects = kernel.effects
     k1, k2 = design.x1.shape[1], design.x2.shape[1]
@@ -565,14 +569,15 @@ def fit_rp_sure(design: DesignMatrices, y1, y2, draws: DrawStore | None = None,
     start = RpParameters(coef1=coef1, coef2=coef2, sigmas=np.array(sigmas),
                          cov=start_fit.sigma)
 
-    def guarded(evaluate, underflow):
-        # a trial point whose likelihood underflows is simply rejected by
-        # the line search; only the accepted path must stay finite
+    def guarded(evaluate, fallback):
+        # a trial point whose likelihood is not finite (its residuals or
+        # covariance beyond double range) is simply rejected by the line
+        # search; only the accepted path must stay finite
         def at(t: np.ndarray):
             try:
                 return evaluate(transform.unpack(t))
             except (EstimationError, DegenerateDataError):
-                return underflow
+                return fallback
         return at
 
     def negated(params: RpParameters) -> tuple[float, np.ndarray]:
@@ -581,7 +586,7 @@ def fit_rp_sure(design: DesignMatrices, y1, y2, draws: DrawStore | None = None,
 
     size = transform.size
     objective = guarded(negated, (float("inf"), np.full(size, np.nan)))
-    # at t_hat an underflow leaves the fit without SEs
+    # at t_hat a non-finite likelihood leaves the fit without SEs
     hessian = guarded(lambda p: -kernel.hessian(p), np.full((size, size), np.nan))
 
     def natural_grad_norm(t: np.ndarray, g: np.ndarray) -> float:

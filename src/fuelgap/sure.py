@@ -247,7 +247,8 @@ def ols_fit(x: np.ndarray, y: np.ndarray,
     """Ordinary least squares with classical standard errors.
 
     Solves the normal equations through a pivoted QR factorization and
-    reports SEs from s^2 (X'X)^-1 with s^2 = RSS / (N - k).
+    reports SEs from s^2 (X'X)^-1 with s^2 = RSS / (N - k), NaN at N = k.
+    full_rank_qr refuses fewer rows than columns, or collinear columns.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -259,8 +260,6 @@ def ols_fit(x: np.ndarray, y: np.ndarray,
         raise ValueError("one name per design column is required")
     if len(y) != n:
         raise ValueError(f"X has {n} rows but y has {len(y)}")
-    if n < k:
-        raise DegenerateDataError(f"need at least as many observations as parameters (N={n}, k={k})")
     beta, a = _qr_solve(x, y, names)
     residuals = y - _rowdot(x, beta)
     rss = float(residuals @ residuals)
@@ -356,19 +355,20 @@ def _sigma_block_cov(cov: ErrorCovariance, n: int) -> np.ndarray:
 
 
 def _equation_ols(design: DesignMatrices, y1, y2):
-    """(y, OLS fit) of each equation, and the one identification rule: an
-    equation with n <= k, or residuals that are zero up to rounding, leaves
-    no residual variance, so its error variance and every SE are not
-    identified.  A response linear in the design leaves a residual variance
-    of rounding noise, at most about (n eps)^2 mean(y^2)."""
+    """(y, OLS fit) of each equation, and the one identification rule:
+    ols_fit refuses collinear columns, and an equation with n <= k, or
+    residuals that are zero up to rounding, leaves no residual variance, so
+    its error variance and every SE are not identified.  A response linear
+    in the design leaves a residual variance of rounding noise, at most
+    about (n eps)^2 mean(y^2)."""
     out = []
     for eq, x, y, names in zip(design.eq_names, (design.x1, design.x2), (y1, y2),
                                (design.names1, design.names2)):
         y = np.asarray(y, dtype=float)
         n, k = x.shape
-        fit = ols_fit(x, y, names) if n > k else None
+        fit = ols_fit(x, y, names)
         rounding = (n * np.finfo(float).eps) ** 2 * float(np.mean(y * y))
-        if fit is None or fit.sigma2_ml <= rounding:
+        if n <= k or fit.sigma2_ml <= rounding:
             raise EstimationError(f"equation {eq} is not identified: no residual "
                                   f"variance is left (n={n} garages, k={k} columns)")
         out.append((y, fit))

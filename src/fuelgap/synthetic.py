@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .data import GarageTable, write_csv, write_garage_csv
 from .errors import SpecError
 from .modelspec import (FIXED, INTEGER, LIST, NUMBER, OBJECT, RANDOM, STRING, EquationSpec,
-                        ModelSpec, Term, checked, read_json)
+                        ModelSpec, Term, checked)
 from .msl import RandomEffect
 from .sure import ErrorCovariance, bivariate_normal_logpdf, _LOG_2PI, _rowdot
 
@@ -204,10 +203,6 @@ def truth_from_dict(raw: dict) -> TruthSpec:
             seed=checked(raw["seed"], INTEGER, "truth 'seed'"))
     except KeyError as exc:
         raise SpecError(f"invalid truth specification: missing key {exc}") from exc
-
-
-def load_truth(path: str | Path) -> TruthSpec:
-    return truth_from_dict(read_json(path, "truth file"))
 
 
 @dataclass(frozen=True)

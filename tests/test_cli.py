@@ -43,6 +43,26 @@ SHARED_SPEC = {
 }
 
 
+GARAGE_HEADER = ("garage_id,my_mpg_1,epa_mpg_1,my_mpg_2,epa_mpg_2,"
+                 "model_year_1,model_year_2,us_division,x\n")
+
+# marks an entry that `mutated` removes
+MISSING = object()
+
+
+def mutated(payload, keys, value):
+    """A deep copy of payload with the entry at keys set to value, or removed."""
+    payload = copy.deepcopy(payload)
+    parent = payload
+    for key in keys[:-1]:
+        parent = parent[key]
+    if value is MISSING:
+        del parent[keys[-1]]
+    else:
+        parent[keys[-1]] = value
+    return payload
+
+
 def run_cli(*argv) -> int:
     try:
         return main(list(argv))
@@ -125,6 +145,38 @@ class TestSimulate:
         assert "seed must be in [0, 2**128)" in capsys.readouterr().err
         assert list(tmp_path.glob("x.csv*")) == []
 
+    @pytest.mark.parametrize("keys,value,message", [
+        pytest.param(["n"], MISSING, "--n is required when the truth file carries none",
+                     id="no-n"),
+        pytest.param(["n"], 0, "n must be >= 1", id="n-zero"),
+        pytest.param(["covariates", 0, "kind"], "poisson",
+                     "unknown covariate kind 'poisson' for 'x1'", id="covariate-kind"),
+        pytest.param(["covariates", 0], {"name": "x1", "kind": "bernoulli", "p": 1.5},
+                     "covariate 'x1': bernoulli p must be in [0, 1]", id="bernoulli-p"),
+        pytest.param(["equations", 0, "terms", 0, "sigma"], -0.05,
+                     "term 'x1': sigma must be >= 0", id="negative-sigma"),
+        pytest.param(["equations", 1], MISSING, "exactly two equations are required",
+                     id="one-equation"),
+        pytest.param(["error", "sigma1"], 0, "error standard deviations must be positive",
+                     id="zero-sd"),
+        pytest.param(["covariates", 1, "name"], "x1", "covariate names must be distinct",
+                     id="repeated-covariate"),
+    ])
+    def test_refused_truth_is_exit_2(self, tmp_path, keys, value, message, capsys):
+        path = write_json(tmp_path / "t.json", mutated(TRUTH, keys, value))
+        assert run_cli("simulate", "--truth", path, "--out", str(tmp_path / "x.csv")) == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.glob("x.csv*")) == []
+
+    def test_coefficient_draws_sidecar_is_an_output(self, tmp_path, truth_file):
+        out, draws = tmp_path / "d.csv", tmp_path / "draws.csv"
+        assert run_cli("simulate", "--truth", truth_file, "--out", str(out),
+                       "--coef-draws", str(draws)) == 0
+        lines = draws.read_text().splitlines()
+        assert lines[0] == "row,vehicle_1:x1,vehicle_2:x2" and len(lines) == 1 + TRUTH["n"]
+        manifest = json.loads((tmp_path / "d.csv.manifest.json").read_text())
+        assert list(manifest["outputs"]) == [str(out), str(draws)]
+
     def test_invalid_truth_is_exit_2(self, tmp_path):
         path = write_json(tmp_path / "bad.json", {"n": 3, "seed": 1})
         assert run_cli("simulate", "--truth", path, "--out", str(tmp_path / "x.csv")) == 2
@@ -155,6 +207,32 @@ class TestPrepare:
                            "--out", str(tmp_path / "p.csv"), "--trim-sd", trim_sd) == 2
             assert list(tmp_path.glob("p.*")) == []
 
+    @pytest.mark.parametrize("flags,message", [
+        pytest.param(["--trim-sd", "abc"], "--trim-sd expects a number, got 'abc'",
+                     id="trim-sd"),
+        pytest.param(["--mpg-columns", "x"], "--mpg-columns expects 'user_base,epa_base'",
+                     id="mpg-columns"),
+        pytest.param(["--group-by", ","], "at least one grouping key is required",
+                     id="group-by-blank"),
+    ])
+    def test_refused_option_is_exit_2(self, tmp_path, data_file, flags, message, capsys):
+        out = tmp_path / "prepared.csv"
+        assert run_cli("prepare", "--input", data_file, "--out", str(out), *flags) == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.glob("prepared*")) == []
+
+    @pytest.mark.parametrize("text,message", [
+        pytest.param("", "row 0: input is empty (no header row)", id="empty"),
+        pytest.param(GARAGE_HEADER + "g1,,25,22,25,1999,2004,Pacific,0\n",
+                     "row 1: missing required numeric field 'my_mpg_1'", id="blank-mpg"),
+    ])
+    def test_refused_data_is_exit_2(self, tmp_path, text, message, capsys):
+        raw = tmp_path / "raw.csv"
+        raw.write_text(text)
+        assert run_cli("prepare", "--input", str(raw), "--out", str(tmp_path / "p.csv")) == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.glob("p.*")) == []
+
     def test_missing_input_is_io_error(self, tmp_path):
         assert run_cli("prepare", "--input", str(tmp_path / "nope.csv"),
                        "--out", str(tmp_path / "p.csv")) == 4
@@ -176,7 +254,7 @@ class TestPrepare:
         assert report["removed_ids"] == ["planted"]
         assert report["n_input"] == 201
 
-    @pytest.mark.parametrize("year", ["inf", "1e400"])
+    @pytest.mark.parametrize("year", ["inf", "1e400", "late"])
     def test_overflowing_model_year_is_exit_2(self, tmp_path, capsys, year):
         raw = tmp_path / "raw.csv"
         raw.write_text("garage_id,my_mpg_1,epa_mpg_1,my_mpg_2,epa_mpg_2,"
@@ -265,6 +343,15 @@ class TestPrepare:
         assert groups[0] == "us_division,model_year_bin_1,n,mean_gap_1,mean_gap_2"
         assert len(groups) == 2  # one synthetic division x one year bin
 
+    def test_year_bins_key_the_groups(self, tmp_path, data_file):
+        # the simulated garages pair model years 2000 and 2001
+        out = tmp_path / "prepared.csv"
+        assert run_cli("prepare", "--input", data_file, "--out", str(out),
+                       "--group-by", "model_year_bin_1,model_year_bin_2",
+                       "--year-bins", "1990-2000,2001-2010") == 0
+        groups = (tmp_path / "prepared.groups.csv").read_text().splitlines()
+        assert [row.split(",")[:2] for row in groups[1:]] == [["1990-2000", "2001-2010"]]
+
     def test_identical_rerun_reproduces_output_hashes(self, tmp_path, data_file):
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run_cli("prepare", "--input", data_file, "--out", str(out_a)) == 0
@@ -275,8 +362,6 @@ class TestPrepare:
         assert list(man_a["outputs"].values()) == list(man_b["outputs"].values())
 
 
-GARAGE_HEADER = ("garage_id,my_mpg_1,epa_mpg_1,my_mpg_2,epa_mpg_2,"
-                 "model_year_1,model_year_2,us_division,x\n")
 # two garages, two columns per equation: vehicle 1 gaps 1.0/2.0, vehicle 2
 # gaps 0.84/1.2; each equation interpolates its garages
 TWO_GARAGES = (GARAGE_HEADER + "a,25,25,21,25,1999,2004,Pacific,0\n"
@@ -291,6 +376,12 @@ ZERO_RESIDUALS = (GARAGE_HEADER + "".join(
 LINEAR_UP_TO_ROUNDING = (GARAGE_HEADER + "".join(
     f"{g},{22.5 + 2.5 * x},25,{m},25,1999,2004,Pacific,{x}\n"
     for x, (g, m) in enumerate(zip("abcdef", (21, 30, 24, 19, 26, 23)))))
+# forty garages of random MPG figures, x = +/-1
+_rng = np.random.default_rng(3)
+FORTY_GARAGES = GARAGE_HEADER + "".join(
+    f"g{i},{m1:.3f},25,{m2:.3f},25,1999,2004,Pacific,{s}\n"
+    for i, (m1, m2, s) in enumerate(zip(_rng.uniform(20, 30, 40), _rng.uniform(20, 30, 40),
+                                        _rng.choice([-1, 1], 40))))
 ESTIMATOR_FLAGS = [pytest.param(["--estimator", "ols"], id="ols"),
                    pytest.param(["--estimator", "sure"], id="sure"),
                    pytest.param(["--estimator", "sure", "--cov-denominator", "dof"], id="dof"),
@@ -340,19 +431,74 @@ class TestFit:
     def test_unidentified_spread_is_exit_2(self, tmp_path, capsys):
         # a random +/-1 column without an intercept: x^2 = 1, so its spread
         # and the error variance move the likelihood alike
-        rng = np.random.default_rng(3)
-        rows = "".join(f"g{i},{m1:.3f},25,{m2:.3f},25,1999,2004,Pacific,{s}\n"
-                       for i, (m1, m2, s) in enumerate(zip(
-                           rng.uniform(20, 30, 40), rng.uniform(20, 30, 40),
-                           rng.choice([-1, 1], 40))))
         spec = {"equations": [
             {"name": "vehicle_1", "intercept": False,
              "terms": [{"column": "x", "kind": "random-normal"}]},
             {"name": "vehicle_2", "intercept": True, "terms": []}]}
-        err = refused_fit(tmp_path, GARAGE_HEADER + rows, spec,
+        err = refused_fit(tmp_path, FORTY_GARAGES, spec,
                           ["--estimator", "rp-sure", "--draws", "20"], capsys)
         assert "the spreads of random terms ['x'] of equation vehicle_1 are not " \
                "identified" in err
+
+    @pytest.mark.parametrize("flags", ESTIMATOR_FLAGS)
+    def test_blank_level_is_exit_2(self, tmp_path, flags, capsys):
+        # a blank level matches no value, so it encodes an all-zero column,
+        # which every estimator refuses by name
+        spec = {"equations": [{"name": "vehicle_1", "terms": [{"column": "x", "level": ""}]},
+                              {"name": "vehicle_2"}], "base_levels": {"x": "1"}}
+        err = refused_fit(tmp_path, FORTY_GARAGES, spec, flags, capsys)
+        assert "design matrix is rank deficient; collinear columns: ['x=']" in err
+
+    @pytest.mark.parametrize("data,message", [
+        pytest.param(FORTY_GARAGES.replace(",-1\n", ",minus one\n"),
+                     "variable 'x' is declared continuous but holds non-numeric values",
+                     id="non-numeric"),
+        pytest.param(FORTY_GARAGES.replace(",-1\n", ",inf\n"),
+                     "variable 'x' holds non-finite values", id="infinite"),
+        pytest.param(GARAGE_HEADER.replace("\n", ",gap_1,gap_2\n"),
+                     "cannot encode an empty table", id="header-only-prepared"),
+    ])
+    def test_refused_data_is_exit_2(self, tmp_path, data, message, capsys):
+        spec = {"equations": [{"name": name, "terms": [{"column": "x"}]}
+                              for name in ("vehicle_1", "vehicle_2")]}
+        assert message in refused_fit(tmp_path, data, spec, ["--estimator", "sure"], capsys)
+
+    def test_table_fields_as_terms(self, tmp_path):
+        # model_year_1 as a dummy of one year in equation 1 (the int64 year
+        # column labelled by its text) and as a continuous column in equation 2
+        years = np.array([1999, 2003, 2005] * 10)
+        gaps = np.random.default_rng(5).uniform(0.7, 1.1, (30, 2))
+        raw = tmp_path / "data.csv"
+        raw.write_text(GARAGE_HEADER + "".join(
+            f"g{i},{25 * g1!r},25,{25 * g2!r},25,{year},2010,Pacific,0\n"
+            for i, (year, (g1, g2)) in enumerate(zip(years.tolist(), gaps.tolist()))))
+        spec = write_json(tmp_path / "spec.json", {"equations": [
+            {"name": "vehicle_1", "terms": [{"column": "model_year_1", "level": "2003"}]},
+            {"name": "vehicle_2", "terms": [{"column": "model_year_1"}]}],
+            "base_levels": {"model_year_1": "1999"}})
+        out = tmp_path / "fit.json"
+        assert run_cli("fit", "--data", str(raw), "--spec", spec, "--estimator", "ols",
+                       "--out", str(out)) == 0
+        coef1, coef2 = (eq["coef"] for eq in json.loads(out.read_text())["equations"])
+        g1, g2 = compute_gaps(parse_raw(raw)).gap.T
+        assert coef1["model_year_1=2003"] == pytest.approx(
+            g1[years == 2003].mean() - g1[years != 2003].mean(), abs=1e-12)
+        assert coef2["model_year_1"] == pytest.approx(np.polyfit(years, g2, 1)[0], abs=1e-10)
+
+    @pytest.mark.parametrize("flags,message", [
+        pytest.param(["--draws", "0"], "--draws must be >= 1", id="draws"),
+        pytest.param(["--burn", "-1"], "--burn must be >= 0", id="burn"),
+        pytest.param(["--threads", "0"], "--threads must be >= 1", id="threads"),
+        pytest.param(["--mpg-columns", "x"], "--mpg-columns expects 'user_base,epa_base'",
+                     id="mpg-columns"),
+    ])
+    def test_refused_option_is_exit_2(self, tmp_path, data_file, spec_file, flags, message,
+                                      capsys):
+        out = tmp_path / "rp.json"
+        assert run_cli("fit", "--data", data_file, "--spec", spec_file,
+                       "--estimator", "rp-sure", "--out", str(out), *flags) == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.glob("rp.json*")) == []
 
     def test_rp_with_zero_randoms_matches_sure(self, tmp_path, data_file):
         spec = write_json(tmp_path / "shared.json", SHARED_SPEC)
@@ -421,6 +567,24 @@ class TestFit:
                      "equation 'vehicle_1', term {'column': 'x1', 'level': {'a': 1}}: "
                      "'level' must be a string or null, got {'a': 1}",
                      id="level-not-string"),
+        pytest.param({"equations": [{"name": "vehicle_1",
+                                     "terms": [{"column": "x1", "kind": "random"}]},
+                                    {"name": "vehicle_2"}]},
+                     "unknown coefficient kind 'random' for 'x1'", id="unknown-kind"),
+        pytest.param({"equations": [{"name": "a"}, {"name": "b"}, {"name": "c"}]},
+                     "model spec must declare exactly 2 equations", id="three-equations"),
+        pytest.param({"equation": []}, "model spec JSON must contain an 'equations' list",
+                     id="no-equations"),
+        pytest.param({"equations": [{"name": "vehicle_1", "terms": [{"kind": "fixed"}]},
+                                    {"name": "vehicle_2"}]},
+                     "equation 'vehicle_1': term missing 'column'", id="term-without-column"),
+        pytest.param({"equations": [{"name": "v"}, {"name": "v"}]},
+                     "equation names must differ", id="same-names"),
+        pytest.param({"equations": [{"name": "vehicle_1", "terms": [
+                          {"column": "x1"}, {"column": "x1", "level": "1"}]},
+                                    {"name": "vehicle_2"}], "base_levels": {"x1": "0"}},
+                     "column 'x1' used both as categorical and continuous",
+                     id="categorical-and-continuous"),
     ])
     def test_malformed_spec_is_exit_2(self, tmp_path, data_file, spec, message, capsys):
         path = write_json(tmp_path / "bad.json", spec)
@@ -461,7 +625,7 @@ class TestFit:
         assert "--max-iterations must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("bases", ["2,4", "2,2", "2,x"])
+    @pytest.mark.parametrize("bases", ["2,4", "2,2", "2,x", "1"])
     def test_malformed_bases_is_exit_2(self, tmp_path, data_file, spec_file, bases,
                                        capsys):
         out = tmp_path / "rp.json"
@@ -647,6 +811,18 @@ class TestCompare:
         assert capsys.readouterr().err == \
             f"warning: fit file {bare} has no manifest, so its data is not checked\n"
 
+    def test_colliding_labels_are_numbered(self, tmp_path):
+        # one estimator and one file stem in two directories
+        fits = []
+        for name, loglik in (("a", 10.0), ("b", 20.0)):
+            (tmp_path / name).mkdir()
+            fits.append(fake_fit(tmp_path / name, "fit.json", loglik))
+        out = tmp_path / "criteria.csv"
+        assert run_cli("compare", *fits, "--out", str(out)) == 0
+        rows = {r.split(",")[0]: r for r in out.read_text().splitlines()[1:]}
+        assert sorted(rows) == ["sure:fit#0", "sure:fit#1"]
+        assert rows["sure:fit#1"].endswith("aic;caic;sbic;icomp")
+
     def test_single_file_usage_error(self, tmp_path):
         a = fake_fit(tmp_path, "a.json", 10.0)
         assert run_cli("compare", a, "--out", str(tmp_path / "c.csv")) == 2
@@ -713,10 +889,16 @@ class TestEffects:
         assert run_cli("effects", "--fit", fit, "--out", str(tmp_path / "e.csv")) == 2
         assert "no random coefficients" in capsys.readouterr().err
 
+    def test_missing_fit_file_exit_2(self, tmp_path, capsys):
+        fit = tmp_path / "missing.json"
+        assert run_cli("effects", "--fit", str(fit), "--out", str(tmp_path / "e.csv")) == 2
+        assert f"unreadable fit file {fit}" in capsys.readouterr().err
+        assert list(tmp_path.glob("e.csv*")) == []
+
     def test_non_object_fit_exit_2(self, tmp_path, capsys):
         fit = write_json(tmp_path / "list.json", [1, 2])
         assert run_cli("effects", "--fit", fit, "--out", str(tmp_path / "e.csv")) == 2
-        assert "no random coefficients" in capsys.readouterr().err
+        assert f"fit file {fit} must be an object, got [1, 2]" in capsys.readouterr().err
         assert not (tmp_path / "e.csv").exists()
 
 
@@ -746,13 +928,8 @@ class TestJsonTypes:
                      id="effects-sigma-true"),
     ])
     def test_wrong_type_is_exit_2(self, tmp_path, command, keys, value, capsys):
-        payload = copy.deepcopy({"simulate": TRUTH, "compare": fit_payload(20.0),
-                                 "effects": RP_FIT}[command])
-        parent = payload
-        for key in keys[:-1]:
-            parent = parent[key]
-        parent[keys[-1]] = value
-        path = write_json(tmp_path / "input.json", payload)
+        payload = {"simulate": TRUTH, "compare": fit_payload(20.0), "effects": RP_FIT}[command]
+        path = write_json(tmp_path / "input.json", mutated(payload, keys, value))
         out = tmp_path / "out.csv"
         argv = {"simulate": ["simulate", "--truth", path],
                 "compare": ["compare", fake_fit(tmp_path, "a.json", 10.0), path],

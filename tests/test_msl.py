@@ -125,6 +125,22 @@ class TestSimulatedLoglik:
         assert gaps[1] / 100 <= 1e-3
         assert gaps[0] > gaps[1] > gaps[2]
 
+    def test_value_beyond_double_range_names_its_cause(self):
+        # the mixture is summed in log space, a sum of at least 1, so the
+        # value is not finite only when a draw's ln phi is: here the
+        # residuals of an intercept of 1e160 overflow when squared
+        truth = rp_truth(n=50)
+        ds = simulate_dataset(truth)
+        draws = build_draw_store(50, HaltonConfig(bases=(2, 3), draws_per_obs=20))
+        params = truth_params(truth)
+        far = RpParameters(coef1=[1e160, params.coef1[1]], coef2=params.coef2,
+                           sigmas=params.sigmas, cov=params.cov)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(EstimationError, match="simulated log-likelihood is not finite: "
+                              "the whitened residuals or the covariance factor l11 l22 "
+                              "left double-precision range"):
+            simulated_loglik(far, design_of(ds), ds.y1, ds.y2, draws)
+
     def test_thread_count_does_not_change_bits(self):
         truth = rp_truth(n=111)
         ds = simulate_dataset(truth)
@@ -530,6 +546,28 @@ class TestFitRpSure:
         assert len(path) == fit.convergence.iterations + 1
         assert all(b > a for a, b in zip(path, path[1:]))
 
+    def test_non_finite_points_are_rejected_or_leave_no_ses(self, monkeypatch):
+        # a line-search trial whose likelihood is not finite counts as +inf,
+        # so the search halves its step; at the optimum it leaves no SEs
+        ds = simulate_dataset(rp_truth(n=150, seed=8))
+        draws = build_draw_store(150, HaltonConfig(bases=(2, 3), draws_per_obs=50))
+        loglik, calls = LoglikKernel.loglik, []
+
+        def first_trial_not_finite(self, params, score=False):
+            calls.append(params)
+            if len(calls) == 2:
+                raise EstimationError("simulated log-likelihood is not finite")
+            return loglik(self, params, score)
+
+        def hessian_not_finite(self, params):
+            raise EstimationError("simulated log-likelihood is not finite")
+
+        monkeypatch.setattr(LoglikKernel, "loglik", first_trial_not_finite)
+        monkeypatch.setattr(LoglikKernel, "hessian", hessian_not_finite)
+        fit = fit_rp_sure(design_of(ds), ds.y1, ds.y2, draws=draws)
+        assert fit.convergence.converged and len(calls) > 2
+        assert fit.param_cov is None and {c.se for c in fit.coefficients} == {None}
+
     def test_monotone_loglik_path_and_determinism(self):
         truth = rp_truth(n=150, seed=8)
         ds = simulate_dataset(truth)
@@ -810,6 +848,16 @@ class TestNaturalCovariance:
                          [-0.491, -0.2313, 0.5829]])
         assert (np.diag(np.linalg.inv(hess)) > 0).all()
         assert _natural_covariance(hess, np.eye(3)) is None
+
+    @pytest.mark.parametrize("hess,jac", [
+        pytest.param(np.full((2, 2), np.nan), np.eye(2), id="non-finite-hessian"),
+        pytest.param(np.diag([1e-300, 1.0]), np.diag([1e10, 1.0]), id="variance-overflows"),
+    ])
+    def test_non_finite_flags_ses_unavailable(self, hess, jac):
+        from fuelgap.msl import _natural_covariance
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _natural_covariance(hess, jac) is None
 
     def test_well_posed_case(self):
         from fuelgap.msl import _natural_covariance

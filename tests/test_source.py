@@ -12,6 +12,9 @@ from fuelgap.sure import fgls_fit, ols_system_fit
 
 SOURCES = sorted(Path(fuelgap.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+REPO = Path(__file__).resolve().parents[1]
+# exported reference implementations that only tests call, to compare against
+TEST_ORACLES = {"loglik_fixed", "quadrature_loglik"}
 
 
 def imported_names(tree: ast.Module) -> list[str]:
@@ -69,6 +72,30 @@ def test_one_home_for_the_fit_result():
     # every estimator's result is built by the one layout builder, so a new
     # estimator or result field cannot grow a second parameter layout
     assert callers(None, {"SureFit", "CoefficientEstimate"}) == {("sure", "layout_fit")}
+
+
+def test_one_rank_check_per_design():
+    # the estimators' one identification rule (sure._equation_ols, through
+    # ols_fit) and the FGLS solve check rank; the encoder does not check it again
+    assert callers(None, {"full_rank_qr"}) == \
+        {("sure", "_qr_solve"), ("msl", "_check_spreads_identified")}
+
+
+def test_every_export_has_a_caller():
+    # a public name that nothing in the package, the demos or the benchmark
+    # uses is generality no spec reaches, unless tests compare against it
+    tree = ast.parse(Path(fuelgap.__file__).read_text(encoding="utf-8"))
+    exported = {a.asname or a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    used = set()
+    for path in [*MODULES, *(REPO / "demos").glob("*.py"), *(REPO / "bench").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert TEST_ORACLES <= exported
+    assert exported - used - TEST_ORACLES == set()
 
 
 @pytest.mark.parametrize("entry", [ols_system_fit, fgls_fit, fit_rp_sure, LoglikKernel],

@@ -88,7 +88,7 @@ class TestOls:
             ols_fit(np.empty((5, 0)), np.arange(5.0), names=())
 
     def test_too_few_rows(self):
-        with pytest.raises(DegenerateDataError):
+        with pytest.raises(EstimationError, match=r"fewer rows \(2\) than columns \(3\)"):
             ols_fit(np.ones((2, 3)), np.ones(2))
 
     def test_rank_check_rejects_fewer_rows_than_columns(self):
@@ -316,6 +316,13 @@ class TestFgls:
         y = np.arange(float(n))
         with pytest.raises(EstimationError, match="degenerate residual covariance"):
             fgls_fit(design_of(x, x), y, y)
+        # residuals in exact proportion, which rounding can leave factorable
+        # with |rho| = 1
+        rng = np.random.default_rng(0)
+        x = np.column_stack([np.ones(30), rng.normal(size=30)])
+        y = rng.normal(size=30) + 1.0
+        with pytest.raises(EstimationError, match="degenerate residual covariance"):
+            fgls_fit(design_of(x, x), y, 2.0 * y)
 
 
 class TestDesignMatrices:

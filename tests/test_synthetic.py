@@ -7,6 +7,7 @@ import pytest
 
 from fuelgap.data import compute_gaps, parse_raw
 from fuelgap.errors import SpecError
+from fuelgap.modelspec import read_json
 from fuelgap.msl import RandomEffect
 from fuelgap.sure import ErrorCovariance, loglik_fixed
 from fuelgap.synthetic import (
@@ -16,7 +17,6 @@ from fuelgap.synthetic import (
     TermTruth,
     TruthSpec,
     exact_marginal_loglik,
-    load_truth,
     quadrature_loglik,
     simulate_dataset,
     truth_from_dict,
@@ -207,7 +207,7 @@ class TestTruthJson:
         path.write_text('{"n": 5, "seed": 1, "error": {"sigma1": 0.1, "sigma2": 0.1},'
                         '"covariates": [], "equations":'
                         '[{"intercept": 0.9}, {"intercept": 0.8}]}')
-        truth = load_truth(path)
+        truth = truth_from_dict(read_json(path, "truth file"))
         assert truth.n == 5 and truth.rho == 0.0
 
     def test_invalid_truth(self, tmp_path):
@@ -273,6 +273,11 @@ class TestQuadrature:
         fixed = exact_marginal_loglik(self.ds.x1, self.ds.x2, self.ds.y1, self.ds.y2,
                                       self.c1, self.c2, self.effects,
                                       [0.0, 0.0], self.cov)
+        assert got == pytest.approx(fixed, abs=1e-10)
+
+    def test_no_random_coefficients_equals_fixed_loglik(self):
+        got = quadrature_loglik(*self.args[:6], (), [], self.cov, nodes=5)
+        fixed = loglik_fixed(*self.args[:6], self.cov)
         assert got == pytest.approx(fixed, abs=1e-10)
 
     def test_twenty_nodes_agree_with_exact(self):
