@@ -127,6 +127,9 @@ class LoglikKernel:
         rows = max(1, _BLOCK_DOUBLES // r)
         self.blocks = [(lo, min(lo + rows, self.n)) for lo in range(0, self.n, rows)]
 
+    # _evaluate raises on a value that is not finite; silenced here, since
+    # pool threads do not inherit the caller's np.errstate
+    @np.errstate(over="ignore", invalid="ignore")
     def _block(self, params: RpParameters, low: np.ndarray, lo: int, hi: int,
                base: tuple, value: np.ndarray, score: np.ndarray | None,
                hess: np.ndarray | None, workspace) -> None:
@@ -305,7 +308,7 @@ class LoglikKernel:
         score = np.empty((self.n, size)) if with_score else None
         # one (p, p) slot per block, summed in block order
         hess = np.zeros((len(self.blocks), size, size)) if with_hessian else None
-        low = params.cov.cholesky_lower()
+        low = params.cov.low
         workspace = threading.local() if with_hessian else None
         tasks = [(params, low, lo, hi, base, value, score,
                   None if hess is None else hess[b], workspace)
@@ -367,7 +370,7 @@ class _Transform:
         self.size = k1 + k2 + n_effects + 3
 
     def pack(self, params: RpParameters) -> np.ndarray:
-        low = params.cov.cholesky_lower()
+        low = params.cov.low
         return np.concatenate([params.coef1, params.coef2, params.sigmas,
                                [np.log(low[0, 0]), low[1, 0], np.log(low[1, 1])]])
 
@@ -376,6 +379,7 @@ class _Transform:
         """(l11, l21, l22), the error covariance's Cholesky factor at t."""
         return np.exp(t[-3]), t[-2], np.exp(t[-1])
 
+    @np.errstate(over="ignore", invalid="ignore")   # ErrorCovariance refuses inf and nan
     def unpack(self, t: np.ndarray) -> RpParameters:
         k1, k2, d = self.k1, self.k2, self.d
         l11, l21, l22 = self._cholesky(t)

@@ -3,7 +3,9 @@
 Per-equation OLS, residual covariance with the cross-equation correlation,
 and two-step feasible GLS (OLS first, residual covariance second, one stacked
 GLS solve weighted by its inverse).  All solves go through orthogonal
-decompositions; nothing inverts a design matrix explicitly.
+decompositions; nothing inverts a design matrix explicitly.  An
+ErrorCovariance is positive definite by construction; residual_covariance
+refuses an estimate that is singular up to rounding.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ _LOG_2PI = np.log(2.0 * np.pi)
 # the error covariance's entries in every estimator's parameter layout
 SIGMA_NAMES = ("sigma1", "sigma2", "rho")
 CONDITION_WARN_THRESHOLD = 1e10
+# 1 - rho^2 at or below which an estimated covariance is singular: exactly
+# proportional residuals leave 2-6 eps at any n from 2 to 100k, rho = 0.999 2e-3
+_MIN_1_MINUS_RHO2 = 1e-12
 
 
 def _rowdot(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
@@ -29,36 +34,30 @@ def _rowdot(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ErrorCovariance:
-    """Bivariate error covariance with its implied correlation."""
+    """Bivariate error covariance, positive definite by construction: `low`,
+    its lower Cholesky factor, is computed once, and a matrix without one (a
+    non-finite entry, a variance <= 0, |rho| >= 1) raises DegenerateDataError."""
 
     sigma11: float
     sigma22: float
     sigma12: float
     rho: float = field(init=False)
+    low: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not np.isfinite([self.sigma11, self.sigma22, self.sigma12]).all():
-            raise DegenerateDataError(f"error covariance entries must be finite, got "
-                                      f"{self.sigma11}, {self.sigma22}, {self.sigma12}")
-        if self.sigma11 <= 0 or self.sigma22 <= 0:
-            raise DegenerateDataError(
-                f"error variances must be positive, got {self.sigma11}, {self.sigma22}")
+        try:
+            low = cholesky(self.matrix, lower=True)
+        except ValueError as exc:  # LinAlgError, or a non-finite matrix
+            raise DegenerateDataError(f"error covariance {self.matrix.tolist()} is not "
+                                      f"positive definite: {exc}") from exc
         rho = self.sigma12 / np.sqrt(self.sigma11 * self.sigma22)
-        if abs(rho) > 1.0 + 1e-12:
-            raise DegenerateDataError(f"covariance is not PSD (rho={rho})")
         object.__setattr__(self, "rho", float(np.clip(rho, -1.0, 1.0)))
+        object.__setattr__(self, "low", low)
 
     @property
     def matrix(self) -> np.ndarray:
         return np.array([[self.sigma11, self.sigma12],
                          [self.sigma12, self.sigma22]])
-
-    def cholesky_lower(self) -> np.ndarray:
-        """Lower Cholesky factor; raises if the matrix is only semi-definite."""
-        try:
-            return cholesky(self.matrix, lower=True)
-        except ValueError as exc:  # LinAlgError, or a non-finite matrix
-            raise EstimationError(f"covariance not positive definite: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -280,15 +279,15 @@ def residual_covariance(res1: np.ndarray, res2: np.ndarray,
     """Cross-equation covariance of two residual vectors.
 
     The default "ml" denominator divides every product by N; "dof" divides
-    sigma_ab by sqrt((N - k_a)(N - k_b)) instead.
+    sigma_ab by sqrt((N - k_a)(N - k_b)) instead.  The one rule for an
+    estimated covariance: 1 - rho^2 at rounding level (a zero residual
+    variance, or perfectly correlated residuals) raises EstimationError.
     """
     res1 = np.asarray(res1, dtype=float)
     res2 = np.asarray(res2, dtype=float)
-    if res1.shape != res2.shape:
-        raise ValueError("residual vectors must have equal length")
+    if res1.shape != res2.shape or res1.size == 0:
+        raise ValueError("residual vectors must be non-empty and of equal length")
     n = res1.size
-    if n < 2:
-        raise DegenerateDataError("need at least 2 observations for a residual covariance")
     if denominator == "ml":
         d11 = d22 = d12 = float(n)
     elif denominator == "dof":
@@ -299,8 +298,9 @@ def residual_covariance(res1: np.ndarray, res2: np.ndarray,
     s11 = float(res1 @ res1) / d11
     s22 = float(res2 @ res2) / d22
     s12 = float(res1 @ res2) / d12
-    if s11 <= 0 or s22 <= 0:
-        raise DegenerateDataError("degenerate series: residual variance is zero")
+    if not s11 * s22 - s12 * s12 > _MIN_1_MINUS_RHO2 * s11 * s22:
+        raise EstimationError("degenerate residual covariance: a residual variance is zero,"
+                              " or the residuals are perfectly correlated")
     return ErrorCovariance(sigma11=s11, sigma22=s22, sigma12=s12)
 
 
@@ -328,7 +328,7 @@ def whitened_logpdf(e1, e2, low: np.ndarray
 def bivariate_normal_logpdf(e1: np.ndarray, e2: np.ndarray,
                             cov: ErrorCovariance) -> np.ndarray:
     """Elementwise log density of centred bivariate normal residual pairs."""
-    return whitened_logpdf(e1, e2, cov.cholesky_lower())[0]
+    return whitened_logpdf(e1, e2, cov.low)[0]
 
 
 def loglik_fixed(x1: np.ndarray, x2: np.ndarray,
@@ -382,23 +382,18 @@ def fgls_fit(design: DesignMatrices, y1, y2, cov_denominator: str = "ml") -> Sur
     covariance from those residuals and solves the stacked system whitened
     by its Cholesky inverse.  The reported covariance and correlation are
     re-estimated from the FGLS residuals, and the log-likelihood is the
-    exact Gaussian value at the solution.  `param_cov` holds the
-    coefficients' GLS covariance, then the closed-form covariance of
-    (sigma1, sigma2, rho), which is uncorrelated with the coefficients.
+    exact Gaussian value at the solution.  Both covariance estimates go
+    through residual_covariance, which refuses a singular one.  `param_cov`
+    holds the coefficients' GLS covariance, then the closed-form covariance
+    of (sigma1, sigma2, rho), which is uncorrelated with the coefficients.
     The SureFit has no random coefficients, draws or convergence record;
     fit_rp_sure starts from it.
     """
     (y1, ols1), (y2, ols2) = _equation_ols(design, y1, y2)
     x1, x2, n = design.x1, design.x2, design.n
     k1, k2 = x1.shape[1], x2.shape[1]
-    try:
-        step1 = residual_covariance(ols1.residuals, ols2.residuals,
-                                    denominator=cov_denominator, k1=k1, k2=k2)
-        low = step1.cholesky_lower()
-    except (DegenerateDataError, EstimationError) as exc:
-        raise EstimationError(f"degenerate residual covariance: {exc}") from exc
-    if abs(step1.rho) >= 1.0:
-        raise EstimationError("degenerate residual covariance: |rho| = 1")
+    low = residual_covariance(ols1.residuals, ols2.residuals,
+                              denominator=cov_denominator, k1=k1, k2=k2).low
 
     # Whiten each observation's residual pair by L^-1 and stack into a
     # single least-squares problem over (beta1, beta2).

@@ -10,6 +10,7 @@ from fuelgap.criteria import CriteriaInput, score_criteria
 from fuelgap.data import compute_gaps, encode_design, parse_raw, responses
 from fuelgap.modelspec import model_spec_from_dict
 from fuelgap.sure import fgls_fit
+from test_sure import SINGULAR_RESIDUALS, proportional_data
 
 TRUTH = {
     "n": 200, "seed": 11,
@@ -382,6 +383,20 @@ FORTY_GARAGES = GARAGE_HEADER + "".join(
     f"g{i},{m1:.3f},25,{m2:.3f},25,1999,2004,Pacific,{s}\n"
     for i, (m1, m2, s) in enumerate(zip(_rng.uniform(20, 30, 40), _rng.uniform(20, 30, 40),
                                         _rng.choice([-1, 1], 40))))
+
+
+def proportional_garages(seed: int) -> str:
+    """test_sure.proportional_data at c = 3 as a garage CSV: an EPA figure of
+    1 makes each gap read back as written, so the residuals stay exactly
+    proportional."""
+    x, y1, y2 = proportional_data(seed, 3.0)
+    return GARAGE_HEADER + "".join(
+        f"g{i},{a!r},1,{b!r},1,1999,2004,Pacific,{t!r}\n"
+        for i, (a, b, t) in enumerate(zip(y1.tolist(), y2.tolist(), x[:, 1].tolist())))
+
+
+X_SPEC = {"equations": [{"name": name, "intercept": True, "terms": [{"column": "x"}]}
+                        for name in ("vehicle_1", "vehicle_2")]}
 ESTIMATOR_FLAGS = [pytest.param(["--estimator", "ols"], id="ols"),
                    pytest.param(["--estimator", "sure"], id="sure"),
                    pytest.param(["--estimator", "sure", "--cov-denominator", "dof"], id="dof"),
@@ -427,6 +442,41 @@ class TestFit:
         err = refused_fit(tmp_path, LINEAR_UP_TO_ROUNDING, spec, flags, capsys)
         assert "equation vehicle_1 is not identified: no residual variance is left " \
                "(n=6 garages, k=2 columns)" in err
+
+    @pytest.mark.parametrize("seed", [2, 10])
+    @pytest.mark.parametrize("flags", ESTIMATOR_FLAGS[1:])
+    def test_singular_residual_covariance_is_exit_2(self, tmp_path, flags, seed, capsys):
+        # y2 = 3 y1 on one design: every estimator of rho refuses the data
+        # with one message, whatever rounding leaves of 1 - rho^2
+        err = refused_fit(tmp_path, proportional_garages(seed), X_SPEC, flags, capsys)
+        assert f"{SINGULAR_RESIDUALS}\n" in err
+
+    @pytest.mark.parametrize("seed", [2, 10])
+    def test_singular_residual_covariance_still_fits_ols(self, tmp_path, seed):
+        # ols estimates no rho
+        raw = tmp_path / "data.csv"
+        raw.write_text(proportional_garages(seed))
+        out = tmp_path / "fit.json"
+        assert run_cli("fit", "--data", str(raw), "--spec", write_json(tmp_path / "spec.json",
+                       X_SPEC), "--out", str(out), "--estimator", "ols") == 0
+        assert json.loads(out.read_text())["n"] == 30
+
+    @pytest.mark.parametrize("estimator", ["sure", "rp-sure"])
+    def test_strong_error_correlation_still_fits(self, tmp_path, estimator):
+        truth = tmp_path / "truth.json"
+        # spreads small beside the error SDs of 0.1, so the residual
+        # correlation that sure estimates stays near 0.999 too
+        planted = mutated(TRUTH, ["error", "rho"], 0.999)
+        for eq in planted["equations"]:
+            eq["terms"][0]["sigma"] = 0.005
+        write_json(truth, planted)
+        data = tmp_path / "data.csv"
+        assert run_cli("simulate", "--truth", str(truth), "--out", str(data)) == 0
+        out = tmp_path / "fit.json"
+        assert run_cli("fit", "--data", str(data), "--spec", write_json(tmp_path / "spec.json",
+                       SPEC), "--out", str(out), "--estimator", estimator) == 0
+        rho = json.loads(out.read_text())["rho"]
+        assert 0.995 < rho < 1.0
 
     def test_unidentified_spread_is_exit_2(self, tmp_path, capsys):
         # a random +/-1 column without an intercept: x^2 = 1, so its spread

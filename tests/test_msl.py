@@ -2,6 +2,7 @@ import collections
 import itertools
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -128,18 +129,29 @@ class TestSimulatedLoglik:
     def test_value_beyond_double_range_names_its_cause(self):
         # the mixture is summed in log space, a sum of at least 1, so the
         # value is not finite only when a draw's ln phi is: here the
-        # residuals of an intercept of 1e160 overflow when squared
-        truth = rp_truth(n=50)
+        # residuals of an intercept of 1e160 overflow when squared.  Pool
+        # threads do not inherit the caller's np.errstate, so each block
+        # silences numpy's warnings itself; N R = 120k makes two blocks
+        truth = rp_truth(n=300)
         ds = simulate_dataset(truth)
-        draws = build_draw_store(50, HaltonConfig(bases=(2, 3), draws_per_obs=20))
+        draws = build_draw_store(300, HaltonConfig(bases=(2, 3), draws_per_obs=400))
+        design = design_of(ds)
         params = truth_params(truth)
         far = RpParameters(coef1=[1e160, params.coef1[1]], coef2=params.coef2,
                            sigmas=params.sigmas, cov=params.cov)
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(EstimationError, match="simulated log-likelihood is not finite: "
-                              "the whitened residuals or the covariance factor l11 l22 "
-                              "left double-precision range"):
-            simulated_loglik(far, design_of(ds), ds.y1, ds.y2, draws)
+        for threads in (1, 2):
+            kernel = LoglikKernel(design, ds.y1, ds.y2, draws, threads=threads)
+            assert len(kernel.blocks) == 2
+            for run in (lambda: simulated_loglik(far, design, ds.y1, ds.y2, draws, threads),
+                        lambda: kernel.loglik(far, score=True),
+                        lambda: kernel.hessian(far)):
+                with warnings.catch_warnings(), \
+                        pytest.raises(EstimationError,
+                                      match="simulated log-likelihood is not finite: the "
+                                            "whitened residuals or the covariance factor "
+                                            "l11 l22 left double-precision range"):
+                    warnings.simplefilter("error")
+                    run()
 
     def test_thread_count_does_not_change_bits(self):
         truth = rp_truth(n=111)
@@ -564,9 +576,24 @@ class TestFitRpSure:
 
         monkeypatch.setattr(LoglikKernel, "loglik", first_trial_not_finite)
         monkeypatch.setattr(LoglikKernel, "hessian", hessian_not_finite)
-        fit = fit_rp_sure(design_of(ds), ds.y1, ds.y2, draws=draws)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fit = fit_rp_sure(design_of(ds), ds.y1, ds.y2, draws=draws)
         assert fit.convergence.converged and len(calls) > 2
         assert fit.param_cov is None and {c.se for c in fit.coefficients} == {None}
+
+    @pytest.mark.parametrize("coordinate,value", [(-3, 800.0), (-2, 1e200), (-1, 800.0)],
+                             ids=["log-l11", "l21", "log-l22"])
+    def test_covariance_beyond_double_range_is_refused_quietly(self, coordinate, value):
+        # a line-search trial can put a Cholesky coordinate beyond double
+        # range: the covariance refuses it, which the line search rejects
+        from fuelgap.msl import _Transform
+        t = np.zeros(9)
+        t[coordinate] = value
+        with warnings.catch_warnings(), \
+                pytest.raises(DegenerateDataError, match="is not positive definite"):
+            warnings.simplefilter("error")
+            _Transform(2, 2, 2).unpack(t)
 
     def test_monotone_loglik_path_and_determinism(self):
         truth = rp_truth(n=150, seed=8)

@@ -8,7 +8,7 @@ import pytest
 
 import fuelgap
 from fuelgap.msl import LoglikKernel, _BfgsMinimizer, fit_rp_sure
-from fuelgap.sure import fgls_fit, ols_system_fit
+from fuelgap.sure import ErrorCovariance, fgls_fit, ols_system_fit
 
 SOURCES = sorted(Path(fuelgap.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
@@ -79,6 +79,16 @@ def test_one_rank_check_per_design():
     # ols_fit) and the FGLS solve check rank; the encoder does not check it again
     assert callers(None, {"full_rank_qr"}) == \
         {("sure", "_qr_solve"), ("msl", "_check_spreads_identified")}
+
+
+def test_one_factorization_of_the_error_covariance():
+    # ErrorCovariance factors its matrix once, when built, and every user of
+    # the factor reads its `low`; the other two factor parameter covariances
+    assert callers(None, {"cholesky"}) == {("sure", "__post_init__"),
+                                           ("msl", "_natural_covariance"),
+                                           ("criteria", "score_criteria")}
+    assert "cholesky(" in inspect.getsource(ErrorCovariance.__post_init__)
+    assert not hasattr(ErrorCovariance, "cholesky_lower")
 
 
 def test_every_export_has_a_caller():

@@ -1,7 +1,9 @@
 import math
+import re
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.linalg import cholesky
 
 from fuelgap.errors import DegenerateDataError, EstimationError
 from fuelgap.sure import (
@@ -106,11 +108,24 @@ class TestOls:
         np.testing.assert_allclose(fit.se, expect, rtol=1e-8)
 
 
+SINGULAR_RESIDUALS = "degenerate residual covariance: a residual variance is zero, " \
+    "or the residuals are perfectly correlated"
+
+
+def proportional_data(seed, c, n=30):
+    """Both equations on one design [1, x], y2 = c y1: the OLS residuals are
+    exactly proportional, so their covariance is singular."""
+    rng = np.random.default_rng(seed)
+    x = np.column_stack([np.ones(n), rng.normal(size=n)])
+    y1 = 0.9 + 0.1 * x[:, 1] + 0.05 * rng.normal(size=n)
+    return x, y1, c * y1
+
+
 class TestResidualCovariance:
     def test_identical_series(self):
         r = np.array([1.0, -0.5, 0.25, 2.0])
-        cov = residual_covariance(r, r)
-        assert cov.rho == 1.0
+        with pytest.raises(EstimationError, match=f"^{SINGULAR_RESIDUALS}$"):
+            residual_covariance(r, r)
 
     def test_orthogonal_series(self):
         r1 = np.array([1.0, -1.0, 1.0, -1.0])
@@ -120,8 +135,12 @@ class TestResidualCovariance:
         assert cov.rho == 0.0
 
     def test_hand_arithmetic(self):
-        cov = residual_covariance(np.array([1.0, -1.0]), np.array([2.0, -2.0]))
-        assert (cov.sigma11, cov.sigma22, cov.sigma12, cov.rho) == (1.0, 4.0, 2.0, 1.0)
+        # products 4/4, 16/4 and 4/4; rho = 1/sqrt(4), and the Cholesky
+        # factor is [[1, 0], [1, sqrt(4 - 1)]]
+        cov = residual_covariance(np.array([1.0, -1.0, 1.0, -1.0]),
+                                  np.array([2.0, -2.0, 2.0, 2.0]))
+        assert (cov.sigma11, cov.sigma22, cov.sigma12, cov.rho) == (1.0, 4.0, 1.0, 0.5)
+        assert cov.low.tolist() == [[1.0, 0.0], [1.0, math.sqrt(3.0)]]
 
     def test_dof_denominator(self):
         r1 = np.array([1.0, -1.0, 0.5, -0.5])
@@ -132,8 +151,24 @@ class TestResidualCovariance:
         assert cov.sigma12 == pytest.approx(float(r1 @ r2) / np.sqrt(6))
 
     def test_zero_variance(self):
-        with pytest.raises(DegenerateDataError, match="degenerate"):
-            residual_covariance(np.zeros(5), np.ones(5))
+        # a zero variance, or a single garage, leaves a zero determinant
+        for r1, r2 in [(np.zeros(5), np.ones(5)), ([0.3, -0.3], [0.0, 0.0]),
+                       ([0.0, 0.0], [0.0, 0.0]), ([1.0], [2.0])]:
+            with pytest.raises(EstimationError, match=f"^{SINGULAR_RESIDUALS}$"):
+                residual_covariance(np.array(r1), np.array(r2))
+
+    def test_empty_residuals_are_an_argument_error(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            residual_covariance(np.zeros(0), np.zeros(0))
+
+    @pytest.mark.parametrize("rho", [0.999, -0.999, 1.0 - 1e-9])
+    def test_strong_correlation_is_kept(self, rho):
+        rng = np.random.default_rng(4)
+        z = rng.normal(size=(500, 2))
+        r2 = rho * z[:, 0] + math.sqrt(1.0 - rho * rho) * z[:, 1]
+        cov = residual_covariance(z[:, 0], r2)
+        assert np.sign(cov.rho) == np.sign(rho)
+        assert 0.5 < (1.0 - cov.rho ** 2) / (1.0 - rho * rho) < 2.0
 
 
 class TestErrorCovariance:
@@ -142,17 +177,27 @@ class TestErrorCovariance:
         assert cov.rho == pytest.approx(3.0 / 6.0)
 
     def test_rejects_non_psd(self):
-        with pytest.raises(DegenerateDataError):
-            ErrorCovariance(sigma11=1.0, sigma22=1.0, sigma12=1.5)
-        with pytest.raises(DegenerateDataError):
-            ErrorCovariance(sigma11=-1.0, sigma22=1.0, sigma12=0.0)
+        # |rho| > 1, a negative or zero variance, and rho = +1 or -1
+        for s11, s22, s12 in [(1.0, 1.0, 1.5), (-1.0, 1.0, 0.0), (0.0, 1.0, 0.0),
+                              (1.0, 1.0, 1.0), (4.0, 9.0, -6.0)]:
+            matrix = re.escape(str([[s11, s12], [s12, s22]]))
+            with pytest.raises(DegenerateDataError,
+                               match=f"^error covariance {matrix} is not positive definite: "):
+                ErrorCovariance(sigma11=s11, sigma22=s22, sigma12=s12)
 
     @pytest.mark.parametrize("entries", [(math.nan, 1.0, 0.0), (1.0, math.inf, 0.0),
                                          (1.0, 1.0, math.nan)])
     def test_rejects_non_finite(self, entries):
-        # NaN fails every comparison, so the positivity check alone accepts it
-        with pytest.raises(DegenerateDataError, match="finite"):
+        # NaN fails every comparison, so a positivity check alone accepts it
+        with pytest.raises(DegenerateDataError,
+                           match=r"^error covariance \[\[.*\]\] is not positive definite: "
+                                 "array must not contain infs or NaNs"):
             ErrorCovariance(*entries)
+
+    def test_factor_is_the_matrix_cholesky(self):
+        cov = ErrorCovariance(0.09, 0.25, 0.06)
+        assert cov.low.tobytes() == cholesky(cov.matrix, lower=True).tobytes()
+        assert cov == ErrorCovariance(0.09, 0.25, 0.06) and "low" not in repr(cov)
 
 
 class TestLoglikFixed:
@@ -323,6 +368,19 @@ class TestFgls:
         y = rng.normal(size=30) + 1.0
         with pytest.raises(EstimationError, match="degenerate residual covariance"):
             fgls_fit(design_of(x, x), y, 2.0 * y)
+
+    @pytest.mark.parametrize("denominator", ["ml", "dof"])
+    @pytest.mark.parametrize("c", [2.0, 0.5, 3.0, -1.0, 1.0])
+    def test_proportional_residuals_get_one_message(self, c, denominator):
+        # rounding leaves the step-one covariance of such residuals
+        # factorable with rho = 1 - 2e-16 on some seeds (10 at c = 3), or the
+        # re-estimated one singular after step one passed (2 at c = 3)
+        for seed in range(40):
+            x, y1, y2 = proportional_data(seed, c)
+            with pytest.raises(EstimationError, match=f"^{SINGULAR_RESIDUALS}$"):
+                fgls_fit(design_of(x, x), y1, y2, cov_denominator=denominator)
+            # ols estimates no rho, so it still fits
+            assert np.isfinite(ols_system_fit(design_of(x, x), y1, y2).loglik)
 
 
 class TestDesignMatrices:
