@@ -279,7 +279,7 @@ def cmd_fit(args, parser) -> int:
     if args.estimator == "ols":
         fit = ols_system_fit(design, y1, y2)
     elif args.estimator == "sure":
-        fit = fgls_fit(design, y1, y2, cov_denominator=args.cov_denominator)
+        fit = fgls_fit(design, y1, y2)
     else:
         draws = None
         if spec.n_random > 0:
@@ -303,10 +303,19 @@ def cmd_fit(args, parser) -> int:
     return EXIT_NOT_CONVERGED
 
 
+def _read_fit_json(path: str) -> dict:
+    """The JSON object a fit file holds; a file that cannot be read is a
+    SpecError, so it exits 2 like any other unusable fit file."""
+    try:
+        return checked(read_json(path, "fit file"), OBJECT, f"fit file {path}")
+    except OSError as exc:
+        raise SpecError(f"unreadable fit file {path}: {exc}") from exc
+
+
 def _read_fit_file(path: str) -> tuple[str, CriteriaInput]:
     where = f"fit file {path}"
+    raw = _read_fit_json(path)
     try:
-        raw = checked(read_json(path, "fit file"), OBJECT, where)
         loglik = checked(raw["loglik"], NUMBER, f"{where}: 'loglik'", nullable=True)
         if loglik is None:
             raise SpecError(f"{where} has a degenerate log-likelihood; it cannot be scored")
@@ -319,7 +328,7 @@ def _read_fit_file(path: str) -> tuple[str, CriteriaInput]:
                            fisher_inverse=None if cov is None else np.array(cov))
         estimator = checked(raw.get("estimator", "fit"), STRING, f"{where}: 'estimator'")
         return f"{estimator}:{Path(path).stem}", ci
-    except (OSError, KeyError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:
         raise SpecError(f"unreadable fit file {path}: {exc}") from exc
 
 
@@ -370,10 +379,7 @@ def cmd_compare(args, parser) -> int:
 
 def cmd_effects(args, parser) -> int:
     started = time.monotonic()
-    try:
-        raw = checked(read_json(args.fit, "fit file"), OBJECT, f"fit file {args.fit}")
-    except OSError as exc:
-        raise SpecError(f"unreadable fit file {args.fit}: {exc}") from exc
+    raw = _read_fit_json(args.fit)
     randoms = raw.get("random_coefficients") or []
     if not randoms:
         raise SpecError("no random coefficients in this fit")
@@ -475,8 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker cap for the likelihood (never changes results)")
     p.add_argument("--max-iterations", type=int, default=500,
                    help="optimizer iteration cap")
-    p.add_argument("--cov-denominator", choices=("ml", "dof"), default="ml",
-                   help="residual covariance denominator")
     p.add_argument("--mpg-columns", default="my_mpg,epa_mpg",
                    help="user,epa column bases for the gap ratio")
     p.set_defaults(handler=cmd_fit)

@@ -349,9 +349,9 @@ class LoglikKernel:
 
 
 def simulated_loglik(params: RpParameters, design: DesignMatrices,
-                     y1, y2, draws: DrawStore | None, threads: int = 1) -> float:
+                     y1, y2, draws: DrawStore | None) -> float:
     """Simulated log-likelihood at one natural-scale parameter point."""
-    return LoglikKernel(design, y1, y2, draws, threads).loglik(params)
+    return LoglikKernel(design, y1, y2, draws).loglik(params)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Fixed-parameter estimation for the two-equation gap system.
 
 Per-equation OLS, residual covariance with the cross-equation correlation,
-and two-step feasible GLS (OLS first, residual covariance second, one stacked
-GLS solve weighted by its inverse).  All solves go through orthogonal
-decompositions; nothing inverts a design matrix explicitly.  An
-ErrorCovariance is positive definite by construction; residual_covariance
-refuses an estimate that is singular up to rounding.
+and two-step feasible GLS (OLS first, the maximum-likelihood residual
+covariance second, one stacked GLS solve weighted by its inverse).  All
+solves go through orthogonal decompositions; nothing inverts a design matrix
+explicitly.  An ErrorCovariance is positive definite by construction;
+residual_covariance, which divides every cross-product by N, refuses an
+estimate that is singular up to rounding.
 """
 
 from __future__ import annotations
@@ -273,31 +274,22 @@ def ols_fit(x: np.ndarray, y: np.ndarray,
     return OlsFit(beta=beta, residuals=residuals, se=se, cov=cov, sigma2_ml=rss / n)
 
 
-def residual_covariance(res1: np.ndarray, res2: np.ndarray,
-                        denominator: str = "ml",
-                        k1: int = 0, k2: int = 0) -> ErrorCovariance:
-    """Cross-equation covariance of two residual vectors.
+def residual_covariance(res1: np.ndarray, res2: np.ndarray) -> ErrorCovariance:
+    """Maximum-likelihood cross-equation covariance of two residual vectors:
+    every cross-product divided by N.
 
-    The default "ml" denominator divides every product by N; "dof" divides
-    sigma_ab by sqrt((N - k_a)(N - k_b)) instead.  The one rule for an
-    estimated covariance: 1 - rho^2 at rounding level (a zero residual
-    variance, or perfectly correlated residuals) raises EstimationError.
+    The one rule for an estimated covariance: 1 - rho^2 at rounding level (a
+    zero residual variance, or perfectly correlated residuals) raises
+    EstimationError.
     """
     res1 = np.asarray(res1, dtype=float)
     res2 = np.asarray(res2, dtype=float)
     if res1.shape != res2.shape or res1.size == 0:
         raise ValueError("residual vectors must be non-empty and of equal length")
-    n = res1.size
-    if denominator == "ml":
-        d11 = d22 = d12 = float(n)
-    elif denominator == "dof":
-        d11, d22 = float(n - k1), float(n - k2)
-        d12 = float(np.sqrt((n - k1) * (n - k2)))
-    else:
-        raise ValueError(f"unknown denominator {denominator!r}")
-    s11 = float(res1 @ res1) / d11
-    s22 = float(res2 @ res2) / d22
-    s12 = float(res1 @ res2) / d12
+    n = float(res1.size)
+    s11 = float(res1 @ res1) / n
+    s22 = float(res2 @ res2) / n
+    s12 = float(res1 @ res2) / n
     if not s11 * s22 - s12 * s12 > _MIN_1_MINUS_RHO2 * s11 * s22:
         raise EstimationError("degenerate residual covariance: a residual variance is zero,"
                               " or the residuals are perfectly correlated")
@@ -375,25 +367,24 @@ def _equation_ols(design: DesignMatrices, y1, y2):
     return out
 
 
-def fgls_fit(design: DesignMatrices, y1, y2, cov_denominator: str = "ml") -> SureFit:
+def fgls_fit(design: DesignMatrices, y1, y2) -> SureFit:
     """Two-step Zellner FGLS for the bivariate system.
 
     Step one fits each equation by OLS; step two estimates the error
-    covariance from those residuals and solves the stacked system whitened
-    by its Cholesky inverse.  The reported covariance and correlation are
-    re-estimated from the FGLS residuals, and the log-likelihood is the
-    exact Gaussian value at the solution.  Both covariance estimates go
-    through residual_covariance, which refuses a singular one.  `param_cov`
-    holds the coefficients' GLS covariance, then the closed-form covariance
-    of (sigma1, sigma2, rho), which is uncorrelated with the coefficients.
-    The SureFit has no random coefficients, draws or convergence record;
-    fit_rp_sure starts from it.
+    covariance from those residuals, each cross-product divided by N, and
+    solves the stacked system whitened by its Cholesky inverse.  The
+    reported covariance and correlation are re-estimated from the FGLS
+    residuals, and the log-likelihood is the exact Gaussian value at the
+    solution.  Both covariance estimates go through residual_covariance,
+    which refuses a singular one.  `param_cov` holds the coefficients' GLS
+    covariance, then the closed-form covariance of (sigma1, sigma2, rho),
+    which is uncorrelated with the coefficients.  The SureFit has no random
+    coefficients, draws or convergence record; fit_rp_sure starts from it.
     """
     (y1, ols1), (y2, ols2) = _equation_ols(design, y1, y2)
     x1, x2, n = design.x1, design.x2, design.n
     k1, k2 = x1.shape[1], x2.shape[1]
-    low = residual_covariance(ols1.residuals, ols2.residuals,
-                              denominator=cov_denominator, k1=k1, k2=k2).low
+    low = residual_covariance(ols1.residuals, ols2.residuals).low
 
     # Whiten each observation's residual pair by L^-1 and stack into a
     # single least-squares problem over (beta1, beta2).
@@ -413,7 +404,7 @@ def fgls_fit(design: DesignMatrices, y1, y2, cov_denominator: str = "ml") -> Sur
 
     res1 = y1 - _rowdot(x1, beta1)
     res2 = y2 - _rowdot(x2, beta2)
-    sigma = residual_covariance(res1, res2, denominator="ml")
+    sigma = residual_covariance(res1, res2)
     loglik = float(np.sum(bivariate_normal_logpdf(res1, res2, sigma)))
 
     # With unit-variance whitened errors the GLS covariance is (Z'Z)^-1.

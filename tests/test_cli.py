@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 import warnings
 
 import numpy as np
@@ -7,9 +8,7 @@ import pytest
 
 from fuelgap.cli import build_parser, main
 from fuelgap.criteria import CriteriaInput, score_criteria
-from fuelgap.data import compute_gaps, encode_design, parse_raw, responses
-from fuelgap.modelspec import model_spec_from_dict
-from fuelgap.sure import fgls_fit
+from fuelgap.data import compute_gaps, parse_raw
 from test_sure import SINGULAR_RESIDUALS, proportional_data
 
 TRUTH = {
@@ -399,7 +398,6 @@ X_SPEC = {"equations": [{"name": name, "intercept": True, "terms": [{"column": "
                         for name in ("vehicle_1", "vehicle_2")]}
 ESTIMATOR_FLAGS = [pytest.param(["--estimator", "ols"], id="ols"),
                    pytest.param(["--estimator", "sure"], id="sure"),
-                   pytest.param(["--estimator", "sure", "--cov-denominator", "dof"], id="dof"),
                    pytest.param(["--estimator", "rp-sure"], id="rp-sure")]
 
 
@@ -704,25 +702,6 @@ class TestFit:
                            "--threads", threads, "--out", str(out)) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_dof_denominator_matches_library_fit(self, tmp_path, data_file):
-        # unequal column counts, so the dof divisors rescale Sigma unevenly
-        raw_spec = {"equations": [
-            {"name": "vehicle_1", "terms": [{"column": "x1"}, {"column": "x2"}]},
-            {"name": "vehicle_2", "terms": []}]}
-        spec = write_json(tmp_path / "spec.json", raw_spec)
-        coefs = {}
-        for denominator in ("ml", "dof"):
-            out = tmp_path / f"{denominator}.json"
-            assert run_cli("fit", "--data", data_file, "--spec", spec, "--estimator", "sure",
-                           "--cov-denominator", denominator, "--out", str(out)) == 0
-            coefs[denominator] = [eq["coef"] for eq in json.loads(out.read_text())["equations"]]
-        table = compute_gaps(parse_raw(data_file))
-        design = encode_design(table, model_spec_from_dict(raw_spec))
-        library = fgls_fit(design, *responses(table), cov_denominator="dof")
-        assert coefs["dof"] == [{c.name: c.estimate for c in library.coefficients
-                                 if c.equation == eq} for eq in ("vehicle_1", "vehicle_2")]
-        assert coefs["dof"] != coefs["ml"]
-
     def test_fit_manifest_written(self, tmp_path, data_file, spec_file):
         out = tmp_path / "sure.json"
         assert run_cli("fit", "--data", data_file, "--spec", spec_file,
@@ -996,8 +975,7 @@ class TestHelp:
         ("prepare", ["--input", "--out", "--trim-sd", "--mpg-columns",
                      "--group-by", "--groups-out", "--year-bins"]),
         ("fit", ["--data", "--spec", "--estimator", "--out", "--draws", "--burn",
-                 "--bases", "--threads", "--max-iterations", "--cov-denominator",
-                 "--mpg-columns"]),
+                 "--bases", "--threads", "--max-iterations", "--mpg-columns"]),
         ("compare", ["--out"]),
         ("effects", ["--fit", "--out"]),
         ("simulate", ["--truth", "--out", "--n", "--seed", "--coef-draws"]),
@@ -1007,6 +985,5 @@ class TestHelp:
             build_parser().parse_args([command, "--help"])
         assert exc.value.code == 0
         text = capsys.readouterr().out
-        for flag in flags:
-            assert flag in text
+        assert set(re.findall(r"--[a-z][a-z-]*", text)) == {*flags, "--help"}
         assert "default" in text

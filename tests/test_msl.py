@@ -142,7 +142,7 @@ class TestSimulatedLoglik:
         for threads in (1, 2):
             kernel = LoglikKernel(design, ds.y1, ds.y2, draws, threads=threads)
             assert len(kernel.blocks) == 2
-            for run in (lambda: simulated_loglik(far, design, ds.y1, ds.y2, draws, threads),
+            for run in (lambda: kernel.loglik(far),
                         lambda: kernel.loglik(far, score=True),
                         lambda: kernel.hessian(far)):
                 with warnings.catch_warnings(), \
@@ -154,14 +154,31 @@ class TestSimulatedLoglik:
                     run()
 
     def test_thread_count_does_not_change_bits(self):
-        truth = rp_truth(n=111)
+        # N R = 800k makes eight blocks, so every thread count above 1 runs
+        # the pool; eight workers on fewer cores, switching threads every
+        # microsecond, interleave the blocks as finely as they can
+        truth = rp_truth(n=800)
         ds = simulate_dataset(truth)
         design = design_of(ds)
-        draws = build_draw_store(111, HaltonConfig(bases=(2, 3), draws_per_obs=64))
+        draws = build_draw_store(800, HaltonConfig(bases=(2, 3), draws_per_obs=1000))
         params = truth_params(truth)
-        values = {simulated_loglik(params, design, ds.y1, ds.y2, draws, threads=t)
-                  for t in (1, 2, 4, 8)}
-        assert len(values) == 1
+
+        def passes(threads):
+            kernel = LoglikKernel(design, ds.y1, ds.y2, draws, threads=threads)
+            assert len(kernel.blocks) > 1
+            value, score = kernel.loglik(params, score=True)
+            return [np.float64(kernel.loglik(params)).tobytes(),
+                    np.float64(value).tobytes(), score.tobytes(),
+                    kernel.hessian(params).tobytes()]
+
+        serial = passes(1)
+        assert passes(2) == serial
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert passes(8) == serial
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_draw_store_shape_validation(self):
         truth = rp_truth(n=20)

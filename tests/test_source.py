@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 import fuelgap
-from fuelgap.msl import LoglikKernel, _BfgsMinimizer, fit_rp_sure
-from fuelgap.sure import ErrorCovariance, fgls_fit, ols_system_fit
+from fuelgap.msl import LoglikKernel, _BfgsMinimizer, fit_rp_sure, simulated_loglik
+from fuelgap.sure import ErrorCovariance, fgls_fit, ols_system_fit, residual_covariance
 
 SOURCES = sorted(Path(fuelgap.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
@@ -112,10 +112,19 @@ def test_every_export_has_a_caller():
                          ids=lambda entry: entry.__name__)
 def test_every_estimator_takes_the_design(entry):
     # the encoded design is the one description of the model's columns, so
-    # no entry point may take the matrices or their names on their own
+    # no entry point may take the matrices or their names on their own; the
+    # step-one covariance is the ML one, with no divisor to choose
     params = list(inspect.signature(entry).parameters)
     assert params[0] == "design"
-    assert {"x1", "x2", "names1", "names2", "eq_names"} & set(params) == set()
+    assert {"x1", "x2", "names1", "names2", "eq_names", "cov_denominator"} \
+        & set(params) == set()
+
+
+def test_one_residual_covariance():
+    # one estimate of the error covariance, every cross-product over N, and
+    # the thread count is the kernel's alone
+    assert list(inspect.signature(residual_covariance).parameters) == ["res1", "res2"]
+    assert "threads" not in inspect.signature(simulated_loglik).parameters
 
 
 def test_one_evaluation_path_for_the_fit():

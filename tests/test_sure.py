@@ -142,14 +142,6 @@ class TestResidualCovariance:
         assert (cov.sigma11, cov.sigma22, cov.sigma12, cov.rho) == (1.0, 4.0, 1.0, 0.5)
         assert cov.low.tolist() == [[1.0, 0.0], [1.0, math.sqrt(3.0)]]
 
-    def test_dof_denominator(self):
-        r1 = np.array([1.0, -1.0, 0.5, -0.5])
-        r2 = np.array([0.2, 0.1, -0.4, 0.3])
-        cov = residual_covariance(r1, r2, denominator="dof", k1=1, k2=2)
-        assert cov.sigma11 == pytest.approx(float(r1 @ r1) / 3)
-        assert cov.sigma22 == pytest.approx(float(r2 @ r2) / 2)
-        assert cov.sigma12 == pytest.approx(float(r1 @ r2) / np.sqrt(6))
-
     def test_zero_variance(self):
         # a zero variance, or a single garage, leaves a zero determinant
         for r1, r2 in [(np.zeros(5), np.ones(5)), ([0.3, -0.3], [0.0, 0.0]),
@@ -369,16 +361,15 @@ class TestFgls:
         with pytest.raises(EstimationError, match="degenerate residual covariance"):
             fgls_fit(design_of(x, x), y, 2.0 * y)
 
-    @pytest.mark.parametrize("denominator", ["ml", "dof"])
     @pytest.mark.parametrize("c", [2.0, 0.5, 3.0, -1.0, 1.0])
-    def test_proportional_residuals_get_one_message(self, c, denominator):
+    def test_proportional_residuals_get_one_message(self, c):
         # rounding leaves the step-one covariance of such residuals
         # factorable with rho = 1 - 2e-16 on some seeds (10 at c = 3), or the
         # re-estimated one singular after step one passed (2 at c = 3)
         for seed in range(40):
             x, y1, y2 = proportional_data(seed, c)
             with pytest.raises(EstimationError, match=f"^{SINGULAR_RESIDUALS}$"):
-                fgls_fit(design_of(x, x), y1, y2, cov_denominator=denominator)
+                fgls_fit(design_of(x, x), y1, y2)
             # ols estimates no rho, so it still fits
             assert np.isfinite(ols_system_fit(design_of(x, x), y1, y2).loglik)
 
