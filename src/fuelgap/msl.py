@@ -25,7 +25,6 @@ and d2 ln phi is closed form for this linear-normal kernel.
 
 from __future__ import annotations
 
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -92,9 +91,10 @@ class LoglikKernel:
     draw products.
 
     Observations are evaluated in fixed blocks of about _BLOCK_DOUBLES / R
-    rows, so temporaries stay small for any N.  Per-observation values,
-    score rows and per-block Hessians are summed in one fixed order, so
-    results are bit-identical for any thread count.
+    rows, so temporaries stay small for any N, in at most `threads`
+    contiguous runs of blocks: the first on the calling thread, the others
+    on a pool that lives as long as the kernel.  Per-block results are
+    summed in block order, so they are bit-identical for any thread count.
     """
 
     def __init__(self, design: DesignMatrices, y1, y2, draws: DrawStore | None,
@@ -105,7 +105,6 @@ class LoglikKernel:
         self.n = design.n
         if threads < 1:
             raise ValueError("threads must be >= 1")
-        self.threads = threads
         if self.effects:
             if draws is None:
                 raise SpecError("random coefficients declared but no draw store given")
@@ -126,16 +125,30 @@ class LoglikKernel:
         self.log_r = np.log(float(r))
         rows = max(1, _BLOCK_DOUBLES // r)
         self.blocks = [(lo, min(lo + rows, self.n)) for lo in range(0, self.n, rows)]
+        self._buffer_shape = (5 + 2 * len(self.effects), min(rows, self.n), r)
+        k = max(1, min(threads, len(self.blocks)))
+        self._runs = np.array_split(np.arange(len(self.blocks)), k)
+        self._pool = ThreadPoolExecutor(k - 1) if k > 1 else None
 
     # _evaluate raises on a value that is not finite; silenced here, since
     # pool threads do not inherit the caller's np.errstate
     @np.errstate(over="ignore", invalid="ignore")
+    def _run(self, run, params, low, base, value, score, hess) -> None:
+        """Evaluate a run of blocks in order on this thread, with one Hessian
+        buffer: fresh (rows, draws) arrays per block cost more in page
+        faults than the arithmetic that fills them."""
+        buf = None if hess is None else np.empty(self._buffer_shape)
+        for b in run:
+            lo, hi = self.blocks[b]
+            self._block(params, low, lo, hi, base, value, score,
+                        None if hess is None else hess[b], buf)
+
     def _block(self, params: RpParameters, low: np.ndarray, lo: int, hi: int,
                base: tuple, value: np.ndarray, score: np.ndarray | None,
-               hess: np.ndarray | None, workspace) -> None:
+               hess: np.ndarray | None, buf: np.ndarray | None) -> None:
         """Fill value[lo:hi], score[lo:hi] unless it is None, and hess with
         the block's Hessian contribution unless it is None (needs score and
-        workspace, a threading.local that keeps this thread's buffers).
+        buf, the run's Hessian buffer).
 
         The (rows, draws) temporaries are written in place where the float
         operations allow it; a residual of an equation without random
@@ -196,10 +209,9 @@ class LoglikKernel:
         if hess is not None:
             s_bar = [-a[0], -a[1]] + [out[:, j] for j in range(col, out.shape[1])]
             self._block_hessian(low, lo, hi, w, w_sum, v1, v2, (m11, m12, m22),
-                                s_bar, hess, workspace)
+                                s_bar, hess, buf)
 
-    def _block_hessian(self, low, lo, hi, w, w_sum, v1, v2, vv, s_bar, hess,
-                       workspace) -> None:
+    def _block_hessian(self, low, lo, hi, w, w_sum, v1, v2, vv, s_bar, hess, buf) -> None:
         """Fill hess with the block's rows of the log-likelihood Hessian.
 
         Per row this is E[d2 lnphi + g g'] - gbar gbar', E the mixture-weighted
@@ -211,7 +223,7 @@ class LoglikKernel:
         a = d lnphi / d e and c holds d lnphi / d (log l11, l21, log l22);
         its row mean is s_bar, the score already written.  vv holds the row
         means of v1 v1, v1 v2 and v2 v2.  Only the upper triangle is set.
-        w is overwritten.
+        w and buf, which holds the draw-level factors, are overwritten.
         """
         l11, l21, l22 = low[0, 0], low[1, 0], low[1, 1]
         n_d = len(self.effects)
@@ -220,13 +232,6 @@ class LoglikKernel:
         for e in (0, 1):
             for d, prod in self.products[e]:
                 p[d] = prod[lo:hi]
-
-        # the draw-level factors go to buffers this thread reuses across
-        # blocks: a fresh (rows, draws) array costs more in page faults than
-        # the arithmetic that fills it
-        buf = getattr(workspace, "buf", None)
-        if buf is None or buf.shape[1] < w.shape[0]:
-            buf = workspace.buf = np.empty((5 + 2 * n_d,) + w.shape)
         tmp = iter(buf[:, :w.shape[0]])
 
         def mean(x, y):
@@ -308,18 +313,13 @@ class LoglikKernel:
         score = np.empty((self.n, size)) if with_score else None
         # one (p, p) slot per block, summed in block order
         hess = np.zeros((len(self.blocks), size, size)) if with_hessian else None
-        low = params.cov.low
-        workspace = threading.local() if with_hessian else None
-        tasks = [(params, low, lo, hi, base, value, score,
-                  None if hess is None else hess[b], workspace)
-                 for b, (lo, hi) in enumerate(self.blocks)]
-        if self.threads == 1 or len(self.blocks) == 1:
-            for task in tasks:
-                self._block(*task)
-        else:
-            with ThreadPoolExecutor(max_workers=min(self.threads, len(self.blocks))) as pool:
-                for fut in [pool.submit(self._block, *task) for task in tasks]:
-                    fut.result()
+        args = (params, params.cov.low, base, value, score, hess)
+        futures = [self._pool.submit(self._run, run, *args) for run in self._runs[1:]]
+        try:
+            self._run(self._runs[0], *args)
+        finally:   # no worker may still be writing when an error propagates
+            for future in futures:
+                future.result()
         total = float(np.sum(value))
         if not np.isfinite(total):
             raise EstimationError("simulated log-likelihood is not finite: the whitened "

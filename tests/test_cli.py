@@ -864,6 +864,16 @@ class TestCompare:
         assert run_cli("compare", a, str(tmp_path / "missing.json"),
                        "--out", str(tmp_path / "c.csv")) == 2
 
+    def test_fit_without_parameter_count_exit_2(self, tmp_path, capsys):
+        a = fake_fit(tmp_path, "a.json", 10.0)
+        payload = fit_payload(20.0)
+        del payload["k"]
+        b = write_json(tmp_path / "b.json", payload)
+        out = tmp_path / "c.csv"
+        assert run_cli("compare", a, b, "--out", str(out)) == 2
+        assert f"error: unreadable fit file {b}: 'k'\n" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEffects:
     def rp_fit_file(self, tmp_path, randoms):

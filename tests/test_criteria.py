@@ -125,6 +125,11 @@ class TestRankModels:
         with pytest.raises(ValueError):
             rank_models([("only", CriteriaInput(loglik=1.0, k=1, n=10))])
 
+    def test_repeated_labels_are_refused(self):
+        with pytest.raises(ValueError, match="fit labels must be distinct"):
+            rank_models([("a", CriteriaInput(loglik=1.0, k=1, n=10)),
+                         ("a", CriteriaInput(loglik=2.0, k=1, n=10))])
+
     def test_fits_of_different_samples_are_refused(self):
         # information criteria compare models only on the same data
         with pytest.raises(SpecError, match="different samples.*a has n=100, b has n=50"):

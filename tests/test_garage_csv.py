@@ -13,6 +13,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuelgap import data
 from fuelgap.cli import main
@@ -201,6 +202,49 @@ class TestParseMatchesReader:
                 want = list(filter(None, csv.reader(block)))
                 assert [line.split(",") for line in split] == want, block
         assert taken > 500
+
+
+# note cells over the characters that matter to a CSV reader: quotes, bare
+# CR, LF and control characters other than NUL (which csv.reader refused
+# before Python 3.11); rows whole, quoted, ragged or blank; any line end
+NOTE = st.lists(st.sampled_from(["a", "1", ",", " ", '"', "\r", "\n", "\r\n", "\t",
+                                 "\x01", "\x0b", "\x0c", "\x1c", "\x7f", "\x85", "é"]),
+                max_size=5).map("".join)
+LINE = st.one_of(
+    st.builds(row, st.integers(0, 9), st.sampled_from(["n", "", "a b", "é"])),
+    st.builds(row, st.integers(0, 9), NOTE),
+    st.builds(row, st.integers(0, 9), NOTE.map(lambda s: '"' + s.replace('"', '""') + '"')),
+    st.builds(lambda i, k: ",".join((row(i).split(",") + ["x"])[:k]),
+              st.integers(0, 9), st.integers(1, 10)),
+    st.just(""))
+FILE = st.lists(st.tuples(LINE, st.sampled_from(["\n", "\r\n", "\r"])), max_size=10).map(
+    lambda lines: HEADER + "\n" + "".join(line + end for line, end in lines))
+
+
+def parse_outcome(text: str):
+    """The table of `text`, or the text of its ParseError."""
+    try:
+        return parse_raw(io.StringIO(text, newline=""))
+    except ParseError as err:
+        return str(err)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(FILE)
+def test_split_path_agrees_with_the_csv_path(text):
+    # the str.split path, with its handover, against csv.reader from the
+    # first line; hypothesis takes no function-scoped fixture, so the
+    # patches are made here
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data, "_PARSE_ROWS", 2)
+        split = parse_outcome(text)
+        patch.setattr(data, "_plain_lines", lambda block: None)
+        reader = parse_outcome(text)
+    if isinstance(reader, str):
+        assert split == reader
+    else:
+        assert isinstance(split, GarageTable)
+        assert_same_table(split, reader)
 
 
 # cells whose text csv.writer writes unquoted, quoted, or otherwise specially

@@ -131,6 +131,10 @@ class TestHaltonBlock:
         cfg = HaltonConfig(bases=(2, 3, 5), draws_per_obs=4)
         assert halton_block(cfg, 3).shape == (4, 3)
 
+    def test_negative_index_is_refused(self):
+        with pytest.raises(ValueError, match="obs_index must be >= 0"):
+            halton_block(HaltonConfig(bases=(2,), draws_per_obs=4), -1)
+
 
 class TestHaltonConfig:
     def test_rejects_duplicate_or_composite_bases(self):
@@ -149,6 +153,9 @@ class TestHaltonConfig:
 
     def test_first_primes(self):
         assert first_primes(6) == (2, 3, 5, 7, 11, 13)
+        assert first_primes(0) == ()
+        with pytest.raises(ValueError, match="count must be >= 0"):
+            first_primes(-1)
 
 
 class TestInverseNormalCdf:

@@ -2,6 +2,7 @@ import collections
 import itertools
 import math
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -153,19 +154,24 @@ class TestSimulatedLoglik:
                     warnings.simplefilter("error")
                     run()
 
-    def test_thread_count_does_not_change_bits(self):
-        # N R = 800k makes eight blocks, so every thread count above 1 runs
-        # the pool; eight workers on fewer cores, switching threads every
-        # microsecond, interleave the blocks as finely as they can
+    @pytest.fixture(scope="class")
+    def eight_blocks(self):
+        # N R = 800k makes eight kernel blocks
         truth = rp_truth(n=800)
         ds = simulate_dataset(truth)
-        design = design_of(ds)
         draws = build_draw_store(800, HaltonConfig(bases=(2, 3), draws_per_obs=1000))
-        params = truth_params(truth)
+        return design_of(ds), ds.y1, ds.y2, draws, truth_params(truth)
+
+    def test_thread_count_does_not_change_bits(self, eight_blocks):
+        # every thread count above 1 runs the pool: 3 splits the eight blocks
+        # into runs of 3, 3 and 2, and 16 asks for more threads than there
+        # are blocks; many workers on fewer cores, switching threads every
+        # microsecond, interleave the runs as finely as they can
+        *data, params = eight_blocks
 
         def passes(threads):
-            kernel = LoglikKernel(design, ds.y1, ds.y2, draws, threads=threads)
-            assert len(kernel.blocks) > 1
+            kernel = LoglikKernel(*data, threads=threads)
+            assert len(kernel.blocks) == 8
             value, score = kernel.loglik(params, score=True)
             return [np.float64(kernel.loglik(params)).tobytes(),
                     np.float64(value).tobytes(), score.tobytes(),
@@ -173,12 +179,43 @@ class TestSimulatedLoglik:
 
         serial = passes(1)
         assert passes(2) == serial
+        assert [len(run) for run in LoglikKernel(*data, threads=3)._runs] == [3, 3, 2]
+        assert passes(3) == serial
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             assert passes(8) == serial
+            assert passes(16) == serial
         finally:
             sys.setswitchinterval(interval)
+
+    def test_one_thread_starts_no_thread(self, eight_blocks):
+        *data, params = eight_blocks
+        before = set(threading.enumerate())
+        kernel = LoglikKernel(*data, threads=1)
+        kernel.loglik(params, score=True)
+        kernel.hessian(params)
+        assert kernel._pool is None
+        assert set(threading.enumerate()) <= before
+
+    def test_pool_threads_never_outnumber_the_other_blocks(self, eight_blocks):
+        # the calling thread runs the first of at most eight runs
+        *data, params = eight_blocks
+        before = set(threading.enumerate())
+        kernel = LoglikKernel(*data, threads=16)
+        kernel.hessian(params)
+        assert 1 <= len(set(threading.enumerate()) - before) <= len(kernel.blocks) - 1
+
+    def test_thread_count_below_one_is_refused(self, eight_blocks):
+        *data, _ = eight_blocks
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            LoglikKernel(*data, threads=0)
+
+    @pytest.mark.parametrize("spread", [np.nan, np.inf, -np.inf])
+    def test_non_finite_spread_is_refused(self, spread):
+        with pytest.raises(ValueError, match="random-coefficient spreads must be finite"):
+            RpParameters(coef1=[0.88, -0.03], coef2=[0.92, 0.02], sigmas=[0.05, spread],
+                         cov=ErrorCovariance(0.01, 0.01, 0.005))
 
     def test_draw_store_shape_validation(self):
         truth = rp_truth(n=20)
@@ -783,6 +820,41 @@ class TestFitRpSure:
         assert fit.sigma.sigma11 > 0 and fit.sigma.sigma22 > 0
         for c in fit.random_coefficients:
             assert c.sigma > 0
+
+    @pytest.mark.parametrize("seed", [3, 5, 9])
+    def test_swapping_the_equations_mirrors_the_fit(self, seed):
+        # the same likelihood with its equations, responses and Halton bases
+        # swapped, so each spread keeps its draws; the optimizer runs in other
+        # Cholesky coordinates, so the fits agree to the stop rule, not in bits.
+        # N R = 120k makes two kernel blocks, so the mirror at two threads
+        # runs the pool
+        ds = simulate_dataset(truth_from_dict(dict(CRITERION_5_TRUTH, n=600, seed=seed)))
+        design = design_of(ds)
+        mirror = DesignMatrices(x1=ds.x2, x2=ds.x1, names1=ds.names2, names2=ds.names1,
+                                random1=(1,), random2=(1,), eq_names=design.eq_names[::-1])
+        draws = build_draw_store(600, HaltonConfig(bases=(3, 2), draws_per_obs=200))
+        assert len(LoglikKernel(mirror, ds.y2, ds.y1, draws, threads=2).blocks) == 2
+        fit = fit_rp_sure(design, ds.y1, ds.y2,
+                          build_draw_store(600, HaltonConfig(bases=(2, 3), draws_per_obs=200)))
+        mirrored = fit_rp_sure(mirror, ds.y2, ds.y1, draws, threads=2)
+        assert fit.convergence.converged and mirrored.convergence.converged
+        assert abs(fit.loglik - mirrored.loglik) <= 1e-9
+
+        def error_terms(f, order):
+            """(estimate, SE) of sigma1 and sigma2 in `order`, then of rho."""
+            sds = [(np.sqrt(f.sigma.sigma11), f.sigma1_se),
+                   (np.sqrt(f.sigma.sigma22), f.sigma2_se)]
+            return [sds[i] for i in order] + [(f.sigma.rho, f.rho_se)]
+
+        pairs = [(c, mirrored.coefficient(f"{c.equation}:{c.name}")) for c in fit.coefficients]
+        pairs = [((c.estimate, c.se), (m.estimate, m.se)) for c, m in pairs] \
+            + [((c.sigma, c.sigma_se), (m.sigma, m.sigma_se)) for c, m in pairs
+               if c.kind == "random-normal"] \
+            + list(zip(error_terms(fit, (0, 1)), error_terms(mirrored, (1, 0))))
+        assert len(pairs) == 9
+        for (estimate, se), (mirror_estimate, mirror_se) in pairs:
+            assert abs(estimate - mirror_estimate) <= 1e-6
+            assert abs(se - mirror_se) <= 1e-5 * se
 
 
 def assert_follows_layout(fit, d, tail):

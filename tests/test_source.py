@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import fuelgap
+from fuelgap import msl
 from fuelgap.msl import LoglikKernel, _BfgsMinimizer, fit_rp_sure, simulated_loglik
 from fuelgap.sure import ErrorCovariance, fgls_fit, ols_system_fit, residual_covariance
 
@@ -136,6 +137,15 @@ def test_one_evaluation_path_for_the_fit():
         ["self", "params", "score"]
     assert list(inspect.signature(_BfgsMinimizer.__init__).parameters) == \
         ["self", "evaluate", "x0"]
+
+
+def test_one_pool_per_kernel():
+    # the kernel builds its pool once, and a pass hands each thread one run
+    # of blocks with its own buffer, so there is no per-thread workspace
+    assert callers(None, {"ThreadPoolExecutor"}) == {("msl", "__init__")}
+    assert "threading" not in imported_names(ast.parse(inspect.getsource(msl)))
+    for method in (LoglikKernel._block, LoglikKernel._block_hessian):
+        assert "workspace" not in inspect.signature(method).parameters
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])

@@ -264,6 +264,17 @@ class TestWhitenedLogpdf:
 
 
 class TestFgls:
+    def test_coefficient_lookup_refuses_unknown_and_ambiguous_names(self):
+        x1, x2, y1, y2, _, _ = simulate_sur(np.random.default_rng(5), 50)
+        names = ("const", "a", "b")
+        fit = fgls_fit(DesignMatrices(x1, x2, names, names), y1, y2)
+        assert fit.coefficient("vehicle_2:const") is fit.coefficients[3]
+        with pytest.raises(KeyError, match="no coefficient named 'c'"):
+            fit.coefficient("c")
+        with pytest.raises(KeyError, match="coefficient name 'const' is ambiguous; "
+                                           "qualify with equation"):
+            fit.coefficient("const")
+
     def test_kruskal_equivalence(self):
         # identical regressors force FGLS == per-equation OLS
         rng = np.random.default_rng(5)

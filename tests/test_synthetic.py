@@ -290,6 +290,10 @@ class TestQuadrature:
                 for k in (2, 5, 10, 20)]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
+    def test_no_nodes_is_refused(self):
+        with pytest.raises(ValueError, match="nodes must be >= 1"):
+            quadrature_loglik(*self.args, nodes=0)
+
     def test_dimension_cap(self):
         effects = tuple(RandomEffect(f"e{i}", equation=0, column=0) for i in range(4))
         with pytest.raises(SpecError, match="at most 3"):
