@@ -2,12 +2,16 @@
 plus a synthetic-data generator, all emitting JSON/CSV artifacts.
 
 Every command writes a manifest next to its output recording the resolved
-options and SHA-256 hashes of inputs and outputs; re-running with identical
-inputs and options reproduces identical output hashes (only the duration
-field varies).  Exit codes: 0 success, 2 usage or validation, 3 estimation
-did not converge (the fit is still written), 4 I/O failure.  A fit file
-given to compare or effects that cannot be read exits 2 like any other
-unusable fit file; every other input that cannot be read exits 4.
+options that shaped it and SHA-256 hashes of inputs and outputs; re-running
+with identical inputs and options reproduces identical output hashes (only
+the duration field varies).  Any other option is refused: the `fit` options
+in RP_SURE_OPTIONS go only to rp-sure, and --draws, --burn and --bases only
+with random terms (ols and sure fit those as fixed, with a note on stderr).
+`prepare` alone picks the rating columns, as my_mpg_*/epa_mpg_* for `fit`.
+Exit codes: 0 success, 2 usage or validation, 3 estimation did not converge
+(the fit is still written), 4 I/O failure.  A fit file given to compare or
+effects that cannot be read exits 2 like any other unusable fit file; every
+other input that cannot be read exits 4.
 
 One result type, `sure.SureFit` (built only by `sure.layout_fit`), backs
 the one fit JSON schema of every estimator (`fit_payload`): estimator, n,
@@ -191,24 +195,19 @@ def _parse_year_bins(parser: argparse.ArgumentParser, text: str):
     return tuple(bins)
 
 
-def _parse_bases(parser: argparse.ArgumentParser, text: str) -> tuple[int, ...]:
-    try:
-        return HaltonConfig(bases=tuple(int(b) for b in text.split(","))).bases
-    except ValueError as exc:
-        parser.error(f"--bases expects distinct primes like '2,3', got {text!r}: {exc}")
-
-
 def cmd_prepare(args, parser) -> int:
     started = time.monotonic()
     trim_sd = _positive_float(parser, args.trim_sd, "--trim-sd")
-    user_col, epa_col = _split_mpg_columns(parser, args.mpg_columns)
+    columns = [c.strip() for c in args.mpg_columns.split(",")]
+    if len(columns) != 2 or not all(columns):
+        parser.error("--mpg-columns expects 'user_base,epa_base'")
     keys = [k.strip() for k in (args.group_by or "").split(",") if k.strip()]
     if args.groups_out and not args.group_by:
         parser.error("--groups-out needs --group-by")
     if args.year_bins and not {"model_year_bin_1", "model_year_bin_2"} & set(keys):
         parser.error("--year-bins needs --group-by with model_year_bin_1 or model_year_bin_2")
     bins = _parse_year_bins(parser, args.year_bins) if args.year_bins else DEFAULT_YEAR_BINS
-    table = compute_gaps(parse_raw(args.input, user_col=user_col, epa_col=epa_col))
+    table = compute_gaps(parse_raw(args.input, *columns))
     clashes = [c for c in table.covariates if c in GARAGE_COLUMNS]
     if clashes:
         raise SpecError(f"input columns {clashes} would repeat fixed columns of the "
@@ -244,13 +243,6 @@ def cmd_prepare(args, parser) -> int:
     return EXIT_OK
 
 
-def _split_mpg_columns(parser, text: str) -> tuple[str, str]:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 2 or not all(parts):
-        parser.error("--mpg-columns expects 'user_base,epa_base'")
-    return parts[0], parts[1]
-
-
 def _column_means(values: np.ndarray) -> list:
     """Mean of each vehicle's column; None for both when there are no rows."""
     if not len(values):
@@ -258,21 +250,53 @@ def _column_means(values: np.ndarray) -> list:
     return [float(np.mean(column)) for column in values.T]
 
 
+# dest -> (default, help) of the options that only rp-sure uses; an option is
+# given only when it is on the command line (argparse.SUPPRESS)
+RP_SURE_OPTIONS = {
+    "draws": (400, "Halton draws per observation (rp-sure with random terms)"),
+    "burn": (50, "leading Halton points to discard (rp-sure with random terms)"),
+    "bases": (None, "comma-separated Halton prime bases, one per random term, the "
+                    "first primes if left out (rp-sure with random terms)"),
+    "threads": (1, "worker cap for the likelihood, which never changes results (rp-sure)"),
+    "max_iterations": (500, "optimizer iteration cap (rp-sure)"),
+}
+
+
+def _rp_sure_options(args, parser, spec) -> dict:
+    """The resolved rp-sure options that shape this fit; refuses any other given."""
+    used = [k for k in RP_SURE_OPTIONS if args.estimator == "rp-sure"
+            and (spec.n_random or k in ("threads", "max_iterations"))]
+    unused = ", ".join(f"--{k.replace('_', '-')}" for k in RP_SURE_OPTIONS
+                       if hasattr(args, k) and k not in used)
+    if unused:
+        where = " on a spec without random terms" if args.estimator == "rp-sure" else ""
+        parser.error(f"--estimator {args.estimator} does not use {unused}{where}")
+    options = {k: getattr(args, k, RP_SURE_OPTIONS[k][0]) for k in used}
+    for key, low in (("draws", 1), ("burn", 0), ("threads", 1), ("max_iterations", 1)):
+        if options.get(key, low) < low:
+            parser.error(f"--{key.replace('_', '-')} must be >= {low}")
+    if "bases" in options:
+        text, count = options["bases"], spec.n_random
+        try:
+            bases = first_primes(count) if text is None \
+                else HaltonConfig(tuple(int(b) for b in text.split(","))).bases
+        except ValueError as exc:
+            parser.error(f"--bases expects distinct primes like '2,3', got {text!r}: {exc}")
+        if len(bases) != count:
+            parser.error(f"--bases needs one prime per random term, got {len(bases)} for {count}")
+        options["bases"] = bases
+    return options
+
+
 def cmd_fit(args, parser) -> int:
     started = time.monotonic()
-    user_col, epa_col = _split_mpg_columns(parser, args.mpg_columns)
-    if args.draws < 1:
-        parser.error("--draws must be >= 1")
-    if args.burn < 0:
-        parser.error("--burn must be >= 0")
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
-    if args.max_iterations < 1:
-        parser.error("--max-iterations must be >= 1")
-    bases = _parse_bases(parser, args.bases) if args.bases else None
-
     spec = load_model_spec(args.spec)
-    table = compute_gaps(parse_raw(args.data, user_col=user_col, epa_col=epa_col))
+    options = _rp_sure_options(args, parser, spec)
+    randoms = [f"{eq.name}:{t.design_name}" for eq in spec.equations
+               for t in eq.terms if t.is_random]
+    if randoms and args.estimator != "rp-sure":
+        print(f"note: {args.estimator} fits the random terms {randoms} as fixed", file=sys.stderr)
+    table = compute_gaps(parse_raw(args.data))
     design = encode_design(table, spec)
     y1, y2 = responses(table)
 
@@ -281,17 +305,15 @@ def cmd_fit(args, parser) -> int:
     elif args.estimator == "sure":
         fit = fgls_fit(design, y1, y2)
     else:
-        draws = None
-        if spec.n_random > 0:
-            config = HaltonConfig(bases=bases or first_primes(spec.n_random),
-                                  draws_per_obs=args.draws, burn=args.burn)
-            draws = build_draw_store(len(table), config)
+        draws = None if not spec.n_random else build_draw_store(
+            len(table), HaltonConfig(options["bases"], options["draws"], options["burn"]))
         fit = fit_rp_sure(design, y1, y2, draws=draws,
-                          max_iterations=args.max_iterations, threads=args.threads)
+                          max_iterations=options["max_iterations"],
+                          threads=options["threads"])
 
     out = Path(args.out)
     _write_json(fit_payload(fit, args.estimator), out)
-    _write_manifest("fit", vars(args), [Path(args.data), Path(args.spec)],
+    _write_manifest("fit", {**vars(args), **options}, [Path(args.data), Path(args.spec)],
                     [out], started)
     convergence = fit.convergence
     status = "ok" if convergence is None else convergence.status
@@ -471,18 +493,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="model spec JSON")
     p.add_argument("--estimator", required=True, choices=("ols", "sure", "rp-sure"))
     p.add_argument("--out", required=True, help="fit JSON to write")
-    p.add_argument("--draws", type=int, default=400,
-                   help="Halton draws per observation")
-    p.add_argument("--burn", type=int, default=50,
-                   help="leading Halton points to discard")
-    p.add_argument("--bases", default=None,
-                   help="comma-separated Halton prime bases (default: first primes)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker cap for the likelihood (never changes results)")
-    p.add_argument("--max-iterations", type=int, default=500,
-                   help="optimizer iteration cap")
-    p.add_argument("--mpg-columns", default="my_mpg,epa_mpg",
-                   help="user,epa column bases for the gap ratio")
+    for dest, (default, text) in RP_SURE_OPTIONS.items():
+        p.add_argument("--" + dest.replace("_", "-"), type=str if dest == "bases" else int,
+                       default=argparse.SUPPRESS, help=f"{text} (default: {default})")
     p.set_defaults(handler=cmd_fit)
 
     p = sub.add_parser("compare", formatter_class=fmt,

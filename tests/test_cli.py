@@ -1,14 +1,23 @@
 import copy
+import dataclasses
+import inspect
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fuelgap.cli import build_parser, main
+import fuelgap
+from fuelgap.cli import RP_SURE_OPTIONS, build_parser, main
 from fuelgap.criteria import CriteriaInput, score_criteria
 from fuelgap.data import compute_gaps, parse_raw
+from fuelgap.halton import HaltonConfig
+from fuelgap.msl import fit_rp_sure
 from test_sure import SINGULAR_RESIDUALS, proportional_data
 
 TRUTH = {
@@ -413,6 +422,24 @@ def refused_fit(tmp_path, data: str, spec: dict, flags: list[str], capsys) -> st
     return capsys.readouterr().err
 
 
+RP_SURE_FLAGS = [pytest.param(["--draws", "7"], id="draws"),
+                 pytest.param(["--burn", "3"], id="burn"),
+                 pytest.param(["--bases", "5,7"], id="bases"),
+                 pytest.param(["--threads", "2"], id="threads"),
+                 pytest.param(["--max-iterations", "9"], id="max-iterations")]
+
+
+def refused_before_the_data(tmp_path, spec: dict, flags: list[str], capsys) -> str:
+    """Run fit on a data file that does not exist; check it exits 2, not the
+    4 of an unreadable input, so the refusal came before the data was read,
+    and writes nothing; return its error message."""
+    out = tmp_path / "fit.json"
+    assert run_cli("fit", "--data", str(tmp_path / "missing.csv"), "--spec",
+                   write_json(tmp_path / "spec.json", spec), "--out", str(out), *flags) == 2
+    assert list(tmp_path.glob("fit.json*")) == []
+    return capsys.readouterr().err
+
+
 class TestFit:
     @pytest.mark.parametrize("flags", ESTIMATOR_FLAGS)
     def test_no_residual_degrees_of_freedom_is_exit_2(self, tmp_path, flags, capsys):
@@ -537,8 +564,6 @@ class TestFit:
         pytest.param(["--draws", "0"], "--draws must be >= 1", id="draws"),
         pytest.param(["--burn", "-1"], "--burn must be >= 0", id="burn"),
         pytest.param(["--threads", "0"], "--threads must be >= 1", id="threads"),
-        pytest.param(["--mpg-columns", "x"], "--mpg-columns expects 'user_base,epa_base'",
-                     id="mpg-columns"),
     ])
     def test_refused_option_is_exit_2(self, tmp_path, data_file, spec_file, flags, message,
                                       capsys):
@@ -701,6 +726,92 @@ class TestFit:
                            "--estimator", "rp-sure", "--draws", "50",
                            "--threads", threads, "--out", str(out)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("estimator", ["ols", "sure"])
+    @pytest.mark.parametrize("flags", RP_SURE_FLAGS)
+    def test_rp_sure_option_of_a_fixed_estimator_is_exit_2(self, tmp_path, estimator,
+                                                           flags, capsys):
+        err = refused_before_the_data(tmp_path, SPEC, ["--estimator", estimator, *flags],
+                                      capsys)
+        assert f"error: --estimator {estimator} does not use {flags[0]}\n" in err
+
+    def test_unused_options_are_refused_together_before_their_range_checks(
+            self, tmp_path, capsys):
+        flags = ["--draws", "0", "--burn", "-1", "--bases", "4", "--threads", "0",
+                 "--max-iterations", "0"]
+        err = refused_before_the_data(tmp_path, SPEC, ["--estimator", "sure", *flags], capsys)
+        assert "error: --estimator sure does not use --draws, --burn, --bases, --threads, " \
+               "--max-iterations\n" in err
+
+    @pytest.mark.parametrize("flags", RP_SURE_FLAGS[:3])
+    def test_draw_option_without_random_terms_is_exit_2(self, tmp_path, flags, capsys):
+        err = refused_before_the_data(tmp_path, SHARED_SPEC, ["--estimator", "rp-sure", *flags],
+                                      capsys)
+        assert f"error: --estimator rp-sure does not use {flags[0]} on a spec without " \
+               "random terms\n" in err
+
+    @pytest.mark.parametrize("bases,count", [("2,3,5", 3), ("7", 1)])
+    def test_bases_of_another_count_are_refused_before_the_data(self, tmp_path, bases,
+                                                                count, capsys):
+        err = refused_before_the_data(tmp_path, SPEC,
+                                      ["--estimator", "rp-sure", "--bases", bases], capsys)
+        assert f"error: --bases needs one prime per random term, got {count} for 2\n" in err
+
+    @pytest.mark.parametrize("estimator,spec,flags,resolved,note", [
+        pytest.param("ols", SPEC, [], {}, True, id="ols"),
+        pytest.param("sure", SPEC, [], {}, True, id="sure"),
+        pytest.param("sure", SHARED_SPEC, [], {}, False, id="sure-without-random-terms"),
+        pytest.param("rp-sure", SPEC, ["--draws", "50"],
+                     {"draws": 50, "burn": 50, "bases": [2, 3], "threads": 1,
+                      "max_iterations": 500}, False, id="rp-sure"),
+        pytest.param("rp-sure", SHARED_SPEC, ["--threads", "2", "--max-iterations", "50"],
+                     {"threads": 2, "max_iterations": 50}, False,
+                     id="rp-sure-without-random-terms"),
+    ])
+    def test_manifest_records_only_what_shaped_the_fit(self, tmp_path, data_file, estimator,
+                                                       spec, flags, resolved, note, capsys):
+        spec_path = write_json(tmp_path / "spec.json", spec)
+        out = tmp_path / "fit.json"
+        assert run_cli("fit", "--data", data_file, "--spec", spec_path,
+                       "--estimator", estimator, "--out", str(out), *flags) == 0
+        manifest = json.loads((tmp_path / "fit.json.manifest.json").read_text())
+        assert manifest["options"] == {"data": data_file, "spec": spec_path,
+                                       "estimator": estimator, "out": str(out), **resolved}
+        # ols and sure fit random terms as fixed, the nesting compare ranks against
+        notes = [line for line in capsys.readouterr().err.splitlines() if "note:" in line]
+        assert notes == ([f"note: {estimator} fits the random terms "
+                          "['vehicle_1:x1', 'vehicle_2:x2'] as fixed"] if note else [])
+
+    def test_mpg_columns_is_not_a_fit_option(self, tmp_path, data_file, spec_file, capsys):
+        out = tmp_path / "fit.json"
+        assert run_cli("fit", "--data", data_file, "--spec", spec_file, "--estimator", "sure",
+                       "--out", str(out), "--mpg-columns", "my_mpg,epa_mpg") == 2
+        assert "unrecognized arguments: --mpg-columns my_mpg,epa_mpg" in capsys.readouterr().err
+        assert list(tmp_path.glob("fit.json*")) == []
+
+    def test_fit_reads_the_ratings_that_prepare_picked(self, tmp_path):
+        # prepare trims on gaps over the label ratings and writes them as
+        # epa_mpg_*, so a default fit models the prepared gaps
+        rng = np.random.default_rng(4)
+        raw = tmp_path / "raw.csv"
+        raw.write_text("garage_id,my_mpg_1,epa_label_1,my_mpg_2,epa_label_2,model_year_1,"
+                       "model_year_2,us_division\n" + "".join(
+                           f"g{i},{a:.2f},{b:.1f},{c:.2f},{d:.1f},1999,2004,Pacific\n"
+                           for i, (a, b, c, d) in enumerate(rng.uniform(18, 32, (60, 4)))))
+        prepared, out = tmp_path / "prepared.csv", tmp_path / "fit.json"
+        assert run_cli("prepare", "--input", str(raw), "--out", str(prepared),
+                       "--mpg-columns", "my_mpg,epa_label") == 0
+        intercepts = {"equations": [{"name": name, "intercept": True, "terms": []}
+                                    for name in ("vehicle_1", "vehicle_2")]}
+        assert run_cli("fit", "--data", str(prepared), "--spec",
+                       write_json(tmp_path / "spec.json", intercepts), "--estimator", "ols",
+                       "--out", str(out)) == 0
+        header, *rows = [line.split(",") for line in prepared.read_text().splitlines()]
+        gaps = np.array([[float(row[header.index(f"gap_{v}")]) for v in (1, 2)]
+                         for row in rows])
+        np.testing.assert_array_equal(compute_gaps(parse_raw(prepared)).gap, gaps)
+        means = [eq["coef"]["const"] for eq in json.loads(out.read_text())["equations"]]
+        np.testing.assert_allclose(means, gaps.mean(axis=0), rtol=0, atol=1e-12)
 
     def test_fit_manifest_written(self, tmp_path, data_file, spec_file):
         out = tmp_path / "sure.json"
@@ -985,7 +1096,7 @@ class TestHelp:
         ("prepare", ["--input", "--out", "--trim-sd", "--mpg-columns",
                      "--group-by", "--groups-out", "--year-bins"]),
         ("fit", ["--data", "--spec", "--estimator", "--out", "--draws", "--burn",
-                 "--bases", "--threads", "--max-iterations", "--mpg-columns"]),
+                 "--bases", "--threads", "--max-iterations"]),
         ("compare", ["--out"]),
         ("effects", ["--fit", "--out"]),
         ("simulate", ["--truth", "--out", "--n", "--seed", "--coef-draws"]),
@@ -997,3 +1108,28 @@ class TestHelp:
         text = capsys.readouterr().out
         assert set(re.findall(r"--[a-z][a-z-]*", text)) == {*flags, "--help"}
         assert "default" in text
+
+    def test_rp_sure_defaults_are_the_library_defaults(self, capsys):
+        halton = {f.name: f.default for f in dataclasses.fields(HaltonConfig)}
+        fit = inspect.signature(fit_rp_sure).parameters
+        library = {"draws": halton["draws_per_obs"], "burn": halton["burn"],
+                   "threads": fit["threads"].default,
+                   "max_iterations": fit["max_iterations"].default}
+        assert library == {"draws": 400, "burn": 50, "threads": 1, "max_iterations": 500}
+        assert {k: default for k, (default, _) in RP_SURE_OPTIONS.items()} == \
+            {**library, "bases": None}
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["fit", "--help"])
+        # each option's help text, the last mention of the flag (usage comes first)
+        helps = {part.split()[0]: part for part in
+                 " ".join(capsys.readouterr().out.split()).split(" --")}
+        for flag, value in (("draws", 400), ("burn", 50), ("threads", 1),
+                            ("max-iterations", 500)):
+            assert helps[flag].endswith(f"(default: {value})"), helps[flag]
+
+    def test_module_runs_as_a_command(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(fuelgap.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-m", "fuelgap.cli", "--version"],
+                              capture_output=True, text=True, env=env, check=False)
+        assert (done.returncode, done.stdout) == (0, f"{fuelgap.__version__}\n")

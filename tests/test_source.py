@@ -1,5 +1,6 @@
 """Checks on the package source itself."""
 
+import argparse
 import ast
 import inspect
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import fuelgap
-from fuelgap import msl
+from fuelgap import cli, msl
 from fuelgap.msl import LoglikKernel, _BfgsMinimizer, fit_rp_sure, simulated_loglik
 from fuelgap.sure import ErrorCovariance, fgls_fit, ols_system_fit, residual_covariance
 
@@ -157,3 +158,43 @@ def test_json_and_csv_are_imported_only_by_their_own_names(path):
                or isinstance(node, ast.Import)
                and any(a.name in ("json", "csv") and a.asname for a in node.names)]
     assert renamed == []
+
+
+def handler_reads(handler) -> set[str]:
+    """The `args` attributes that a handler, or a cli function it calls by
+    name, reads; reading RP_SURE_OPTIONS counts as reading each of its dests."""
+    tree = ast.parse(inspect.getsource(handler))
+    trees = [tree] + [ast.parse(inspect.getsource(getattr(cli, node.func.id)))
+                      for node in ast.walk(tree) if isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Name)
+                      and inspect.isfunction(getattr(cli, node.func.id, None))
+                      and getattr(cli, node.func.id).__module__ == cli.__name__]
+    read = set()
+    for node in (n for t in trees for n in ast.walk(t)):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "args":
+            read.add(node.attr)
+        elif isinstance(node, ast.Name) and node.id == "RP_SURE_OPTIONS":
+            read |= set(cli.RP_SURE_OPTIONS)
+    return read
+
+
+def subcommand_parsers():
+    (action,) = [a for a in cli.build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+@pytest.mark.parametrize("command", list(subcommand_parsers()))
+def test_no_flag_is_parsed_and_then_ignored(command):
+    # every dest of a subcommand is read by its handler, so a flag that
+    # shapes nothing cannot come back
+    parser = subcommand_parsers()[command]
+    dests = {a.dest for a in parser._actions if a.dest != "help"}
+    assert dests - handler_reads(parser.get_default("handler")) == set()
+
+
+def test_rp_sure_options_are_read_only_through_their_table():
+    # so each passes the check that refuses a given option the fit does not use
+    tree = ast.parse(inspect.getsource(cli))
+    assert {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and getattr(node.value, "id", None) == "args"} & set(cli.RP_SURE_OPTIONS) == set()

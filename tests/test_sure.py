@@ -11,6 +11,7 @@ from fuelgap.sure import (
     ErrorCovariance,
     fgls_fit,
     full_rank_qr,
+    layout_fit,
     loglik_fixed,
     ols_fit,
     ols_system_fit,
@@ -88,6 +89,14 @@ class TestOls:
     def test_zero_column_design_is_estimation_error(self):
         with pytest.raises(EstimationError, match="no columns"):
             ols_fit(np.empty((5, 0)), np.arange(5.0), names=())
+
+    def test_design_must_be_a_matrix(self):
+        with pytest.raises(ValueError, match="^design matrix must be 2-dimensional$"):
+            ols_fit(np.ones(3), np.ones(3))
+
+    def test_one_name_per_column(self):
+        with pytest.raises(ValueError, match="^one name per design column is required$"):
+            ols_fit(np.ones((3, 2)), np.ones(3), names=("a",))
 
     def test_too_few_rows(self):
         with pytest.raises(EstimationError, match=r"fewer rows \(2\) than columns \(3\)"):
@@ -383,6 +392,67 @@ class TestFgls:
                 fgls_fit(design_of(x, x), y1, y2)
             # ols estimates no rho, so it still fits
             assert np.isfinite(ols_system_fit(design_of(x, x), y1, y2).loglik)
+
+
+    def test_layout_refuses_estimates_of_another_size(self):
+        with pytest.raises(ValueError, match="^estimates, param_cov and the parameter "
+                                             "layout differ in size$"):
+            layout_fit(("a", "b"), (("c",), ("c",)), ((), ()), [1.0], None, n=3,
+                       loglik=0.0, sigma=ErrorCovariance(1.0, 1.0, 0.0))
+
+
+def reparametrized_fits(estimator, seed, eq, column):
+    """The fit of a two-equation design (N=600, two normal covariates) and
+    the fit after `column` maps column 1 of equation `eq`; with the flat
+    index of that equation's intercept and of the mapped column."""
+    rng = np.random.default_rng(seed)
+    n = 600
+    z = rng.normal(size=(n, 2))
+    x = [np.column_stack([np.ones(n), z]), np.column_stack([np.ones(n), z[:, 1]])]
+    e = rng.normal(size=(n, 2))
+    y1 = x[0] @ [0.86, -0.03, 0.05] + 0.12 * e[:, 0]
+    y2 = x[1] @ [0.85, 0.02] + 0.15 * (0.6 * e[:, 0] + 0.8 * e[:, 1])
+    base = estimator(design_of(*x), y1, y2)
+    x[eq] = x[eq].copy()
+    x[eq][:, 1] = column(x[eq][:, 1])
+    intercept = 0 if eq == 0 else x[0].shape[1]
+    return base, estimator(design_of(*x), y1, y2), intercept, intercept + 1
+
+
+def fit_arrays(fit):
+    return (np.array([c.estimate for c in fit.coefficients]),
+            np.array([c.se for c in fit.coefficients]))
+
+
+@pytest.mark.parametrize("eq", [0, 1])
+@pytest.mark.parametrize("seed", [3, 5, 9])
+@pytest.mark.parametrize("estimator", [ols_system_fit, fgls_fit], ids=["ols", "sure"])
+class TestReparametrization:
+    """A fixed column x replaced by c + x or by s x is the same model."""
+
+    def test_shift_moves_only_the_intercept(self, estimator, seed, eq):
+        base, shifted, intercept, col = reparametrized_fits(estimator, seed, eq,
+                                                            lambda x: x + 1987.0)
+        (b, b_se), (s, s_se) = fit_arrays(base), fit_arrays(shifted)
+        assert shifted.loglik == pytest.approx(base.loglik, abs=1e-9)
+        expect = b.copy()
+        expect[intercept] -= 1987.0 * b[col]
+        np.testing.assert_allclose(s, expect, rtol=0, atol=1e-10)
+        slopes = np.arange(len(b)) != intercept
+        np.testing.assert_allclose(s_se[slopes], b_se[slopes], rtol=1e-9)
+        for name in ("sigma11", "sigma22"):
+            assert math.sqrt(getattr(shifted.sigma, name)) == pytest.approx(
+                math.sqrt(getattr(base.sigma, name)), abs=1e-10)
+        assert shifted.sigma.rho == pytest.approx(base.sigma.rho, abs=1e-10)
+
+    def test_scale_divides_the_coefficient_and_its_se(self, estimator, seed, eq):
+        base, scaled, _, col = reparametrized_fits(estimator, seed, eq, lambda x: 1e3 * x)
+        (b, b_se), (s, s_se) = fit_arrays(base), fit_arrays(scaled)
+        assert scaled.loglik == pytest.approx(base.loglik, abs=1e-9)
+        unit = np.ones(len(b))
+        unit[col] = 1e3
+        np.testing.assert_allclose(s * unit, b, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(s_se * unit, b_se, rtol=1e-9)
 
 
 class TestDesignMatrices:

@@ -256,6 +256,13 @@ class TestExactMarginal:
         assert got == pytest.approx(expect, abs=1e-12)
 
 
+    def test_one_sigma_per_random_effect(self):
+        effects = (RandomEffect("b", equation=0, column=0),)
+        with pytest.raises(ValueError, match="^one sigma per random effect is required$"):
+            exact_marginal_loglik([[2.0]], [[1.0]], [0.0], [0.0], [0.0], [0.0],
+                                  effects, [1.0, 0.5], ONE_OBS_COV)
+
+
 class TestQuadrature:
     def setup_method(self):
         self.ds = simulate_dataset(basic_truth(n=60, seed=313, recipe_kind="uniform"))
