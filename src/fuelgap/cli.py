@@ -255,8 +255,8 @@ def _column_means(values: np.ndarray) -> list:
 RP_SURE_OPTIONS = {
     "draws": (400, "Halton draws per observation (rp-sure with random terms)"),
     "burn": (50, "leading Halton points to discard (rp-sure with random terms)"),
-    "bases": (None, "comma-separated Halton prime bases, one per random term, the "
-                    "first primes if left out (rp-sure with random terms)"),
+    "bases": (None, "comma-separated Halton prime bases, one per random term "
+                    "(rp-sure with random terms)"),
     "threads": (1, "worker cap for the likelihood, which never changes results (rp-sure)"),
     "max_iterations": (500, "optimizer iteration cap (rp-sure)"),
 }
@@ -468,54 +468,52 @@ def build_parser() -> argparse.ArgumentParser:
                     "fixed and random-parameter bivariate SUR, model selection.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    fmt = argparse.ArgumentDefaultsHelpFormatter
+    year_bins = ",".join(f"{lo}-{hi}" for lo, hi in DEFAULT_YEAR_BINS)
 
-    p = sub.add_parser("prepare", formatter_class=fmt,
-                       help="compute gap ratios, trim outliers, summarize")
+    p = sub.add_parser("prepare", help="compute gap ratios, trim outliers, summarize")
     p.add_argument("--input", required=True, help="raw garage CSV")
     p.add_argument("--out", required=True, help="trimmed dataset CSV to write")
     p.add_argument("--trim-sd", default="3.0",
-                   help="outlier interval half-width in SDs")
+                   help="outlier interval half-width in SDs (default: 3.0)")
     p.add_argument("--mpg-columns", default="my_mpg,epa_mpg",
-                   help="user,epa column bases for the gap ratio")
+                   help="user,epa column bases for the gap ratio (default: my_mpg,epa_mpg)")
     p.add_argument("--group-by", default=None,
                    help="comma-separated keys for a grouped gap summary CSV")
     p.add_argument("--groups-out", default=None,
-                   help="path for the grouped summary (default <out>.groups.csv)")
+                   help="path for the grouped summary (default: <out>.groups.csv)")
     p.add_argument("--year-bins", default=None,
-                   help="model-year bins of the model_year_bin_1/2 group keys, "
-                        "like '1984-1988,1989-1993'")
+                   help="model-year bins of the model_year_bin_1/2 group keys "
+                        f"(default: {year_bins})")
     p.set_defaults(handler=cmd_prepare)
 
-    p = sub.add_parser("fit", formatter_class=fmt,
-                       help="estimate a two-equation gap model")
+    p = sub.add_parser("fit", help="estimate a two-equation gap model")
     p.add_argument("--data", required=True, help="prepared or raw garage CSV")
     p.add_argument("--spec", required=True, help="model spec JSON")
     p.add_argument("--estimator", required=True, choices=("ols", "sure", "rp-sure"))
     p.add_argument("--out", required=True, help="fit JSON to write")
     for dest, (default, text) in RP_SURE_OPTIONS.items():
+        shown = "the first primes" if default is None else default
         p.add_argument("--" + dest.replace("_", "-"), type=str if dest == "bases" else int,
-                       default=argparse.SUPPRESS, help=f"{text} (default: {default})")
+                       default=argparse.SUPPRESS, help=f"{text} (default: {shown})")
     p.set_defaults(handler=cmd_fit)
 
-    p = sub.add_parser("compare", formatter_class=fmt,
-                       help="rank fitted models by information criteria")
+    p = sub.add_parser("compare", help="rank fitted models by information criteria")
     p.add_argument("fits", nargs="+", help="two or more fit JSON files")
     p.add_argument("--out", required=True, help="criteria table CSV to write")
     p.set_defaults(handler=cmd_compare)
 
-    p = sub.add_parser("effects", formatter_class=fmt,
-                       help="distributional summary of random coefficients")
+    p = sub.add_parser("effects", help="distributional summary of random coefficients")
     p.add_argument("--fit", required=True, help="rp-sure fit JSON")
     p.add_argument("--out", required=True, help="effects CSV to write")
     p.set_defaults(handler=cmd_effects)
 
-    p = sub.add_parser("simulate", formatter_class=fmt,
-                       help="draw a synthetic dataset from a truth JSON")
+    p = sub.add_parser("simulate", help="draw a synthetic dataset from a truth JSON")
     p.add_argument("--truth", required=True, help="truth specification JSON")
     p.add_argument("--out", required=True, help="dataset CSV to write")
-    p.add_argument("--n", type=int, default=None, help="override sample size")
-    p.add_argument("--seed", type=int, default=None, help="override generator seed")
+    p.add_argument("--n", type=int, default=None,
+                   help="sample size (default: the truth file's n)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="generator seed (default: the truth file's seed)")
     p.add_argument("--coef-draws", default=None,
                    help="optional sidecar CSV of realized coefficient draws")
     p.set_defaults(handler=cmd_simulate)

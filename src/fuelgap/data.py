@@ -12,6 +12,12 @@ and covariates are object arrays of the verbatim CSV strings.
 `compute_gaps` adds the (n, 2) gap array (`GapTable`); trimming, encoding
 and summaries work on whole columns and select rows with `take`.
 
+A garage row is valid under one rule, checked on whole columns: positive,
+finite MPG figures, model years in the int64 range, and vehicle 1 no newer
+than vehicle 2.  A ParseError names the first fault in file order: the
+first bad row, and in it the first bad field (user_1, epa_1, user_2, epa_2,
+year_1, year_2), then the year order.
+
 The garage CSV is read and written `_PARSE_ROWS` rows at a time, so neither
 direction holds more than one batch of text.  A batch with no quote, NUL or
 bare CR is split with `str.split` at every comma, as `csv.reader` would
@@ -94,53 +100,6 @@ class GapTable(GarageTable):
     gap: np.ndarray = field(repr=False)
 
 
-def _positive_float(raw: str | None, row: int, column: str) -> float:
-    if raw is None or raw.strip() == "":
-        raise ParseError(row, f"missing required numeric field {column!r}")
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ParseError(row, f"field {column!r} is not a number: {raw!r}") from exc
-    if not 0 < value < np.inf:
-        raise ParseError(row, f"nonpositive mpg in field {column!r}: {raw!r}")
-    return value
-
-
-def _required_int(raw: str | None, row: int, column: str) -> int:
-    if raw is None or raw.strip() == "":
-        raise ParseError(row, f"missing required numeric field {column!r}")
-    try:
-        value = float(raw)
-        if abs(value) < _YEAR_LIMIT:        # neither NaN nor infinite nor too large
-            return int(value)
-    except ValueError:
-        pass
-    raise ParseError(row, f"field {column!r} is not an integer: {raw!r}")
-
-
-def _check_row(row: list[str], row_number: int, numeric: list[tuple[int, str]]) -> None:
-    """Check one row field by field, in field order; raise at the first fault.
-
-    `numeric` lists (index, name) of the four MPG fields, then the two
-    model years.
-    """
-    for i, name in numeric[:4]:
-        _positive_float(row[i], row_number, name)
-    year1, year2 = (_required_int(row[i], row_number, name) for i, name in numeric[4:])
-    if year1 > year2:
-        raise ParseError(row_number,
-                         f"vehicle 1 must be the older vehicle "
-                         f"(model_year_1={year1} > model_year_2={year2})")
-
-
-def _check_width(width: int, row_number: int, header: list[str]) -> None:
-    """Raise if a row of `width` fields does not match the header."""
-    if width > len(header):
-        raise ParseError(row_number, "row has more fields than the header")
-    if width < len(header):
-        raise ParseError(row_number, f"row is missing columns {header[width:]}")
-
-
 def _floats(cells) -> np.ndarray:
     """float() of every cell; NaN where float() fails."""
     try:
@@ -188,22 +147,42 @@ def _columns(batch: list, width: int, plain: bool) -> list:
     return [flat[i::width] for i in range(width)]
 
 
+def _fault(cell: str, name: str, year: bool) -> str:
+    """The message for a cell that breaks the row rule in its own field."""
+    if not cell.strip():
+        return f"missing required numeric field {name!r}"
+    if year:
+        return f"field {name!r} is not an integer: {cell!r}"
+    try:
+        float(cell)
+    except ValueError:
+        return f"field {name!r} is not a number: {cell!r}"
+    return f"nonpositive mpg in field {name!r}: {cell!r}"
+
+
 def _parse_batch(columns: list, first: int, numeric: list[tuple[int, str]]):
     """my_mpg, epa_mpg and model_year, each (n, 2), of a batch's columns.
 
-    Every field takes the fast path, a bulk float(); a row where any field
-    fails is checked again field by field, which raises with the message and
-    row number (`first` is the first row's) of its first fault.
+    The row rule is one (n, 7) matrix over whole columns: the six fields
+    that `numeric` lists as (column index, name), then the year order.  Its
+    first False in row-major order is the first fault in file order, raised
+    as a ParseError at its row (`first` is the batch's first row).
     """
     mpg = np.column_stack([_floats(columns[i]) for i, _ in numeric[:4]])
     years = np.column_stack([_floats(columns[i]) for i, _ in numeric[4:]])
-    bad = ~((mpg > 0) & (mpg < np.inf)).all(axis=1) \
-        | ~(np.abs(years) < _YEAR_LIMIT).all(axis=1)
-    if not bad.any():
-        years = years.astype(np.int64)
-        bad = years[:, 0] > years[:, 1]
-    for j in np.flatnonzero(bad).tolist():
-        _check_row([column[j] for column in columns], first + j, numeric)
+    ok = np.empty((len(mpg), 7), dtype=bool)
+    ok[:, :4] = (mpg > 0) & (mpg < np.inf)
+    ok[:, 4:6] = np.abs(years) < _YEAR_LIMIT
+    # a year that fails its own check stands in as 0; its own fault comes first
+    years = np.where(ok[:, 4:6], years, 0).astype(np.int64)
+    ok[:, 6] = years[:, 0] <= years[:, 1]
+    if not ok.all():
+        row, cell = divmod(int(np.argmin(ok)), 7)
+        if cell < 6:
+            i, name = numeric[cell]
+            raise ParseError(first + row, _fault(columns[i][row], name, cell >= 4))
+        raise ParseError(first + row, f"vehicle 1 must be the older vehicle (model_year_1="
+                                      f"{years[row, 0]} > model_year_2={years[row, 1]})")
     return mpg[:, [0, 2]], mpg[:, [1, 3]], years
 
 
@@ -213,11 +192,13 @@ def parse_raw(source, user_col: str = "my_mpg", epa_col: str = "epa_mpg") -> Gar
     `source` is a path or an open text stream, not bytes.  `user_col` and
     `epa_col` pick the numerator/denominator column bases (suffixed _1/_2),
     so label-based ratings can be substituted for the default test-cycle
-    columns.  Any row with a missing field, an unparseable number, a
-    nonpositive MPG or text that `csv.reader` refuses aborts the parse with
-    a ParseError at its row number (0 for the header); nothing is silently
-    dropped.  Blank lines are skipped and not counted.  The gap
-    columns of a prepared CSV (GAP_COLUMNS) are derived, so they are skipped:
+    columns.  Each row must have the header's width, positive finite MPG
+    figures, integer model years and vehicle 1 no newer than vehicle 2.  The
+    first fault in file order (by row, then field: user_1, epa_1, user_2,
+    epa_2, year_1, year_2, the year order), or text that `csv.reader`
+    refuses, raises a ParseError at its row (0 for the header; blank lines
+    are not counted); nothing is silently dropped.  The gap columns of a
+    prepared CSV (GAP_COLUMNS) are derived, so they are skipped:
     `compute_gaps` computes the gaps again from the MPG columns picked.
     """
     if isinstance(source, (str, Path)):
@@ -259,7 +240,9 @@ def parse_raw(source, user_col: str = "my_mpg", epa_col: str = "epa_mpg") -> Gar
             cut = next(j for j, w in enumerate(widths) if w != width)
             if cut:
                 _parse_batch(_columns(batch[:cut], width, plain), parsed + 1, numeric)
-            _check_width(widths[cut], parsed + cut + 1, header)
+            short = header[widths[cut]:]    # [] for a row that is too long
+            raise ParseError(parsed + cut + 1, f"row is missing columns {short}" if short
+                             else "row has more fields than the header")
         if batch:                       # a block of blank lines is no batch
             columns = _columns(batch, width, plain)
             numbers.append(_parse_batch(columns, parsed + 1, numeric))

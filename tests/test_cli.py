@@ -1,3 +1,4 @@
+import argparse
 import copy
 import dataclasses
 import inspect
@@ -13,11 +14,12 @@ import numpy as np
 import pytest
 
 import fuelgap
-from fuelgap.cli import RP_SURE_OPTIONS, build_parser, main
+from fuelgap.cli import RP_SURE_OPTIONS, _parse_year_bins, build_parser, main
 from fuelgap.criteria import CriteriaInput, score_criteria
-from fuelgap.data import compute_gaps, parse_raw
+from fuelgap.data import DEFAULT_YEAR_BINS, compute_gaps, parse_raw
 from fuelgap.halton import HaltonConfig
 from fuelgap.msl import fit_rp_sure
+from test_source import subcommand_parsers
 from test_sure import SINGULAR_RESIDUALS, proportional_data
 
 TRUTH = {
@@ -985,6 +987,20 @@ class TestCompare:
         assert f"error: unreadable fit file {b}: 'k'\n" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("change,reason", [
+        ({"param_cov": [[1.0, 0.0], [0.0]]}, "setting an array element with a sequence"),
+        ({"param_cov": np.eye(3).tolist()}, "fisher_inverse must be 5x5, got (3, 3)"),
+        ({"k": 0, "param_cov": []}, "k must be positive"),
+    ], ids=["ragged-param-cov", "param-cov-not-k-by-k", "zero-k"])
+    def test_fit_the_criteria_cannot_take_exit_2(self, tmp_path, change, reason, capsys):
+        # the criteria input's own ValueError, named as an unreadable fit file
+        a = fake_fit(tmp_path, "a.json", 10.0)
+        b = write_json(tmp_path / "b.json", {**fit_payload(20.0), **change})
+        out = tmp_path / "c.csv"
+        assert run_cli("compare", a, b, "--out", str(out)) == 2
+        assert f"error: unreadable fit file {b}: {reason}" in capsys.readouterr().err
+        assert list(tmp_path.glob("c.csv*")) == []
+
 
 class TestEffects:
     def rp_fit_file(self, tmp_path, randoms):
@@ -1107,7 +1123,25 @@ class TestHelp:
         assert exc.value.code == 0
         text = capsys.readouterr().out
         assert set(re.findall(r"--[a-z][a-z-]*", text)) == {*flags, "--help"}
-        assert "default" in text
+        assert "(default: None)" not in " ".join(text.split())
+        # a default is stated only where there is one, and it is the one used:
+        # the parser's own, the rp-sure table's, or where the parser holds
+        # None, the value the command puts in its place
+        parser = subcommand_parsers()[command]
+        derived = {"groups_out": "<out>.groups.csv", "n": "the truth file's n",
+                   "seed": "the truth file's seed", "bases": "the first primes"}
+        for action in parser._actions[1:]:      # the first is --help
+            stated = re.findall(r"\(default: ([^)]*)\)", action.help or "")
+            default = action.default
+            if default is argparse.SUPPRESS:    # an rp-sure option
+                default = RP_SURE_OPTIONS[action.dest][0]
+            if action.dest == "year_bins":
+                assert len(stated) == 1
+                assert _parse_year_bins(parser, stated[0]) == DEFAULT_YEAR_BINS
+            elif action.dest in derived:
+                assert stated == [derived[action.dest]]
+            else:
+                assert stated == ([] if default is None else [str(default)]), action.dest
 
     def test_rp_sure_defaults_are_the_library_defaults(self, capsys):
         halton = {f.name: f.default for f in dataclasses.fields(HaltonConfig)}

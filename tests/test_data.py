@@ -170,6 +170,19 @@ class TestParseRaw:
                                  "g2,20,25,22,30,1999"))
         assert err.value.row == 1
 
+    @pytest.mark.parametrize("between", [0, 5000], ids=["same-batch", "later-batch"])
+    def test_year_order_fault_comes_before_a_later_rows_fault(self, between):
+        # the row rule is judged whole on every batch, so what follows a bad
+        # row cannot change which row is named
+        lines = ["a,20,25,30,31,2005,2001,X",
+                 *["g,20,25,30,31,2001,2005,X"] * between,
+                 "b,-1,25,30,31,2001,2005,X"]
+        with pytest.raises(ParseError) as err:
+            parse_raw(csv_stream(*lines))
+        assert (err.value.row, str(err.value)) == (1, "row 1: vehicle 1 must be the older "
+                                                      "vehicle (model_year_1=2005 > "
+                                                      "model_year_2=2001)")
+
     @pytest.mark.parametrize("value", ["inf", "1e400", "-inf", "nan"])
     def test_non_finite_model_year_is_not_an_integer(self, value):
         with pytest.raises(ParseError, match="field 'model_year_1' is not an integer") as err:

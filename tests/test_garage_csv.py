@@ -247,6 +247,87 @@ def test_split_path_agrees_with_the_csv_path(text):
         assert_same_table(split, reader)
 
 
+MPG_FIELDS = ("my_mpg_1", "epa_mpg_1", "my_mpg_2", "epa_mpg_2")
+YEAR_FIELDS = ("model_year_1", "model_year_2")
+# cells that are good in some numeric fields and bad in others
+ODD_CELLS = ["", " ", "abc", "nan", "inf", "1e400", "-1", "1e300", "2001.5"]
+
+
+def odd_row(i: int, cells: list[tuple[int, str]], swap: bool) -> str:
+    """A good row with its model years swapped if `swap`, then each (numeric
+    field index, cell) of `cells` put in place."""
+    fields = row(i).split(",")
+    if swap:
+        fields[5], fields[6] = fields[6], fields[5]
+    for at, cell in cells:
+        fields[1 + at] = cell
+    return ",".join(fields)
+
+
+def reference_fault(line: str) -> str | None:
+    """The message of a line's first fault, field by field in field order."""
+    fields = line.split(",")
+    for name, cell in zip(MPG_FIELDS, fields[1:5]):
+        if not cell.strip():
+            return f"missing required numeric field {name!r}"
+        try:
+            value = float(cell)
+        except ValueError:
+            return f"field {name!r} is not a number: {cell!r}"
+        if not 0 < value < float("inf"):
+            return f"nonpositive mpg in field {name!r}: {cell!r}"
+    years = []
+    for name, cell in zip(YEAR_FIELDS, fields[5:7]):
+        if not cell.strip():
+            return f"missing required numeric field {name!r}"
+        try:
+            value = float(cell)
+        except ValueError:
+            value = float("nan")
+        if not abs(value) < 2.0 ** 63:
+            return f"field {name!r} is not an integer: {cell!r}"
+        years.append(int(value))
+    if years[0] > years[1]:
+        return (f"vehicle 1 must be the older vehicle "
+                f"(model_year_1={years[0]} > model_year_2={years[1]})")
+    return None
+
+
+ODD_LINE = st.builds(odd_row, st.integers(0, 9),
+                     st.lists(st.tuples(st.integers(0, 5), st.sampled_from(ODD_CELLS)),
+                              max_size=3),
+                     st.booleans())
+
+
+def insert_lines(lines: list[str], inserts: list[tuple[int, str]]) -> list[str]:
+    for at, line in inserts:
+        lines.insert(at, line)
+    return lines
+
+
+# good rows with up to three odd rows among them
+ODD_FILE = st.builds(insert_lines, st.lists(st.builds(row, st.integers(0, 9)), max_size=6),
+                     st.lists(st.tuples(st.integers(0, 6), ODD_LINE), max_size=3)).filter(bool)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(ODD_FILE, st.sampled_from([2, 3]))
+def test_first_fault_in_file_order_matches_a_row_by_row_check(lines, batch_rows):
+    # the whole-column rule against a reference that checks one row at a
+    # time: the same first fault by row and message, or the same table
+    text = lf(*lines)
+    faults = [(r, fault) for r, fault in enumerate(map(reference_fault, lines), 1) if fault]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data, "_PARSE_ROWS", batch_rows)
+        if faults:
+            r, fault = faults[0]
+            with pytest.raises(ParseError) as err:
+                parse_raw(io.StringIO(text, newline=""))
+            assert (err.value.row, str(err.value)) == (r, f"row {r}: {fault}")
+        else:
+            assert_same_table(parse_raw(io.StringIO(text, newline="")), reader_table(text))
+
+
 # cells whose text csv.writer writes unquoted, quoted, or otherwise specially
 CELLS = [None, "", "plain", "a,b", 'say "hi"', "a\rb", "a\nb", "a\r\nb", "a\0b", " pad ",
          float("nan"), float("inf"), -float("inf"), -0.0, 1e-300, 0.1, 1 / 3,

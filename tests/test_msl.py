@@ -538,6 +538,21 @@ class TestFusedLineSearch:
         assert fit.convergence.status == reference["status"]
         assert fit.loglik == reference["loglik_path"][-1]
 
+    @pytest.mark.parametrize("uphill", [[1.0, 2.0], [0.0, 1.0]], ids=["ascent", "level"])
+    def test_no_trial_along_a_direction_that_does_not_descend(self, uphill):
+        # f = |x|^2 / 2 at x = (1, 0): the gradient is (1, 0), so the slope
+        # along `uphill` is 1 or 0, and no step along it can descend
+        calls = []
+
+        def evaluate(x):
+            calls.append(x.copy())
+            return 0.5 * float(x @ x), x.copy()
+
+        minimizer = msl._BfgsMinimizer(evaluate, np.array([1.0, 0.0]))
+        assert len(calls) == 1
+        assert minimizer._line_search(np.array(uphill)) is None
+        assert len(calls) == 1
+
 
 class TestGradientConsistency:
     def test_score_matches_central_difference(self):

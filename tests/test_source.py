@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import fuelgap
-from fuelgap import cli, msl
+from fuelgap import cli, data, msl
 from fuelgap.msl import LoglikKernel, _BfgsMinimizer, fit_rp_sure, simulated_loglik
 from fuelgap.sure import ErrorCovariance, fgls_fit, ols_system_fit, residual_covariance
 
@@ -81,6 +81,15 @@ def test_one_rank_check_per_design():
     # ols_fit) and the FGLS solve check rank; the encoder does not check it again
     assert callers(None, {"full_rank_qr"}) == \
         {("sure", "_qr_solve"), ("msl", "_check_spreads_identified")}
+
+
+def test_one_home_for_the_row_rule():
+    # a garage row is judged only on whole columns of its batch, so a second,
+    # field-by-field checker cannot come back beside the batch check
+    assert callers(None, {"ParseError"}) == {("data", "parse_raw"), ("data", "add"),
+                                             ("data", "_parse_batch")}
+    for name in ("_check_row", "_positive_float", "_required_int", "_check_width"):
+        assert not hasattr(data, name)
 
 
 def test_one_factorization_of_the_error_covariance():
