@@ -6,7 +6,7 @@ instead of pseudo-random ones: the empirical moments settle much faster.
 
 import numpy as np
 
-from fuelgap import HaltonConfig, build_draw_store, halton_block, radical_inverse
+from fuelgap import HaltonConfig, build_draw_store, radical_inverse
 
 print("radical inverses, base 2:",
       [radical_inverse(i, 2) for i in range(1, 9)])
@@ -22,8 +22,11 @@ print(f"\n{span} consecutive base-2 points occupy cells {cells}")
 
 config = HaltonConfig(bases=(2, 3), draws_per_obs=4, burn=0)
 print("\nper-observation blocks are disjoint slices of one stream:")
+r = config.draws_per_obs
 for i in range(3):
-    block = halton_block(config, i)
+    # observation i owns indices burn + i*R + 1 ... burn + (i+1)*R of each base
+    block = np.array([[radical_inverse(config.burn + i * r + j + 1, base)
+                       for base in config.bases] for j in range(r)])
     print(f"  obs {i}: dim0={np.round(block[:, 0], 4)} dim1={np.round(block[:, 1], 4)}")
 
 store = build_draw_store(250, HaltonConfig(bases=(2,), draws_per_obs=400, burn=50))

@@ -42,7 +42,6 @@ from .halton import (
     HaltonConfig,
     build_draw_store,
     first_primes,
-    halton_block,
     radical_inverse,
 )
 from .modelspec import EquationSpec, ModelSpec, Term, load_model_spec, model_spec_from_dict

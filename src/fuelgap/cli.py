@@ -63,6 +63,7 @@ from .modelspec import (
     OBJECT,
     STRING,
     checked,
+    is_json,
     load_model_spec,
     read_json,
 )
@@ -341,12 +342,17 @@ def _read_fit_file(path: str) -> tuple[str, CriteriaInput]:
         loglik = checked(raw["loglik"], NUMBER, f"{where}: 'loglik'", nullable=True)
         if loglik is None:
             raise SpecError(f"{where} has a degenerate log-likelihood; it cannot be scored")
+        k = checked(raw["k"], INTEGER, f"{where}: 'k'")
         cov = checked(raw.get("param_cov"), LIST, f"{where}: 'param_cov'", nullable=True)
-        for row in cov or []:   # a null entry is how a fit records a non-finite one
-            for value in checked(row, LIST, f"{where}: a 'param_cov' row"):
-                checked(value, NUMBER, f"{where}: a 'param_cov' entry", nullable=True)
-        ci = CriteriaInput(loglik=loglik, k=checked(raw["k"], INTEGER, f"{where}: 'k'"),
-                           n=checked(raw["n"], INTEGER, f"{where}: 'n'"),
+        # k lists of k numbers or nulls: a null is how a fit records a non-finite entry
+        for i in range(0 if cov is None else max(k, len(cov))):
+            row = cov[i] if i < len(cov) else None
+            if not (i < k and is_json(row, LIST) and len(row) == k
+                    and all(is_json(value, NUMBER, nullable=True) for value in row)):
+                raise SpecError(f"{where}: 'param_cov' must be k = {k} lists of {k} numbers "
+                                f"or nulls, but its row {i + 1} is "
+                                f"{repr(row) if i < len(cov) else 'missing'}")
+        ci = CriteriaInput(loglik=loglik, k=k, n=checked(raw["n"], INTEGER, f"{where}: 'n'"),
                            fisher_inverse=None if cov is None else np.array(cov))
         estimator = checked(raw.get("estimator", "fit"), STRING, f"{where}: 'estimator'")
         return f"{estimator}:{Path(path).stem}", ci

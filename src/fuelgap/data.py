@@ -13,10 +13,10 @@ and covariates are object arrays of the verbatim CSV strings.
 and summaries work on whole columns and select rows with `take`.
 
 A garage row is valid under one rule, checked on whole columns: positive,
-finite MPG figures, model years in the int64 range, and vehicle 1 no newer
-than vehicle 2.  A ParseError names the first fault in file order: the
-first bad row, and in it the first bad field (user_1, epa_1, user_2, epa_2,
-year_1, year_2), then the year order.
+finite MPG figures, integral model years in the int64 range, and vehicle 1
+no newer than vehicle 2.  A ParseError names the first fault in file order:
+the first bad row, and in it the first bad field (user_1, epa_1, user_2,
+epa_2, year_1, year_2), then the year order.
 
 The garage CSV is read and written `_PARSE_ROWS` rows at a time, so neither
 direction holds more than one batch of text.  A batch with no quote, NUL or
@@ -59,7 +59,7 @@ DEFAULT_YEAR_BINS = ((1984, 1988), (1989, 1993), (1994, 1998),
 _PARSE_ROWS = 4096
 # cell types whose str() csv.writer writes as it is when it needs no quotes
 _PLAIN_CELLS = {str, int, float, bool}
-# a model year must fit the int64 column that holds it
+# a model year must be integral and fit the int64 column that holds it
 _YEAR_LIMIT = 2.0 ** 63
 
 
@@ -172,7 +172,7 @@ def _parse_batch(columns: list, first: int, numeric: list[tuple[int, str]]):
     years = np.column_stack([_floats(columns[i]) for i, _ in numeric[4:]])
     ok = np.empty((len(mpg), 7), dtype=bool)
     ok[:, :4] = (mpg > 0) & (mpg < np.inf)
-    ok[:, 4:6] = np.abs(years) < _YEAR_LIMIT
+    ok[:, 4:6] = (np.abs(years) < _YEAR_LIMIT) & (years == np.floor(years))
     # a year that fails its own check stands in as 0; its own fault comes first
     years = np.where(ok[:, 4:6], years, 0).astype(np.int64)
     ok[:, 6] = years[:, 0] <= years[:, 1]

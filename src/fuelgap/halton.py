@@ -4,6 +4,8 @@ A single Halton stream per prime base is cut into contiguous per-observation
 blocks, so every observation owns a disjoint slice of the sequence and the
 draws stay fixed across optimizer iterations.  Uniforms are mapped to
 standard-normal deviates through scipy's inverse normal CDF (ndtri).
+build_draw_store is the one generator, with no per-observation function;
+radical_inverse is the scalar oracle.
 """
 
 from __future__ import annotations
@@ -133,22 +135,6 @@ def _radical_inverse_block(start: int, count: int, base: int) -> np.ndarray:
     return value.ravel()[offset:offset + count]
 
 
-def halton_block(config: HaltonConfig, obs_index: int) -> np.ndarray:
-    """Uniform draws for one observation, shape (draws_per_obs, n_dims).
-
-    Observation i receives sequence indices
-    burn + i*R + 1 ... burn + (i+1)*R, so blocks for distinct observations
-    are disjoint and concatenating blocks 0..N-1 reproduces the plain
-    sequence after the burn.
-    """
-    if obs_index < 0:
-        raise ValueError("obs_index must be >= 0")
-    r = config.draws_per_obs
-    start = config.burn + obs_index * r + 1
-    cols = [_radical_inverse_block(start, r, base) for base in config.bases]
-    return np.column_stack(cols)
-
-
 def _inverse_normal_cdf_array(u: np.ndarray) -> np.ndarray:
     # Evaluate the lower half only (1 - u is exact for u >= 0.5), so the
     # quantiles of u and 1 - u are exact negatives of each other.
@@ -186,8 +172,10 @@ class DrawStore:
 def build_draw_store(n_obs: int, config: HaltonConfig) -> DrawStore:
     """Build the full draw store for `n_obs` observations.
 
-    The allocation is n_obs * draws_per_obs * n_dims doubles; an allocation
-    above _MEMORY_CAP_BYTES is refused with the size in the message.
+    z[i, r, d] is the normal quantile of radical_inverse(burn + i*R + r + 1,
+    bases[d]): each observation owns R consecutive points of each base's
+    sequence after the burn.  An allocation of n_obs * draws_per_obs *
+    n_dims doubles above _MEMORY_CAP_BYTES is refused with its size.
     """
     if n_obs < 1:
         raise ValueError("n_obs must be >= 1")

@@ -150,6 +150,13 @@ _PYTHON_TYPES = {STRING: str, INTEGER: int, NUMBER: (int, float), BOOLEAN: bool,
                  LIST: list, OBJECT: dict}
 
 
+def is_json(value, kind: str, nullable: bool = False) -> bool:
+    """Whether `value` is a JSON value of `kind`, or null with `nullable`."""
+    return (nullable and value is None) or (
+        isinstance(value, _PYTHON_TYPES[kind]) and isinstance(value, bool) == (kind == BOOLEAN)
+        and (kind != NUMBER or abs(value) <= sys.float_info.max))
+
+
 def checked(value, kind: str, what: str, nullable: bool = False):
     """`value` unchanged if it is a JSON value of `kind`, else SpecError.
 
@@ -160,11 +167,7 @@ def checked(value, kind: str, what: str, nullable: bool = False):
     and the infinities, which `json` reads although JSON has no such
     numbers.  With `nullable`, null is accepted.
     """
-    if nullable and value is None:
-        return value
-    if (isinstance(value, _PYTHON_TYPES[kind])
-            and isinstance(value, bool) == (kind == BOOLEAN)
-            and (kind != NUMBER or abs(value) <= sys.float_info.max)):
+    if is_json(value, kind, nullable):
         return value
     raise SpecError(f"{what} must be {kind}{' or null' if nullable else ''}, got {value!r}")
 

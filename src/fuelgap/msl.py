@@ -10,8 +10,8 @@ on an unconstrained vector: each spread as a signed sigma (the likelihood is
 even in it, and |sigma| is reported) and the error covariance as a Cholesky
 factor with log diagonal, so every iterate maps to a valid model.  Each
 point the optimizer tries, line-search trials included, gets its value and
-its analytic score from one pass over the draws; the value has the same
-bits as a value-only pass.  A fit is "converged" only when the
+its analytic score from one pass over the draws; the kernel has no
+value-only pass.  A fit is "converged" only when the
 natural-scale score is zero to within a per-observation tolerance;
 otherwise it ends "stalled" (no descent step lowers the objective) or "not
 converged" (iteration cap).
@@ -144,11 +144,10 @@ class LoglikKernel:
                         None if hess is None else hess[b], buf)
 
     def _block(self, params: RpParameters, low: np.ndarray, lo: int, hi: int,
-               base: tuple, value: np.ndarray, score: np.ndarray | None,
+               base: tuple, value: np.ndarray, score: np.ndarray,
                hess: np.ndarray | None, buf: np.ndarray | None) -> None:
-        """Fill value[lo:hi], score[lo:hi] unless it is None, and hess with
-        the block's Hessian contribution unless it is None (needs score and
-        buf, the run's Hessian buffer).
+        """Fill value[lo:hi], score[lo:hi], and hess with the block's Hessian
+        contribution unless it is None (needs buf, the run's Hessian buffer).
 
         The (rows, draws) temporaries are written in place where the float
         operations allow it; a residual of an equation without random
@@ -169,8 +168,6 @@ class LoglikKernel:
         np.exp(w, out=w)
         w_sum = w.sum(axis=1)
         value[lo:hi] = m + np.log(w_sum) - self.log_r
-        if score is None:
-            return
         # the score is the mixture-weighted draw average of d lnphi / d theta
         # (Train 2009, ch. 10); d lnphi / d e is linear in (v1, v2), so every
         # term is a weighted average of v1 or v2 times something
@@ -304,13 +301,13 @@ class LoglikKernel:
             else:
                 hess[pos[j], pos[k]] = row.sum()
 
-    def _evaluate(self, params: RpParameters, with_score: bool, with_hessian: bool = False
-                  ) -> tuple[float, np.ndarray | None, np.ndarray | None]:
+    def _evaluate(self, params: RpParameters, with_hessian: bool = False
+                  ) -> tuple[float, np.ndarray, np.ndarray | None]:
         base = (self.y[0] - _rowdot(self.x[0], params.coef1),
                 self.y[1] - _rowdot(self.x[1], params.coef2))
         value = np.empty(self.n)
         size = self.x[0].shape[1] + self.x[1].shape[1] + len(self.effects) + 3
-        score = np.empty((self.n, size)) if with_score else None
+        score = np.empty((self.n, size))
         # one (p, p) slot per block, summed in block order
         hess = np.zeros((len(self.blocks), size, size)) if with_hessian else None
         args = (params, params.cov.low, base, value, score, hess)
@@ -328,30 +325,26 @@ class LoglikKernel:
         if hess is not None:
             upper = np.triu(hess.sum(axis=0))
             hess = upper + np.triu(upper, 1).T
-        return total, None if score is None else score.sum(axis=0), hess
+        return total, score.sum(axis=0), hess
 
-    def loglik(self, params: RpParameters, score: bool = False
-               ) -> float | tuple[float, np.ndarray]:
-        """Log-likelihood, or with score=True (value, score) from one pass.
+    def loglik(self, params: RpParameters) -> tuple[float, np.ndarray]:
+        """(log-likelihood, score) from one pass; there is no value-only pass.
 
         The score is the gradient with respect to [coef1, coef2, sigma_d
-        ..., log l11, l21, log l22], the layout of _Transform.  The value is
-        computed before the score in the same pass, so it has the same bits
-        either way.
+        ..., log l11, l21, log l22], the layout of _Transform.
         """
-        total, grad, _ = self._evaluate(params, with_score=score)
-        return (total, grad) if score else total
+        return self._evaluate(params)[:2]
 
     def hessian(self, params: RpParameters) -> np.ndarray:
         """Exactly symmetric Hessian of the log-likelihood, in the score's
         layout, from one pass over the draws."""
-        return self._evaluate(params, with_score=True, with_hessian=True)[2]
+        return self._evaluate(params, with_hessian=True)[2]
 
 
 def simulated_loglik(params: RpParameters, design: DesignMatrices,
                      y1, y2, draws: DrawStore | None) -> float:
     """Simulated log-likelihood at one natural-scale parameter point."""
-    return LoglikKernel(design, y1, y2, draws).loglik(params)
+    return LoglikKernel(design, y1, y2, draws).loglik(params)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -584,12 +577,9 @@ def fit_rp_sure(design: DesignMatrices, y1, y2, draws: DrawStore | None = None,
                 return fallback
         return at
 
-    def negated(params: RpParameters) -> tuple[float, np.ndarray]:
-        value, score = kernel.loglik(params, score=True)
-        return -value, -score
-
     size = transform.size
-    objective = guarded(negated, (float("inf"), np.full(size, np.nan)))
+    objective = guarded(lambda p: tuple(-x for x in kernel.loglik(p)),
+                        (float("inf"), np.full(size, np.nan)))
     # at t_hat a non-finite likelihood leaves the fit without SEs
     hessian = guarded(lambda p: -kernel.hessian(p), np.full((size, size), np.nan))
 

@@ -317,12 +317,6 @@ def whitened_logpdf(e1, e2, low: np.ndarray
     return np.subtract(-_LOG_2PI - np.log(l11 * l22), lnphi, out=lnphi), v1, v2
 
 
-def bivariate_normal_logpdf(e1: np.ndarray, e2: np.ndarray,
-                            cov: ErrorCovariance) -> np.ndarray:
-    """Elementwise log density of centred bivariate normal residual pairs."""
-    return whitened_logpdf(e1, e2, cov.low)[0]
-
-
 def loglik_fixed(x1: np.ndarray, x2: np.ndarray,
                  y1: np.ndarray, y2: np.ndarray,
                  beta1: np.ndarray, beta2: np.ndarray,
@@ -330,7 +324,7 @@ def loglik_fixed(x1: np.ndarray, x2: np.ndarray,
     """Exact Gaussian log-likelihood of the two-equation system."""
     e1 = np.asarray(y1, dtype=float) - _rowdot(np.asarray(x1, dtype=float), beta1)
     e2 = np.asarray(y2, dtype=float) - _rowdot(np.asarray(x2, dtype=float), beta2)
-    return float(np.sum(bivariate_normal_logpdf(e1, e2, cov)))
+    return float(np.sum(whitened_logpdf(e1, e2, cov.low)[0]))
 
 
 def _sigma_block_cov(cov: ErrorCovariance, n: int) -> np.ndarray:
@@ -405,7 +399,7 @@ def fgls_fit(design: DesignMatrices, y1, y2) -> SureFit:
     res1 = y1 - _rowdot(x1, beta1)
     res2 = y2 - _rowdot(x2, beta2)
     sigma = residual_covariance(res1, res2)
-    loglik = float(np.sum(bivariate_normal_logpdf(res1, res2, sigma)))
+    loglik = float(np.sum(whitened_logpdf(res1, res2, sigma.low)[0]))
 
     # With unit-variance whitened errors the GLS covariance is (Z'Z)^-1.
     param_cov = block_diag(a @ a.T, _sigma_block_cov(sigma, n))

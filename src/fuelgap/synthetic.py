@@ -25,7 +25,7 @@ from .errors import SpecError
 from .modelspec import (FIXED, INTEGER, LIST, NUMBER, OBJECT, RANDOM, STRING, EquationSpec,
                         ModelSpec, Term, checked)
 from .msl import RandomEffect
-from .sure import ErrorCovariance, bivariate_normal_logpdf, _LOG_2PI, _rowdot
+from .sure import ErrorCovariance, whitened_logpdf, _LOG_2PI, _rowdot
 
 
 # the truth-JSON keys of each covariate kind's parameters, in `params` order
@@ -370,7 +370,7 @@ def quadrature_loglik(x1, x2, y1, y2, coef1, coef2,
     dev = [np.zeros(shape), np.zeros(shape)]
     for effect, s, zcol in zip(effects, sigmas, grid.T):
         dev[effect.equation] += s * np.outer(x[effect.equation][:, effect.column], zcol)
-    lnphi = bivariate_normal_logpdf(e1[:, None] - dev[0], e2[:, None] - dev[1], cov)
+    lnphi = whitened_logpdf(e1[:, None] - dev[0], e2[:, None] - dev[1], cov.low)[0]
     weighted = lnphi + log_w[None, :]
     m = weighted.max(axis=1)
     per_obs = m + np.log(np.exp(weighted - m[:, None]).sum(axis=1))

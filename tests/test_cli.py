@@ -988,17 +988,27 @@ class TestCompare:
         assert not out.exists()
 
     @pytest.mark.parametrize("change,reason", [
-        ({"param_cov": [[1.0, 0.0], [0.0]]}, "setting an array element with a sequence"),
-        ({"param_cov": np.eye(3).tolist()}, "fisher_inverse must be 5x5, got (3, 3)"),
-        ({"k": 0, "param_cov": []}, "k must be positive"),
-    ], ids=["ragged-param-cov", "param-cov-not-k-by-k", "zero-k"])
+        ({"param_cov": [[1.0, 0.0], [0.0]]}, "row 1 is [1.0, 0.0]"),
+        ({"param_cov": np.eye(3).tolist()}, "row 1 is [1.0, 0.0, 0.0]"),
+        ({"param_cov": [[1.0] * 5] * 4}, "row 5 is missing"),
+        ({"param_cov": [[1.0] * 5] * 6}, "row 6 is [1.0, 1.0, 1.0, 1.0, 1.0]"),
+        ({"param_cov": [[1.0] * 5, 7]}, "row 2 is 7"),
+        ({"param_cov": [[1.0] * 5, [1.0, None, "x", 1.0, 1.0]]},
+         "row 2 is [1.0, None, 'x', 1.0, 1.0]"),
+        ({"k": 0, "param_cov": []}, None),
+    ], ids=["ragged-param-cov", "param-cov-not-k-by-k", "too-few-rows", "too-many-rows",
+            "row-not-a-list", "entry-not-a-number", "zero-k"])
     def test_fit_the_criteria_cannot_take_exit_2(self, tmp_path, change, reason, capsys):
-        # the criteria input's own ValueError, named as an unreadable fit file
+        # param_cov is checked against k before numpy sees it; what the
+        # criteria input still refuses is named as an unreadable fit file
         a = fake_fit(tmp_path, "a.json", 10.0)
         b = write_json(tmp_path / "b.json", {**fit_payload(20.0), **change})
         out = tmp_path / "c.csv"
         assert run_cli("compare", a, b, "--out", str(out)) == 2
-        assert f"error: unreadable fit file {b}: {reason}" in capsys.readouterr().err
+        expect = (f"unreadable fit file {b}: k must be positive" if reason is None else
+                  f"fit file {b}: 'param_cov' must be k = 5 lists of 5 numbers or nulls, "
+                  f"but its {reason}")
+        assert capsys.readouterr().err.endswith(f"error: {expect}\n")
         assert list(tmp_path.glob("c.csv*")) == []
 
 

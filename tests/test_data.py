@@ -85,7 +85,7 @@ class TestParseRaw:
             parse_raw(stream)
 
     def test_numbers_follow_python_float(self):
-        cells = [" 20 ", "2_5", "+2.2e1", "30.000000000000004", "1999.9", " 2004"]
+        cells = [" 20 ", "2_5", "+2.2e1", "30.000000000000004", "1.999e3", " 2004.0"]
         table = parse_raw(csv_stream(",".join(["g1", *cells, "Pacific"])))
         assert table.my_mpg.tolist() == [[float(cells[0]), float(cells[2])]]
         assert table.epa_mpg.tolist() == [[float(cells[1]), float(cells[3])]]
@@ -183,7 +183,7 @@ class TestParseRaw:
                                                       "vehicle (model_year_1=2005 > "
                                                       "model_year_2=2001)")
 
-    @pytest.mark.parametrize("value", ["inf", "1e400", "-inf", "nan"])
+    @pytest.mark.parametrize("value", ["inf", "1e400", "-inf", "nan", "2001.5"])
     def test_non_finite_model_year_is_not_an_integer(self, value):
         with pytest.raises(ParseError, match="field 'model_year_1' is not an integer") as err:
             parse_raw(csv_stream("g1,20,25,22,30,1999,2004,Pacific",

@@ -39,6 +39,14 @@ def row(i: int, note: str = "n") -> str:
     return f"g{i},{20 + i}.5,25,{22 + i},3{i % 10}.25,1999,2004,Pacific,{note}"
 
 
+def integral(cell: str) -> int:
+    """The model year of a cell that float() reads as an integral value."""
+    value = float(cell)
+    if not value.is_integer():
+        raise ValueError(f"model year {cell!r} is not an integer")
+    return int(value)
+
+
 def reader_table(text: str) -> GarageTable:
     """The table of `text` built row by row from `csv.reader`'s rows."""
     header, *rows = filter(None, csv.reader(io.StringIO(text, newline="")))
@@ -53,7 +61,7 @@ def reader_table(text: str) -> GarageTable:
 
     return GarageTable(garage_id=strings("garage_id"), my_mpg=pair("my_mpg", float),
                        epa_mpg=pair("epa_mpg", float),
-                       model_year=pair("model_year", lambda s: int(float(s))),
+                       model_year=pair("model_year", integral),
                        us_division=strings("us_division"),
                        covariates={"note": strings("note")})
 
@@ -284,7 +292,7 @@ def reference_fault(line: str) -> str | None:
             value = float(cell)
         except ValueError:
             value = float("nan")
-        if not abs(value) < 2.0 ** 63:
+        if not (abs(value) < 2.0 ** 63 and value.is_integer()):
             return f"field {name!r} is not an integer: {cell!r}"
         years.append(int(value))
     if years[0] > years[1]:

@@ -11,7 +11,6 @@ from fuelgap.halton import (
     _radical_inverse_block,
     build_draw_store,
     first_primes,
-    halton_block,
     radical_inverse,
 )
 
@@ -111,29 +110,13 @@ class TestRadicalInverseBlock:
 
 
 class TestHaltonBlock:
-    def test_hand_blocks_base2(self):
-        cfg = HaltonConfig(bases=(2,), draws_per_obs=2, burn=0)
-        assert halton_block(cfg, 0).ravel().tolist() == [0.5, 0.25]
-        assert halton_block(cfg, 1).ravel().tolist() == [0.75, 0.125]
-
-    def test_burn_shifts_indices(self):
-        cfg = HaltonConfig(bases=(2,), draws_per_obs=2, burn=2)
-        assert halton_block(cfg, 0).ravel().tolist() == [0.75, 0.125]
-
+    # the draw store's per-observation (R, d) blocks, read in observation order
     def test_blocks_tile_the_sequence(self):
         cfg = HaltonConfig(bases=(2, 3), draws_per_obs=5, burn=7)
-        stacked = np.vstack([halton_block(cfg, i) for i in range(10)])
+        stacked = build_draw_store(10, cfg).z.reshape(50, 2)
         for d, base in enumerate(cfg.bases):
-            expect = [radical_inverse(cfg.burn + j, base) for j in range(1, 51)]
-            np.testing.assert_array_equal(stacked[:, d], expect)
-
-    def test_shape(self):
-        cfg = HaltonConfig(bases=(2, 3, 5), draws_per_obs=4)
-        assert halton_block(cfg, 3).shape == (4, 3)
-
-    def test_negative_index_is_refused(self):
-        with pytest.raises(ValueError, match="obs_index must be >= 0"):
-            halton_block(HaltonConfig(bases=(2,), draws_per_obs=4), -1)
+            u = [radical_inverse(cfg.burn + j, base) for j in range(1, 51)]
+            assert stacked[:, d].tobytes() == _inverse_normal_cdf_array(np.array(u)).tobytes()
 
 
 class TestHaltonConfig:
@@ -195,13 +178,25 @@ class TestDrawStore:
             store.z[0, 0, 0] = 1.0
 
     def test_matches_blocks(self):
+        # observation i owns indices burn + i*R + 1 ... burn + (i+1)*R of
+        # each base: every cell is the scalar oracle's point, bit for bit
         cfg = HaltonConfig(bases=(2, 3), draws_per_obs=8, burn=13)
-        store = build_draw_store(5, cfg)
+        z = build_draw_store(5, cfg).z
+        r = cfg.draws_per_obs
         for i in range(5):
-            u = halton_block(cfg, i)
-            for r in range(8):
-                for d in range(2):
-                    assert store.z[i, r, d] == _inverse_normal_cdf_array(u[r:r + 1, d])[0]
+            for j in range(r):
+                for d, base in enumerate(cfg.bases):
+                    u = radical_inverse(cfg.burn + i * r + j + 1, base)
+                    assert z[i, j, d] == _inverse_normal_cdf_array(np.array([u]))[0]
+
+    @pytest.mark.parametrize("burn,uniforms", [(0, [[0.5, 0.25], [0.75, 0.125]]),
+                                               (2, [[0.75, 0.125], [0.625, 0.375]])],
+                             ids=["burn-0", "burn-2"])
+    def test_hand_values_base2(self, burn, uniforms):
+        # two observations of two draws, cut after `burn` points
+        store = build_draw_store(2, HaltonConfig(bases=(2,), draws_per_obs=2, burn=burn))
+        assert store.z.shape == (2, 2, 1)
+        assert store.z[:, :, 0].tolist() == _inverse_normal_cdf_array(np.array(uniforms)).tolist()
 
     def test_memory_cap(self):
         # 2**20 x 1000 doubles is 8 GiB: refused before anything is allocated

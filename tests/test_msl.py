@@ -143,9 +143,7 @@ class TestSimulatedLoglik:
         for threads in (1, 2):
             kernel = LoglikKernel(design, ds.y1, ds.y2, draws, threads=threads)
             assert len(kernel.blocks) == 2
-            for run in (lambda: kernel.loglik(far),
-                        lambda: kernel.loglik(far, score=True),
-                        lambda: kernel.hessian(far)):
+            for run in (lambda: kernel.loglik(far), lambda: kernel.hessian(far)):
                 with warnings.catch_warnings(), \
                         pytest.raises(EstimationError,
                                       match="simulated log-likelihood is not finite: the "
@@ -172,9 +170,8 @@ class TestSimulatedLoglik:
         def passes(threads):
             kernel = LoglikKernel(*data, threads=threads)
             assert len(kernel.blocks) == 8
-            value, score = kernel.loglik(params, score=True)
-            return [np.float64(kernel.loglik(params)).tobytes(),
-                    np.float64(value).tobytes(), score.tobytes(),
+            value, score = kernel.loglik(params)
+            return [np.float64(value).tobytes(), score.tobytes(),
                     kernel.hessian(params).tobytes()]
 
         serial = passes(1)
@@ -193,7 +190,7 @@ class TestSimulatedLoglik:
         *data, params = eight_blocks
         before = set(threading.enumerate())
         kernel = LoglikKernel(*data, threads=1)
-        kernel.loglik(params, score=True)
+        kernel.loglik(params)
         kernel.hessian(params)
         assert kernel._pool is None
         assert set(threading.enumerate()) <= before
@@ -280,15 +277,20 @@ def layout_params(truth, random1, random2):
                         cov=params.cov)
 
 
-def layout_kernel(n, draws_per_obs, random1, random2, threads=1):
+def layout_inputs(n, draws_per_obs, random1, random2):
+    """((design, y1, y2, draw store), parameter point) of one layout."""
     truth = rp_truth(n=n)
     ds = simulate_dataset(truth)
     design = design_of(ds, random1, random2)
     effects = effects_from_design(design)
     draws = None if not effects else build_draw_store(
         n, HaltonConfig(bases=(2, 3)[:len(effects)], draws_per_obs=draws_per_obs))
-    kernel = LoglikKernel(design, ds.y1, ds.y2, draws, threads=threads)
-    return kernel, layout_params(truth, random1, random2)
+    return (design, ds.y1, ds.y2, draws), layout_params(truth, random1, random2)
+
+
+def layout_kernel(n, draws_per_obs, random1, random2, threads=1):
+    data, params = layout_inputs(n, draws_per_obs, random1, random2)
+    return LoglikKernel(*data, threads=threads), params
 
 
 def check_score_matches_central_difference(random1, random2):
@@ -299,14 +301,13 @@ def check_score_matches_central_difference(random1, random2):
     transform = _Transform(2, 2, len(kernel.effects))
 
     def loglik(t):
-        return kernel.loglik(transform.unpack(t))
+        return kernel.loglik(transform.unpack(t))[0]
 
     rng = np.random.default_rng(0)
     base = transform.pack(params)
     for _ in range(5):
         t = base + 0.2 * rng.uniform(-1, 1, base.size)
-        value, score = kernel.loglik(transform.unpack(t), score=True)
-        assert value == loglik(t)
+        score = kernel.loglik(transform.unpack(t))[1]
         numeric = central_difference(loglik, t, 1e-5)
         scale = np.maximum(np.abs(score), np.abs(numeric))
         assert np.max(np.abs(score - numeric) / np.maximum(scale, 1.0)) <= 1e-6
@@ -318,7 +319,7 @@ def check_score_bits_do_not_depend_on_threads(random1, random2, thread_counts):
     for threads in thread_counts:
         kernel, params = layout_kernel(111, 2000, random1, random2, threads)
         assert len(kernel.blocks) > 1
-        value, score = kernel.loglik(params, score=True)
+        value, score = kernel.loglik(params)
         results.append((value, score.tobytes()))
     assert len(set(results)) == 1
 
@@ -347,7 +348,7 @@ class TestHessian:
             assert (hess == hess.T).all()
             # the Hessian oracle: central differences of the analytic score
             numeric = central_difference(
-                lambda u: kernel.loglik(transform.unpack(u), score=True)[1], t, 1e-5)
+                lambda u: kernel.loglik(transform.unpack(u))[1], t, 1e-5)
             scale = np.maximum(np.maximum(np.abs(hess), np.abs(numeric)), 1.0)
             assert np.max(np.abs(hess - numeric) / scale) <= 1e-5
 
@@ -372,8 +373,8 @@ class TestHessian:
 
     def test_fit_makes_one_hessian_pass_and_one_score_pass_per_trial(self, monkeypatch):
         # every point the fit evaluates gets its value and score from one
-        # pass: as many score passes as the value-then-score fit makes value
-        # passes (the start and each line-search trial), and no value pass
+        # pass: as many passes as the value-then-score fit asks for values
+        # (the start and each line-search trial), plus the Hessian's
         ds = simulate_dataset(rp_truth(n=150, seed=8))
         design, draws = design_of(ds), build_draw_store(
             150, HaltonConfig(bases=(2, 3), draws_per_obs=50))
@@ -382,12 +383,11 @@ class TestHessian:
         fit = fit_rp_sure(design, ds.y1, ds.y2, draws=draws)
         assert fit.convergence.converged and fit.param_cov is not None
         fused = dict(passes)
-        passes.clear()
         kernel = LoglikKernel(design, ds.y1, ds.y2, draws)
         reference = value_then_score_fit(kernel, runs[0].iterates[0])
         assert reference["iterations"] == fit.convergence.iterations
-        trials = passes["value"] - 1
-        assert passes["score"] == fit.convergence.iterations + 1 <= trials
+        trials = reference["calls"]["value"] - 1
+        assert reference["calls"]["score"] == fit.convergence.iterations + 1 <= trials
         assert fused == {"score": trials + 1, "hessian": 1}
 
 
@@ -448,12 +448,15 @@ class ValueThenScoreBfgs:
 
 
 def value_then_score_fit(kernel, x0, max_iterations=500):
-    """fit_rp_sure's iteration from x0, driven by ValueThenScoreBfgs."""
+    """fit_rp_sure's iteration from x0, driven by ValueThenScoreBfgs; "calls"
+    counts the points at which it asks for the value and for the score."""
     from fuelgap.msl import _Transform
     transform = _Transform(kernel.x[0].shape[1], kernel.x[1].shape[1], len(kernel.effects))
+    calls = collections.Counter()
 
-    def guarded(evaluate, underflow):
+    def guarded(kind, evaluate, underflow):
         def at(t):
+            calls[kind] += 1
             try:
                 return evaluate(transform.unpack(t))
             except (EstimationError, DegenerateDataError):
@@ -464,8 +467,8 @@ def value_then_score_fit(kernel, x0, max_iterations=500):
         return float(np.max(np.abs(np.linalg.solve(transform.jacobian(t).T, g))))
 
     minimizer = ValueThenScoreBfgs(
-        guarded(lambda p: -kernel.loglik(p), float("inf")),
-        guarded(lambda p: -kernel.loglik(p, score=True)[1], np.full(x0.size, np.nan)), x0)
+        guarded("value", lambda p: -kernel.loglik(p)[0], float("inf")),
+        guarded("score", lambda p: -kernel.loglik(p)[1], np.full(x0.size, np.nan)), x0)
     iterates, status, iterations = [minimizer.x], "converged", 0
     grad_norm = natural_grad_norm(minimizer.x, minimizer.g)
     while grad_norm > msl._GRAD_TOL * kernel.n:
@@ -479,7 +482,8 @@ def value_then_score_fit(kernel, x0, max_iterations=500):
         iterates.append(minimizer.x)
         grad_norm = natural_grad_norm(minimizer.x, minimizer.g)
     return {"iterates": iterates, "loglik_path": tuple(-f for f in minimizer.path),
-            "grad_norm": grad_norm, "status": status, "iterations": iterations}
+            "grad_norm": grad_norm, "status": status, "iterations": iterations,
+            "calls": calls}
 
 
 def record_minimizers(monkeypatch):
@@ -503,13 +507,13 @@ def record_minimizers(monkeypatch):
 
 
 def count_passes(monkeypatch):
-    """Count the kernel's passes by kind: "value", "score" or "hessian"."""
+    """Count the kernel's passes by kind: "score" or "hessian"."""
     passes = collections.Counter()
     original = LoglikKernel._evaluate
 
-    def counted(self, params, with_score, with_hessian=False):
-        passes["hessian" if with_hessian else "score" if with_score else "value"] += 1
-        return original(self, params, with_score, with_hessian)
+    def counted(self, params, with_hessian=False):
+        passes["hessian" if with_hessian else "score"] += 1
+        return original(self, params, with_hessian)
 
     monkeypatch.setattr(LoglikKernel, "_evaluate", counted)
     return passes
@@ -573,11 +577,13 @@ class TestGradientConsistency:
                              [pytest.param((1,), (1,), id="both")] + ONE_EQUATION_LAYOUTS)
     @pytest.mark.parametrize("threads", [1, 2])
     def test_value_pass_equals_score_pass_value(self, random1, random2, threads):
-        # a line search that takes its values from the score pass must
-        # accept exactly the steps the value pass accepts
-        kernel, params = layout_kernel(111, 2000, random1, random2, threads)
+        # simulated_loglik, the value route that callers outside the fit
+        # take, builds a one-thread kernel; its value must be the bits of
+        # the fused pass that the fit's line search compares, at any thread count
+        data, params = layout_inputs(111, 2000, random1, random2)
+        kernel = LoglikKernel(*data, threads=threads)
         assert len(kernel.blocks) > 1
-        assert kernel.loglik(params) == kernel.loglik(params, score=True)[0]
+        assert simulated_loglik(params, *data) == kernel.loglik(params)[0]
 
 
 @pytest.fixture(scope="module")
@@ -634,11 +640,11 @@ class TestFitRpSure:
         draws = build_draw_store(150, HaltonConfig(bases=(2, 3), draws_per_obs=50))
         loglik, calls = LoglikKernel.loglik, []
 
-        def first_trial_not_finite(self, params, score=False):
+        def first_trial_not_finite(self, params):
             calls.append(params)
             if len(calls) == 2:
                 raise EstimationError("simulated log-likelihood is not finite")
-            return loglik(self, params, score)
+            return loglik(self, params)
 
         def hessian_not_finite(self, params):
             raise EstimationError("simulated log-likelihood is not finite")
@@ -707,7 +713,7 @@ class TestFitRpSure:
         t_hat = transform.pack(RpParameters(
             coef1=coefs[:2], coef2=coefs[2:],
             sigmas=[c.sigma for c in fit.random_coefficients], cov=fit.sigma))
-        hess = value_only_hessian(lambda t: -kernel.loglik(transform.unpack(t)),
+        hess = value_only_hessian(lambda t: -kernel.loglik(transform.unpack(t))[0],
                                   t_hat, 1e-4)
         reference = np.sqrt(np.diag(_natural_covariance(hess, transform.jacobian(t_hat))))
         got = np.sqrt(np.diag(fit.param_cov))

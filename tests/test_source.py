@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import fuelgap
-from fuelgap import cli, data, msl
+from fuelgap import cli, data, halton, msl, sure
 from fuelgap.msl import LoglikKernel, _BfgsMinimizer, fit_rp_sure, simulated_loglik
 from fuelgap.sure import ErrorCovariance, fgls_fit, ols_system_fit, residual_covariance
 
@@ -139,14 +139,22 @@ def test_one_residual_covariance():
 
 
 def test_one_evaluation_path_for_the_fit():
-    # the kernel has one entry point for value and score, and the minimizer
-    # takes one callable that returns both, so no line search can go back
-    # to evaluating a trial point's value and its score in separate passes
+    # the kernel has one entry point, which returns value and score from one
+    # pass, and the minimizer takes one callable that returns both, so no
+    # line search can go back to evaluating a trial point's value and its
+    # score in separate passes, and no value-only pass is left to time
     assert not hasattr(LoglikKernel, "loglik_and_score")
-    assert list(inspect.signature(LoglikKernel.loglik).parameters) == \
-        ["self", "params", "score"]
+    assert list(inspect.signature(LoglikKernel.loglik).parameters) == ["self", "params"]
     assert list(inspect.signature(_BfgsMinimizer.__init__).parameters) == \
         ["self", "evaluate", "x0"]
+
+
+def test_one_route_per_result():
+    # the draw store is the one generator of draws (radical_inverse is the
+    # scalar oracle), and whitened_logpdf the one bivariate-normal density
+    assert not hasattr(halton, "halton_block")
+    assert not hasattr(sure, "bivariate_normal_logpdf")
+    assert not hasattr(fuelgap, "halton_block")
 
 
 def test_one_pool_per_kernel():
