@@ -10,7 +10,6 @@ import math
 import numpy as np
 
 from fuelgap import (
-    DesignMatrices,
     HaltonConfig,
     RpParameters,
     build_draw_store,
@@ -38,8 +37,7 @@ truth = truth_from_dict({
     ],
 })
 ds = simulate_dataset(truth)
-design = DesignMatrices(x1=ds.x1, x2=ds.x2, names1=ds.names1, names2=ds.names2,
-                        random1=(1,), random2=(1,))
+design = ds.design
 
 # how close is the simulated likelihood to the exact marginal at the truth?
 params = RpParameters(coef1=[0.88, -0.03], coef2=[0.92, 0.02],

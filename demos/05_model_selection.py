@@ -10,7 +10,6 @@ import numpy as np
 
 from fuelgap import (
     CriteriaInput,
-    DesignMatrices,
     HaltonConfig,
     build_draw_store,
     effect_summary,
@@ -37,8 +36,7 @@ truth = truth_from_dict({
     ],
 })
 ds = simulate_dataset(truth)
-design = DesignMatrices(x1=ds.x1, x2=ds.x2, names1=ds.names1, names2=ds.names2,
-                        random1=(1,), random2=(1,))
+design = ds.design
 
 # one design serves all three estimators; the fixed-parameter ones ignore
 # its random columns

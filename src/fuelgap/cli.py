@@ -437,9 +437,7 @@ def cmd_effects(args, parser) -> int:
 
 def cmd_simulate(args, parser) -> int:
     started = time.monotonic()
-    raw = read_json(args.truth, "truth file")
-    if not isinstance(raw, dict):
-        raise SpecError(f"truth file {args.truth} must hold a JSON object, got {raw!r}")
+    raw = checked(read_json(args.truth, "truth file"), OBJECT, f"truth file {args.truth}")
     if args.n is not None:
         if args.n < 1:
             parser.error("--n must be >= 1")

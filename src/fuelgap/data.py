@@ -33,6 +33,7 @@ import csv
 from dataclasses import dataclass, field, fields
 from itertools import chain, islice
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -366,20 +367,27 @@ def _indicator(values: np.ndarray, level: str) -> np.ndarray:
 
 
 def encode_design(table: GarageTable, spec: ModelSpec) -> DesignMatrices:
-    """Encode the table's rows into the two design matrices declared by `spec`.
+    """Encode the table's rows into the two design matrices declared by `spec`."""
+    return encode_columns(len(table), lambda column: _resolve(table, column), spec)
 
-    One 0/1 column per non-base category level, continuous columns passed
-    through unchanged, and a leading intercept column of ones when enabled.
-    Missing categorical values count as the explicit "Not reported" level.
-    Column rank is left to the estimators (sure._equation_ols).
+
+def encode_columns(n: int, lookup: Callable[[str], np.ndarray],
+                   spec: ModelSpec) -> DesignMatrices:
+    """The two design matrices that `spec` declares over n rows.
+
+    `lookup` returns a source column by name.  One 0/1 column per non-base
+    category level, continuous columns passed through unchanged, and a
+    leading intercept column of ones when enabled.  Missing categorical
+    values count as the explicit "Not reported" level.  Column rank is left
+    to the estimators (sure._equation_ols).
     """
-    if not len(table):
+    if not n:
         raise SpecError("cannot encode an empty table")
     matrices = []
     for eq in spec.equations:
-        columns = [np.ones(len(table))] if eq.intercept else []
+        columns = [np.ones(n)] if eq.intercept else []
         for term in eq.terms:
-            values = _resolve(table, term.column)
+            values = lookup(term.column)
             columns.append(_continuous(values, term.column) if term.level is None
                            else _indicator(values, term.level))
         matrices.append(np.column_stack(columns))

@@ -125,10 +125,8 @@ def model_spec_from_dict(raw: dict) -> ModelSpec:
         equations_raw = raw["equations"]
     except (KeyError, TypeError) as exc:
         raise SpecError("model spec JSON must contain an 'equations' list") from exc
-    if len(checked(equations_raw, LIST, "'equations'")) != N_EQUATIONS:
-        raise SpecError(f"model spec must declare exactly {N_EQUATIONS} equations")
     equations = []
-    for i, eq_raw in enumerate(equations_raw):
+    for i, eq_raw in enumerate(checked(equations_raw, LIST, "'equations'")):
         eq_raw = checked(eq_raw, OBJECT, f"equation {i + 1}")
         name = checked(eq_raw.get("name", f"vehicle_{i + 1}"), STRING,
                        f"equation {i + 1}: 'name'")
@@ -140,7 +138,7 @@ def model_spec_from_dict(raw: dict) -> ModelSpec:
     base_levels = checked(raw.get("base_levels", {}), OBJECT, "'base_levels'")
     for column, level in base_levels.items():
         checked(level, STRING, f"'base_levels': {column!r}")
-    return ModelSpec(equations=(equations[0], equations[1]), base_levels=base_levels)
+    return ModelSpec(equations=tuple(equations), base_levels=base_levels)
 
 
 # the JSON kinds `checked` tells apart, named as its errors name them

@@ -15,17 +15,18 @@ per random term (equation order, term order), then the N x 2 error normals.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import GarageTable, write_csv, write_garage_csv
+from .data import GarageTable, encode_columns, write_csv, write_garage_csv
 from .errors import SpecError
 from .modelspec import (FIXED, INTEGER, LIST, NUMBER, OBJECT, RANDOM, STRING, EquationSpec,
                         ModelSpec, Term, checked)
 from .msl import RandomEffect
-from .sure import ErrorCovariance, whitened_logpdf, _LOG_2PI, _rowdot
+from .sure import DesignMatrices, ErrorCovariance, whitened_logpdf, _LOG_2PI, _rowdot
 
 
 # the truth-JSON keys of each covariate kind's parameters, in `params` order
@@ -109,8 +110,7 @@ class TruthSpec:
     def __post_init__(self):
         object.__setattr__(self, "equations", tuple(self.equations))
         object.__setattr__(self, "covariates", tuple(self.covariates))
-        if len(self.equations) != 2:
-            raise SpecError("exactly two equations are required")
+        self.model_spec()       # refuses a model that no spec could declare
         for key in ("sigma1", "sigma2"):
             _require_finite(getattr(self, key), key)
         if self.sigma1 <= 0 or self.sigma2 <= 0:
@@ -145,7 +145,7 @@ class TruthSpec:
                           for t in eq.terms)
             eqs.append(EquationSpec(name=eq.name, terms=terms,
                                     intercept=eq.intercept is not None))
-        return ModelSpec(equations=(eqs[0], eqs[1]), base_levels={})
+        return ModelSpec(equations=tuple(eqs), base_levels={})
 
 
 def truth_from_dict(raw: dict) -> TruthSpec:
@@ -165,6 +165,7 @@ def truth_from_dict(raw: dict) -> TruthSpec:
       string "column", a number "coef" and a number "sigma" (default 0; a
       positive sigma makes the coefficient random).
     """
+    raw = checked(raw, OBJECT, "truth")
     try:
         covariates = []
         for i, c in enumerate(checked(raw["covariates"], LIST, "truth 'covariates'")):
@@ -207,22 +208,22 @@ def truth_from_dict(raw: dict) -> TruthSpec:
 
 @dataclass(frozen=True)
 class SyntheticDataset:
-    """Simulated design matrices, responses, and the realized randomness."""
+    """Simulated garages: the design that the truth's model spec declares,
+    the responses, and the realized randomness."""
 
     truth: TruthSpec
-    x1: np.ndarray = field(repr=False)
-    x2: np.ndarray = field(repr=False)
+    design: DesignMatrices = field(repr=False)
     y1: np.ndarray = field(repr=False)
     y2: np.ndarray = field(repr=False)
-    names1: tuple[str, ...]
-    names2: tuple[str, ...]
     covariate_columns: dict[str, np.ndarray] = field(repr=False, default_factory=dict)
     coefficient_draws: dict[str, np.ndarray] = field(repr=False, default_factory=dict)
     errors: np.ndarray = field(repr=False, default=None)
 
-    @property
-    def n(self) -> int:
-        return self.x1.shape[0]
+    x1 = property(lambda self: self.design.x1)
+    x2 = property(lambda self: self.design.x2)
+    names1 = property(lambda self: self.design.names1)
+    names2 = property(lambda self: self.design.names2)
+    n = property(lambda self: self.design.n)
 
     def write_csv(self, path) -> None:
         """Emit the dataset in the raw pipeline schema.
@@ -255,20 +256,7 @@ def simulate_dataset(truth: TruthSpec) -> SyntheticDataset:
     rng = np.random.Generator(np.random.Philox(key=truth.seed))
     n = truth.n
     columns = {c.name: c.draw(rng, n) for c in truth.covariates}
-
-    designs = []
-    names = []
-    for eq in truth.equations:
-        cols = []
-        eq_names = []
-        if eq.intercept is not None:
-            cols.append(np.ones(n))
-            eq_names.append("const")
-        for term in eq.terms:
-            cols.append(columns[term.column])
-            eq_names.append(term.column)
-        designs.append(np.column_stack(cols) if cols else np.empty((n, 0)))
-        names.append(tuple(eq_names))
+    design = encode_columns(n, columns.__getitem__, truth.model_spec())
 
     coefficient_draws: dict[str, np.ndarray] = {}
     contributions = [np.zeros(n), np.zeros(n)]
@@ -289,10 +277,8 @@ def simulate_dataset(truth: TruthSpec) -> SyntheticDataset:
     e2 = truth.sigma2 * (truth.rho * z[:, 0] + np.sqrt(1 - truth.rho ** 2) * z[:, 1])
     errors = np.column_stack([e1, e2])
     return SyntheticDataset(
-        truth=truth,
-        x1=designs[0], x2=designs[1],
+        truth=truth, design=design,
         y1=contributions[0] + e1, y2=contributions[1] + e2,
-        names1=names[0], names2=names[1],
         covariate_columns=columns,
         coefficient_draws=coefficient_draws,
         errors=errors,
@@ -327,8 +313,6 @@ def exact_marginal_loglik(x1, x2, y1, y2, coef1, coef2,
     v11, v22 = var
     v12 = cov.sigma12
     det = v11 * v22 - v12 * v12
-    if (det <= 0).any() or (v11 <= 0).any():
-        raise ValueError("per-observation covariance is not positive definite")
     quad = (e1 * e1 * v22 - 2.0 * e1 * e2 * v12 + e2 * e2 * v11) / det
     return float(np.sum(-_LOG_2PI - 0.5 * np.log(det) - 0.5 * quad))
 
@@ -355,15 +339,13 @@ def quadrature_loglik(x1, x2, y1, y2, coef1, coef2,
     e2 = np.asarray(y2, dtype=float) - _rowdot(x2, np.asarray(coef2, dtype=float))
 
     gh_x, gh_w = np.polynomial.hermite.hermgauss(nodes)
-    if d == 0:
-        grid = np.zeros((1, 0))
-        log_w = np.zeros(1)
-    else:
-        mesh = np.meshgrid(*([gh_x] * d), indexing="ij")
-        grid = np.sqrt(2.0) * np.column_stack([m.ravel() for m in mesh])
-        wmesh = np.meshgrid(*([gh_w] * d), indexing="ij")
-        log_w = np.sum(np.log(np.column_stack([w.ravel() for w in wmesh])), axis=1) \
-            - d * 0.5 * np.log(np.pi)
+
+    def tensor(values):
+        """Every d-tuple of `values`, one per row, the last entry varying fastest."""
+        return np.array(list(itertools.product(values, repeat=d))).reshape(nodes ** d, d)
+
+    grid = np.sqrt(2.0) * tensor(gh_x)
+    log_w = np.sum(np.log(tensor(gh_w)), axis=1) - d * 0.5 * np.log(np.pi)
 
     x = (x1, x2)
     shape = (x1.shape[0], grid.shape[0])

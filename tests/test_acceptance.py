@@ -10,7 +10,7 @@ import pytest
 
 from fuelgap.cli import main as cli_main
 from fuelgap.criteria import effect_summary
-from fuelgap.data import DesignMatrices, compute_gaps, parse_raw, gap_correlation
+from fuelgap.data import compute_gaps, parse_raw, gap_correlation
 from fuelgap.halton import HaltonConfig, build_draw_store, radical_inverse
 from fuelgap.msl import RpParameters, effects_from_design, simulated_loglik
 from fuelgap.sure import fgls_fit, ols_fit
@@ -109,8 +109,7 @@ ORACLE_TRUTH = TruthSpec(
 def test_criterion_4_msl_oracle_convergence():
     with Stopwatch() as clock:
         ds = simulate_dataset(ORACLE_TRUTH)
-        design = DesignMatrices(x1=ds.x1, x2=ds.x2, names1=ds.names1, names2=ds.names2,
-                                random1=(1,), random2=(1,))
+        design = ds.design
         params = RpParameters(coef1=[0.88, -0.03], coef2=[0.92, 0.02],
                               sigmas=[0.05, 0.06], cov=ORACLE_TRUTH.error_covariance)
         effects = effects_from_design(design)

@@ -166,8 +166,16 @@ class TestSimulate:
                      "covariate 'x1': bernoulli p must be in [0, 1]", id="bernoulli-p"),
         pytest.param(["equations", 0, "terms", 0, "sigma"], -0.05,
                      "term 'x1': sigma must be >= 0", id="negative-sigma"),
-        pytest.param(["equations", 1], MISSING, "exactly two equations are required",
+        pytest.param(["equations", 1], MISSING, "exactly 2 equations are required",
                      id="one-equation"),
+        pytest.param(["equations"], [*TRUTH["equations"], {"name": "v3", "intercept": 0.9}],
+                     "exactly 2 equations are required", id="three-equations"),
+        pytest.param(["equations", 1], {"name": "vehicle_2"},
+                     "equation 'vehicle_2' has no design columns", id="empty-equation"),
+        pytest.param(["equations", 1, "name"], "vehicle_1", "equation names must differ",
+                     id="same-names"),
+        pytest.param(["equations", 0, "terms"], [{"column": "x1", "coef": 0.1}] * 2,
+                     "equation 'vehicle_1' lists 'x1' twice", id="column-twice"),
         pytest.param(["error", "sigma1"], 0, "error standard deviations must be positive",
                      id="zero-sd"),
         pytest.param(["covariates", 1, "name"], "x1", "covariate names must be distinct",
@@ -200,7 +208,7 @@ class TestSimulate:
         path = write_json(tmp_path / "bad.json", truth)
         out = tmp_path / "x.csv"
         assert run_cli("simulate", "--truth", path, "--out", str(out), *flags) == 2
-        assert f"truth file {path} must hold a JSON object" in capsys.readouterr().err
+        assert f"truth file {path} must be an object, got" in capsys.readouterr().err
         assert list(tmp_path.glob("x.csv*")) == []
 
 
@@ -647,7 +655,9 @@ class TestFit:
                                     {"name": "vehicle_2"}]},
                      "unknown coefficient kind 'random' for 'x1'", id="unknown-kind"),
         pytest.param({"equations": [{"name": "a"}, {"name": "b"}, {"name": "c"}]},
-                     "model spec must declare exactly 2 equations", id="three-equations"),
+                     "exactly 2 equations are required", id="three-equations"),
+        pytest.param({"equations": [{"name": "a"}]},
+                     "exactly 2 equations are required", id="one-equation"),
         pytest.param({"equation": []}, "model spec JSON must contain an 'equations' list",
                      id="no-equations"),
         pytest.param({"equations": [{"name": "vehicle_1", "terms": [{"kind": "fixed"}]},

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import itertools
 import math
 import sys
@@ -73,8 +74,8 @@ def rp_truth(n=200, seed=313, sigma_b=(0.05, 0.06), sigma_e=(0.1, 0.1), rho=0.5,
 
 
 def design_of(ds, random1=(1,), random2=(1,)):
-    return DesignMatrices(x1=ds.x1, x2=ds.x2, names1=ds.names1, names2=ds.names2,
-                          random1=random1, random2=random2)
+    """The dataset's design with the random columns random1 and random2."""
+    return dataclasses.replace(ds.design, random1=random1, random2=random2)
 
 
 def truth_params(truth):
@@ -851,8 +852,9 @@ class TestFitRpSure:
         # runs the pool
         ds = simulate_dataset(truth_from_dict(dict(CRITERION_5_TRUTH, n=600, seed=seed)))
         design = design_of(ds)
-        mirror = DesignMatrices(x1=ds.x2, x2=ds.x1, names1=ds.names2, names2=ds.names1,
-                                random1=(1,), random2=(1,), eq_names=design.eq_names[::-1])
+        mirror = DesignMatrices(x1=design.x2, x2=design.x1, names1=design.names2,
+                                names2=design.names1, random1=design.random2,
+                                random2=design.random1, eq_names=design.eq_names[::-1])
         draws = build_draw_store(600, HaltonConfig(bases=(3, 2), draws_per_obs=200))
         assert len(LoglikKernel(mirror, ds.y2, ds.y1, draws, threads=2).blocks) == 2
         fit = fit_rp_sure(design, ds.y1, ds.y2,

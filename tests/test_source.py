@@ -83,6 +83,13 @@ def test_one_rank_check_per_design():
         {("sure", "_qr_solve"), ("msl", "_check_spreads_identified")}
 
 
+def test_one_encoder_for_every_design():
+    # a parsed table and a simulated dataset are encoded by one loop, so a
+    # new term kind is encoded once and the two cannot drift apart
+    assert callers(None, {"encode_columns"}) == {("data", "encode_design"),
+                                                 ("synthetic", "simulate_dataset")}
+
+
 def test_one_home_for_the_row_rule():
     # a garage row is judged only on whole columns of its batch, so a second,
     # field-by-field checker cannot come back beside the batch check

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import re
@@ -5,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from fuelgap.data import compute_gaps, parse_raw
+from fuelgap.data import compute_gaps, encode_design, parse_raw, responses
 from fuelgap.errors import SpecError
 from fuelgap.modelspec import read_json
 from fuelgap.msl import RandomEffect
@@ -37,6 +38,26 @@ def basic_truth(n=200, seed=7, sigma_b=(0.05, 0.06), rho=0.5, sigma_e=(0.1, 0.1)
                     CovariateRecipe("x2", recipe_kind, params)),
         sigma1=sigma_e[0], sigma2=sigma_e[1], rho=rho, n=n, seed=seed,
     )
+
+
+# uniform, normal and bernoulli covariates, fixed and random terms, one
+# equation without an intercept, and equation names of its own
+MIXED_TRUTH = {
+    "n": 300, "seed": 17,
+    "error": {"sigma1": 0.05, "sigma2": 0.05, "rho": -0.3},
+    "covariates": [
+        {"name": "u", "kind": "uniform", "low": 0.5, "high": 1.5},
+        {"name": "z", "kind": "normal", "mean": 0.0, "sd": 1.0},
+        {"name": "b", "kind": "bernoulli", "p": 0.4},
+    ],
+    "equations": [
+        {"name": "older", "intercept": 0.9,
+         "terms": [{"column": "u", "coef": 0.01, "sigma": 0.02}, {"column": "b", "coef": -0.02}]},
+        {"name": "newer",
+         "terms": [{"column": "u", "coef": 0.8}, {"column": "b", "coef": 0.05},
+                   {"column": "z", "coef": 0.01, "sigma": 0.01}]},
+    ],
+}
 
 
 def dataset_hash(ds: SyntheticDataset) -> bytes:
@@ -89,10 +110,15 @@ class TestSimulateDataset:
         with pytest.raises(SpecError, match="unknown covariate"):
             TruthSpec(
                 equations=(EquationTruth("a", (TermTruth("missing", 1.0),)),
-                           EquationTruth("b", ())),
+                           EquationTruth("b", (), intercept=0.9)),
                 covariates=(), sigma1=0.1, sigma2=0.1, rho=0.0, n=5, seed=1)
         with pytest.raises(SpecError, match="rho"):
             basic_truth(rho=1.0)
+
+    def test_recipe_takes_its_kind_parameter_count(self):
+        with pytest.raises(SpecError, match=re.escape(
+                "covariate 'u': uniform takes 2 parameter(s), got (0.0,)")):
+            CovariateRecipe("u", "uniform", (0.0,))
 
 
 NAN, INF = float("nan"), float("inf")
@@ -150,6 +176,27 @@ class TestCsvRoundTrip:
         np.testing.assert_array_equal(table.gap[:, 1], ds.y2)
         np.testing.assert_array_equal([float(v) for v in table.covariates["x1"]],
                                       ds.covariate_columns["x1"])
+
+    def test_parsed_file_encodes_to_the_simulated_design(self, tmp_path):
+        # the CSV that simulate writes, parsed and encoded against the truth's
+        # spec, gives the dataset's design and responses bit for bit
+        truth = truth_from_dict(MIXED_TRUTH)
+        ds = simulate_dataset(truth)
+        path = tmp_path / "synthetic.csv"
+        ds.write_csv(path)
+        table = compute_gaps(parse_raw(path))
+        design = encode_design(table, truth.model_spec())
+        for f in dataclasses.fields(design):
+            parsed, simulated = getattr(design, f.name), getattr(ds.design, f.name)
+            if isinstance(parsed, np.ndarray):
+                assert parsed.shape == simulated.shape
+                assert parsed.tobytes() == simulated.tobytes(), f.name
+            else:
+                assert parsed == simulated, f.name
+        assert ds.design.random1 == (1,) and ds.design.random2 == (2,)
+        assert ds.design.eq_names == ("older", "newer")
+        y1, y2 = responses(table)
+        assert y1.tobytes() == ds.y1.tobytes() and y2.tobytes() == ds.y2.tobytes()
 
     def test_same_seed_same_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -213,6 +260,10 @@ class TestTruthJson:
     def test_invalid_truth(self, tmp_path):
         with pytest.raises(SpecError):
             truth_from_dict({"n": 5})
+
+    def test_truth_must_be_an_object(self):
+        with pytest.raises(SpecError, match=re.escape("truth must be an object, got []")):
+            truth_from_dict([])
 
     def test_seed_is_a_128_bit_key(self):
         raw = {"n": 5, "seed": 2 ** 128 - 1, "error": {"sigma1": 0.1, "sigma2": 0.1},
