@@ -7,7 +7,7 @@ OLS exactly (Kruskal's equivalence).
 
 import numpy as np
 
-from fuelgap import DesignMatrices, fgls_fit, ols_fit
+from fuelgap import DesignMatrices, fgls_fit, ols_system_fit
 
 rng = np.random.default_rng(42)
 n = 3000
@@ -26,21 +26,23 @@ y2 = x2 @ b2 + e2
 # the encoded design is the one input of every estimator: both matrices,
 # their column names and the equation names
 names1 = ("const", "style", "hybrid")
-fit = fgls_fit(DesignMatrices(x1, x2, names1=names1, names2=("const", "style", "weight")),
-               y1, y2)
+design = DesignMatrices(x1, x2, names1=names1, names2=("const", "style", "weight"))
+fit = fgls_fit(design, y1, y2)
 print(f"FGLS: n={fit.n}, k={fit.k}, loglik={fit.loglik:.2f}, "
       f"cross-equation rho={fit.sigma.rho:.3f} (truth {rho})")
 
 print(f"\n{'coefficient':22s}{'truth':>9s}{'OLS':>10s}{'FGLS':>10s}"
       f"{'OLS se':>9s}{'FGLS se':>9s}")
-ols_rows = [row for x, y, truth in ((x1, y1, b1), (x2, y2, b2))
-            for ols in [ols_fit(x, y)] for row in zip(ols.beta, ols.se, truth)]
-for c, (ols_coef, ols_se, truth) in zip(fit.coefficients, ols_rows):
-    print(f"{c.equation + ':' + c.name:22s}{truth:9.4f}{ols_coef:10.4f}"
-          f"{c.estimate:10.4f}{ols_se:9.5f}{c.se:9.5f}")
+ols = ols_system_fit(design, y1, y2)
+for c, o, truth in zip(fit.coefficients, ols.coefficients, np.concatenate([b1, b2])):
+    print(f"{c.equation + ':' + c.name:22s}{truth:9.4f}{o.estimate:10.4f}"
+          f"{c.estimate:10.4f}{o.se:9.5f}{c.se:9.5f}")
 
-shared = fgls_fit(DesignMatrices(x1, x1, names1=names1, names2=names1), y1, y2)
-ols_shared = ols_fit(x1, y1)
-shared_coef = np.array([c.estimate for c in shared.coefficients[:x1.shape[1]]])
+shared_design = DesignMatrices(x1, x1, names1=names1, names2=names1)
+shared = fgls_fit(shared_design, y1, y2)
+ols_shared = ols_system_fit(shared_design, y1, y2)
+# equation 1 of each fit, in design order
+shared_coef, ols_coef = (np.array([c.estimate for c in f.coefficients[:x1.shape[1]]])
+                         for f in (shared, ols_shared))
 print("\nKruskal check with identical regressors: max |FGLS - OLS| =",
-      f"{np.max(np.abs(shared_coef - ols_shared.beta)):.2e}")
+      f"{np.max(np.abs(shared_coef - ols_coef)):.2e}")

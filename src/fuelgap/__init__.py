@@ -57,7 +57,6 @@ from .sure import (
     SureFit,
     fgls_fit,
     loglik_fixed,
-    ols_fit,
     ols_system_fit,
     residual_covariance,
 )

@@ -190,7 +190,8 @@ def _parse_batch(columns: list, first: int, numeric: list[tuple[int, str]]):
 def parse_raw(source, user_col: str = "my_mpg", epa_col: str = "epa_mpg") -> GarageTable:
     """Parse a header-bearing CSV into a garage table.
 
-    `source` is a path or an open text stream, not bytes.  `user_col` and
+    `source` is a path or an open text stream, not bytes; a leading
+    byte-order mark is not part of the header.  `user_col` and
     `epa_col` pick the numerator/denominator column bases (suffixed _1/_2),
     so label-based ratings can be substituted for the default test-cycle
     columns.  Each row must have the header's width, positive finite MPG
@@ -206,6 +207,9 @@ def parse_raw(source, user_col: str = "my_mpg", epa_col: str = "epa_mpg") -> Gar
         with open(source, newline="", encoding="utf-8") as fh:
             return parse_raw(fh, user_col=user_col, epa_col=epa_col)
     lines = iter(source)
+    first = next(lines, None)
+    if first is not None:   # spreadsheet "CSV UTF-8" exports begin with a byte-order mark
+        lines = chain([first.removeprefix("\ufeff")], lines)
     try:
         header = next(csv.reader(lines), None)
     except csv.Error as exc:
@@ -345,7 +349,7 @@ def _resolve(table: GarageTable, column: str) -> np.ndarray:
 
 def _continuous(values: np.ndarray, column: str) -> np.ndarray:
     try:
-        col = np.fromiter(map(float, values), float, len(values))
+        col = values.astype(float)
     except (TypeError, ValueError) as exc:
         raise SpecError(f"variable {column!r} is declared continuous but "
                         f"holds non-numeric values: {exc}") from exc

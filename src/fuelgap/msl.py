@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import DegenerateDataError, EstimationError, SpecError
 from .halton import DrawStore
+from .modelspec import RANDOM
 from .sure import (DesignMatrices, ErrorCovariance, SureFit, fgls_fit, full_rank_qr,
                    layout_fit, whitened_logpdf, _rowdot)
 
@@ -628,7 +629,7 @@ def rp_retention_test(fit: SureFit, name: str) -> RetentionVerdict:
     heterogeneity); the _RETENTION_Z comparison is inclusive.
     """
     coef = fit.coefficient(name)
-    if coef.kind != "random-normal":
+    if coef.kind != RANDOM:
         raise SpecError(f"coefficient {name!r} is not random in this fit")
     mean_t = None
     if coef.se not in (None, 0.0):

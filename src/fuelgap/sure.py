@@ -18,6 +18,7 @@ import numpy as np
 from scipy.linalg import block_diag, cholesky, qr, solve_triangular
 
 from .errors import DegenerateDataError, EstimationError, SpecError
+from .modelspec import FIXED, RANDOM
 
 _LOG_2PI = np.log(2.0 * np.pi)
 # the error covariance's entries in every estimator's parameter layout
@@ -100,7 +101,7 @@ class CoefficientEstimate:
 
     name: str
     equation: str
-    kind: str                     # "fixed" or "random-normal"
+    kind: str                     # modelspec.FIXED or RANDOM
     estimate: float               # the fixed value, or the random mean
     se: float | None
     sigma: float | None = None
@@ -136,7 +137,7 @@ class SureFit:
 
     @property
     def random_coefficients(self) -> tuple[CoefficientEstimate, ...]:
-        return tuple(c for c in self.coefficients if c.kind == "random-normal")
+        return tuple(c for c in self.coefficients if c.kind == RANDOM)
 
     def coefficient(self, name: str) -> CoefficientEstimate:
         matches = [c for c in self.coefficients
@@ -176,7 +177,7 @@ def layout_fit(eq_names: tuple[str, str], names, random, estimates,
         d = spread.get((eq, col))
         coefficients.append(CoefficientEstimate(
             name=names[eq][col], equation=eq_names[eq],
-            kind="fixed" if d is None else "random-normal",
+            kind=FIXED if d is None else RANDOM,
             estimate=estimates[i], se=se[i],
             sigma=None if d is None else estimates[d],
             sigma_se=None if d is None else se[d]))
@@ -185,15 +186,6 @@ def layout_fit(eq_names: tuple[str, str], names, random, estimates,
                    sigma1_se=sigma1_se, sigma2_se=sigma2_se, rho_se=rho_se,
                    param_names=tuple(param_names), param_cov=param_cov,
                    convergence=convergence, draw_config=draw_config)
-
-
-@dataclass(frozen=True)
-class OlsFit:
-    beta: np.ndarray
-    residuals: np.ndarray
-    se: np.ndarray
-    cov: np.ndarray          # classical s^2 (X'X)^-1
-    sigma2_ml: float         # RSS / N
 
 
 def full_rank_qr(x: np.ndarray, names: tuple[str, ...]):
@@ -240,38 +232,6 @@ def _qr_solve(x: np.ndarray, y: np.ndarray, names: tuple[str, ...]):
     a = np.zeros((k, k))
     a[piv, :] = r_inv
     return beta, a
-
-
-def ols_fit(x: np.ndarray, y: np.ndarray,
-            names: tuple[str, ...] | None = None) -> OlsFit:
-    """Ordinary least squares with classical standard errors.
-
-    Solves the normal equations through a pivoted QR factorization and
-    reports SEs from s^2 (X'X)^-1 with s^2 = RSS / (N - k), NaN at N = k.
-    full_rank_qr refuses fewer rows than columns, or collinear columns.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("design matrix must be 2-dimensional")
-    n, k = x.shape
-    names = tuple(f"x{j}" for j in range(k)) if names is None else names
-    if len(names) != k:
-        raise ValueError("one name per design column is required")
-    if len(y) != n:
-        raise ValueError(f"X has {n} rows but y has {len(y)}")
-    beta, a = _qr_solve(x, y, names)
-    residuals = y - _rowdot(x, beta)
-    rss = float(residuals @ residuals)
-    if n > k:
-        s2 = rss / (n - k)
-        cov = s2 * (a @ a.T)
-        se = np.sqrt(np.diag(cov))
-    else:
-        # exact interpolation: classical SEs are undefined
-        cov = np.full((k, k), np.nan)
-        se = np.full(k, np.nan)
-    return OlsFit(beta=beta, residuals=residuals, se=se, cov=cov, sigma2_ml=rss / n)
 
 
 def residual_covariance(res1: np.ndarray, res2: np.ndarray) -> ErrorCovariance:
@@ -341,23 +301,30 @@ def _sigma_block_cov(cov: ErrorCovariance, n: int) -> np.ndarray:
 
 
 def _equation_ols(design: DesignMatrices, y1, y2):
-    """(y, OLS fit) of each equation, and the one identification rule:
-    ols_fit refuses collinear columns, and an equation with n <= k, or
-    residuals that are zero up to rounding, leaves no residual variance, so
-    its error variance and every SE are not identified.  A response linear
-    in the design leaves a residual variance of rounding noise, at most
-    about (n eps)^2 mean(y^2)."""
+    """The one OLS fit of each equation, and the one identification rule.
+
+    Returns (y, residuals, beta, cov, rss / n) per equation, cov the
+    classical s^2 (X'X)^-1 with s^2 = RSS / (n - k).  _qr_solve refuses
+    collinear columns or fewer rows than columns, and an equation with
+    n <= k, or residuals that are zero up to rounding, leaves no residual
+    variance, so its error variance and every SE are not identified.  A
+    response linear in the design leaves a residual variance of rounding
+    noise, at most about (n eps)^2 mean(y^2)."""
     out = []
     for eq, x, y, names in zip(design.eq_names, (design.x1, design.x2), (y1, y2),
                                (design.names1, design.names2)):
         y = np.asarray(y, dtype=float)
         n, k = x.shape
-        fit = ols_fit(x, y, names)
+        if len(y) != n:
+            raise ValueError(f"X has {n} rows but y has {len(y)}")
+        beta, a = _qr_solve(x, y, names)
+        residuals = y - _rowdot(x, beta)
+        rss = float(residuals @ residuals)
         rounding = (n * np.finfo(float).eps) ** 2 * float(np.mean(y * y))
-        if n <= k or fit.sigma2_ml <= rounding:
+        if n <= k or rss / n <= rounding:
             raise EstimationError(f"equation {eq} is not identified: no residual "
                                   f"variance is left (n={n} garages, k={k} columns)")
-        out.append((y, fit))
+        out.append((y, residuals, beta, rss / (n - k) * (a @ a.T), rss / n))
     return out
 
 
@@ -375,10 +342,10 @@ def fgls_fit(design: DesignMatrices, y1, y2) -> SureFit:
     which is uncorrelated with the coefficients.  The SureFit has no random
     coefficients, draws or convergence record; fit_rp_sure starts from it.
     """
-    (y1, ols1), (y2, ols2) = _equation_ols(design, y1, y2)
+    (y1, ols_res1, *_), (y2, ols_res2, *_) = _equation_ols(design, y1, y2)
     x1, x2, n = design.x1, design.x2, design.n
     k1, k2 = x1.shape[1], x2.shape[1]
-    low = residual_covariance(ols1.residuals, ols2.residuals).low
+    low = residual_covariance(ols_res1, ols_res2).low
 
     # Whiten each observation's residual pair by L^-1 and stack into a
     # single least-squares problem over (beta1, beta2).
@@ -415,14 +382,14 @@ def ols_system_fit(design: DesignMatrices, y1, y2) -> SureFit:
     this fit the summed pair of univariate models for comparison purposes.
     Its layout is [coef1 | coef2 | sigma1, sigma2]: rho is not estimated.
     """
-    (_, ols1), (_, ols2) = _equation_ols(design, y1, y2)
+    (*_, beta1, cov1, s11), (*_, beta2, cov2, s22) = _equation_ols(design, y1, y2)
     n = design.n
     loglik = 0.0
-    for fit in (ols1, ols2):
-        loglik += -0.5 * n * (_LOG_2PI + np.log(fit.sigma2_ml) + 1.0)
+    for sigma2_ml in (s11, s22):
+        loglik += -0.5 * n * (_LOG_2PI + np.log(sigma2_ml) + 1.0)
 
-    sigma = ErrorCovariance(sigma11=ols1.sigma2_ml, sigma22=ols2.sigma2_ml, sigma12=0.0)
-    param_cov = block_diag(ols1.cov, ols2.cov, _sigma_block_cov(sigma, n)[:2, :2])
+    sigma = ErrorCovariance(sigma11=s11, sigma22=s22, sigma12=0.0)
+    param_cov = block_diag(cov1, cov2, _sigma_block_cov(sigma, n)[:2, :2])
     return layout_fit(design.eq_names, (design.names1, design.names2), ((), ()),
-                      np.concatenate([ols1.beta, ols2.beta]), param_cov,
+                      np.concatenate([beta1, beta2]), param_cov,
                       n=n, loglik=float(loglik), sigma=sigma, sigma_names=SIGMA_NAMES[:2])

@@ -1,16 +1,23 @@
-"""The traced benchmark operation runs against the sources.
+"""The benchmark runs against the sources.
 
 bench/op.py wraps names bound in fuelgap.cli and fuelgap.msl and reads fit
 fields and LoglikKernel.products; a refactor that moves one of them breaks
 the benchmark.  One small traced plan exercises every layer it measures.
+bench/workloads.py draws and screens its data with the library; each listed
+workload runs at toy size, through the CLI, and passes its own check.
 """
 
+import dataclasses
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from fuelgap.cli import main
 from fuelgap.synthetic import simulate_dataset, truth_from_dict
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -72,3 +79,29 @@ def test_traced_operation_reports_every_layer(tmp_path):
     # every layer ran in this plan, so a traced name that is bound but no
     # longer called reads zero
     assert [name for name, value in layers.items() if not value > 0] == []
+
+
+def bench_workloads(monkeypatch):
+    """bench/workloads.py as a module, imported as bench/run.py imports it."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", module)   # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+# the toy size of each workload BENCHMARK.json lists: its truth's n, and draws
+TOY_SIZES = {"rp_recovery": {"n": 300, "draws": 20}, "ingest": {"n": 2000}}
+LISTED = [w["name"] for w in
+          json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]]
+
+
+@pytest.mark.parametrize("name", LISTED)
+def test_listed_workload_passes_its_check_at_toy_size(name, tmp_path, monkeypatch):
+    workload = bench_workloads(monkeypatch)[name]
+    size = dict(TOY_SIZES[name])
+    toy = dataclasses.replace(workload, truth=dict(workload.truth, n=size.pop("n")), **size)
+    op = toy.prepare(tmp_path, seed=1)
+    assert [main(command) for command in op.commands] == [0] * len(op.commands)
+    reasons, _ = op.check()
+    assert reasons == []

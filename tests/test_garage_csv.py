@@ -397,3 +397,21 @@ def test_prepare_output_reads_back_as_the_kept_table(tmp_path):
     again = compute_gaps(parse_raw(out))
     assert_same_table(again, kept)
     assert again.gap.tobytes() == kept.gap.tobytes()
+
+
+@pytest.mark.parametrize("first", ["garage_id", '"garage_id"'])
+def test_byte_order_mark_is_not_part_of_the_header(first, tmp_path):
+    # spreadsheet "CSV UTF-8" exports begin with U+FEFF, read as text by utf-8
+    text = INPUTS["lf"].replace("garage_id", first, 1)
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(("\ufeff" + text).encode())
+    want = parse_raw(plain)
+    assert_same_table(parse_raw(marked), want)
+    assert_same_table(parse_raw(io.StringIO("\ufeff" + text, newline="")), want)
+    outputs = []
+    for path in (plain, marked):
+        out = path.with_name(f"{path.stem}.prepared.csv")
+        assert main(["prepare", "--input", str(path), "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

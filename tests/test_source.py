@@ -78,9 +78,26 @@ def test_one_home_for_the_fit_result():
 
 def test_one_rank_check_per_design():
     # the estimators' one identification rule (sure._equation_ols, through
-    # ols_fit) and the FGLS solve check rank; the encoder does not check it again
+    # _qr_solve) and the FGLS solve check rank; the encoder does not check it again
     assert callers(None, {"full_rank_qr"}) == \
         {("sure", "_qr_solve"), ("msl", "_check_spreads_identified")}
+
+
+def test_one_ols_per_equation():
+    # every equation is fitted by OLS in one place, through the design, so
+    # no entry point takes a matrix and its names apart from the design
+    assert callers(None, {"_qr_solve"}) == {("sure", "_equation_ols"), ("sure", "fgls_fit")}
+    for name in ("ols_fit", "OlsFit"):
+        assert not hasattr(sure, name)
+    assert not hasattr(fuelgap, "ols_fit")
+    split = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                params = {a.arg for a in node.args.args + node.args.kwonlyargs}
+                if params & {"x", "x1", "x2"} and params & {"names", "names1", "names2"}:
+                    split.add((path.stem, node.name))
+    assert split == {("sure", "full_rank_qr"), ("sure", "_qr_solve")}
 
 
 def test_one_encoder_for_every_design():
