@@ -52,7 +52,7 @@ for r in (100, 400):
 
 draws = build_draw_store(ds.n, HaltonConfig(bases=(2, 3), draws_per_obs=200))
 fit = fit_rp_sure(design, ds.y1, ds.y2, draws=draws)
-print(f"\nfit: {fit.convergence.status} after {fit.convergence.iterations} iterations, "
+print(f"\nfit: {fit.convergence.status} after {fit.convergence.iterations} Newton steps, "
       f"loglik={fit.loglik:.2f}, k={fit.k}")
 
 print(f"\n{'parameter':22s}{'truth':>9s}{'estimate':>10s}{'se':>9s}")

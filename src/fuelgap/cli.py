@@ -4,7 +4,10 @@ plus a synthetic-data generator, all emitting JSON/CSV artifacts.
 Every command writes a manifest next to its output recording the resolved
 options that shaped it and SHA-256 hashes of inputs and outputs; re-running
 with identical inputs and options reproduces identical output hashes (only
-the duration field varies).  Any other option is refused: the `fit` options
+the duration field varies).  An rp-sure fit's manifest also records what
+the fit cost under "passes": Newton steps, value-and-score and Hessian
+kernel passes, modified steps and the last Newton decrement; the fit JSON
+never holds them.  Any other option is refused: the `fit` options
 in RP_SURE_OPTIONS go only to rp-sure, and --draws, --burn and --bases only
 with random terms (ols and sure fit those as fixed, with a note on stderr).
 `prepare` alone picks the rating columns, as my_mpg_*/epa_mpg_* for `fit`.
@@ -103,7 +106,7 @@ def _write_json(payload: dict, path: Path) -> None:
 
 
 def _write_manifest(command: str, options: dict, inputs: list[Path],
-                    outputs: list[Path], started: float) -> Path:
+                    outputs: list[Path], started: float, passes: dict | None = None) -> Path:
     primary = Path(outputs[0])
     manifest_path = primary.with_name(primary.name + ".manifest.json")
     options = {k: v for k, v in options.items() if k not in ("handler", "command")}
@@ -115,6 +118,8 @@ def _write_manifest(command: str, options: dict, inputs: list[Path],
         "outputs": {str(p): _sha256(Path(p)) for p in outputs},
         "duration_seconds": round(time.monotonic() - started, 6),
     }
+    if passes is not None:
+        payload["passes"] = passes
     _write_json(payload, manifest_path)
     return manifest_path
 
@@ -259,7 +264,7 @@ RP_SURE_OPTIONS = {
     "bases": (None, "comma-separated Halton prime bases, one per random term "
                     "(rp-sure with random terms)"),
     "threads": (1, "worker cap for the likelihood, which never changes results (rp-sure)"),
-    "max_iterations": (500, "optimizer iteration cap (rp-sure)"),
+    "max_iterations": (500, "Newton step cap (rp-sure)"),
 }
 
 
@@ -314,9 +319,14 @@ def cmd_fit(args, parser) -> int:
 
     out = Path(args.out)
     _write_json(fit_payload(fit, args.estimator), out)
-    _write_manifest("fit", {**vars(args), **options}, [Path(args.data), Path(args.spec)],
-                    [out], started)
     convergence = fit.convergence
+    passes = None if convergence is None else {
+        "newton_steps": convergence.iterations, "score_passes": convergence.score_passes,
+        "hessian_passes": convergence.hessian_passes,
+        "modified_steps": convergence.modified_steps,
+        "newton_decrement": convergence.decrement}
+    _write_manifest("fit", {**vars(args), **options}, [Path(args.data), Path(args.spec)],
+                    [out], started, passes)
     status = "ok" if convergence is None else convergence.status
     print(f"{args.estimator} fit written to {out} "
           f"(loglik={fit.loglik:.4f}, k={fit.k}, status={status})")

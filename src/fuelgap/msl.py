@@ -5,22 +5,27 @@ observations; the likelihood integrates them out by averaging the bivariate
 normal density over fixed per-observation Halton draws, in log space:
 m + log sum exp(ln phi - m) sums at least 1, so it cannot underflow, and it
 is non-finite only when ln phi is, when the whitened residuals or the
-covariance factor l11 l22 leave double-precision range.  The optimizer works
-on an unconstrained vector: each spread as a signed sigma (the likelihood is
-even in it, and |sigma| is reported) and the error covariance as a Cholesky
-factor with log diagonal, so every iterate maps to a valid model.  Each
-point the optimizer tries, line-search trials included, gets its value and
-its analytic score from one pass over the draws; the kernel has no
-value-only pass.  A fit is "converged" only when the
-natural-scale score is zero to within a per-observation tolerance;
-otherwise it ends "stalled" (no descent step lowers the objective) or "not
-converged" (iteration cap).
-Standard errors come from the Hessian at the optimum, delta-method
-transformed to the natural scale.  The Hessian is analytic too, formed in
-one more pass over the draws: for a simulated log-likelihood it is the
-mixture-weighted draw average of (d2 ln phi + g g') less the outer product
-of the score (Train 2009, Discrete Choice Methods with Simulation, ch. 10),
-and d2 ln phi is closed form for this linear-normal kernel.
+covariance factor l11 l22 leave double-precision range.
+The fit has two stages.  For normal mixing the marginal likelihood is
+closed form, so stage 1 maximizes it exactly by Fisher scoring (_exact_ml);
+the simulated optimum lies within simulation error of that point.  Stage 2
+takes Newton steps on the simulated likelihood from there, with the
+kernel's analytic Hessian, on an unconstrained vector: each spread as a
+signed sigma (the likelihood is even in it, and |sigma| is reported) and
+the error covariance as a Cholesky factor with log diagonal, so every
+iterate maps to a valid model.  Each point the line search tries gets its
+value and its analytic score from one pass over the draws; the kernel has
+no value-only pass.  A fit is "converged" only when -H is positive definite
+and the Newton decrement g'(-H)^-1 g is below a fixed tolerance in nats, a
+rule that does not depend on the covariates' units; otherwise it ends
+"stalled" (no step raises the likelihood) or "not converged" (step cap).
+Standard errors come from the Hessian at the last point, the one the stop
+rule read, delta-method transformed to the natural scale.  The Hessian is
+analytic too, formed in one pass over the draws: for a simulated
+log-likelihood it is the mixture-weighted draw average of (d2 ln phi + g g')
+less the outer product of the score (Train 2009, Discrete Choice Methods
+with Simulation, ch. 10), and d2 ln phi is closed form for this
+linear-normal kernel.
 """
 
 from __future__ import annotations
@@ -36,11 +41,14 @@ from .modelspec import RANDOM
 from .sure import (DesignMatrices, ErrorCovariance, SureFit, fgls_fit, full_rank_qr,
                    layout_fit, whitened_logpdf, _rowdot)
 
-_MIN_SIGMA_START = 1e-3
-# "converged" iff the natural-scale score's infinity norm is at most
-# _GRAD_TOL * N: the smallest gradient a double-precision sum over N
-# observations resolves grows with N
-_GRAD_TOL = 1e-6
+# stage 1 stops once the Fisher-scoring step predicts a gain of at most
+# _EXACT_TOL / 2 nats, or after _EXACT_MAX_STEPS steps
+_EXACT_TOL = 1e-10
+_EXACT_MAX_STEPS = 100
+# "converged" iff -H is positive definite and the Newton decrement
+# g'(-H)^-1 g is at most _NEWTON_TOL nats (Train 2009, s. 8.6); it does not
+# change with the covariates' units
+_NEWTON_TOL = 1e-6
 # |sigma| / SE at or above which rp_retention_test keeps a coefficient random
 _RETENTION_Z = 1.96
 # doubles per (rows, draws) temporary of one kernel block
@@ -431,80 +439,68 @@ def _natural_covariance(hess: np.ndarray, jacobian: np.ndarray) -> np.ndarray | 
 
 @dataclass(frozen=True)
 class Convergence:
+    """How the Newton stage ended, and what it cost in kernel passes.
+
+    iterations counts accepted Newton steps; score_passes the value-and-score
+    passes (the start and every line-search trial), hessian_passes the
+    Hessian passes (one per step, plus the one at the last point, whose
+    Hessian gives the SEs), and modified_steps the steps taken where -H was
+    not positive definite.  decrement is g'd at the last point, d the
+    direction of _newton_direction (so g'(-H)^-1 g where -H is positive
+    definite), and NaN where the Hessian there is not finite.
+    """
+
     status: str                   # "converged", "stalled" or "not converged"
     iterations: int
     grad_norm: float
     loglik_path: tuple[float, ...] = field(repr=False, default=())
+    score_passes: int = 0
+    hessian_passes: int = 0
+    modified_steps: int = 0
+    decrement: float = float("nan")
 
     @property
     def converged(self) -> bool:
         return self.status == "converged"
 
 
-class _BfgsMinimizer:
-    """Monotone BFGS with backtracking line search on the transform space.
+def _newton_direction(neg_hess: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float, bool]:
+    """(direction, decrement, modified) for ascent on a log-likelihood with
+    score g and Hessian -neg_hess.
 
-    evaluate(x) returns (f, g), the objective and its gradient from one
-    pass.  Every line-search trial is evaluated that way, so the accepted
-    trial's gradient is already at hand for the update and the next step.
+    With -H = V Lambda V', the direction is V |Lambda|^-1 V' g: the Newton
+    step (-H)^-1 g where -H is positive definite, and an ascent direction
+    where it is not (modified True).  The decrement is g' direction.
+    Eigenvalues are floored at eps times the largest, so a flat direction
+    gives a long step for the line search to cut, not a division by zero.
     """
+    lam, vec = np.linalg.eigh(neg_hess)
+    modified = not lam.min() > 0
+    scale = np.abs(lam)
+    scale = np.maximum(scale, np.finfo(float).eps * scale.max())
+    direction = vec @ ((vec.T @ g) / scale)
+    return direction, float(g @ direction), modified
 
-    def __init__(self, evaluate, x0: np.ndarray):
-        self.evaluate = evaluate
-        self.x = x0.copy()
-        self.f, self.g = evaluate(self.x)
-        self.h = np.eye(x0.size)
-        self.first_update = True
-        self.path = [self.f]
 
-    def _line_search(self, direction: np.ndarray
-                     ) -> tuple[np.ndarray, float, np.ndarray] | None:
-        """(x, f, g) at the first accepted trial point, or None."""
-        slope = float(self.g @ direction)
-        if slope >= 0:
-            return None
-        step = 1.0
-        for _ in range(40):
-            x_new = self.x + step * direction
-            f_new, g_new = self.evaluate(x_new)
-            # a strict decrease too: below the resolution of f, the Armijo
-            # test alone accepts steps that leave f unchanged
-            if f_new < self.f and f_new <= self.f + 1e-4 * step * slope:
-                return x_new, f_new, g_new
-            step *= 0.5
+def _line_search(evaluate, t: np.ndarray, f: float, g: np.ndarray, direction: np.ndarray
+                 ) -> tuple[np.ndarray, float, np.ndarray] | None:
+    """(t, f, g) at the first trial t + step * direction, step = 1, 1/2, ...,
+    that raises the log-likelihood f by the Armijo fraction of its predicted
+    gain, or None after 40 halvings.  evaluate(t) returns (f, g) from one
+    pass.  A direction that does not ascend gets no trial."""
+    slope = float(g @ direction)
+    if not slope > 0:
         return None
-
-    def step(self) -> bool:
-        """One accepted descent step; False when no progress is possible."""
-        direction = -self.h @ self.g
-        if self.first_update:
-            # no curvature information yet: keep the first probe bounded
-            scale = np.max(np.abs(direction))
-            if scale > 1.0:
-                direction = direction / scale
-        result = self._line_search(direction)
-        if result is None:
-            # curvature information went stale; retry once from steepest descent
-            self.h = np.eye(self.x.size)
-            self.first_update = True
-            result = self._line_search(-self.g)
-            if result is None:
-                return False
-        x_new, f_new, g_new = result
-        s = x_new - self.x
-        yv = g_new - self.g
-        ys = float(yv @ s)
-        if ys > 1e-10 * np.linalg.norm(s) * np.linalg.norm(yv):
-            if self.first_update:
-                self.h = (ys / float(yv @ yv)) * np.eye(self.x.size)
-                self.first_update = False
-            hy = self.h @ yv
-            rho = 1.0 / ys
-            self.h += (rho * rho * (float(yv @ hy) + ys)) * np.outer(s, s) \
-                - rho * (np.outer(hy, s) + np.outer(s, hy))
-        self.x, self.f, self.g = x_new, f_new, g_new
-        self.path.append(self.f)
-        return True
+    step = 1.0
+    for _ in range(40):
+        t_new = t + step * direction
+        f_new, g_new = evaluate(t_new)
+        # a strict increase too: below the resolution of f, the Armijo
+        # test alone accepts steps that leave f unchanged
+        if f_new > f and f_new >= f + 1e-4 * step * slope:
+            return t_new, f_new, g_new
+        step *= 0.5
+    return None
 
 
 def _check_spreads_identified(design: DesignMatrices) -> None:
@@ -525,25 +521,115 @@ def _check_spreads_identified(design: DesignMatrices) -> None:
                             f"are not identified: {exc}") from exc
 
 
+def _exact_ml(design: DesignMatrices, y1, y2, cov: ErrorCovariance
+              ) -> tuple[RpParameters, float, int]:
+    """Exact marginal ML of the linear-normal model by Fisher scoring.
+
+    Integrating the normal coefficients out leaves row n's response pair
+    normal with covariance V_n = Sigma + diag(sum_{d in e} s_d x_nd^2), which
+    is linear in phi = (sigma11, sigma12, sigma22, s_d ...), s_d = sigma_d^2.
+    Each step takes beta by GLS under the V_n (so the beta score is zero),
+    then a scoring step in phi: the expected information 1/2 sum_n
+    tr(V_n^-1 D_j V_n^-1 D_k), D_j = d V_n / d phi_j, is closed form, since
+    every D_j is a row weight (1 or x_nd^2) times E11, E12 + E21 or E22.  A
+    spread at s_d = 0 whose score points below 0 stays out of the step,
+    every s_d is projected onto s_d >= 0, and the step is halved until Sigma
+    is positive definite and the log-likelihood rises.  The fit starts from
+    cov with every spread 0, and stops once score' I^-1 score, twice the
+    gain the step predicts, is at most _EXACT_TOL nats.
+
+    Returns (the optimum, sigma_d = sqrt(s_d); its log-likelihood; steps).
+    """
+    x = (design.x1, design.x2)
+    y = (np.asarray(y1, dtype=float), np.asarray(y2, dtype=float))
+    n, k1, k2 = design.n, design.x1.shape[1], design.x2.shape[1]
+    effects = effects_from_design(design)
+    # phi_j enters V_n as w[:, j] times basis matrix kind[j]: 0 is E11,
+    # 1 is E12 + E21 and 2 is E22
+    kind = np.array([0, 1, 2] + [2 * e.equation for e in effects])
+    w = np.column_stack([np.ones((n, 3))] + [x[e.equation][:, e.column] ** 2 for e in effects])
+
+    def profile(phi):
+        """(beta, value, u = V^-1 e, (p11, p12, p22) = V^-1) at the GLS beta
+        under phi; None unless Sigma is positive definite."""
+        try:
+            ErrorCovariance(sigma11=phi[0], sigma22=phi[2], sigma12=phi[1])
+        except DegenerateDataError:
+            return None
+        v11, v22 = w @ np.where(kind == 0, phi, 0.0), w @ np.where(kind == 2, phi, 0.0)
+        # each row whitened by its Cholesky factor: one stacked least squares
+        l11 = np.sqrt(v11)
+        l21 = phi[1] / l11
+        l22 = np.sqrt(v22 - l21 * l21)
+        cross = -l21 / (l11 * l22)
+        z = np.block([[x[0] / l11[:, None], np.zeros((n, k2))],
+                      [x[0] * cross[:, None], x[1] / l22[:, None]]])
+        beta = np.linalg.lstsq(z, np.concatenate([y[0] / l11, y[0] * cross + y[1] / l22]),
+                               rcond=None)[0]
+        e1, e2 = y[0] - _rowdot(x[0], beta[:k1]), y[1] - _rowdot(x[1], beta[k1:])
+        lnphi, v1, v2 = whitened_logpdf(e1, e2, np.array([[l11, np.zeros(n)], [l21, l22]]))
+        u2 = v2 / l22
+        u1 = (v1 - l21 * u2) / l11
+        det = v11 * v22 - phi[1] * phi[1]
+        return beta, float(np.sum(lnphi)), (u1, u2), (v22 / det, -phi[1] / det, v11 / det)
+
+    phi = np.array([cov.sigma11, cov.sigma12, cov.sigma22] + [0.0] * len(effects))
+    beta, value, (u1, u2), (p11, p12, p22) = profile(phi)
+    steps = 0
+    while steps < _EXACT_MAX_STEPS:
+        # per row, 2 dl/dphi_j / w_nj and tr(V^-1 B_a V^-1 B_b) for the basis matrices
+        q = (u1 * u1 - p11, 2.0 * (u1 * u2 - p12), u2 * u2 - p22)
+        trace = np.array([[p11 * p11, 2.0 * p11 * p12, p12 * p12],
+                          [2.0 * p11 * p12, 2.0 * (p12 * p12 + p11 * p22), 2.0 * p12 * p22],
+                          [p12 * p12, 2.0 * p12 * p22, p22 * p22]])
+        score = 0.5 * np.einsum("nj,jn->j", w, np.array(q)[kind])
+        info = 0.5 * np.einsum("nj,jkn,nk->jk", w, trace[kind][:, kind], w)
+        free = np.ones(kind.size, dtype=bool)
+        free[3:] = (phi[3:] > 0) | (score[3:] > 0)
+        step = np.zeros(kind.size)
+        step[free] = np.linalg.solve(info[np.ix_(free, free)], score[free])
+        if score @ step <= _EXACT_TOL:
+            break
+        for _ in range(40):
+            trial = phi + step
+            trial[3:] = np.maximum(trial[3:], 0.0)
+            state = profile(trial)
+            if state is not None and state[1] > value:
+                break
+            step *= 0.5
+        else:
+            break
+        phi, steps = trial, steps + 1
+        beta, value, (u1, u2), (p11, p12, p22) = state
+    params = RpParameters(coef1=beta[:k1], coef2=beta[k1:], sigmas=np.sqrt(phi[3:]),
+                          cov=ErrorCovariance(sigma11=phi[0], sigma22=phi[2], sigma12=phi[1]))
+    return params, value, steps
+
+
 def fit_rp_sure(design: DesignMatrices, y1, y2, draws: DrawStore | None = None,
                 *, max_iterations: int = 500, threads: int = 1) -> SureFit:
-    """Maximize the simulated likelihood by quasi-Newton ascent.
+    """Maximize the simulated likelihood in two stages: exact ML, then Newton.
 
     Returns a SureFit (see sure.layout_fit) with delta-method SEs and the
     Convergence record; with no random terms it is the FGLS model by ML.
     Spreads the data cannot identify are refused (SpecError).
 
-    Starting values come from the FGLS fit (random-coefficient spreads start
-    at 0.1 |coefficient|, floored at 1e-3).  The fit stops in one of three
-    ways, and only the first is "converged": the natural-scale gradient
-    infinity norm falls to _GRAD_TOL * N or below; the line search, retried
-    from steepest descent, finds no step that lowers the objective
-    ("stalled"); or the iteration cap is hit ("not converged").  The last
-    two return the fit instead of raising.
-    Every line-search trial gets its value and analytic score from one
-    kernel pass, and the accepted trial's score is the next step's gradient.
-    SEs need a positive-definite Hessian, the analytic one from a single
-    kernel pass at the optimum (LoglikKernel.hessian).
+    Stage 1 maximizes the closed-form marginal likelihood by Fisher scoring
+    (_exact_ml), from the FGLS covariance; the simulated optimum lies within
+    simulation error of that point.  Stage 2 starts there, each spread at
+    +sqrt(s_d), and takes Newton steps on the kernel's analytic Hessian
+    (_newton_direction, Train 2009, ch. 8) with a backtracking line search.
+    Every line-search trial gets its value and score from one kernel pass
+    (LoglikKernel.loglik), and every point the line search accepts gets one
+    Hessian pass (LoglikKernel.hessian).  Newton steps, and so the fit, do
+    not depend on the units of the covariates.  The fit stops in one of
+    three ways, and only the first is "converged": -H is positive definite
+    and the decrement g'(-H)^-1 g is at most _NEWTON_TOL nats; no trial
+    raises the log-likelihood, or the Hessian is not finite ("stalled"); or
+    max_iterations Newton steps are taken ("not converged").  The last two
+    return the fit instead of raising.  The Hessian at the last point gives
+    the SEs, which need it positive definite; grad_norm reports the
+    natural-scale score's infinity norm there.
 
     Spreads are optimized signed and reported as |sigma|.  The likelihood
     is even in each spread only up to the asymmetry of the Halton draws, so
@@ -555,62 +641,60 @@ def fit_rp_sure(design: DesignMatrices, y1, y2, draws: DrawStore | None = None,
     """
     start_fit = fgls_fit(design, y1, y2)   # refuses a rank-deficient design first
     _check_spreads_identified(design)
+    start = _exact_ml(design, y1, y2, start_fit.sigma)[0]
     kernel = LoglikKernel(design, y1, y2, draws, threads=threads)
-    effects = kernel.effects
-    k1, k2 = design.x1.shape[1], design.x2.shape[1]
-    transform = _Transform(k1, k2, len(effects))
+    transform = _Transform(design.x1.shape[1], design.x2.shape[1], len(kernel.effects))
+    size = transform.size
+    passes = {"score": 0, "hessian": 0}
 
-    coef = np.array([c.estimate for c in start_fit.coefficients])
-    coef1, coef2 = coef[:k1], coef[k1:]
-    sigmas = [max(0.1 * abs((coef1, coef2)[e.equation][e.column]), _MIN_SIGMA_START)
-              for e in effects]
-    start = RpParameters(coef1=coef1, coef2=coef2, sigmas=np.array(sigmas),
-                         cov=start_fit.sigma)
-
-    def guarded(evaluate, fallback):
+    def guarded(kind, evaluate, fallback):
         # a trial point whose likelihood is not finite (its residuals or
         # covariance beyond double range) is simply rejected by the line
-        # search; only the accepted path must stay finite
+        # search, and a Hessian that is not finite stops the fit
         def at(t: np.ndarray):
+            passes[kind] += 1
             try:
                 return evaluate(transform.unpack(t))
             except (EstimationError, DegenerateDataError):
                 return fallback
         return at
 
-    size = transform.size
-    objective = guarded(lambda p: tuple(-x for x in kernel.loglik(p)),
-                        (float("inf"), np.full(size, np.nan)))
-    # at t_hat a non-finite likelihood leaves the fit without SEs
-    hessian = guarded(lambda p: -kernel.hessian(p), np.full((size, size), np.nan))
+    value_and_score = guarded("score", kernel.loglik, (-np.inf, np.full(size, np.nan)))
+    neg_hessian = guarded("hessian", lambda p: -kernel.hessian(p), np.full((size, size), np.nan))
 
-    def natural_grad_norm(t: np.ndarray, g: np.ndarray) -> float:
-        # g is the transform-space gradient of -loglik; map through J^-T
-        g_nat = np.linalg.solve(transform.jacobian(t).T, g)
-        return float(np.max(np.abs(g_nat)))
-
-    minimizer = _BfgsMinimizer(objective, transform.pack(start))
-    status = "converged"
-    grad_norm = natural_grad_norm(minimizer.x, minimizer.g)
-    iterations = 0
-    while grad_norm > _GRAD_TOL * kernel.n:
-        if iterations >= max_iterations:
+    t = transform.pack(start)
+    f, g = value_and_score(t)
+    path, modified = [f], 0
+    while True:
+        neg_h = neg_hessian(t)
+        if not np.isfinite(neg_h).all():
+            status, decrement = "stalled", float("nan")
+            break
+        direction, decrement, indefinite = _newton_direction(neg_h, g)
+        if not indefinite and decrement <= _NEWTON_TOL:
+            status = "converged"
+            break
+        if len(path) > max_iterations:
             status = "not converged"
             break
-        if not minimizer.step():
+        accepted = _line_search(value_and_score, t, f, g, direction)
+        if accepted is None:
             status = "stalled"
             break
-        iterations += 1
-        grad_norm = natural_grad_norm(minimizer.x, minimizer.g)
+        t, f, g = accepted
+        path.append(f)
+        modified += indefinite
 
-    t_hat = minimizer.x
+    # g is the transform-space score; the natural-scale one is J^-T g
+    grad_norm = float(np.max(np.abs(np.linalg.solve(transform.jacobian(t).T, g))))
     return layout_fit(
         design.eq_names, (design.names1, design.names2), (design.random1, design.random2),
-        transform.natural(t_hat)[:-3],
-        _natural_covariance(hessian(t_hat), transform.jacobian(t_hat)),
-        n=kernel.n, loglik=-minimizer.f, sigma=transform.unpack(t_hat).cov,
-        convergence=Convergence(status=status, iterations=iterations, grad_norm=grad_norm,
-                                loglik_path=tuple(-f for f in minimizer.path)),
+        transform.natural(t)[:-3], _natural_covariance(neg_h, transform.jacobian(t)),
+        n=kernel.n, loglik=f, sigma=transform.unpack(t).cov,
+        convergence=Convergence(status=status, iterations=len(path) - 1, grad_norm=grad_norm,
+                                loglik_path=tuple(path), score_passes=passes["score"],
+                                hessian_passes=passes["hessian"], modified_steps=modified,
+                                decrement=decrement),
         draw_config=None if draws is None else draws.config)
 
 

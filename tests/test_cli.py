@@ -692,12 +692,14 @@ class TestFit:
     def test_non_convergence_exit_3_fit_still_written(self, tmp_path, data_file,
                                                       spec_file):
         out = tmp_path / "rp.json"
+        # Newton needs 2 steps on this data, so a cap of 1 stops it
         code = run_cli("fit", "--data", data_file, "--spec", spec_file,
                        "--estimator", "rp-sure", "--draws", "50",
-                       "--max-iterations", "2", "--out", str(out))
+                       "--max-iterations", "1", "--out", str(out))
         assert code == 3
         fit = json.loads(out.read_text())
         assert fit["convergence"]["status"] == "not converged"
+        assert fit["convergence"]["iters"] == 1
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_iteration_cap_below_one_is_exit_2(self, tmp_path, data_file, spec_file,
@@ -866,6 +868,32 @@ class TestFitSchema:
         assert list(fit["convergence"]) == ["status", "iters", "grad_norm"]
         assert [list(rc) for rc in fit["random_coefficients"]] == \
             [["name", "equation", "mu", "mu_se", "sigma", "sigma_se"]] * 2
+
+
+    @pytest.mark.parametrize("estimator", ["rp-sure", "sure"])
+    def test_passes_go_to_the_manifest_not_the_fit(self, tmp_path, data_file, spec_file,
+                                                    estimator):
+        # what the Newton stage cost is recorded beside the fit, so the fit
+        # JSON keeps its keys and its bytes across thread counts
+        out = tmp_path / "fit.json"
+        flags = ["--draws", "50"] if estimator == "rp-sure" else []
+        assert run_cli("fit", "--data", data_file, "--spec", spec_file,
+                       "--estimator", estimator, "--out", str(out), *flags) == 0
+        fit = json.loads(out.read_text())
+        manifest = json.loads((tmp_path / "fit.json.manifest.json").read_text())
+        assert list(fit) == RP_FIT_KEYS
+        if estimator == "sure":
+            assert "passes" not in manifest
+            return
+        assert list(fit["convergence"]) == ["status", "iters", "grad_norm"]
+        passes = manifest["passes"]
+        assert list(passes) == ["newton_steps", "score_passes", "hessian_passes",
+                                "modified_steps", "newton_decrement"]
+        assert passes["newton_steps"] == fit["convergence"]["iters"] >= 1
+        assert passes["hessian_passes"] == passes["newton_steps"] + 1
+        assert passes["score_passes"] >= passes["newton_steps"] + 1
+        assert 0 <= passes["modified_steps"] <= passes["newton_steps"]
+        assert 0 <= passes["newton_decrement"] <= 1e-6
 
 
 def fit_payload(loglik, k=5, n=100):

@@ -3,13 +3,16 @@
 import argparse
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import fuelgap
 from fuelgap import cli, data, halton, msl, sure
-from fuelgap.msl import LoglikKernel, _BfgsMinimizer, fit_rp_sure, simulated_loglik
+from fuelgap.msl import LoglikKernel, _line_search, fit_rp_sure, simulated_loglik
 from fuelgap.sure import ErrorCovariance, fgls_fit, ols_system_fit, residual_covariance
 
 SOURCES = sorted(Path(fuelgap.__file__).parent.glob("*.py"))
@@ -163,14 +166,30 @@ def test_one_residual_covariance():
 
 
 def test_one_evaluation_path_for_the_fit():
-    # the kernel has one entry point, which returns value and score from one
-    # pass, and the minimizer takes one callable that returns both, so no
-    # line search can go back to evaluating a trial point's value and its
-    # score in separate passes, and no value-only pass is left to time
+    # the kernel has two entry points, each one pass: loglik returns value
+    # and score, hessian the Hessian; the line search takes one callable
+    # that returns both value and score, so no trial point's value and score
+    # can come from separate passes, and no value-only pass is left to time;
+    # the fit's steps are Newton steps, with no second optimizer beside them
     assert not hasattr(LoglikKernel, "loglik_and_score")
     assert list(inspect.signature(LoglikKernel.loglik).parameters) == ["self", "params"]
-    assert list(inspect.signature(_BfgsMinimizer.__init__).parameters) == \
-        ["self", "evaluate", "x0"]
+    assert list(inspect.signature(LoglikKernel.hessian).parameters) == ["self", "params"]
+    assert callers(None, {"_evaluate"}) == {("msl", "loglik"), ("msl", "hessian")}
+    assert list(inspect.signature(_line_search).parameters) == \
+        ["evaluate", "t", "f", "g", "direction"]
+    assert not hasattr(msl, "_BfgsMinimizer")
+
+
+def test_importing_the_cli_leaves_scipy_optimize_unloaded():
+    # scipy.optimize costs about 0.13 s to import, which every command would
+    # pay at start-up; the fit's optimizer is its own numpy code
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, fuelgap.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(fuelgap.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])))
+    assert done.stdout == "[]\n"
 
 
 def test_one_route_per_result():
