@@ -58,9 +58,12 @@ class HaltonConfig:
     burn: int = 50
 
     def __post_init__(self):
-        object.__setattr__(self, "bases", tuple(int(b) for b in self.bases))
         if len(self.bases) < 1:
             raise ValueError("at least one base is required")
+        for name in ("bases", "draws_per_obs", "burn"):   # 2.5 and 3.0 alike are refused
+            if not np.issubdtype(np.asarray(getattr(self, name)).dtype, np.integer):
+                raise ValueError(f"{name} must be integral, got {getattr(self, name)!r}")
+        object.__setattr__(self, "bases", tuple(int(b) for b in self.bases))
         if len(set(self.bases)) != len(self.bases):
             raise ValueError(f"bases must be distinct, got {self.bases}")
         for b in self.bases:

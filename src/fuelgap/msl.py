@@ -39,7 +39,7 @@ from .errors import DegenerateDataError, EstimationError, SpecError
 from .halton import DrawStore
 from .modelspec import RANDOM
 from .sure import (DesignMatrices, ErrorCovariance, SureFit, fgls_fit, full_rank_qr,
-                   layout_fit, whitened_logpdf, _rowdot)
+                   layout_fit, whitened_logpdf, _gls, _rowdot)
 
 # stage 1 stops once the Fisher-scoring step predicts a gain of at most
 # _EXACT_TOL / 2 nats, or after _EXACT_MAX_STEPS steps
@@ -123,9 +123,9 @@ class LoglikKernel:
             if draws.n_obs != self.n:
                 raise SpecError(f"draw store covers {draws.n_obs} observations, "
                                 f"data has {self.n}")
-            r = draws.draws_per_obs
-        else:
-            r = 1
+        elif draws is not None:
+            raise SpecError("draw store given but the model declares no random coefficients")
+        r = 1 if draws is None else draws.draws_per_obs
         # x[:, col] * z[:, :, d] never changes across evaluations
         self.products: tuple[list[tuple[int, np.ndarray]], list[tuple[int, np.ndarray]]] = ([], [])
         for d, effect in enumerate(self.effects):
@@ -392,15 +392,12 @@ class _Transform:
                             sigmas=t[k1 + k2:k1 + k2 + d], cov=cov)
 
     def natural(self, t: np.ndarray) -> np.ndarray:
-        """Natural-scale vector: [coefs..., sigma_d..., sigma1, sigma2, rho]."""
-        k1, k2, d = self.k1, self.k2, self.d
-        l11, l21, l22 = self._cholesky(t)
-        s2 = np.hypot(l21, l22)
-        return np.concatenate([t[:k1 + k2], np.abs(t[k1 + k2:k1 + k2 + d]),
-                               [l11, s2, l21 / s2]])
+        """[coef1, coef2, |sigma_d| ...]; unpack(t).cov is the error covariance."""
+        k = self.k1 + self.k2
+        return np.concatenate([t[:k], np.abs(t[k:k + self.d])])
 
     def jacobian(self, t: np.ndarray) -> np.ndarray:
-        """d natural / d t, square and invertible for all finite t."""
+        """d (natural, sigma1, sigma2, rho) / d t, invertible for all finite t."""
         k1, k2, d = self.k1, self.k2, self.d
         j = np.zeros((self.size, self.size))
         j[:k1 + k2, :k1 + k2] = np.eye(k1 + k2)
@@ -528,21 +525,20 @@ def _exact_ml(design: DesignMatrices, y1, y2, cov: ErrorCovariance
     Integrating the normal coefficients out leaves row n's response pair
     normal with covariance V_n = Sigma + diag(sum_{d in e} s_d x_nd^2), which
     is linear in phi = (sigma11, sigma12, sigma22, s_d ...), s_d = sigma_d^2.
-    Each step takes beta by GLS under the V_n (so the beta score is zero),
-    then a scoring step in phi: the expected information 1/2 sum_n
-    tr(V_n^-1 D_j V_n^-1 D_k), D_j = d V_n / d phi_j, is closed form, since
-    every D_j is a row weight (1 or x_nd^2) times E11, E12 + E21 or E22.  A
-    spread at s_d = 0 whose score points below 0 stays out of the step,
-    every s_d is projected onto s_d >= 0, and the step is halved until Sigma
-    is positive definite and the log-likelihood rises.  The fit starts from
-    cov with every spread 0, and stops once score' I^-1 score, twice the
-    gain the step predicts, is at most _EXACT_TOL nats.
+    Each step takes beta by GLS under the V_n (sure._gls, fgls_fit's solve;
+    the beta score is zero), then a scoring step in phi: the expected
+    information 1/2 sum_n tr(V_n^-1 D_j V_n^-1 D_k), D_j = d V_n / d phi_j,
+    is closed form, since every D_j is a row weight (1 or x_nd^2) times E11,
+    E12 + E21 or E22.  A spread at s_d = 0 whose score points below 0 stays
+    out of the step, every s_d is projected onto s_d >= 0, and the step is
+    halved until Sigma is positive definite and the log-likelihood rises.
+    The fit starts from cov with every spread 0, and stops once score' I^-1
+    score, twice the gain the step predicts, is at most _EXACT_TOL nats.
 
     Returns (the optimum, sigma_d = sqrt(s_d); its log-likelihood; steps).
     """
-    x = (design.x1, design.x2)
-    y = (np.asarray(y1, dtype=float), np.asarray(y2, dtype=float))
-    n, k1, k2 = design.n, design.x1.shape[1], design.x2.shape[1]
+    y1, y2 = np.asarray(y1, dtype=float), np.asarray(y2, dtype=float)
+    n, k1, x = design.n, design.x1.shape[1], (design.x1, design.x2)
     effects = effects_from_design(design)
     # phi_j enters V_n as w[:, j] times basis matrix kind[j]: 0 is E11,
     # 1 is E12 + E21 and 2 is E22
@@ -557,18 +553,13 @@ def _exact_ml(design: DesignMatrices, y1, y2, cov: ErrorCovariance
         except DegenerateDataError:
             return None
         v11, v22 = w @ np.where(kind == 0, phi, 0.0), w @ np.where(kind == 2, phi, 0.0)
-        # each row whitened by its Cholesky factor: one stacked least squares
+        # each row's Cholesky factor, for the GLS solve and the density
         l11 = np.sqrt(v11)
         l21 = phi[1] / l11
-        l22 = np.sqrt(v22 - l21 * l21)
-        cross = -l21 / (l11 * l22)
-        z = np.block([[x[0] / l11[:, None], np.zeros((n, k2))],
-                      [x[0] * cross[:, None], x[1] / l22[:, None]]])
-        beta = np.linalg.lstsq(z, np.concatenate([y[0] / l11, y[0] * cross + y[1] / l22]),
-                               rcond=None)[0]
-        e1, e2 = y[0] - _rowdot(x[0], beta[:k1]), y[1] - _rowdot(x[1], beta[k1:])
-        lnphi, v1, v2 = whitened_logpdf(e1, e2, np.array([[l11, np.zeros(n)], [l21, l22]]))
-        u2 = v2 / l22
+        low = np.array([[l11, np.zeros(n)], [l21, np.sqrt(v22 - l21 * l21)]])
+        beta, _, e1, e2 = _gls(design, y1, y2, low)
+        lnphi, v1, v2 = whitened_logpdf(e1, e2, low)
+        u2 = v2 / low[1, 1]
         u1 = (v1 - l21 * u2) / l11
         det = v11 * v22 - phi[1] * phi[1]
         return beta, float(np.sum(lnphi)), (u1, u2), (v22 / det, -phi[1] / det, v11 / det)
@@ -639,6 +630,8 @@ def fit_rp_sure(design: DesignMatrices, y1, y2, draws: DrawStore | None = None,
     at R=400 on the criterion-5 model (N=2000, 2 random coefficients), and
     by 0 to 0.21 nats on zero-spread data (N=1500, R=100, seeds 61-72).
     """
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be >= 1")
     start_fit = fgls_fit(design, y1, y2)   # refuses a rank-deficient design first
     _check_spreads_identified(design)
     start = _exact_ml(design, y1, y2, start_fit.sigma)[0]
@@ -686,10 +679,11 @@ def fit_rp_sure(design: DesignMatrices, y1, y2, draws: DrawStore | None = None,
         modified += indefinite
 
     # g is the transform-space score; the natural-scale one is J^-T g
-    grad_norm = float(np.max(np.abs(np.linalg.solve(transform.jacobian(t).T, g))))
+    jacobian = transform.jacobian(t)
+    grad_norm = float(np.max(np.abs(np.linalg.solve(jacobian.T, g))))
     return layout_fit(
         design.eq_names, (design.names1, design.names2), (design.random1, design.random2),
-        transform.natural(t)[:-3], _natural_covariance(neg_h, transform.jacobian(t)),
+        transform.natural(t), _natural_covariance(neg_h, jacobian),
         n=kernel.n, loglik=f, sigma=transform.unpack(t).cov,
         convergence=Convergence(status=status, iterations=len(path) - 1, grad_norm=grad_norm,
                                 loglik_path=tuple(path), score_passes=passes["score"],
@@ -711,6 +705,11 @@ def rp_retention_test(fit: SureFit, name: str) -> RetentionVerdict:
     A significant spread retains the coefficient whether or not the mean is
     also significant (a zero mean with real spread still signals
     heterogeneity); the _RETENTION_Z comparison is inclusive.
+
+    At a true spread of 0 the Wald ratio |sigma| / SE has no normal limit:
+    on zero-spread data (N=1500, R=100, data seed 61) this returns
+    "retain-random" for x2 with t = 2.40.  See ROADMAP item 6 for an LR test
+    with a 50:50 chi-squared mixture p-value.
     """
     coef = fit.coefficient(name)
     if coef.kind != RANDOM:

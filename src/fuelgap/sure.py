@@ -2,11 +2,11 @@
 
 Per-equation OLS, residual covariance with the cross-equation correlation,
 and two-step feasible GLS (OLS first, the maximum-likelihood residual
-covariance second, one stacked GLS solve weighted by its inverse).  All
-solves go through orthogonal decompositions; nothing inverts a design matrix
-explicitly.  An ErrorCovariance is positive definite by construction;
-residual_covariance, which divides every cross-product by N, refuses an
-estimate that is singular up to rounding.
+covariance second, one stacked GLS solve weighted by its inverse, _gls,
+which msl._exact_ml shares).  All solves go through pivoted QR; nothing
+inverts a design matrix explicitly.  An ErrorCovariance is positive definite
+by construction; residual_covariance, which divides every cross-product by
+N, refuses an estimate that is singular up to rounding.
 """
 
 from __future__ import annotations
@@ -212,26 +212,20 @@ def full_rank_qr(x: np.ndarray, names: tuple[str, ...]):
 
 
 def _qr_solve(x: np.ndarray, y: np.ndarray, names: tuple[str, ...]):
-    """Least squares via pivoted QR; returns (beta, r_inv_factor).
+    """Least squares via pivoted QR; returns (beta, r_inv_factor, cond).
 
-    r_inv_factor A satisfies (X'X)^-1 = A A'.  Rank deficiency raises an
+    r_inv_factor A satisfies (X'X)^-1 = A A', and cond is the ratio of the
+    largest to the smallest |R| diagonal entry.  Rank deficiency raises an
     error naming the offending columns.
     """
     k = x.shape[1]
     q, r, piv = full_rank_qr(x, names)
     diag = np.abs(np.diag(r))
-    cond = diag.max() / diag.min()
-    if cond > CONDITION_WARN_THRESHOLD:
-        warnings.warn(f"design matrix condition number ~{cond:.2e} exceeds "
-                      f"{CONDITION_WARN_THRESHOLD:.0e}; estimates may be unstable")
-    beta_piv = solve_triangular(r, q.T @ y)
-    beta = np.empty(k)
-    beta[piv] = beta_piv
-    # (X'X)^-1 = P R^-1 R^-T P'
-    r_inv = solve_triangular(r, np.eye(k))
-    a = np.zeros((k, k))
-    a[piv, :] = r_inv
-    return beta, a
+    # (X'X)^-1 = P R^-1 R^-T P' = A A'
+    beta, a = np.empty(k), np.empty((k, k))
+    beta[piv] = solve_triangular(r, q.T @ y)
+    a[piv, :] = solve_triangular(r, np.eye(k))
+    return beta, a, diag.max() / diag.min()
 
 
 def residual_covariance(res1: np.ndarray, res2: np.ndarray) -> ErrorCovariance:
@@ -317,15 +311,40 @@ def _equation_ols(design: DesignMatrices, y1, y2):
         n, k = x.shape
         if len(y) != n:
             raise ValueError(f"X has {n} rows but y has {len(y)}")
-        beta, a = _qr_solve(x, y, names)
+        beta, a, cond = _qr_solve(x, y, names)
         residuals = y - _rowdot(x, beta)
         rss = float(residuals @ residuals)
         rounding = (n * np.finfo(float).eps) ** 2 * float(np.mean(y * y))
         if n <= k or rss / n <= rounding:
             raise EstimationError(f"equation {eq} is not identified: no residual "
                                   f"variance is left (n={n} garages, k={k} columns)")
+        if cond > CONDITION_WARN_THRESHOLD:
+            warnings.warn(f"equation {eq}: design matrix condition number ~{cond:.2e} "
+                          f"exceeds {CONDITION_WARN_THRESHOLD:.0e}; estimates may be unstable")
         out.append((y, residuals, beta, rss / (n - k) * (a @ a.T), rss / n))
     return out
+
+
+def _gls(design: DesignMatrices, y1: np.ndarray, y2: np.ndarray, low: np.ndarray):
+    """The one stacked GLS solve: each row pair whitened by low^-1, a (2, 2)
+    Cholesky factor or one per row (2, 2, n) as in whitened_logpdf.
+
+    Returns (beta, A, res1, res2) with (Z'Z)^-1 = A A'.  The whitened design
+    Z combines the rows of the two designs, which _equation_ols judges, so
+    its conditioning is not judged here.
+    """
+    x1, x2 = design.x1, design.x2
+    # low^-1 = [[i11, 0], [i21, i22]]; [..., None] spreads a per-row entry
+    i11 = 1.0 / low[0, 0]
+    i21 = -low[1, 0] / (low[0, 0] * low[1, 1])
+    i22 = 1.0 / low[1, 1]
+    z = np.block([[i11[..., None] * x1, np.zeros((design.n, x2.shape[1]))],
+                  [i21[..., None] * x1, i22[..., None] * x2]])
+    names = tuple(f"{eq}:{c}" for eq, cols in
+                  zip(design.eq_names, (design.names1, design.names2)) for c in cols)
+    beta, a, _ = _qr_solve(z, np.concatenate([i11 * y1, i21 * y1 + i22 * y2]), names)
+    k1 = x1.shape[1]
+    return beta, a, y1 - _rowdot(x1, beta[:k1]), y2 - _rowdot(x2, beta[k1:])
 
 
 def fgls_fit(design: DesignMatrices, y1, y2) -> SureFit:
@@ -333,7 +352,7 @@ def fgls_fit(design: DesignMatrices, y1, y2) -> SureFit:
 
     Step one fits each equation by OLS; step two estimates the error
     covariance from those residuals, each cross-product divided by N, and
-    solves the stacked system whitened by its Cholesky inverse.  The
+    solves the stacked system whitened by its Cholesky inverse (_gls).  The
     reported covariance and correlation are re-estimated from the FGLS
     residuals, and the log-likelihood is the exact Gaussian value at the
     solution.  Both covariance estimates go through residual_covariance,
@@ -343,35 +362,13 @@ def fgls_fit(design: DesignMatrices, y1, y2) -> SureFit:
     coefficients, draws or convergence record; fit_rp_sure starts from it.
     """
     (y1, ols_res1, *_), (y2, ols_res2, *_) = _equation_ols(design, y1, y2)
-    x1, x2, n = design.x1, design.x2, design.n
-    k1, k2 = x1.shape[1], x2.shape[1]
-    low = residual_covariance(ols_res1, ols_res2).low
-
-    # Whiten each observation's residual pair by L^-1 and stack into a
-    # single least-squares problem over (beta1, beta2).
-    inv00 = 1.0 / low[0, 0]
-    inv10 = -low[1, 0] / (low[0, 0] * low[1, 1])
-    inv11 = 1.0 / low[1, 1]
-    zeros1 = np.zeros((n, k2))
-    zt = np.vstack([
-        np.hstack([inv00 * x1, zeros1]),
-        np.hstack([inv10 * x1, inv11 * x2]),
-    ])
-    yt = np.concatenate([inv00 * y1, inv10 * y1 + inv11 * y2])
-    names = (design.names1, design.names2)
-    beta, a = _qr_solve(zt, yt, tuple(f"{eq}:{c}" for eq, cols in
-                                      zip(design.eq_names, names) for c in cols))
-    beta1, beta2 = beta[:k1], beta[k1:]
-
-    res1 = y1 - _rowdot(x1, beta1)
-    res2 = y2 - _rowdot(x2, beta2)
+    beta, a, res1, res2 = _gls(design, y1, y2, residual_covariance(ols_res1, ols_res2).low)
     sigma = residual_covariance(res1, res2)
     loglik = float(np.sum(whitened_logpdf(res1, res2, sigma.low)[0]))
-
     # With unit-variance whitened errors the GLS covariance is (Z'Z)^-1.
-    param_cov = block_diag(a @ a.T, _sigma_block_cov(sigma, n))
-    return layout_fit(design.eq_names, names, ((), ()), beta, param_cov,
-                      n=n, loglik=loglik, sigma=sigma)
+    param_cov = block_diag(a @ a.T, _sigma_block_cov(sigma, design.n))
+    return layout_fit(design.eq_names, (design.names1, design.names2), ((), ()), beta,
+                      param_cov, n=design.n, loglik=loglik, sigma=sigma)
 
 
 def ols_system_fit(design: DesignMatrices, y1, y2) -> SureFit:

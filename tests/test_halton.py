@@ -133,6 +133,16 @@ class TestHaltonConfig:
             HaltonConfig(bases=(2,), draws_per_obs=0)
         with pytest.raises(ValueError):
             HaltonConfig(bases=(2,), burn=-1)
+        # a setting that is not an integer is refused, not truncated
+        with pytest.raises(ValueError, match=r"bases must be integral, got \(2.7, 3\)"):
+            HaltonConfig(bases=(2.7, 3))
+        with pytest.raises(ValueError, match="draws_per_obs must be integral, got 2.5"):
+            HaltonConfig(bases=(2,), draws_per_obs=2.5)
+        with pytest.raises(ValueError, match="burn must be integral, got 1.0"):
+            HaltonConfig(bases=(2,), burn=1.0)
+        cfg = HaltonConfig(bases=(np.int64(2), np.int32(3)), draws_per_obs=np.int64(5),
+                           burn=np.int16(0))
+        assert (cfg.bases, cfg.draws_per_obs, cfg.burn) == ((2, 3), 5, 0)
 
     def test_first_primes(self):
         assert first_primes(6) == (2, 3, 5, 7, 11, 13)

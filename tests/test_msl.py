@@ -235,6 +235,14 @@ class TestSimulatedLoglik:
         bad_n = build_draw_store(19, HaltonConfig(bases=(2, 3), draws_per_obs=8))
         with pytest.raises(SpecError, match="observations"):
             simulated_loglik(params, design, ds.y1, ds.y2, bad_n)
+        # draws that would shape nothing are refused, not ignored
+        fixed = design_of(ds, (), ())
+        unused = build_draw_store(20, HaltonConfig(bases=(2,), draws_per_obs=8))
+        with pytest.raises(SpecError, match="no random coefficients"):
+            simulated_loglik(dataclasses.replace(params, sigmas=[]), fixed, ds.y1, ds.y2,
+                             unused)
+        with pytest.raises(SpecError, match="no random coefficients"):
+            fit_rp_sure(fixed, ds.y1, ds.y2, draws=unused)
 
 
 def central_difference(fun, t, rel_step):
@@ -780,6 +788,41 @@ class TestFitRpSure:
         assert fit.convergence.status == "not converged"
         assert fit.convergence.iterations == 1
         assert fit.loglik == fit.convergence.loglik_path[-1]
+
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_step_cap_below_one_is_refused(self, cap):
+        ds = simulate_dataset(rp_truth(n=40))
+        draws = build_draw_store(40, HaltonConfig(bases=(2, 3), draws_per_obs=8))
+        with pytest.raises(ValueError, match="max_iterations must be >= 1"):
+            fit_rp_sure(design_of(ds), ds.y1, ds.y2, draws=draws, max_iterations=cap)
+
+    def test_ill_conditioned_design_warns_once_per_equation(self):
+        # an uncentred column near 1e6 leaves equation 1's design with a
+        # condition number near 1e12; the exact-ML start solves the whitened
+        # system at every step, but only each equation's design is judged,
+        # so the rp-sure fit warns as the sure fit does
+        rng = np.random.default_rng(3)
+        n = 300
+        x, year = rng.standard_normal((n, 2)), 1e6 + rng.standard_normal(n)
+        design = DesignMatrices(np.column_stack([np.ones(n), x[:, 0], year]),
+                                np.column_stack([np.ones(n), x[:, 1]]),
+                                ("const", "x1", "year"), ("const", "x2"),
+                                random1=(1,), random2=(1,))
+        z, e = rng.standard_normal((n, 2)), rng.standard_normal((n, 2))
+        y1 = 0.88 + (-0.03 + 0.05 * z[:, 0]) * x[:, 0] + 1e-3 * (year - 1e6) + 0.1 * e[:, 0]
+        y2 = 0.92 + (0.02 + 0.06 * z[:, 1]) * x[:, 1] + 0.1 * (0.5 * e[:, 0] + 0.87 * e[:, 1])
+        draws = build_draw_store(n, HaltonConfig(bases=(2, 3), draws_per_obs=20))
+
+        def condition_warnings(fit, *args, **kwargs):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                fit(design, y1, y2, *args, **kwargs)
+            return {str(w.message) for w in caught if "condition number" in str(w.message)}
+
+        sure_warnings = condition_warnings(fgls_fit)
+        assert len(sure_warnings) == 1
+        assert next(iter(sure_warnings)).startswith("equation vehicle_1:")
+        assert condition_warnings(fit_rp_sure, draws=draws) == sure_warnings
 
     @pytest.mark.parametrize("random1,random2", ALL_LAYOUTS)
     def test_report_follows_the_parameter_layout(self, random1, random2):

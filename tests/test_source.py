@@ -89,7 +89,7 @@ def test_one_rank_check_per_design():
 def test_one_ols_per_equation():
     # every equation is fitted by OLS in one place, through the design, so
     # no entry point takes a matrix and its names apart from the design
-    assert callers(None, {"_qr_solve"}) == {("sure", "_equation_ols"), ("sure", "fgls_fit")}
+    assert callers(None, {"_qr_solve"}) == {("sure", "_equation_ols"), ("sure", "_gls")}
     for name in ("ols_fit", "OlsFit"):
         assert not hasattr(sure, name)
     assert not hasattr(fuelgap, "ols_fit")
@@ -101,6 +101,14 @@ def test_one_ols_per_equation():
                 if params & {"x", "x1", "x2"} and params & {"names", "names1", "names2"}:
                     split.add((path.stem, node.name))
     assert split == {("sure", "full_rank_qr"), ("sure", "_qr_solve")}
+
+
+def test_one_gls_solve():
+    # the stacked, whitened GLS solve has one home, which FGLS and the
+    # exact-ML start of the rp-sure fit share, and every least-squares
+    # solve goes through _qr_solve and its rank rule
+    assert callers(None, {"_gls"}) == {("sure", "fgls_fit"), ("msl", "profile")}
+    assert callers(None, {"lstsq"}) == set()
 
 
 def test_one_encoder_for_every_design():
