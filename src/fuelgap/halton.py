@@ -5,7 +5,9 @@ blocks, so every observation owns a disjoint slice of the sequence and the
 draws stay fixed across optimizer iterations.  Uniforms are mapped to
 standard-normal deviates through scipy's inverse normal CDF (ndtri).
 build_draw_store is the one generator, with no per-observation function;
-radical_inverse is the scalar oracle.
+radical_inverse is the scalar oracle.  The store holds one contiguous
+(n_obs, R) plane per dimension, and DrawStore.z is a read-only
+(n_obs, R, d) view of those planes.
 """
 
 from __future__ import annotations
@@ -138,19 +140,31 @@ def _radical_inverse_block(start: int, count: int, base: int) -> np.ndarray:
     return value.ravel()[offset:offset + count]
 
 
-def _inverse_normal_cdf_array(u: np.ndarray) -> np.ndarray:
-    # Evaluate the lower half only (1 - u is exact for u >= 0.5), so the
-    # quantiles of u and 1 - u are exact negatives of each other.
-    flip = u > 0.5
-    x = ndtri(np.where(flip, 1.0 - u, u))
-    return np.where(flip, -x, x)
+def _inverse_normal_cdf_array(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the normal quantiles of the uniforms u into out (u's shape) and
+    return it; u is overwritten.
+
+    Only the lower half is evaluated: min(u, 1 - u) is u below 0.5 and the
+    exact 1 - u above it, and the sign of u - 0.5, which is exact, gives the
+    result's sign.  So the quantiles of u and 1 - u are exact negatives of
+    each other, and u = 0.5 gives ndtri(0.5) = +0.0.  Every step writes in
+    place, so no temporary as large as u is made.
+    """
+    np.subtract(1.0, u, out=out)
+    np.minimum(u, out, out=out)
+    ndtri(out, out=out)
+    u -= 0.5
+    return np.copysign(out, u, out=out)
 
 
 @dataclass(frozen=True)
 class DrawStore:
     """Immutable standard-normal Halton draws, z[obs, draw, dim].
 
-    Rebuilding with the same (n_obs, config) yields bit-identical values.
+    z is a read-only view of one contiguous (n_obs, R) plane per dimension,
+    so z[:, :, d] is C-contiguous; its C-order bytes (z.tobytes()) and its
+    indexing are those of an (n_obs, R, d) array.  Rebuilding with the same
+    (n_obs, config) yields bit-identical values.
     """
 
     z: np.ndarray = field(repr=False)
@@ -177,8 +191,11 @@ def build_draw_store(n_obs: int, config: HaltonConfig) -> DrawStore:
 
     z[i, r, d] is the normal quantile of radical_inverse(burn + i*R + r + 1,
     bases[d]): each observation owns R consecutive points of each base's
-    sequence after the burn.  An allocation of n_obs * draws_per_obs *
-    n_dims doubles above _MEMORY_CAP_BYTES is refused with its size.
+    sequence after the burn.  Each dimension's quantiles are written into
+    its own contiguous (n_obs, R) plane, and z is the planes' read-only
+    (n_obs, R, d) view.  An allocation of n_obs * draws_per_obs * n_dims
+    doubles above _MEMORY_CAP_BYTES is refused with its size, before
+    anything is allocated.
     """
     if n_obs < 1:
         raise ValueError("n_obs must be >= 1")
@@ -189,8 +206,8 @@ def build_draw_store(n_obs: int, config: HaltonConfig) -> DrawStore:
         raise FuelGapError(
             f"draw store of {n_obs} x {r} x {d} doubles needs {nbytes} bytes, "
             f"above the cap of {_MEMORY_CAP_BYTES}")
-    z = np.empty((n_obs, r, d))
-    for dim, base in enumerate(config.bases):
+    planes = np.empty((d, n_obs, r))
+    for plane, base in zip(planes, config.bases):
         u = _radical_inverse_block(config.burn + 1, n_obs * r, base)
-        z[:, :, dim] = _inverse_normal_cdf_array(u).reshape(n_obs, r)
-    return DrawStore(z=z, config=config)
+        _inverse_normal_cdf_array(u, plane.reshape(-1))
+    return DrawStore(z=planes.transpose(1, 2, 0), config=config)

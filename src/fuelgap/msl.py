@@ -344,10 +344,13 @@ class LoglikKernel:
         """
         return self._evaluate(params)[:2]
 
-    def hessian(self, params: RpParameters) -> np.ndarray:
-        """Exactly symmetric Hessian of the log-likelihood, in the score's
-        layout, from one pass over the draws."""
-        return self._evaluate(params, with_hessian=True)[2]
+    def hessian(self, params: RpParameters) -> tuple[float, np.ndarray, np.ndarray]:
+        """(log-likelihood, score, Hessian) from one pass over the draws.
+
+        The value and score are the bits loglik returns at the same point;
+        the Hessian is exactly symmetric, in the score's layout.
+        """
+        return self._evaluate(params, with_hessian=True)
 
 
 def simulated_loglik(params: RpParameters, design: DesignMatrices,
@@ -439,12 +442,13 @@ class Convergence:
     """How the Newton stage ended, and what it cost in kernel passes.
 
     iterations counts accepted Newton steps; score_passes the value-and-score
-    passes (the start and every line-search trial), hessian_passes the
-    Hessian passes (one per step, plus the one at the last point, whose
-    Hessian gives the SEs), and modified_steps the steps taken where -H was
-    not positive definite.  decrement is g'd at the last point, d the
-    direction of _newton_direction (so g'(-H)^-1 g where -H is positive
-    definite), and NaN where the Hessian there is not finite.
+    passes, one per line-search trial; hessian_passes the Hessian passes:
+    one at the start, which also gives the start's value and score, and one
+    at every accepted point, the last of which gives the SEs.
+    modified_steps counts the steps taken where -H was not positive
+    definite.  decrement is g'd at the last point, d the direction of
+    _newton_direction (so g'(-H)^-1 g where -H is positive definite), and
+    NaN where the Hessian there is not finite.
     """
 
     status: str                   # "converged", "stalled" or "not converged"
@@ -610,10 +614,12 @@ def fit_rp_sure(design: DesignMatrices, y1, y2, draws: DrawStore | None = None,
     simulation error of that point.  Stage 2 starts there, each spread at
     +sqrt(s_d), and takes Newton steps on the kernel's analytic Hessian
     (_newton_direction, Train 2009, ch. 8) with a backtracking line search.
-    Every line-search trial gets its value and score from one kernel pass
-    (LoglikKernel.loglik), and every point the line search accepts gets one
-    Hessian pass (LoglikKernel.hessian).  Newton steps, and so the fit, do
-    not depend on the units of the covariates.  The fit stops in one of
+    The start gets its value, score and Hessian from one Hessian pass
+    (LoglikKernel.hessian); every line-search trial gets its value and score
+    from one score pass (LoglikKernel.loglik), and every point the line
+    search accepts gets one Hessian pass more, whose value and score are
+    the trial's.  Newton steps, and so the fit, do not depend on the units
+    of the covariates.  The fit stops in one of
     three ways, and only the first is "converged": -H is positive definite
     and the decrement g'(-H)^-1 g is at most _NEWTON_TOL nats; no trial
     raises the log-likelihood, or the Hessian is not finite ("stalled"); or
@@ -653,13 +659,14 @@ def fit_rp_sure(design: DesignMatrices, y1, y2, draws: DrawStore | None = None,
         return at
 
     value_and_score = guarded("score", kernel.loglik, (-np.inf, np.full(size, np.nan)))
-    neg_hessian = guarded("hessian", lambda p: -kernel.hessian(p), np.full((size, size), np.nan))
+    with_hessian = guarded("hessian", kernel.hessian,
+                           (-np.inf, np.full(size, np.nan), np.full((size, size), np.nan)))
 
     t = transform.pack(start)
-    f, g = value_and_score(t)
+    f, g, hess = with_hessian(t)
     path, modified = [f], 0
     while True:
-        neg_h = neg_hessian(t)
+        neg_h = -hess
         if not np.isfinite(neg_h).all():
             status, decrement = "stalled", float("nan")
             break
@@ -677,6 +684,7 @@ def fit_rp_sure(design: DesignMatrices, y1, y2, draws: DrawStore | None = None,
         t, f, g = accepted
         path.append(f)
         modified += indefinite
+        hess = with_hessian(t)[2]   # its value and score are the trial's bits
 
     # g is the transform-space score; the natural-scale one is J^-T g
     jacobian = transform.jacobian(t)

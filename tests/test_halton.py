@@ -1,7 +1,10 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
+
+from scipy.special import ndtri
 
 from fuelgap.errors import FuelGapError
 from fuelgap.halton import (
@@ -32,6 +35,21 @@ PHI_INV_ORACLE = [
     (0.999999999, 5.9978070196016374),
     (0.999999999999, 7.0344869100478352),
 ]
+
+
+def where_quantile(u):
+    """The normal quantile by the lower half and a flip, written with
+    np.where: the reference for the draw store's in-place fold."""
+    u = np.asarray(u, dtype=float)
+    flip = u > 0.5
+    x = ndtri(np.where(flip, 1.0 - u, u))
+    return np.where(flip, -x, x)
+
+
+def fold(u):
+    """_inverse_normal_cdf_array on a copy of u, into a fresh array."""
+    u = np.array(u, dtype=float)
+    return _inverse_normal_cdf_array(u, np.empty_like(u))
 
 
 class TestRadicalInverse:
@@ -105,7 +123,7 @@ class TestRadicalInverseBlock:
         z = np.empty((2000, 400, 2))
         for dim, base in enumerate(cfg.bases):
             u = digit_loop_block(cfg.burn + 1, 2000 * 400, base)
-            z[:, :, dim] = _inverse_normal_cdf_array(u).reshape(2000, 400)
+            z[:, :, dim] = where_quantile(u).reshape(2000, 400)
         assert build_draw_store(2000, cfg).z.tobytes() == z.tobytes()
 
 
@@ -116,7 +134,7 @@ class TestHaltonBlock:
         stacked = build_draw_store(10, cfg).z.reshape(50, 2)
         for d, base in enumerate(cfg.bases):
             u = [radical_inverse(cfg.burn + j, base) for j in range(1, 51)]
-            assert stacked[:, d].tobytes() == _inverse_normal_cdf_array(np.array(u)).tobytes()
+            assert stacked[:, d].tobytes() == where_quantile(u).tobytes()
 
 
 class TestHaltonConfig:
@@ -154,21 +172,40 @@ class TestHaltonConfig:
 class TestInverseNormalCdf:
     def test_against_high_precision_oracle(self):
         u, expect = np.array(PHI_INV_ORACLE).T
-        np.testing.assert_allclose(_inverse_normal_cdf_array(u), expect, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(fold(u), expect, rtol=0, atol=1e-9)
 
     def test_median(self):
-        assert _inverse_normal_cdf_array(np.array([0.5]))[0] == 0.0
+        # ndtri(0.5) is +0.0, and so is the fold's: compare bytes, since
+        # -0.0 == 0.0
+        assert fold([0.5]).tobytes() == np.float64(0.0).tobytes()
+        assert where_quantile([0.5]).tobytes() == np.float64(0.0).tobytes()
 
     def test_symmetry(self):
         # u chosen with exact binary complements so the identity is exact
         u = np.arange(1, 512) / 1024.0
-        assert (_inverse_normal_cdf_array(u) == -_inverse_normal_cdf_array(1.0 - u)).all()
+        assert (fold(u) == -fold(1.0 - u)).all()
+
+    def test_extreme_uniforms_are_exact_negatives(self):
+        # 1 - 2**-53 is the largest double below 1; its complement is exact
+        low, high = fold([2.0 ** -53, 1.0 - 2.0 ** -53])
+        assert high == -low and low < -8.0
+        tiny = 5e-324   # the smallest subnormal: 1 - tiny rounds to 1
+        assert fold([tiny, 1.0 - 2.0 ** -53, 0.5 + 2.0 ** -53]).tobytes() == \
+            where_quantile([tiny, 1.0 - 2.0 ** -53, 0.5 + 2.0 ** -53]).tobytes()
+
+    def test_fold_equals_the_where_formula(self):
+        # both halves, the median and its neighbours, 0.25, the lower end
+        # of the range where u - 0.5 is exact (Sterbenz), and Halton points
+        u = np.concatenate([np.linspace(1e-6, 1 - 1e-6, 10001),
+                            np.nextafter(0.5, [0.0, 1.0]), [0.25, 0.75],
+                            _radical_inverse_block(51, 5000, 7)])
+        assert fold(u).tobytes() == where_quantile(u).tobytes()
 
     def test_round_trip_through_normal_cdf(self):
         from scipy.special import ndtr
 
         u = np.linspace(0.001, 0.999, 997)
-        np.testing.assert_allclose(ndtr(_inverse_normal_cdf_array(u)), u, atol=1e-12)
+        np.testing.assert_allclose(ndtr(fold(u)), u, atol=1e-12)
 
 
 class TestDrawStore:
@@ -187,6 +224,27 @@ class TestDrawStore:
         with pytest.raises(ValueError):
             store.z[0, 0, 0] = 1.0
 
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_one_contiguous_read_only_plane_per_dimension(self, d):
+        store = build_draw_store(30, HaltonConfig(bases=first_primes(d), draws_per_obs=7))
+        assert store.z.shape == (30, 7, d)
+        for k in range(d):
+            assert store.z[:, :, k].flags.c_contiguous
+            with pytest.raises(ValueError, match="read-only"):
+                store.z[:, :, k][0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            store.z[...] = 0.0
+
+    def test_bytes_equal_the_where_formula(self):
+        # rp_wide's store: N=2000, R=200, bases 2, 3, 5, 7, in the
+        # interleaved (obs, draw, dim) order that tobytes reads
+        cfg = HaltonConfig(bases=(2, 3, 5, 7), draws_per_obs=200)
+        z = np.empty((2000, 200, 4))
+        for dim, base in enumerate(cfg.bases):
+            u = _radical_inverse_block(cfg.burn + 1, 2000 * 200, base)
+            z[:, :, dim] = where_quantile(u).reshape(2000, 200)
+        assert build_draw_store(2000, cfg).z.tobytes() == z.tobytes()
+
     def test_matches_blocks(self):
         # observation i owns indices burn + i*R + 1 ... burn + (i+1)*R of
         # each base: every cell is the scalar oracle's point, bit for bit
@@ -197,7 +255,7 @@ class TestDrawStore:
             for j in range(r):
                 for d, base in enumerate(cfg.bases):
                     u = radical_inverse(cfg.burn + i * r + j + 1, base)
-                    assert z[i, j, d] == _inverse_normal_cdf_array(np.array([u]))[0]
+                    assert z[i, j, d] == where_quantile([u])[0]
 
     @pytest.mark.parametrize("burn,uniforms", [(0, [[0.5, 0.25], [0.75, 0.125]]),
                                                (2, [[0.75, 0.125], [0.625, 0.375]])],
@@ -206,13 +264,29 @@ class TestDrawStore:
         # two observations of two draws, cut after `burn` points
         store = build_draw_store(2, HaltonConfig(bases=(2,), draws_per_obs=2, burn=burn))
         assert store.z.shape == (2, 2, 1)
-        assert store.z[:, :, 0].tolist() == _inverse_normal_cdf_array(np.array(uniforms)).tolist()
+        assert store.z[:, :, 0].tolist() == where_quantile(uniforms).tolist()
 
     def test_memory_cap(self):
         # 2**20 x 1000 doubles is 8 GiB: refused before anything is allocated
         cfg = HaltonConfig(bases=(2,), draws_per_obs=1000)
         with pytest.raises(FuelGapError, match="bytes"):
             build_draw_store(2 ** 20, cfg)
+
+    @pytest.mark.parametrize("bases", [(2,), (2, 3)])
+    def test_over_cap_store_allocates_nothing(self, bases):
+        # one observation beyond the cap, whatever the dimension: numpy
+        # reports its buffers to tracemalloc, and the refusal allocates none
+        d, r = len(bases), 1024
+        n = 2 ** 30 // (8 * d * r) + 1
+        assert n * r * d * 8 > 2 ** 30 >= (n - 1) * r * d * 8
+        tracemalloc.start()
+        try:
+            with pytest.raises(FuelGapError, match="above the cap"):
+                build_draw_store(n, HaltonConfig(bases=bases, draws_per_obs=r))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_moments(self):
         # Stratified uniforms keep the first two sample moments very tight.

@@ -55,14 +55,15 @@ CRITERION_5_TRUTH = {
 def fit_rp_sure(*args, **kwargs):
     """msl.fit_rp_sure, checking that "converged" means a maximum: a Newton
     decrement within the stop rule's tolerance and a positive-definite -H,
-    so SEs, and that every fit made one Hessian pass per step and one at
-    its last point."""
+    so SEs, and that every fit made one Hessian pass at its start and one
+    per step, and at least one score pass (a line-search trial) per step."""
     fit = msl.fit_rp_sure(*args, **kwargs)
     convergence = fit.convergence
     if convergence.converged:
         assert 0 <= convergence.decrement <= msl._NEWTON_TOL
         assert fit.param_cov is not None
     assert convergence.hessian_passes == convergence.iterations + 1
+    assert convergence.score_passes >= convergence.iterations
     assert len(convergence.loglik_path) == convergence.iterations + 1
     return fit
 
@@ -180,7 +181,7 @@ class TestSimulatedLoglik:
             assert len(kernel.blocks) == 8
             value, score = kernel.loglik(params)
             return [np.float64(value).tobytes(), score.tobytes(),
-                    kernel.hessian(params).tobytes()]
+                    kernel.hessian(params)[2].tobytes()]
 
         serial = passes(1)
         assert passes(2) == serial
@@ -360,7 +361,7 @@ class TestHessian:
             points[1][4] = -abs(points[1][4])
             points[2][4] = 0.0
         for t in points:
-            hess = kernel.hessian(transform.unpack(t))
+            hess = kernel.hessian(transform.unpack(t))[2]
             assert (hess == hess.T).all()
             # the Hessian oracle: central differences of the analytic score
             numeric = central_difference(
@@ -380,19 +381,32 @@ class TestHessian:
             for threads in (1, 2, 4):
                 kernel, params = layout_kernel(111, 2000, random1, random2, threads)
                 assert len(kernel.blocks) > 1
-                hess = kernel.hessian(params)
+                hess = kernel.hessian(params)[2]
                 assert (hess == hess.T).all()
                 results.add(hess.tobytes())
         finally:
             sys.setswitchinterval(interval)
         assert len(results) == 1
 
+    @pytest.mark.parametrize("random1,random2", ALL_LAYOUTS)
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_value_and_score_are_the_score_pass_bits(self, random1, random2, threads):
+        # the fit reads its start's value and score from the Hessian pass,
+        # so they must be the bits loglik gives there
+        kernel, params = layout_kernel(111, 2000, random1, random2, threads)
+        value, score, hess = kernel.hessian(params)
+        expect_value, expect_score = kernel.loglik(params)
+        assert np.float64(value).tobytes() == np.float64(expect_value).tobytes()
+        assert score.tobytes() == expect_score.tobytes()
+        assert hess.shape == (score.size, score.size)
+
     def test_fit_makes_one_hessian_pass_per_step_and_one_score_pass_per_trial(
             self, monkeypatch):
         # every point the fit evaluates gets its value and score from one
-        # pass: as many passes as the value-then-score Newton asks for values
-        # (the start and each line-search trial), plus one Hessian pass per
-        # accepted point, the last one's giving the SEs
+        # pass: one score pass per line-search trial, the trials at which
+        # the value-then-score Newton asks for values, and one Hessian pass
+        # at the start and at each accepted point, the last one's giving the
+        # SEs; the start's value and score come from its Hessian pass
         ds = simulate_dataset(rp_truth(n=150, seed=8))
         design, draws = design_of(ds), build_draw_store(
             150, HaltonConfig(bases=(2, 3), draws_per_obs=50))
@@ -406,9 +420,21 @@ class TestHessian:
         trials = reference["calls"]["value"] - 1
         assert reference["calls"]["score"] == fit.convergence.iterations + 1 <= trials + 1
         assert reference["calls"]["hessian"] == fit.convergence.iterations + 1
-        assert fused == {"score": trials + 1, "hessian": fit.convergence.iterations + 1}
+        assert fused == {"score": trials, "hessian": fit.convergence.iterations + 1}
         assert (fit.convergence.score_passes, fit.convergence.hessian_passes) == \
             (fused["score"], fused["hessian"])
+
+    def test_one_step_fit_makes_one_score_pass_and_two_hessian_passes(self, monkeypatch):
+        # the criterion-5 truth at N=2000, R=400 converges in one Newton
+        # step: the start's Hessian pass, the one trial, accepted at unit
+        # step, and the Hessian pass there, which gives the SEs
+        ds = simulate_dataset(truth_from_dict(dict(CRITERION_5_TRUTH, seed=20240)))
+        draws = build_draw_store(2000, HaltonConfig(bases=(2, 3), draws_per_obs=400))
+        passes = count_passes(monkeypatch)
+        fit = fit_rp_sure(design_of(ds), ds.y1, ds.y2, draws=draws)
+        assert fit.convergence.converged and fit.convergence.iterations == 1
+        assert dict(passes) == {"score": 1, "hessian": 2}
+        assert (fit.convergence.score_passes, fit.convergence.hessian_passes) == (1, 2)
 
 
 def newton_start(design, ds):
@@ -439,7 +465,8 @@ def value_then_score_newton(kernel, t0, max_iterations=500):
 
     value = guarded("value", lambda p: kernel.loglik(p)[0], -np.inf)
     score = guarded("score", lambda p: kernel.loglik(p)[1], np.full(size, np.nan))
-    neg_hessian = guarded("hessian", lambda p: -kernel.hessian(p), np.full((size, size), np.nan))
+    neg_hessian = guarded("hessian", lambda p: -kernel.hessian(p)[2],
+                          np.full((size, size), np.nan))
     t, f, g = t0, value(t0), score(t0)
     iterates, path = [t], [f]
     while True:
@@ -646,8 +673,10 @@ class TestFitRpSure:
         loglik, calls = LoglikKernel.loglik, []
 
         def first_trial_not_finite(self, params):
+            # the start's value and score come from its Hessian pass, so
+            # the first score pass is the first line-search trial
             calls.append(params)
-            if len(calls) == 2:
+            if len(calls) == 1:
                 raise EstimationError("simulated log-likelihood is not finite")
             return loglik(self, params)
 
@@ -658,7 +687,7 @@ class TestFitRpSure:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             fit = fit_rp_sure(design_of(ds), ds.y1, ds.y2, draws=draws)
-        assert fit.convergence.converged and len(calls) > 2
+        assert fit.convergence.converged and len(calls) >= 2
         assert fit.convergence.score_passes == len(calls)
         assert fit.param_cov is not None
 
