@@ -45,15 +45,11 @@ from .halton import (
     radical_inverse,
 )
 from .modelspec import EquationSpec, ModelSpec, Term, load_model_spec, model_spec_from_dict
-from .msl import (
-    RandomEffect,
-    RpParameters,
-    fit_rp_sure,
-    rp_retention_test,
-    simulated_loglik,
-)
+from .msl import fit_rp_sure, rp_retention_test, simulated_loglik
 from .sure import (
     ErrorCovariance,
+    RandomEffect,
+    RpParameters,
     SureFit,
     fgls_fit,
     loglik_fixed,

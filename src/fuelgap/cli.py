@@ -20,12 +20,10 @@ One result type, `sure.SureFit` (built only by `sure.layout_fit`), backs
 the one fit JSON schema of every estimator (`fit_payload`): estimator, n,
 k, loglik, equations, random_coefficients, sigma, rho, sigma1, sigma2,
 sigma1_se, sigma2_se, rho_se, draws, convergence, param_names, param_cov.
-The parameters follow one layout, [coef1 | coef2 | sigma_d ... | sigma1,
-sigma2, rho]: the coefficients, the spread |sigma_d| of each random one,
-then the error standard deviations and correlation; `ols` fixes rho at 0
-and leaves it out.  param_cov is in that order, and every SE is the root
-of its diagonal entry.  A fixed-parameter fit writes random_coefficients
-[], draws null and convergence null.  Non-finite numbers are written null.
+param_names and param_cov follow the one parameter layout, described on
+`sure.ParameterLayout`, and every SE is the root of its diagonal entry.  A
+fixed-parameter fit writes random_coefficients [], draws null and
+convergence null.  Non-finite numbers are written null.
 """
 
 from __future__ import annotations
@@ -58,7 +56,7 @@ from .data import (
     write_group_summary_csv,
 )
 from .errors import DegenerateDataError, FuelGapError, SpecError
-from .halton import HaltonConfig, build_draw_store, first_primes
+from .halton import LOWER_BOUNDS, HaltonConfig, build_draw_store, first_primes
 from .modelspec import (
     INTEGER,
     LIST,
@@ -278,8 +276,9 @@ def _rp_sure_options(args, parser, spec) -> dict:
         where = " on a spec without random terms" if args.estimator == "rp-sure" else ""
         parser.error(f"--estimator {args.estimator} does not use {unused}{where}")
     options = {k: getattr(args, k, RP_SURE_OPTIONS[k][0]) for k in used}
-    for key, low in (("draws", 1), ("burn", 0), ("threads", 1), ("max_iterations", 1)):
-        if options.get(key, low) < low:
+    for key, value in options.items():
+        low = LOWER_BOUNDS.get({"draws": "draws_per_obs"}.get(key, key))
+        if low is not None and value < low:
             parser.error(f"--{key.replace('_', '-')} must be >= {low}")
     if "bases" in options:
         text, count = options["bases"], spec.n_random

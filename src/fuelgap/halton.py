@@ -19,6 +19,16 @@ from scipy.special import ndtri
 
 from .errors import FuelGapError
 
+# the one lower bound of each rp-sure fit setting, by its name in the library
+LOWER_BOUNDS = {"draws_per_obs": 1, "burn": 0, "threads": 1, "max_iterations": 1}
+
+
+def check_lower_bound(name: str, value: int) -> None:
+    """Raise ValueError for a setting below its bound in LOWER_BOUNDS."""
+    if value < LOWER_BOUNDS[name]:
+        raise ValueError(f"{name} must be >= {LOWER_BOUNDS[name]}")
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -71,10 +81,8 @@ class HaltonConfig:
         for b in self.bases:
             if not _is_prime(b):
                 raise ValueError(f"base {b} is not prime")
-        if self.draws_per_obs < 1:
-            raise ValueError("draws_per_obs must be >= 1")
-        if self.burn < 0:
-            raise ValueError("burn must be >= 0")
+        check_lower_bound("draws_per_obs", self.draws_per_obs)
+        check_lower_bound("burn", self.burn)
 
 
 def radical_inverse(index: int, base: int) -> float:

@@ -10,15 +10,14 @@ The fit has two stages.  For normal mixing the marginal likelihood is
 closed form, so stage 1 maximizes it exactly by Fisher scoring (_exact_ml);
 the simulated optimum lies within simulation error of that point.  Stage 2
 takes Newton steps on the simulated likelihood from there, with the
-kernel's analytic Hessian, on an unconstrained vector: each spread as a
-signed sigma (the likelihood is even in it, and |sigma| is reported) and
-the error covariance as a Cholesky factor with log diagonal, so every
-iterate maps to a valid model.  Each point the line search tries gets its
-value and its analytic score from one pass over the draws; the kernel has
-no value-only pass.  A fit is "converged" only when -H is positive definite
-and the Newton decrement g'(-H)^-1 g is below a fixed tolerance in nats, a
-rule that does not depend on the covariates' units; otherwise it ends
-"stalled" (no step raises the likelihood) or "not converged" (step cap).
+kernel's analytic Hessian, on the unconstrained vector of
+sure.ParameterLayout, so every iterate maps to a valid model.  Each point
+the line search tries gets its value and its analytic score from one pass
+over the draws; the kernel has no value-only pass.  A fit is "converged"
+only when -H is positive definite and the Newton decrement g'(-H)^-1 g is
+below a fixed tolerance in nats, a rule that does not depend on the
+covariates' units; otherwise it ends "stalled" (no step raises the
+likelihood) or "not converged" (step cap).
 Standard errors come from the Hessian at the last point, the one the stop
 rule read, delta-method transformed to the natural scale.  The Hessian is
 analytic too, formed in one pass over the draws: for a simulated
@@ -36,10 +35,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateDataError, EstimationError, SpecError
-from .halton import DrawStore
+from .halton import DrawStore, check_lower_bound
 from .modelspec import RANDOM
-from .sure import (DesignMatrices, ErrorCovariance, SureFit, fgls_fit, full_rank_qr,
-                   layout_fit, whitened_logpdf, _gls, _rowdot)
+from . import sure
+from .sure import (DesignMatrices, ErrorCovariance, RpParameters, SureFit, fgls_fit,
+                   full_rank_qr, layout_fit, whitened_logpdf, _gls, _rowdot)
 
 # stage 1 stops once the Fisher-scoring step predicts a gain of at most
 # _EXACT_TOL / 2 nats, or after _EXACT_MAX_STEPS steps
@@ -53,46 +53,8 @@ _NEWTON_TOL = 1e-6
 _RETENTION_Z = 1.96
 # doubles per (rows, draws) temporary of one kernel block
 _BLOCK_DOUBLES = 100_000
-
-
-@dataclass(frozen=True)
-class RandomEffect:
-    """One random coefficient: design column `column` of equation `equation` (0 or 1)."""
-
-    name: str
-    equation: int
-    column: int
-
-
-@dataclass(frozen=True)
-class RpParameters:
-    """Natural-scale parameter point for the simulated likelihood.
-
-    coef1/coef2 hold every coefficient of each equation, with random
-    positions holding their means; sigmas align with the random-effect
-    list.  A spread may be signed (only |sigma| matters up to the draws'
-    asymmetry); zeros reproduce the fixed-parameter model.
-    """
-
-    coef1: np.ndarray
-    coef2: np.ndarray
-    sigmas: np.ndarray
-    cov: ErrorCovariance
-
-    def __post_init__(self):
-        object.__setattr__(self, "coef1", np.asarray(self.coef1, dtype=float))
-        object.__setattr__(self, "coef2", np.asarray(self.coef2, dtype=float))
-        object.__setattr__(self, "sigmas", np.asarray(self.sigmas, dtype=float))
-        if not np.isfinite(self.sigmas).all():
-            raise ValueError("random-coefficient spreads must be finite")
-
-
-def effects_from_design(design: DesignMatrices) -> tuple[RandomEffect, ...]:
-    """One effect per random design column, equation 1 first, in design order."""
-    return tuple(RandomEffect(name=names[col], equation=eq, column=col)
-                 for eq, (names, cols) in enumerate(((design.names1, design.random1),
-                                                     (design.names2, design.random2)))
-                 for col in cols)
+# the order of the random terms, which the demos and the benchmark import from here
+effects_from_design = sure.effects_from_design
 
 
 class LoglikKernel:
@@ -110,16 +72,16 @@ class LoglikKernel:
                  threads: int = 1):
         self.x = (design.x1, design.x2)
         self.y = (np.asarray(y1, dtype=float), np.asarray(y2, dtype=float))
-        self.effects = effects_from_design(design)
+        self.layout = design.layout
+        effects = self.layout.effects
         self.n = design.n
-        if threads < 1:
-            raise ValueError("threads must be >= 1")
-        if self.effects:
+        check_lower_bound("threads", threads)
+        if effects:
             if draws is None:
                 raise SpecError("random coefficients declared but no draw store given")
-            if draws.n_dims != len(self.effects):
+            if draws.n_dims != len(effects):
                 raise SpecError(f"draw store has {draws.n_dims} dimensions, "
-                                f"model has {len(self.effects)} random coefficients")
+                                f"model has {len(effects)} random coefficients")
             if draws.n_obs != self.n:
                 raise SpecError(f"draw store covers {draws.n_obs} observations, "
                                 f"data has {self.n}")
@@ -128,13 +90,13 @@ class LoglikKernel:
         r = 1 if draws is None else draws.draws_per_obs
         # x[:, col] * z[:, :, d] never changes across evaluations
         self.products: tuple[list[tuple[int, np.ndarray]], list[tuple[int, np.ndarray]]] = ([], [])
-        for d, effect in enumerate(self.effects):
+        for d, effect in enumerate(effects):
             p = self.x[effect.equation][:, effect.column][:, None] * draws.z[:, :, d]
             self.products[effect.equation].append((d, p))
         self.log_r = np.log(float(r))
         rows = max(1, _BLOCK_DOUBLES // r)
         self.blocks = [(lo, min(lo + rows, self.n)) for lo in range(0, self.n, rows)]
-        self._buffer_shape = (5 + 2 * len(self.effects), min(rows, self.n), r)
+        self._buffer_shape = (5 + 2 * len(effects), min(rows, self.n), r)
         k = max(1, min(threads, len(self.blocks)))
         self._runs = np.array_split(np.arange(len(self.blocks)), k)
         self._pool = ThreadPoolExecutor(k - 1) if k > 1 else None
@@ -197,23 +159,19 @@ class LoglikKernel:
 
         a2 = mean_a2()
         a = (mean_a1(a2), a2)
-        out = score[lo:hi]
-        col = 0
+        layout, out = self.layout, score[lo:hi]
         for eq in (0, 1):
-            k = self.x[eq].shape[1]
-            out[:, col:col + k] = self.x[eq][lo:hi] * -a[eq][:, None]
-            col += k
+            out[:, layout.coef[eq]] = self.x[eq][lo:hi] * -a[eq][:, None]
+        spread, chol = out[:, layout.spreads], out[:, layout.cov]
         for d, p in self.products[0]:
             b = p[lo:hi]
-            out[:, col + d] = -mean_a1(mean_a2(b), b)
+            spread[:, d] = -mean_a1(mean_a2(b), b)
         for d, p in self.products[1]:
-            out[:, col + d] = -mean_a2(p[lo:hi])
+            spread[:, d] = -mean_a2(p[lo:hi])
         m11, m12, m22 = mean(0, v1), mean(0, v2), mean(1, v2)
-        out[:, -3] = m11 - (l21 / l22) * m12 - 1.0
-        out[:, -2] = m12 / l22
-        out[:, -1] = m22 - 1.0
+        chol[:, 0], chol[:, 1], chol[:, 2] = m11 - (l21 / l22) * m12 - 1.0, m12 / l22, m22 - 1.0
         if hess is not None:
-            s_bar = [-a[0], -a[1]] + [out[:, j] for j in range(col, out.shape[1])]
+            s_bar = [-a[0], -a[1], *spread.T, *chol.T]
             self._block_hessian(low, lo, hi, w, w_sum, v1, v2, (m11, m12, m22),
                                 s_bar, hess, buf)
 
@@ -232,12 +190,10 @@ class LoglikKernel:
         w and buf, which holds the draw-level factors, are overwritten.
         """
         l11, l21, l22 = low[0, 0], low[1, 0], low[1, 1]
-        n_d = len(self.effects)
-        eq = [0, 1] + [e.equation for e in self.effects]
-        p = [None] * n_d
-        for e in (0, 1):
-            for d, prod in self.products[e]:
-                p[d] = prod[lo:hi]
+        n_d = len(self.layout.effects)
+        eq = [0, 1] + [e.equation for e in self.layout.effects]
+        # the layout orders the spreads equation 1 first, as products holds them
+        p = [prod[lo:hi] for products in self.products for _, prod in products]
         tmp = iter(buf[:, :w.shape[0]])
 
         def mean(x, y):
@@ -298,9 +254,8 @@ class LoglikKernel:
                             (2, 2): -2.0 * m22}.items():
             h[2 + n_d + j, 2 + n_d + k] = val
 
-        k1, k2 = self.x[0].shape[1], self.x[1].shape[1]
         x = (self.x[0][lo:hi], self.x[1][lo:hi])
-        pos = [slice(0, k1), slice(k1, k1 + k2)] + list(range(k1 + k2, k1 + k2 + n_d + 3))
+        pos = self.layout.slots
         for (j, k), hjk in h.items():
             row = hjk + sign[j] * sign[k] * mean(f[j], f[k]) - s_bar[j] * s_bar[k]
             if k < 2:
@@ -312,10 +267,11 @@ class LoglikKernel:
 
     def _evaluate(self, params: RpParameters, with_hessian: bool = False
                   ) -> tuple[float, np.ndarray, np.ndarray | None]:
+        self.layout.check(params)
         base = (self.y[0] - _rowdot(self.x[0], params.coef1),
                 self.y[1] - _rowdot(self.x[1], params.coef2))
         value = np.empty(self.n)
-        size = self.x[0].shape[1] + self.x[1].shape[1] + len(self.effects) + 3
+        size = self.layout.size
         score = np.empty((self.n, size))
         # one (p, p) slot per block, summed in block order
         hess = np.zeros((len(self.blocks), size, size)) if with_hessian else None
@@ -339,8 +295,9 @@ class LoglikKernel:
     def loglik(self, params: RpParameters) -> tuple[float, np.ndarray]:
         """(log-likelihood, score) from one pass; there is no value-only pass.
 
-        The score is the gradient with respect to [coef1, coef2, sigma_d
-        ..., log l11, l21, log l22], the layout of _Transform.
+        The score is the gradient with respect to the optimizer vector of
+        the design's ParameterLayout; a point whose blocks do not match that
+        layout raises ValueError.
         """
         return self._evaluate(params)[:2]
 
@@ -357,64 +314,6 @@ def simulated_loglik(params: RpParameters, design: DesignMatrices,
                      y1, y2, draws: DrawStore | None) -> float:
     """Simulated log-likelihood at one natural-scale parameter point."""
     return LoglikKernel(design, y1, y2, draws).loglik(params)[0]
-
-
-# ---------------------------------------------------------------------------
-# optimizer coordinates
-
-
-class _Transform:
-    """Packing between the optimizer vector and natural-scale parameters.
-
-    Layout: [coef1, coef2, sigma_d ..., log l11, l21, log l22], with each
-    spread signed; natural() reports |sigma_d|.
-    """
-
-    def __init__(self, k1: int, k2: int, n_effects: int):
-        self.k1, self.k2, self.d = k1, k2, n_effects
-        self.size = k1 + k2 + n_effects + 3
-
-    def pack(self, params: RpParameters) -> np.ndarray:
-        low = params.cov.low
-        return np.concatenate([params.coef1, params.coef2, params.sigmas,
-                               [np.log(low[0, 0]), low[1, 0], np.log(low[1, 1])]])
-
-    @staticmethod
-    def _cholesky(t: np.ndarray) -> tuple[float, float, float]:
-        """(l11, l21, l22), the error covariance's Cholesky factor at t."""
-        return np.exp(t[-3]), t[-2], np.exp(t[-1])
-
-    @np.errstate(over="ignore", invalid="ignore")   # ErrorCovariance refuses inf and nan
-    def unpack(self, t: np.ndarray) -> RpParameters:
-        k1, k2, d = self.k1, self.k2, self.d
-        l11, l21, l22 = self._cholesky(t)
-        cov = ErrorCovariance(sigma11=l11 * l11,
-                              sigma22=l21 * l21 + l22 * l22,
-                              sigma12=l11 * l21)
-        return RpParameters(coef1=t[:k1], coef2=t[k1:k1 + k2],
-                            sigmas=t[k1 + k2:k1 + k2 + d], cov=cov)
-
-    def natural(self, t: np.ndarray) -> np.ndarray:
-        """[coef1, coef2, |sigma_d| ...]; unpack(t).cov is the error covariance."""
-        k = self.k1 + self.k2
-        return np.concatenate([t[:k], np.abs(t[k:k + self.d])])
-
-    def jacobian(self, t: np.ndarray) -> np.ndarray:
-        """d (natural, sigma1, sigma2, rho) / d t, invertible for all finite t."""
-        k1, k2, d = self.k1, self.k2, self.d
-        j = np.zeros((self.size, self.size))
-        j[:k1 + k2, :k1 + k2] = np.eye(k1 + k2)
-        for i in range(d):
-            # d |sigma| / d sigma, taken as +1 at 0
-            j[k1 + k2 + i, k1 + k2 + i] = -1.0 if t[k1 + k2 + i] < 0 else 1.0
-        l11, l21, l22 = self._cholesky(t)
-        s2 = np.hypot(l21, l22)
-        j[-3, -3] = l11                              # d sigma1 / d log l11
-        j[-2, -2] = l21 / s2                         # d sigma2 / d l21
-        j[-2, -1] = l22 * l22 / s2                   # d sigma2 / d log l22
-        j[-1, -2] = l22 * l22 / s2 ** 3              # d rho / d l21
-        j[-1, -1] = -l21 * l22 * l22 / s2 ** 3       # d rho / d log l22
-        return j
 
 
 def _natural_covariance(hess: np.ndarray, jacobian: np.ndarray) -> np.ndarray | None:
@@ -508,18 +407,17 @@ def _check_spreads_identified(design: DesignMatrices) -> None:
     """With one observation per garage, equation e's variance is sigma_e^2 +
     sum_d sigma_d^2 x_d^2, so its spreads are identified only if
     [1 | x_d^2 for each random d of e] has full column rank."""
-    for eq, x, names, cols in zip(design.eq_names, (design.x1, design.x2),
-                                  (design.names1, design.names2),
-                                  (design.random1, design.random2)):
-        if not cols:
-            continue
-        terms = [names[c] for c in cols]
+    x = (design.x1, design.x2)
+    for eq in sorted({e.equation for e in design.layout.effects}):
+        effects = [e for e in design.layout.effects if e.equation == eq]
+        terms = [e.name for e in effects]
         try:
-            full_rank_qr(np.column_stack([np.ones(design.n), x[:, list(cols)] ** 2]),
+            full_rank_qr(np.column_stack([np.ones(design.n)]
+                                         + [x[eq][:, e.column] ** 2 for e in effects]),
                          ("constant", *terms))
         except EstimationError as exc:
-            raise SpecError(f"the spreads of random terms {terms} of equation {eq} "
-                            f"are not identified: {exc}") from exc
+            raise SpecError(f"the spreads of random terms {terms} of equation "
+                            f"{design.eq_names[eq]} are not identified: {exc}") from exc
 
 
 def _exact_ml(design: DesignMatrices, y1, y2, cov: ErrorCovariance
@@ -542,8 +440,8 @@ def _exact_ml(design: DesignMatrices, y1, y2, cov: ErrorCovariance
     Returns (the optimum, sigma_d = sqrt(s_d); its log-likelihood; steps).
     """
     y1, y2 = np.asarray(y1, dtype=float), np.asarray(y2, dtype=float)
-    n, k1, x = design.n, design.x1.shape[1], (design.x1, design.x2)
-    effects = effects_from_design(design)
+    n, x, layout = design.n, (design.x1, design.x2), design.layout
+    effects = layout.effects
     # phi_j enters V_n as w[:, j] times basis matrix kind[j]: 0 is E11,
     # 1 is E12 + E21 and 2 is E22
     kind = np.array([0, 1, 2] + [2 * e.equation for e in effects])
@@ -596,7 +494,8 @@ def _exact_ml(design: DesignMatrices, y1, y2, cov: ErrorCovariance
             break
         phi, steps = trial, steps + 1
         beta, value, (u1, u2), (p11, p12, p22) = state
-    params = RpParameters(coef1=beta[:k1], coef2=beta[k1:], sigmas=np.sqrt(phi[3:]),
+    params = RpParameters(coef1=beta[layout.coef[0]], coef2=beta[layout.coef[1]],
+                          sigmas=np.sqrt(phi[3:]),
                           cov=ErrorCovariance(sigma11=phi[0], sigma22=phi[2], sigma12=phi[1]))
     return params, value, steps
 
@@ -619,10 +518,10 @@ def fit_rp_sure(design: DesignMatrices, y1, y2, draws: DrawStore | None = None,
     from one score pass (LoglikKernel.loglik), and every point the line
     search accepts gets one Hessian pass more, whose value and score are
     the trial's.  Newton steps, and so the fit, do not depend on the units
-    of the covariates.  The fit stops in one of
-    three ways, and only the first is "converged": -H is positive definite
-    and the decrement g'(-H)^-1 g is at most _NEWTON_TOL nats; no trial
-    raises the log-likelihood, or the Hessian is not finite ("stalled"); or
+    of the covariates.  The fit stops in one of three ways, and only the
+    first is "converged": -H is positive definite and the decrement
+    g'(-H)^-1 g is at most _NEWTON_TOL nats; no trial raises the
+    log-likelihood, or the Hessian is not finite ("stalled"); or
     max_iterations Newton steps are taken ("not converged").  The last two
     return the fit instead of raising.  The Hessian at the last point gives
     the SEs, which need it positive definite; grad_norm reports the
@@ -636,14 +535,12 @@ def fit_rp_sure(design: DesignMatrices, y1, y2, draws: DrawStore | None = None,
     at R=400 on the criterion-5 model (N=2000, 2 random coefficients), and
     by 0 to 0.21 nats on zero-spread data (N=1500, R=100, seeds 61-72).
     """
-    if max_iterations < 1:
-        raise ValueError("max_iterations must be >= 1")
+    check_lower_bound("max_iterations", max_iterations)
     start_fit = fgls_fit(design, y1, y2)   # refuses a rank-deficient design first
     _check_spreads_identified(design)
     start = _exact_ml(design, y1, y2, start_fit.sigma)[0]
     kernel = LoglikKernel(design, y1, y2, draws, threads=threads)
-    transform = _Transform(design.x1.shape[1], design.x2.shape[1], len(kernel.effects))
-    size = transform.size
+    layout, size = kernel.layout, kernel.layout.size
     passes = {"score": 0, "hessian": 0}
 
     def guarded(kind, evaluate, fallback):
@@ -653,7 +550,7 @@ def fit_rp_sure(design: DesignMatrices, y1, y2, draws: DrawStore | None = None,
         def at(t: np.ndarray):
             passes[kind] += 1
             try:
-                return evaluate(transform.unpack(t))
+                return evaluate(layout.unpack(t))
             except (EstimationError, DegenerateDataError):
                 return fallback
         return at
@@ -662,7 +559,7 @@ def fit_rp_sure(design: DesignMatrices, y1, y2, draws: DrawStore | None = None,
     with_hessian = guarded("hessian", kernel.hessian,
                            (-np.inf, np.full(size, np.nan), np.full((size, size), np.nan)))
 
-    t = transform.pack(start)
+    t = layout.pack(start)
     f, g, hess = with_hessian(t)
     path, modified = [f], 0
     while True:
@@ -686,13 +583,12 @@ def fit_rp_sure(design: DesignMatrices, y1, y2, draws: DrawStore | None = None,
         modified += indefinite
         hess = with_hessian(t)[2]   # its value and score are the trial's bits
 
-    # g is the transform-space score; the natural-scale one is J^-T g
-    jacobian = transform.jacobian(t)
+    # g is the optimizer-vector score; the natural-scale one is J^-T g
+    jacobian = layout.jacobian(t)
     grad_norm = float(np.max(np.abs(np.linalg.solve(jacobian.T, g))))
     return layout_fit(
-        design.eq_names, (design.names1, design.names2), (design.random1, design.random2),
-        transform.natural(t), _natural_covariance(neg_h, jacobian),
-        n=kernel.n, loglik=f, sigma=transform.unpack(t).cov,
+        layout, layout.natural(t), _natural_covariance(neg_h, jacobian),
+        n=kernel.n, loglik=f, sigma=layout.unpack(t).cov,
         convergence=Convergence(status=status, iterations=len(path) - 1, grad_norm=grad_norm,
                                 loglik_path=tuple(path), score_passes=passes["score"],
                                 hessian_passes=passes["hessian"], modified_steps=modified,

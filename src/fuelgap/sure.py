@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import block_diag, cholesky, qr, solve_triangular
@@ -21,8 +22,6 @@ from .errors import DegenerateDataError, EstimationError, SpecError
 from .modelspec import FIXED, RANDOM
 
 _LOG_2PI = np.log(2.0 * np.pi)
-# the error covariance's entries in every estimator's parameter layout
-SIGMA_NAMES = ("sigma1", "sigma2", "rho")
 CONDITION_WARN_THRESHOLD = 1e10
 # 1 - rho^2 at or below which an estimated covariance is singular: exactly
 # proportional residuals leave 2-6 eps at any n from 2 to 100k, rho = 0.999 2e-3
@@ -94,6 +93,126 @@ class DesignMatrices:
     def n(self) -> int:
         return self.x1.shape[0]
 
+    @cached_property
+    def layout(self) -> ParameterLayout:
+        """The design's parameter layout, built on first use."""
+        return ParameterLayout(self)
+
+
+@dataclass(frozen=True)
+class RandomEffect:
+    """One random coefficient: design column `column` of equation `equation` (0 or 1)."""
+
+    name: str
+    equation: int
+    column: int
+
+
+def effects_from_design(design: DesignMatrices) -> tuple[RandomEffect, ...]:
+    """One effect per random design column, equation 1 first, in design order."""
+    return tuple(RandomEffect(name=names[col], equation=eq, column=col)
+                 for eq, (names, cols) in enumerate(((design.names1, design.random1),
+                                                     (design.names2, design.random2)))
+                 for col in cols)
+
+
+@dataclass(frozen=True)
+class RpParameters:
+    """Natural-scale parameter point for the simulated likelihood, in the
+    blocks of the design's ParameterLayout.  A spread may be signed (only
+    |sigma| matters up to the draws' asymmetry); zeros reproduce the
+    fixed-parameter model."""
+
+    coef1: np.ndarray
+    coef2: np.ndarray
+    sigmas: np.ndarray
+    cov: ErrorCovariance
+
+    def __post_init__(self):
+        for name in ("coef1", "coef2", "sigmas"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        if not np.isfinite(self.sigmas).all():
+            raise ValueError("random-coefficient spreads must be finite")
+
+
+class ParameterLayout:
+    """The one parameter layout, [coef1 | coef2 | sigma_d ... | error
+    covariance], built from a design (DesignMatrices.layout): every
+    coefficient of each equation, a random one's mean included (slices
+    `coef`, together `coefs`), then one spread per random term (`spreads`)
+    in the order of `effects`, equation 1 first, then the covariance (`cov`).
+
+    A fit (layout_fit) reports each spread as |sigma_d| and the covariance
+    as (sigma1, sigma2, rho), named in param_names ("equation:column",
+    "sd:column"); `sure` fits random terms as fixed (random=False), and
+    `ols` leaves rho out too (rho=False).  The rp-sure optimizer vector
+    (pack, unpack), and so the kernel's score and Hessian, holds each
+    spread signed and the covariance as (log l11, l21, log l22), its
+    Cholesky factor; natural and jacobian map it to the fit's.
+    """
+
+    def __init__(self, design: DesignMatrices, random: bool = True, rho: bool = True):
+        names, self.eq_names = (design.names1, design.names2), design.eq_names
+        effects = self.effects = effects_from_design(design) if random else ()
+        sigma_names = ("sigma1", "sigma2", "rho") if rho else ("sigma1", "sigma2")
+        k1, k2, d = len(names[0]), len(names[1]), len(effects)
+        self.coef = (slice(0, k1), slice(k1, k1 + k2))
+        self.coefs = slice(0, k1 + k2)
+        self.spreads = slice(k1 + k2, k1 + k2 + d)
+        self.cov = slice(k1 + k2 + d, k1 + k2 + d + len(sigma_names))
+        self.size = self.cov.stop
+        self.shapes = ((k1,), (k2,), (d,))
+        # each equation's coefficients, then each spread and covariance entry
+        self.slots = (*self.coef, *range(self.spreads.start, self.size))
+        spread = {(e.equation, e.column): k1 + k2 + i for i, e in enumerate(effects)}
+        # (equation, column name, its spread's position or None) per coefficient
+        self.columns = tuple((eq, name, spread.get((eq, col)))
+                             for eq in (0, 1) for col, name in enumerate(names[eq]))
+        self.param_names = tuple(f"{self.eq_names[eq]}:{name}" for eq, name, _ in self.columns) \
+            + tuple(f"sd:{e.name}" for e in effects) + sigma_names
+
+    def check(self, params: RpParameters) -> None:
+        """Refuse a parameter point whose blocks do not match the layout."""
+        shapes = (params.coef1.shape, params.coef2.shape, params.sigmas.shape)
+        if shapes != self.shapes:
+            raise ValueError(f"parameter point has (coef1, coef2, sigmas) of shapes {shapes}, "
+                             f"but the design's layout needs {self.shapes}")
+
+    def pack(self, params: RpParameters) -> np.ndarray:
+        self.check(params)
+        low = params.cov.low
+        return np.concatenate([params.coef1, params.coef2, params.sigmas,
+                               [np.log(low[0, 0]), low[1, 0], np.log(low[1, 1])]])
+
+    def _cholesky(self, t: np.ndarray) -> tuple[float, float, float]:
+        """(l11, l21, l22), the error covariance's Cholesky factor at t."""
+        log_l11, l21, log_l22 = t[self.cov]
+        return np.exp(log_l11), l21, np.exp(log_l22)
+
+    @np.errstate(over="ignore", invalid="ignore")   # ErrorCovariance refuses inf and nan
+    def unpack(self, t: np.ndarray) -> RpParameters:
+        l11, l21, l22 = self._cholesky(t)
+        cov = ErrorCovariance(sigma11=l11 * l11, sigma22=l21 * l21 + l22 * l22, sigma12=l11 * l21)
+        return RpParameters(coef1=t[self.coef[0]], coef2=t[self.coef[1]],
+                            sigmas=t[self.spreads], cov=cov)
+
+    def natural(self, t: np.ndarray) -> np.ndarray:
+        """[coef1, coef2, |sigma_d| ...]; unpack(t).cov is the error covariance."""
+        return np.concatenate([t[self.coefs], np.abs(t[self.spreads])])
+
+    def jacobian(self, t: np.ndarray) -> np.ndarray:
+        """d (natural, sigma1, sigma2, rho) / d t, invertible for all finite t."""
+        # d |sigma| / d sigma, taken as +1 at 0
+        sign = np.where(t[self.spreads] < 0, -1.0, 1.0)
+        j = np.diag(np.concatenate([np.ones(self.spreads.start), sign, np.zeros(3)]))
+        l11, l21, l22 = self._cholesky(t)
+        s2 = np.hypot(l21, l22)
+        # d sigma1 / d log l11, then d sigma2 and d rho / d (l21, log l22)
+        j[self.cov, self.cov] = [[l11, 0.0, 0.0],
+                                 [0.0, l21 / s2, l22 * l22 / s2],
+                                 [0.0, l22 * l22 / s2 ** 3, -l21 * l22 * l22 / s2 ** 3]]
+        return j
+
 
 @dataclass(frozen=True)
 class CoefficientEstimate:
@@ -112,11 +231,10 @@ class CoefficientEstimate:
 class SureFit:
     """The result of every estimator, built only by layout_fit.
 
-    The parameters follow [coef1 | coef2 | sigma_d ... | sigma1, sigma2, rho]
-    (`ols` leaves rho out, so its rho_se is None); param_cov is in that order,
-    and every SE is the root of its diagonal entry, or None without it.  A
-    closed-form fit has no convergence (msl.Convergence) and one without
-    draws no draw_config.
+    param_names and param_cov follow the fit's ParameterLayout, and every
+    SE is the root of its diagonal entry, or None without it (`ols` has no
+    rho, so its rho_se is None).  A closed-form fit has no convergence
+    (msl.Convergence) and one without draws no draw_config.
     """
 
     n: int
@@ -149,42 +267,24 @@ class SureFit:
         return matches[0]
 
 
-def layout_fit(eq_names: tuple[str, str], names, random, estimates,
-               param_cov: np.ndarray | None, *, n: int, loglik: float,
-               sigma: ErrorCovariance, sigma_names: tuple[str, ...] = SIGMA_NAMES,
+def layout_fit(layout: ParameterLayout, estimates, param_cov: np.ndarray | None, *,
+               n: int, loglik: float, sigma: ErrorCovariance,
                convergence=None, draw_config=None) -> SureFit:
-    """Build a fit in the one parameter layout (see SureFit).
-
-    names and random hold each equation's design column names and its random
-    columns (increasing design indices); estimates is [coef1 | coef2 |
-    sigma_d ...], the spreads in the order of the random columns, equation 1
-    first.  param_cov, when given, covers those parameters and then
-    sigma_names.  A coefficient is named "equation:column" and a spread
-    "sd:column".
-    """
-    columns = [(eq, col) for eq in (0, 1) for col in range(len(names[eq]))]
-    randoms = [(eq, col) for eq in (0, 1) for col in random[eq]]
-    spread = {r: len(columns) + d for d, r in enumerate(randoms)}
-    param_names = [f"{eq_names[eq]}:{names[eq][col]}" for eq, col in columns] \
-        + [f"sd:{names[eq][col]}" for eq, col in randoms] + list(sigma_names)
+    """Build a fit in `layout` (see ParameterLayout): estimates hold its
+    coefficients and spreads, and param_cov, when given, covers all of it."""
     estimates = np.asarray(estimates, dtype=float).tolist()
-    se = [None] * len(param_names) if param_cov is None \
-        else np.sqrt(np.diag(param_cov)).tolist()
-    if len(estimates) != len(columns) + len(randoms) or len(se) != len(param_names):
+    se = [None] * layout.size if param_cov is None else np.sqrt(np.diag(param_cov)).tolist()
+    if len(estimates) != layout.cov.start or len(se) != layout.size:
         raise ValueError("estimates, param_cov and the parameter layout differ in size")
-    coefficients = []
-    for i, (eq, col) in enumerate(columns):
-        d = spread.get((eq, col))
-        coefficients.append(CoefficientEstimate(
-            name=names[eq][col], equation=eq_names[eq],
-            kind=FIXED if d is None else RANDOM,
-            estimate=estimates[i], se=se[i],
-            sigma=None if d is None else estimates[d],
-            sigma_se=None if d is None else se[d]))
-    sigma1_se, sigma2_se, rho_se = se[len(estimates):] + [None] * (3 - len(sigma_names))
-    return SureFit(n=n, loglik=loglik, coefficients=tuple(coefficients), sigma=sigma,
+    coefficients = tuple(CoefficientEstimate(
+        name=name, equation=layout.eq_names[eq], kind=FIXED if d is None else RANDOM,
+        estimate=estimates[i], se=se[i],
+        sigma=None if d is None else estimates[d], sigma_se=None if d is None else se[d])
+        for i, (eq, name, d) in enumerate(layout.columns))
+    sigma1_se, sigma2_se, rho_se = (se[layout.cov] + [None])[:3]
+    return SureFit(n=n, loglik=loglik, coefficients=coefficients, sigma=sigma,
                    sigma1_se=sigma1_se, sigma2_se=sigma2_se, rho_se=rho_se,
-                   param_names=tuple(param_names), param_cov=param_cov,
+                   param_names=layout.param_names, param_cov=param_cov,
                    convergence=convergence, draw_config=draw_config)
 
 
@@ -340,11 +440,11 @@ def _gls(design: DesignMatrices, y1: np.ndarray, y2: np.ndarray, low: np.ndarray
     i22 = 1.0 / low[1, 1]
     z = np.block([[i11[..., None] * x1, np.zeros((design.n, x2.shape[1]))],
                   [i21[..., None] * x1, i22[..., None] * x2]])
-    names = tuple(f"{eq}:{c}" for eq, cols in
-                  zip(design.eq_names, (design.names1, design.names2)) for c in cols)
-    beta, a, _ = _qr_solve(z, np.concatenate([i11 * y1, i21 * y1 + i22 * y2]), names)
-    k1 = x1.shape[1]
-    return beta, a, y1 - _rowdot(x1, beta[:k1]), y2 - _rowdot(x2, beta[k1:])
+    layout = design.layout
+    beta, a, _ = _qr_solve(z, np.concatenate([i11 * y1, i21 * y1 + i22 * y2]),
+                           layout.param_names[layout.coefs])
+    coef1, coef2 = layout.coef
+    return beta, a, y1 - _rowdot(x1, beta[coef1]), y2 - _rowdot(x2, beta[coef2])
 
 
 def fgls_fit(design: DesignMatrices, y1, y2) -> SureFit:
@@ -367,8 +467,8 @@ def fgls_fit(design: DesignMatrices, y1, y2) -> SureFit:
     loglik = float(np.sum(whitened_logpdf(res1, res2, sigma.low)[0]))
     # With unit-variance whitened errors the GLS covariance is (Z'Z)^-1.
     param_cov = block_diag(a @ a.T, _sigma_block_cov(sigma, design.n))
-    return layout_fit(design.eq_names, (design.names1, design.names2), ((), ()), beta,
-                      param_cov, n=design.n, loglik=loglik, sigma=sigma)
+    return layout_fit(ParameterLayout(design, random=False), beta, param_cov, n=design.n,
+                      loglik=loglik, sigma=sigma)
 
 
 def ols_system_fit(design: DesignMatrices, y1, y2) -> SureFit:
@@ -377,7 +477,7 @@ def ols_system_fit(design: DesignMatrices, y1, y2) -> SureFit:
     The log-likelihood treats the equations as independent Gaussian
     regressions (two variance parameters, no cross covariance), which makes
     this fit the summed pair of univariate models for comparison purposes.
-    Its layout is [coef1 | coef2 | sigma1, sigma2]: rho is not estimated.
+    Its layout leaves rho out: it is not estimated.
     """
     (*_, beta1, cov1, s11), (*_, beta2, cov2, s22) = _equation_ols(design, y1, y2)
     n = design.n
@@ -387,6 +487,6 @@ def ols_system_fit(design: DesignMatrices, y1, y2) -> SureFit:
 
     sigma = ErrorCovariance(sigma11=s11, sigma22=s22, sigma12=0.0)
     param_cov = block_diag(cov1, cov2, _sigma_block_cov(sigma, n)[:2, :2])
-    return layout_fit(design.eq_names, (design.names1, design.names2), ((), ()),
-                      np.concatenate([beta1, beta2]), param_cov,
-                      n=n, loglik=float(loglik), sigma=sigma, sigma_names=SIGMA_NAMES[:2])
+    return layout_fit(ParameterLayout(design, random=False, rho=False),
+                      np.concatenate([beta1, beta2]), param_cov, n=n,
+                      loglik=float(loglik), sigma=sigma)

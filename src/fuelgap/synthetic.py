@@ -25,8 +25,8 @@ from .data import GarageTable, encode_columns, write_csv, write_garage_csv
 from .errors import SpecError
 from .modelspec import (FIXED, INTEGER, LIST, NUMBER, OBJECT, RANDOM, STRING, EquationSpec,
                         ModelSpec, Term, checked)
-from .msl import RandomEffect
-from .sure import DesignMatrices, ErrorCovariance, whitened_logpdf, _LOG_2PI, _rowdot
+from .sure import (DesignMatrices, ErrorCovariance, RandomEffect, whitened_logpdf, _LOG_2PI,
+                   _rowdot)
 
 
 # the truth-JSON keys of each covariate kind's parameters, in `params` order

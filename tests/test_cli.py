@@ -19,6 +19,7 @@ from fuelgap.criteria import CriteriaInput, score_criteria
 from fuelgap.data import DEFAULT_YEAR_BINS, compute_gaps, parse_raw
 from fuelgap.halton import HaltonConfig
 from fuelgap.msl import fit_rp_sure
+from fuelgap.sure import DesignMatrices, ParameterLayout, fgls_fit, layout_fit
 from test_source import subcommand_parsers
 from test_sure import SINGULAR_RESIDUALS, proportional_data
 
@@ -868,6 +869,25 @@ class TestFitSchema:
         assert list(fit["convergence"]) == ["status", "iters", "grad_norm"]
         assert [list(rc) for rc in fit["random_coefficients"]] == \
             [["name", "equation", "mu", "mu_se", "sigma", "sigma_se"]] * 2
+
+    def test_fit_without_param_cov_writes_every_t_null(self, tmp_path):
+        # a fit without a parameter covariance (an rp-sure fit whose -H is
+        # not positive definite) has no SEs, so no t statistics either
+        rng = np.random.default_rng(5)
+        x = np.column_stack([np.ones(40), rng.normal(size=40)])
+        design = DesignMatrices(x, x.copy(), ("const", "x"), ("const", "x"))
+        fit = fgls_fit(design, 1.0 + rng.normal(size=40), 2.0 + rng.normal(size=40))
+        bare = layout_fit(ParameterLayout(design, random=False),
+                          [c.estimate for c in fit.coefficients], None,
+                          n=fit.n, loglik=fit.loglik, sigma=fit.sigma)
+        out = tmp_path / "fit.json"
+        fuelgap.cli._write_json(fuelgap.cli.fit_payload(bare, "sure"), out)
+        written = json.loads(out.read_text())
+        assert written["param_cov"] is None
+        assert [list(eq["t"].values()) for eq in written["equations"]] == [[None, None]] * 2
+        assert [list(eq["se"].values()) for eq in written["equations"]] == [[None, None]] * 2
+        assert [list(eq["coef"].values()) for eq in written["equations"]] == \
+            [[c.estimate for c in fit.coefficients[2 * e:2 * e + 2]] for e in (0, 1)]
 
 
     @pytest.mark.parametrize("estimator", ["rp-sure", "sure"])

@@ -22,8 +22,8 @@ from fuelgap.msl import (
     simulated_loglik,
 )
 from fuelgap.criteria import CriteriaInput, score_criteria
-from fuelgap.sure import (CoefficientEstimate, ErrorCovariance, SureFit, fgls_fit,
-                          loglik_fixed, ols_system_fit, residual_covariance)
+from fuelgap.sure import (CoefficientEstimate, ErrorCovariance, ParameterLayout, SureFit,
+                          fgls_fit, loglik_fixed, ols_system_fit, residual_covariance)
 from fuelgap.synthetic import (
     CovariateRecipe,
     EquationTruth,
@@ -314,17 +314,16 @@ def check_score_matches_central_difference(random1, random2):
     # the analytic score against central differences of the value,
     # at five points away from the optimum
     kernel, params = layout_kernel(60, 50, random1, random2)
-    from fuelgap.msl import _Transform
-    transform = _Transform(2, 2, len(kernel.effects))
+    layout = kernel.layout
 
     def loglik(t):
-        return kernel.loglik(transform.unpack(t))[0]
+        return kernel.loglik(layout.unpack(t))[0]
 
     rng = np.random.default_rng(0)
-    base = transform.pack(params)
+    base = layout.pack(params)
     for _ in range(5):
         t = base + 0.2 * rng.uniform(-1, 1, base.size)
-        score = kernel.loglik(transform.unpack(t))[1]
+        score = kernel.loglik(layout.unpack(t))[1]
         numeric = central_difference(loglik, t, 1e-5)
         scale = np.maximum(np.abs(score), np.abs(numeric))
         assert np.max(np.abs(score - numeric) / np.maximum(scale, 1.0)) <= 1e-6
@@ -351,21 +350,20 @@ class TestHessian:
     @pytest.mark.parametrize("random1,random2", ALL_LAYOUTS)
     def test_matches_central_difference_of_score(self, random1, random2):
         kernel, params = layout_kernel(60, 50, random1, random2)
-        from fuelgap.msl import _Transform
-        transform = _Transform(2, 2, len(kernel.effects))
+        layout = kernel.layout
         rng = np.random.default_rng(0)
-        base = transform.pack(params)
+        base = layout.pack(params)
         points = [base + 0.2 * rng.uniform(-1, 1, base.size) for _ in range(3)]
-        if kernel.effects:
+        if layout.effects:
             # a negative signed spread, and a spread of exactly 0
             points[1][4] = -abs(points[1][4])
             points[2][4] = 0.0
         for t in points:
-            hess = kernel.hessian(transform.unpack(t))[2]
+            hess = kernel.hessian(layout.unpack(t))[2]
             assert (hess == hess.T).all()
             # the Hessian oracle: central differences of the analytic score
             numeric = central_difference(
-                lambda u: kernel.loglik(transform.unpack(u))[1], t, 1e-5)
+                lambda u: kernel.loglik(layout.unpack(u))[1], t, 1e-5)
             scale = np.maximum(np.maximum(np.abs(hess), np.abs(numeric)), 1.0)
             assert np.max(np.abs(hess - numeric) / scale) <= 1e-5
 
@@ -437,11 +435,49 @@ class TestHessian:
         assert (fit.convergence.score_passes, fit.convergence.hessian_passes) == (1, 2)
 
 
+class TestParameterLayout:
+    @pytest.mark.parametrize("random1,random2", ALL_LAYOUTS)
+    @pytest.mark.parametrize("estimator", ["ols", "sure", "rp-sure"])
+    def test_names_the_fit_and_round_trips_a_point(self, estimator, random1, random2):
+        # each estimator's fit is laid out by the design's layout, and the
+        # optimizer vector carries every block of a point; the covariance
+        # goes through its Cholesky factor and log, so it returns to rounding
+        (design, y1, y2, draws), params = layout_inputs(60, 50, random1, random2)
+        if estimator == "rp-sure":
+            layout, fit = design.layout, fit_rp_sure(design, y1, y2, draws=draws)
+        else:
+            layout = ParameterLayout(design, random=False, rho=estimator == "sure")
+            fit = (fgls_fit if estimator == "sure" else ols_system_fit)(design, y1, y2)
+            params = dataclasses.replace(params, sigmas=[])
+        assert layout.param_names == fit.param_names
+        assert layout.size == fit.k == len(fit.param_names)
+        if estimator == "ols":      # no rho, so no Cholesky factor to pack
+            return
+        back = layout.unpack(layout.pack(params))
+        for block in ("coef1", "coef2", "sigmas"):
+            assert getattr(back, block).tobytes() == getattr(params, block).tobytes()
+        np.testing.assert_allclose(back.cov.matrix, params.cov.matrix,
+                                   rtol=4 * np.finfo(float).eps, atol=0)
+
+    @pytest.mark.parametrize("block,value", [("coef1", [0.5]), ("sigmas", [0.05, 0.06, 0.07])],
+                             ids=["short-coef1", "extra-spread"])
+    def test_point_of_another_size_is_refused(self, block, value):
+        # a short coef1 would broadcast through the row-wise dot product and
+        # an extra spread would be ignored; each pass refuses both instead
+        (design, y1, y2, draws), params = layout_inputs(50, 20, (1,), (1,))
+        kernel = LoglikKernel(design, y1, y2, draws)
+        point = dataclasses.replace(params, **{block: value})
+        for evaluate in (kernel.loglik, kernel.hessian, design.layout.pack,
+                         lambda p: simulated_loglik(p, design, y1, y2, draws)):
+            with pytest.raises(ValueError, match=r"^parameter point has \(coef1, coef2, "
+                                                 r"sigmas\) of shapes"):
+                evaluate(point)
+        assert np.isfinite(kernel.loglik(params)[0])
+
+
 def newton_start(design, ds):
-    """The transform-space point where fit_rp_sure's Newton stage starts."""
-    from fuelgap.msl import _Transform
-    return _Transform(design.x1.shape[1], design.x2.shape[1],
-                      len(effects_from_design(design))).pack(exact_start(design, ds)[0])
+    """The optimizer-vector point where fit_rp_sure's Newton stage starts."""
+    return design.layout.pack(exact_start(design, ds)[0])
 
 
 def value_then_score_newton(kernel, t0, max_iterations=500):
@@ -449,16 +485,15 @@ def value_then_score_newton(kernel, t0, max_iterations=500):
     pass: trial values from the value alone, the score and the Hessian only
     at each accepted point.  "calls" counts the points at which it asks for
     the value, the score and the Hessian."""
-    from fuelgap.msl import _Transform
-    transform = _Transform(kernel.x[0].shape[1], kernel.x[1].shape[1], len(kernel.effects))
+    layout = kernel.layout
     calls = collections.Counter()
-    size = transform.size
+    size = layout.size
 
     def guarded(kind, evaluate, fallback):
         def at(t):
             calls[kind] += 1
             try:
-                return evaluate(transform.unpack(t))
+                return evaluate(layout.unpack(t))
             except (EstimationError, DegenerateDataError):
                 return fallback
         return at
@@ -494,7 +529,7 @@ def value_then_score_newton(kernel, t0, max_iterations=500):
         f, g = f_new, score(t)
         iterates.append(t)
         path.append(f)
-    grad_norm = float(np.max(np.abs(np.linalg.solve(transform.jacobian(t).T, g))))
+    grad_norm = float(np.max(np.abs(np.linalg.solve(layout.jacobian(t).T, g))))
     return {"iterates": iterates, "loglik_path": tuple(path), "grad_norm": grad_norm,
             "status": status, "iterations": len(path) - 1, "calls": calls}
 
@@ -704,13 +739,13 @@ class TestFitRpSure:
     def test_covariance_beyond_double_range_is_refused_quietly(self, coordinate, value):
         # a line-search trial can put a Cholesky coordinate beyond double
         # range: the covariance refuses it, which the line search rejects
-        from fuelgap.msl import _Transform
-        t = np.zeros(9)
+        layout = design_of(simulate_dataset(rp_truth(n=5))).layout
+        t = np.zeros(layout.size)
         t[coordinate] = value
         with warnings.catch_warnings(), \
                 pytest.raises(DegenerateDataError, match="is not positive definite"):
             warnings.simplefilter("error")
-            _Transform(2, 2, 2).unpack(t)
+            layout.unpack(t)
 
     def test_monotone_loglik_path_and_determinism(self):
         truth = rp_truth(n=150, seed=8)
@@ -747,17 +782,17 @@ class TestFitRpSure:
     def test_ses_match_value_only_hessian(self, recovery_small):
         # SEs from the analytic Hessian against SEs from second differences
         # of the value alone, at the same optimum
-        from fuelgap.msl import _natural_covariance, _Transform
+        from fuelgap.msl import _natural_covariance
         fit, design, ds, draws = recovery_small
         kernel = LoglikKernel(design, ds.y1, ds.y2, draws)
-        transform = _Transform(2, 2, 2)
+        layout = kernel.layout
         coefs = [c.estimate for c in fit.coefficients]
-        t_hat = transform.pack(RpParameters(
+        t_hat = layout.pack(RpParameters(
             coef1=coefs[:2], coef2=coefs[2:],
             sigmas=[c.sigma for c in fit.random_coefficients], cov=fit.sigma))
-        hess = value_only_hessian(lambda t: -kernel.loglik(transform.unpack(t))[0],
+        hess = value_only_hessian(lambda t: -kernel.loglik(layout.unpack(t))[0],
                                   t_hat, 1e-4)
-        reference = np.sqrt(np.diag(_natural_covariance(hess, transform.jacobian(t_hat))))
+        reference = np.sqrt(np.diag(_natural_covariance(hess, layout.jacobian(t_hat))))
         got = np.sqrt(np.diag(fit.param_cov))
         np.testing.assert_allclose(got, reference, rtol=1e-3)
 

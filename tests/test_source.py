@@ -4,6 +4,7 @@ import argparse
 import ast
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -77,6 +78,72 @@ def test_one_home_for_the_fit_result():
     # every estimator's result is built by the one layout builder, so a new
     # estimator or result field cannot grow a second parameter layout
     assert callers(None, {"SureFit", "CoefficientEstimate"}) == {("sure", "layout_fit")}
+
+
+def parameter_offsets(tree: ast.Module, stem: str) -> set[tuple[str, str, str]]:
+    """(file stem, function, source) of each parameter offset computed outside
+    sure.ParameterLayout: a `<x>.shape[1] + ...` sum, a `-3` subscript, or
+    a name k1 or k2."""
+    found = set()
+
+    def is_width(node) -> bool:
+        return (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "shape" and getattr(node.slice, "value", None) == 1)
+
+    def visit(node, function):
+        if isinstance(node, ast.ClassDef) and node.name == "ParameterLayout":
+            return
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+                and (is_width(node.left) or is_width(node.right))
+                or isinstance(node, ast.Subscript) and any(
+                    isinstance(n, ast.UnaryOp) and isinstance(n.op, ast.USub)
+                    and getattr(n.operand, "value", None) == 3 for n in ast.walk(node.slice))
+                or isinstance(node, ast.Name) and node.id in ("k1", "k2")):
+            found.add((stem, function, ast.unparse(node)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_one_parameter_layout():
+    # the layout [coef1 | coef2 | sigma_d ... | error covariance] has one
+    # home: ParameterLayout builds it from the design, with the one order of
+    # the random terms, and no other function computes an offset in it, so
+    # a new block of parameters is added in one place
+    assert not hasattr(msl, "_Transform")
+    assert callers(None, {"ParameterLayout"}) == \
+        {("sure", "layout"), ("sure", "fgls_fit"), ("sure", "ols_system_fit")}
+    assert callers(None, {"effects_from_design"}) == {("sure", "__init__")}
+    assert msl.effects_from_design is sure.effects_from_design
+    assert set().union(*(parameter_offsets(ast.parse(path.read_text(encoding="utf-8")),
+                                           path.stem) for path in MODULES)) == set()
+
+
+def test_parameter_offsets_are_found():
+    # the check above, on code that computes offsets as the kernel once did
+    tree = ast.parse("def size(x, d):\n    return x[0].shape[1] + x[1].shape[1] + d + 3\n"
+                     "def last(out):\n    out[:, -3] = 0.0\n"
+                     "def split(beta, k1):\n    return beta[:k1]\n"
+                     "class ParameterLayout:\n    def f(self, x, k1):\n"
+                     "        return x.shape[1] + k1\n")
+    assert {(function, source) for _, function, source in parameter_offsets(tree, "m")} == \
+        {("size", "x[0].shape[1] + x[1].shape[1]"), ("last", "out[:, -3]"), ("split", "k1")}
+
+
+def test_one_table_of_fit_setting_bounds():
+    # the bound of each rp-sure setting is stated once; the library checks
+    # it where the setting is taken, and the fit command reads the same
+    # table to exit 2 before it reads the data
+    assert callers(None, {"check_lower_bound"}) == \
+        {("halton", "__post_init__"), ("msl", "__init__"), ("msl", "fit_rp_sure")}
+    assert "LOWER_BOUNDS" in inspect.getsource(cli._rp_sure_options)
+    for module in (cli, msl, halton):
+        assert re.findall(r"\b(?:draws_per_obs|burn|threads|max_iterations) <",
+                          inspect.getsource(module)) == []
 
 
 def test_one_rank_check_per_design():

@@ -9,6 +9,7 @@ from fuelgap.errors import DegenerateDataError, EstimationError
 from fuelgap.sure import (
     DesignMatrices,
     ErrorCovariance,
+    ParameterLayout,
     _qr_solve,
     fgls_fit,
     full_rank_qr,
@@ -401,8 +402,8 @@ class TestFgls:
     def test_layout_refuses_estimates_of_another_size(self):
         with pytest.raises(ValueError, match="^estimates, param_cov and the parameter "
                                              "layout differ in size$"):
-            layout_fit(("a", "b"), (("c",), ("c",)), ((), ()), [1.0], None, n=3,
-                       loglik=0.0, sigma=ErrorCovariance(1.0, 1.0, 0.0))
+            layout_fit(ParameterLayout(design_of(np.ones((3, 1)), np.ones((3, 1)))), [1.0],
+                       None, n=3, loglik=0.0, sigma=ErrorCovariance(1.0, 1.0, 0.0))
 
 
 def reparametrized_fits(estimator, seed, eq, column):

@@ -9,7 +9,7 @@ import pytest
 from fuelgap.data import compute_gaps, encode_design, parse_raw, responses
 from fuelgap.errors import SpecError
 from fuelgap.modelspec import read_json
-from fuelgap.msl import RandomEffect
+from fuelgap.sure import RandomEffect
 from fuelgap.sure import ErrorCovariance, loglik_fixed
 from fuelgap.synthetic import (
     CovariateRecipe,
