@@ -44,6 +44,7 @@ from .criteria import CRITERIA, CriteriaInput, effect_summary, rank_models
 from .data import (
     DEFAULT_YEAR_BINS,
     GARAGE_COLUMNS,
+    GROUP_SUMMARY_COLUMNS,
     compute_gaps,
     encode_design,
     gap_correlation,
@@ -206,6 +207,14 @@ def cmd_prepare(args, parser) -> int:
     if len(columns) != 2 or not all(columns):
         parser.error("--mpg-columns expects 'user_base,epa_base'")
     keys = [k.strip() for k in (args.group_by or "").split(",") if k.strip()]
+    # the groups CSV has one column per key, then the summary columns
+    repeated = sorted({k for k in keys if keys.count(k) > 1})
+    if repeated:
+        raise SpecError(f"--group-by repeats keys {repeated}")
+    taken = [k for k in keys if k in GROUP_SUMMARY_COLUMNS]
+    if taken:
+        raise SpecError(f"--group-by keys {taken} would repeat the summary columns "
+                        f"{list(GROUP_SUMMARY_COLUMNS)} of the groups CSV")
     if args.groups_out and not args.group_by:
         parser.error("--groups-out needs --group-by")
     if args.year_bins and not {"model_year_bin_1", "model_year_bin_2"} & set(keys):
@@ -403,11 +412,11 @@ def cmd_compare(args, parser) -> int:
     def cell(value) -> str:
         return "" if value is None else f"{value:.4f}"
 
+    rows = [[m.label, m.n, m.k, cell(m.loglik), *(cell(m.scores.value(c)) for c in CRITERIA),
+             ";".join(c for c in CRITERIA if ranking.winners.get(c) == m.label)]
+            for m in ranking.models]
     out = Path(args.out)
-    write_csv(out, ["label", "n", "k", "loglik", *CRITERIA, "best_on"], (
-        [m.label, m.n, m.k, cell(m.loglik), *(cell(m.scores.value(c)) for c in CRITERIA),
-         ";".join(c for c in CRITERIA if ranking.winners.get(c) == m.label)]
-        for m in ranking.models))
+    write_csv(out, ["label", "n", "k", "loglik", *CRITERIA, "best_on"], list(zip(*rows)))
     _write_manifest("compare", vars(args), [Path(p) for p in args.fits],
                     [out], started)
     print(ranking.render_text())
@@ -431,14 +440,13 @@ def cmd_effects(args, parser) -> int:
                                             checked(rc["sigma"], NUMBER, f"{where}: 'sigma'")))
     except (KeyError, ValueError) as exc:
         raise SpecError(f"{where}: {exc}") from exc
+    rows = [[rc["name"], rc.get("equation", ""), summary.mu, summary.sigma,
+             f"{summary.range_lower:.4f}", f"{summary.range_upper:.4f}",
+             f"{100 * summary.share_above_zero:.2f}", f"{100 * summary.share_below_zero:.2f}"]
+            for rc, summary in zip(randoms, summaries)]
     out = Path(args.out)
     write_csv(out, ["name", "equation", "mu", "sigma", "lower", "upper",
-                    "pct_above", "pct_below"],
-              ([rc["name"], rc.get("equation", ""), summary.mu, summary.sigma,
-                f"{summary.range_lower:.4f}", f"{summary.range_upper:.4f}",
-                f"{100 * summary.share_above_zero:.2f}",
-                f"{100 * summary.share_below_zero:.2f}"]
-               for rc, summary in zip(randoms, summaries)))
+                    "pct_above", "pct_below"], list(zip(*rows)))
     _write_manifest("effects", vars(args), [Path(args.fit)], [out], started)
     print(f"wrote {len(randoms)} effect rows to {out}")
     return EXIT_OK

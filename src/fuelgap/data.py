@@ -22,9 +22,15 @@ The garage CSV is read and written `_PARSE_ROWS` rows at a time, so neither
 direction holds more than one batch of text.  A batch with no quote, NUL or
 bare CR is split with `str.split` at every comma, as `csv.reader` would
 split it; from the first batch that is not so plain, `csv.reader` splits
-the rest of the file.  Likewise a batch whose cells need no quoting is
-written as one joined string, byte for byte what `csv.writer` writes, and
-any other batch goes through `csv.writer`.
+the rest of the file.  Every CSV the package writes goes through
+`write_csv`, which takes the table as equal-length columns.  In each batch,
+every column becomes text in one pass: the repr of each value of a numeric
+numpy column, which never needs quoting, or a column of str cells as it
+is, once its joined text holds no comma, quote, CR, LF or NUL.  The rows
+are then joined in one piece, byte for byte what `csv.writer` writes.  A
+batch with a cell of any other kind (None, a number in an object column),
+a cell that needs quoting, or an empty cell in a one-column table goes
+through `csv.writer` instead.
 """
 
 from __future__ import annotations
@@ -58,8 +64,6 @@ DEFAULT_YEAR_BINS = ((1984, 1988), (1989, 1993), (1994, 1998),
 # rows per batch, read or written: bounds the CSV text held at once, and a
 # batch is split (or joined) by str methods or by the csv module as a whole
 _PARSE_ROWS = 4096
-# cell types whose str() csv.writer writes as it is when it needs no quotes
-_PLAIN_CELLS = {str, int, float, bool}
 # a model year must be integral and fit the int64 column that holds it
 _YEAR_LIMIT = 2.0 ** 63
 
@@ -431,6 +435,10 @@ def model_year_bin(year: int, bins=DEFAULT_YEAR_BINS) -> str:
     return "outside"
 
 
+# the columns of the groups CSV after the grouping keys
+GROUP_SUMMARY_COLUMNS = ("n", "mean_gap_1", "mean_gap_2")
+
+
 @dataclass(frozen=True)
 class GroupSummaryRow:
     key: tuple[str, ...]
@@ -439,12 +447,19 @@ class GroupSummaryRow:
     mean_gap_2: float
 
 
-def _group_labels(table: GarageTable, key: str, bins) -> list[str]:
+def _group_codes(table: GarageTable, key: str, bins) -> tuple[np.ndarray, list[str]]:
+    """Each row's code under one grouping key, and the sorted labels it indexes."""
     if key in ("model_year_bin_1", "model_year_bin_2"):
-        years = table.model_year[:, int(key[-1]) - 1].tolist()
-        label = {year: model_year_bin(year, bins) for year in set(years)}
-        return [label[year] for year in years]
-    return [str(v) for v in _resolve(table, key).tolist()]
+        years, rows = np.unique(table.model_year[:, int(key[-1]) - 1], return_inverse=True)
+        names = [model_year_bin(year, bins) for year in years.tolist()]
+    else:
+        labels = list(map(str, _resolve(table, key).tolist()))
+        index = {label: i for i, label in enumerate(dict.fromkeys(labels))}
+        names = list(index)
+        rows = np.fromiter(map(index.__getitem__, labels), np.intp, len(labels))
+    ordered = sorted(set(names))
+    rank = dict(zip(ordered, range(len(ordered))))
+    return np.array([rank[name] for name in names], dtype=np.int64)[rows], ordered
 
 
 def group_summary(table: GapTable, keys: list[str],
@@ -452,78 +467,99 @@ def group_summary(table: GapTable, keys: list[str],
     """Mean gaps per observed key combination, in deterministic sorted order.
 
     Keys may be covariate columns, table fields, or the derived
-    model_year_bin_1 / model_year_bin_2 labels.  Each mean runs over its
-    group's rows in file order.
+    model_year_bin_1 / model_year_bin_2 labels.  Rows are grouped by one
+    stable sort of integer codes of their labels, and each mean runs over
+    its group's rows in file order.
     """
     if not keys:
         raise SpecError("at least one grouping key is required")
-    groups: dict[tuple[str, ...], list[int]] = {}
-    for row, key in enumerate(zip(*(_group_labels(table, k, bins) for k in keys))):
-        groups.setdefault(key, []).append(row)
-    rows = []
-    for key in sorted(groups):
-        members = groups[key]
-        rows.append(GroupSummaryRow(
-            key=key,
-            n=len(members),
-            mean_gap_1=float(np.mean(table.gap[members, 0])),
-            mean_gap_2=float(np.mean(table.gap[members, 1])),
-        ))
-    return rows
+    coded = [_group_codes(table, key, bins) for key in keys]
+    # one code per row whose order is the order of the label tuples
+    code, size = np.zeros(len(table), dtype=np.int64), 1
+    for rows, names in coded:
+        if size * len(names) >= 2 ** 63:    # renumber: fewer codes than rows
+            code = np.unique(code, return_inverse=True)[1]
+            size = len(table)
+        code = code * len(names) + rows
+        size *= len(names)
+    order = np.argsort(code, kind="stable")
+    code = code[order]
+    starts = np.flatnonzero(np.diff(code, prepend=-1))
+    ends = [*starts[1:].tolist(), len(table)]
+    gap_1, gap_2 = table.gap[order, 0], table.gap[order, 1]
+    return [GroupSummaryRow(key=tuple(names[rows[at]] for rows, names in coded),
+                            n=end - start,
+                            mean_gap_1=float(np.mean(gap_1[start:end])),
+                            mean_gap_2=float(np.mean(gap_2[start:end])))
+            for start, end, at in zip(starts.tolist(), ends, order[starts].tolist())]
 
 
 def write_group_summary_csv(rows: list[GroupSummaryRow], keys: list[str], path) -> None:
-    write_csv(path, [*keys, "n", "mean_gap_1", "mean_gap_2"],
-              ([*row.key, row.n, row.mean_gap_1, row.mean_gap_2] for row in rows))
+    write_csv(path, [*keys, *GROUP_SUMMARY_COLUMNS], list(zip(
+        *([*row.key, row.n, row.mean_gap_1, row.mean_gap_2] for row in rows))))
 
 
-def _plain_text(batch: list) -> str | None:
-    """The rows of `batch` as `csv.writer` writes them, if no cell needs
-    quoting; None if one might.
+def _column_text(batch, alone: bool) -> list[str] | None:
+    """The text `csv.writer` writes for the cells of `batch`, one batch of a
+    column, if no cell needs quoting; None if one might, or if a cell is of
+    another kind.
 
-    Every row must be a list or tuple of str, int, float or bool cells,
-    whose text `csv.writer` writes as str() gives it (a float by its
-    shortest repr); none may hold a comma, quote, CR, LF or NUL, and no row
-    may be empty or one empty cell, which `csv.writer` writes as `""`.
+    A numeric numpy column's cells are ints, floats or bools, which
+    `csv.writer` writes by their repr (a float's shortest repr) and never
+    quotes.  Other cells must all be str and hold no comma, quote, CR, LF
+    or NUL, and the one column of a table must have no empty cell, which
+    `csv.writer` writes as `""`.
     """
-    if not (set(map(type, batch)) <= {list, tuple}
-            and set(map(type, chain.from_iterable(batch))) <= _PLAIN_CELLS):
+    if isinstance(batch, np.ndarray) and batch.dtype.kind in "biuf":
+        return list(map(repr, batch.tolist()))
+    cells = _cells(batch)
+    try:
+        text = ",".join(cells)
+    except TypeError:               # a cell that is not a str
         return None
-    lines = [",".join(map(str, row)) for row in batch]
-    text = "\r\n".join(lines)
-    breaks = len(lines) - 1
-    if text.count(",") != sum(map(len, batch)) - len(batch) \
-            or text.count("\r") != breaks or text.count("\n") != breaks \
-            or '"' in text or "\0" in text or not all(lines):
+    if text.count(",") != len(cells) - 1 or '"' in text or "\r" in text \
+            or "\n" in text or "\0" in text or alone and "" in cells:
         return None
-    return text + "\r\n"
+    return cells
 
 
-def write_csv(path, header, rows) -> None:
-    """Write a header row and then `rows` as UTF-8 CSV, the bytes of `csv.writer`.
+def _cells(batch) -> list:
+    return batch.tolist() if isinstance(batch, np.ndarray) else list(batch)
 
-    A float is written by repr, so it reads back to the same bits.  Rows are
-    taken `_PARSE_ROWS` at a time, and a batch that needs no quotes is
-    joined in one piece (`_plain_text`).
+
+def write_csv(path, header, columns) -> None:
+    """Write a header row and then the rows of `columns`, equal-length
+    sequences such as numpy arrays or lists, as UTF-8 CSV: the bytes that
+    `csv.writer` writes for those rows.
+
+    A float is written by repr, so it reads back to the same bits.  Rows
+    are written `_PARSE_ROWS` at a time, each column's batch made text in
+    one pass (`_column_text`) and the rows joined in one piece; a batch
+    with a cell that needs quoting, or of another kind than a number of a
+    numeric numpy column or a str, is written by `csv.writer`.
     """
+    lengths = set(map(len, columns))
+    if len(lengths) > 1:
+        raise ValueError(f"columns of unequal lengths {sorted(lengths)}")
+    n = lengths.pop() if lengths else 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        rows = iter(rows)
-        while batch := list(islice(rows, _PARSE_ROWS)):
-            plain = _plain_text(batch)
-            if plain is None:
-                writer.writerows(batch)
+        for start in range(0, n, _PARSE_ROWS):
+            batch = [column[start:start + _PARSE_ROWS] for column in columns]
+            text = [_column_text(cells, len(columns) == 1) for cells in batch]
+            if None in text:
+                writer.writerows(zip(*map(_cells, batch)))
             else:
-                fh.write(plain)
+                fh.write("\r\n".join(map(",".join, zip(*text))))
+                fh.write("\r\n")
 
 
 def write_garage_csv(table: GarageTable, path) -> None:
     """Write every column of `table` in the garage CSV layout `parse_raw` reads.
 
     The garage columns, the covariates in table order, then for a GapTable
-    the two gaps.  The columns become Python values one batch of rows at a
-    time, so memory stays bounded by the batch, not the table.
+    the two gaps.
     """
     columns = [table.garage_id, table.my_mpg[:, 0], table.epa_mpg[:, 0],
                table.my_mpg[:, 1], table.epa_mpg[:, 1], table.model_year[:, 0],
@@ -532,6 +568,4 @@ def write_garage_csv(table: GarageTable, path) -> None:
     if isinstance(table, GapTable):
         columns += [table.gap[:, 0], table.gap[:, 1]]
         header += GAP_COLUMNS
-    write_csv(path, header, chain.from_iterable(
-        zip(*(column[start:start + _PARSE_ROWS].tolist() for column in columns))
-        for start in range(0, len(table), _PARSE_ROWS)))
+    write_csv(path, header, columns)

@@ -235,13 +235,15 @@ class LoglikKernel:
         da = -sinv @ (dsig + dsig.transpose(0, 2, 1))
         # row means of a, and of p_d a, that the loadings multiply
         mean_a = [(-s_bar[0], -s_bar[1])] * 2 + [(mean(x, a1), mean(x, a2)) for x in wp]
+        # the (coefficient, spread) loadings, shared by both equations' rows
+        mean_p = [mean(x, sw) for x in wp]
         h = {}
         for j in range(2 + n_d):
             for k in range(j, 2 + n_d):
                 if j >= 2:
                     load = mean(wp[j - 2], wp[k - 2])
                 else:
-                    load = 1.0 if k < 2 else mean(wp[k - 2], sw)
+                    load = 1.0 if k < 2 else mean_p[k - 2]
                 h[j, k] = -sinv[eq[j], eq[k]] * load
             for c in range(3):
                 h[j, 2 + n_d + c] = -(da[c, eq[j], 0] * mean_a[j][0]

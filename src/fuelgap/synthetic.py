@@ -248,7 +248,7 @@ class SyntheticDataset:
         """Debug sidecar: the realized per-observation coefficient draws."""
         names = sorted(self.coefficient_draws)
         write_csv(path, ["row", *names],
-                  zip(range(self.n), *(self.coefficient_draws[n].tolist() for n in names)))
+                  [np.arange(self.n), *(self.coefficient_draws[n] for n in names)])
 
 
 def simulate_dataset(truth: TruthSpec) -> SyntheticDataset:

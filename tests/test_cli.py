@@ -355,6 +355,33 @@ class TestPrepare:
         assert "'no_such' not found" in capsys.readouterr().err
         assert list(tmp_path.glob("prepared*")) == []
 
+    @pytest.mark.parametrize("keys,message", [
+        ("us_division,us_division", "--group-by repeats keys ['us_division']"),
+        ("model_year_bin_1,n,model_year_bin_1,n",
+         "--group-by repeats keys ['model_year_bin_1', 'n']"),
+        ("n", "--group-by keys ['n'] would repeat"),
+        ("us_division,mean_gap_1", "--group-by keys ['mean_gap_1'] would repeat"),
+        ("mean_gap_2,n", "--group-by keys ['mean_gap_2', 'n'] would repeat"),
+    ], ids=["repeated", "two-repeated", "n", "mean_gap_1", "mean_gap_2-and-n"])
+    def test_group_key_that_repeats_a_groups_column_writes_nothing(self, tmp_path, keys,
+                                                                   message, capsys):
+        # covariates named like the summary columns: grouping by one of them
+        # would give the groups CSV a header that parse_raw refuses
+        raw = tmp_path / "raw.csv"
+        raw.write_text("garage_id,my_mpg_1,epa_mpg_1,my_mpg_2,epa_mpg_2,model_year_1,"
+                       "model_year_2,us_division,n,mean_gap_1,mean_gap_2\n"
+                       + "".join(f"g{i},2{i},25,2{i},25,1999,2004,Pacific,a,b,c\n"
+                                 for i in range(4)))
+        out, groups = tmp_path / "prepared.csv", tmp_path / "groups.csv"
+        assert run_cli("prepare", "--input", str(raw), "--out", str(out),
+                       "--group-by", keys, "--groups-out", str(groups)) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        if "would repeat" in message:
+            assert "the summary columns ['n', 'mean_gap_1', 'mean_gap_2'] of the groups " \
+                   "CSV" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["raw.csv"]
+
     def test_group_summary_output(self, tmp_path, data_file):
         out = tmp_path / "prepared.csv"
         assert run_cli("prepare", "--input", data_file, "--out", str(out),

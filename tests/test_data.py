@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fuelgap.data import (
+    GarageTable,
     compute_gaps,
     encode_design,
     gap_correlation,
@@ -511,6 +512,64 @@ class TestGroupSummary:
             assert r.n == len(members)
             assert r.mean_gap_1 == float(np.mean([g[0] for g in members]))
             assert r.mean_gap_2 == float(np.mean([g[1] for g in members]))
+
+    @pytest.mark.parametrize("keys", [
+        ["us_division"], ["model_year_bin_1"], ["us_division", "model_year_bin_1"],
+        ["model_year_bin_2", "fuel", "us_division"], ["model_year_1"], ["garage_id"],
+        # label counts whose product is beyond int64: the combined code is renumbered
+        ["garage_id", "my_mpg_1", "epa_mpg_1", "my_mpg_2", "epa_mpg_2"],
+    ], ids="+".join)
+    def test_same_summary_as_the_dict_of_lists_loop(self, keys):
+        rng = np.random.default_rng(37)
+        # a group of 8500 rows (Pacific, 1999-2003), one of 200 (Not
+        # reported, 1984-1988), blank labels, and two garages outside every
+        # year bin, each its own group; all in shuffled file order
+        division = ["Pacific"] * 8500 + [""] * 300 + ["Not reported"] * 200 + [" "] * 150 \
+            + ["Mountain", "New England"]
+        n = len(division)
+        year1 = np.concatenate([np.full(8500, 2000), rng.integers(1984, 2015, 300),
+                                np.full(200, 1986), rng.integers(1984, 2015, 150), [1970, 2020]])
+        shuffle = rng.permutation(n)
+        epa = rng.uniform(15, 45, (n, 2))
+        table = compute_gaps(GarageTable(
+            garage_id=np.array([f"g{i}" for i in range(n)], dtype=object),
+            my_mpg=epa * rng.uniform(0.6, 1.2, (n, 2)), epa_mpg=epa,
+            model_year=np.column_stack([year1, year1 + rng.integers(0, 3, n)])[shuffle],
+            us_division=np.array(division, dtype=object)[shuffle],
+            covariates={"fuel": rng.choice(np.array(["gas", "", "diesel"], dtype=object), n)}))
+
+        def labels(key):
+            if key.startswith("model_year_bin_"):
+                return [model_year_bin(y) for y in table.model_year[:, int(key[-1]) - 1].tolist()]
+            column = {"us_division": table.us_division, "garage_id": table.garage_id,
+                      "fuel": table.covariates["fuel"],
+                      "model_year_1": table.model_year[:, 0]}.get(key)
+            if column is None:              # my_mpg_1 and the like
+                column = getattr(table, key[:-2])[:, int(key[-1]) - 1]
+            return [str(v) for v in column.tolist()]
+
+        # the oracle: each row's label tuple, its group's members in file order
+        groups = {}
+        for row, key in enumerate(zip(*map(labels, keys))):
+            groups.setdefault(key, []).append(row)
+        want = [(key, len(groups[key])) for key in sorted(groups)]
+        want_means = np.array([[np.mean(table.gap[groups[key], v]) for v in (0, 1)]
+                               for key, _ in want])
+        rows = group_summary(table, keys)
+        assert [(r.key, r.n) for r in rows] == want
+        means = np.array([[r.mean_gap_1, r.mean_gap_2] for r in rows])
+        assert means.tobytes() == want_means.tobytes()
+        if keys == ["us_division", "model_year_bin_1"]:
+            sizes = {r.key: r.n for r in rows}
+            assert sizes[("Pacific", "1999-2003")] == 8500
+            assert sizes[("Not reported", "1984-1988")] == 200
+            assert sizes[("Mountain", "outside")] == sizes[("New England", "outside")] == 1
+            assert ("", "outside") not in sizes and any(k[0] == " " for k in sizes)
+
+    def test_empty_table_has_no_groups(self):
+        table = make_table(garage(0.8, 0.9, garage_id="g0"))
+        assert group_summary(table.take(np.zeros(1, dtype=bool)),
+                             ["us_division", "model_year_bin_1"]) == []
 
     def test_year_bins(self):
         assert model_year_bin(1984) == "1984-1988"

@@ -2,14 +2,18 @@
 
 `parse_raw` splits a batch with no quote, NUL or bare CR at every comma and
 hands the first other batch, and the rest of the file, to `csv.reader`;
-`write_csv` joins a batch whose cells need no quotes and writes any other
-batch with `csv.writer`.  Here `csv.reader` and `csv.writer` are the
-oracles, and `_PARSE_ROWS` is 2, so a small file spans many batches.
+`write_csv` makes each column's batch text in one pass and joins the rows,
+and writes a batch with a cell that needs quotes, or of another kind, with
+`csv.writer`.  Here `csv.reader` and `csv.writer` are the oracles, and
+`_PARSE_ROWS` is 2, so a small file spans many batches.
 """
 
 import csv
 import io
 import random
+import tempfile
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -340,43 +344,234 @@ def test_first_fault_in_file_order_matches_a_row_by_row_check(lines, batch_rows)
 CELLS = [None, "", "plain", "a,b", 'say "hi"', "a\rb", "a\nb", "a\r\nb", "a\0b", " pad ",
          float("nan"), float("inf"), -float("inf"), -0.0, 1e-300, 0.1, 1 / 3,
          np.float64(0.1), np.int64(7), 0, -12, 2 ** 70, True, False, "None"]
+# the str CELLS written as they are, outside a one-column table
+PLAIN = ("", "plain", " pad ", "None")
 
 
-def writer_bytes(header, rows) -> bytes:
+def cells(column) -> list:
+    return column.tolist() if isinstance(column, np.ndarray) else list(column)
+
+
+def writer_bytes(header, columns) -> bytes | str:
+    """What csv.writer writes for the header and then the rows of `columns`,
+    or the text of the csv.Error it raises (for NUL before Python 3.11)."""
     out = io.StringIO(newline="")
     writer = csv.writer(out)
     writer.writerow(header)
-    writer.writerows(rows)
+    try:
+        writer.writerows(zip(*map(cells, columns)))
+    except csv.Error as exc:
+        return f"csv.Error: {exc}"
     return out.getvalue().encode()
+
+
+def outcome(path, write) -> bytes | str:
+    """The bytes that `write()` writes to `path`, or the text of its csv.Error."""
+    try:
+        write()
+    except csv.Error as exc:
+        return f"csv.Error: {exc}"
+    return path.read_bytes()
+
+
+def written(path, write, monkeypatch) -> tuple[bytes | str, list[list]]:
+    """The outcome of `write()`, and the batches of rows it hands to csv.writer."""
+    batches = []
+
+    def recording_writer(fh):
+        writer = csv.writer(fh)
+
+        class Recorder:
+            writerow = writer.writerow
+
+            def writerows(self, rows):
+                batches.append(rows := list(rows))
+                writer.writerows(rows)
+
+        return Recorder()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(data, "csv", types.SimpleNamespace(writer=recording_writer))
+        return outcome(path, write), batches
+
+
+def objects(values) -> np.ndarray:
+    """An object array of `values` as they are (np.array would convert some)."""
+    values = list(values)
+    column = np.empty(len(values), dtype=object)
+    column[:] = values
+    return column
 
 
 class TestWriteMatchesWriter:
     @pytest.mark.parametrize("cell", CELLS, ids=repr)
-    def test_one_cell_in_every_position(self, cell, tmp_path):
-        rows = [("a", 1.5, 2), ["b", 2.5, 3], (cell, 1.0, 4), ("c", cell, 5),
-                ("d", 3.0, cell), ("e", 4.0, 6), [cell], ("f", 5.0, 7)]
+    def test_one_cell_in_every_position(self, cell, tmp_path, monkeypatch):
+        # in batches of two rows, only the batch of row 5 holds the cell, so
+        # only it may go to csv.writer, and only if the cell is not plain
         path = tmp_path / "out.csv"
-        write_csv(path, ["id", "x", "n"], rows)
-        assert path.read_bytes() == writer_bytes(["id", "x", "n"], rows)
+        column = [f"c{i}" for i in range(8)]
+        column[5] = cell
+        plain = type(cell) is str and cell in PLAIN
+        for form in (objects, list):
+            for at in range(3):
+                columns = [objects(f"g{i}" for i in range(8)), np.arange(8) / 4,
+                           np.arange(8) - 3]
+                columns[at] = form(column)
+                got, fallen = written(path, lambda: write_csv(path, ["id", "x", "n"], columns),
+                                      monkeypatch)
+                assert got == writer_bytes(["id", "x", "n"], columns)
+                assert fallen == ([] if plain else [list(zip(*map(cells, columns)))[4:6]])
+            # a one-column table writes an empty cell as ""
+            got, fallen = written(path, lambda: write_csv(path, ["c"], [form(column)]),
+                                  monkeypatch)
+            assert got == writer_bytes(["c"], [column])
+            assert fallen == ([] if plain and cell else [[("c4",), (cell,)]])
 
-    @pytest.mark.parametrize("rows", [
-        lambda: [[""], ["x"]], lambda: [[None], ["x"]], lambda: [[], ["x"]],
-        lambda: [["x"], ["y"]], lambda: [("a", "b"), ("", "")], lambda: [(1.0,), (2.0,)],
-        lambda: [iter(["a", "b"]), ("c", "d")], lambda: ["ab", "cd"],
-    ], ids=["empty-cell-row", "none-row", "empty-row", "one-column", "empty-cells",
-            "one-float-column", "iterator-row", "string-rows"])
-    def test_short_and_odd_rows(self, rows, tmp_path):
+    @pytest.mark.parametrize("columns", [
+        lambda: [["", "x"]], lambda: [[None, "x"]], lambda: [["x", "y"]],
+        lambda: [("a", ""), ("b", "")], lambda: [np.array([1.0, 2.0])],
+    ], ids=["empty-cell-row", "none-row", "one-column", "empty-cells", "one-float-column"])
+    def test_short_and_odd_rows(self, columns, tmp_path):
         path = tmp_path / "out.csv"
-        write_csv(path, ["h"], rows())
-        assert path.read_bytes() == writer_bytes(["h"], rows())
+        header = ["h"] * len(columns())
+        write_csv(path, header, columns())
+        assert path.read_bytes() == writer_bytes(header, columns())
+
+    @pytest.mark.parametrize("column", [[""], [None], ["", ""], ["x", "", "y", None, "z"],
+                                        ["x", "y", "", "z"]])
+    @pytest.mark.parametrize("form", [list, objects], ids=["list", "object-array"])
+    def test_one_column_with_empty_and_none_cells(self, column, form, tmp_path, monkeypatch):
+        path = tmp_path / "out.csv"
+        got, fallen = written(path, lambda: write_csv(path, ["h"], [form(column)]),
+                              monkeypatch)
+        assert got == writer_bytes(["h"], [column])
+        batches = [column[i:i + 2] for i in range(0, len(column), 2)]
+        assert fallen == [list(zip(b)) for b in batches if "" in b or None in b]
+
+    def test_numeric_columns_are_never_quoted(self, tmp_path, monkeypatch):
+        floats = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e-300, 0.1, 1 / 3,
+                           1.7976931348623157e308, 1e16, 123456789.0])
+        n = len(floats)
+        columns = [
+            floats, -floats,
+            np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, *range(-5, 5)]),
+            np.array([np.iinfo(np.uint64).max, *range(n - 1)], dtype=np.uint64),
+            np.arange(n) % 3 == 0, (floats / 3e290).astype(np.float32),
+            np.arange(n, dtype=np.int8),
+        ]
+        header = [f"c{i}" for i in range(len(columns))]
+        path = tmp_path / "out.csv"
+        got, fallen = written(path, lambda: write_csv(path, header, columns), monkeypatch)
+        assert got == writer_bytes(header, columns)
+        assert fallen == []
+        for column in columns:      # a one-column table too
+            write_csv(path, ["h"], [column])
+            assert path.read_bytes() == writer_bytes(["h"], [column])
+
+    def test_numbers_in_an_object_covariate_column(self, tmp_path, monkeypatch):
+        # a table built in code may hold numbers, or None, among the strings
+        # of a covariate; the batches that hold one go to csv.writer
+        extra = objects(["a", "b", 1, 2.5, "c", "d", np.float64(0.1), np.int64(7), "e", "f",
+                         True, None, "g", -0.0])
+        n = len(extra)
+        table = compute_gaps(GarageTable(
+            garage_id=objects(f"g{i}" for i in range(n)),
+            my_mpg=np.arange(2 * n).reshape(n, 2) / 3 + 10, epa_mpg=np.full((n, 2), 25.0),
+            model_year=np.tile([1999, 2004], (n, 1)), us_division=objects(["Pacific"] * n),
+            covariates={"extra": extra, "note": objects(["n"] * n)}))
+        path = tmp_path / "out.csv"
+        got, fallen = written(path, lambda: data.write_garage_csv(table, path), monkeypatch)
+        columns = [table.garage_id, table.my_mpg[:, 0], table.epa_mpg[:, 0],
+                   table.my_mpg[:, 1], table.epa_mpg[:, 1], table.model_year[:, 0],
+                   table.model_year[:, 1], table.us_division, extra, table.covariates["note"],
+                   table.gap[:, 0], table.gap[:, 1]]
+        header = [*data.GARAGE_COLUMNS, "extra", "note", *data.GAP_COLUMNS]
+        assert got == writer_bytes(header, columns)
+        rows = list(zip(*map(cells, columns)))
+        assert fallen == [rows[i:i + 2] for i in (2, 6, 10, 12)]
+
+    def test_unequal_columns_are_refused(self, tmp_path):
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match=r"^columns of unequal lengths \[2, 3\]$"):
+            write_csv(path, ["a", "b", "c"], [["x", "y", "z"], np.arange(2), ["u", "v", "w"]])
+        assert not path.exists()
+
+    def test_no_rows(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv(path, ["a", "b"], [[], np.arange(0)])
+        assert path.read_bytes() == b"a,b\r\n"
 
     def test_random_cells(self, tmp_path):
+        # random tables over columns of every kind: numeric numpy columns,
+        # str columns that may need quotes, and columns of any CELLS
         rng = random.Random(16)
-        rows = [[rng.choice(CELLS) if rng.random() < 0.1 else rng.uniform(-1e3, 1e3)
-                 for _ in range(rng.randint(1, 4))] for _ in range(400)]
+        alphabet = ["a", "1", ",", " ", '"', "\r", "\n", "\0", "é", ""]
+
+        def column(n):
+            kind = rng.choice(["float", "int", "bool", "str", "cells"])
+            if kind == "float":
+                return np.array([rng.uniform(-1e3, 1e3) for _ in range(n)])
+            if kind == "int":
+                return np.array([rng.randint(-2 ** 63, 2 ** 63 - 1) for _ in range(n)])
+            if kind == "bool":
+                return np.array([rng.random() < 0.5 for _ in range(n)])
+            if kind == "str":
+                values = ["".join(rng.choices(alphabet, k=rng.randint(0, 2)))
+                          if rng.random() < 0.2 else f"s{i}" for i in range(n)]
+            else:
+                values = [rng.choice(CELLS) if rng.random() < 0.2 else f"v{i}"
+                          for i in range(n)]
+            return rng.choice([list, objects])(values)
+
         path = tmp_path / "out.csv"
-        write_csv(path, ["a", "b"], iter(rows))
-        assert path.read_bytes() == writer_bytes(["a", "b"], rows)
+        for _ in range(300):
+            n = rng.randint(0, 9)
+            columns = [column(n) for _ in range(rng.randint(1, 4))]
+            header = [f"c{i}" for i in range(len(columns))]
+            assert outcome(path, lambda: write_csv(path, header, columns)) == \
+                writer_bytes(header, columns)
+
+
+# any text but NUL (which csv.writer refuses before Python 3.11) and lone
+# surrogates (which UTF-8 cannot hold)
+TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\0"),
+               max_size=5)
+# MPG figures whose ratios stay finite
+POSITIVE = st.floats(min_value=1e-150, max_value=1e150)
+YEAR = st.integers(-2 ** 53, 2 ** 53)
+
+
+@st.composite
+def gap_tables(draw) -> data.GapTable:
+    n = draw(st.integers(0, 7))
+
+    def strings() -> np.ndarray:
+        return objects(draw(st.lists(TEXT, min_size=n, max_size=n)))
+
+    def numbers(elements) -> list:
+        return draw(st.lists(st.tuples(elements, elements), min_size=n, max_size=n))
+
+    names = draw(st.lists(st.sampled_from(["note", "a,b", 'say "hi"', "é", " pad", "x\ny"]),
+                          unique=True, max_size=3))
+    return compute_gaps(GarageTable(
+        garage_id=strings(), my_mpg=np.array(numbers(POSITIVE), dtype=float).reshape(n, 2),
+        epa_mpg=np.array(numbers(POSITIVE), dtype=float).reshape(n, 2),
+        model_year=np.sort(np.array(numbers(YEAR), dtype=np.int64).reshape(n, 2), axis=1),
+        us_division=strings(), covariates={name: strings() for name in names}))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(gap_tables())
+def test_written_table_reads_back(table):
+    # write_garage_csv, then parse_raw, in batches of two rows: the same
+    # table, gap bits included
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data, "_PARSE_ROWS", 2)
+        path = Path(tmp) / "garages.csv"
+        data.write_garage_csv(table, path)
+        again = compute_gaps(parse_raw(path))
+    assert_same_table(again, table)
+    assert again.gap.tobytes() == table.gap.tobytes()
 
 
 def test_prepare_output_reads_back_as_the_kept_table(tmp_path):
