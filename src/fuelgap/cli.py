@@ -2,12 +2,18 @@
 plus a synthetic-data generator, all emitting JSON/CSV artifacts.
 
 Every command writes a manifest next to its output recording the resolved
-options that shaped it and SHA-256 hashes of inputs and outputs; re-running
-with identical inputs and options reproduces identical output hashes (only
-the duration field varies).  An rp-sure fit's manifest also records what
-the fit cost under "passes": Newton steps, value-and-score and Hessian
-kernel passes, modified steps and the last Newton decrement; the fit JSON
-never holds them.  Any other option is refused: the `fit` options
+options that shaped it and SHA-256 hashes of inputs and outputs, each file
+hashed once; re-running with identical inputs and options reproduces
+identical output hashes (only the duration field varies).  `prepare` writes
+the trimmed CSV, its table image (`data.write_table_image`, unless a text
+column allows none), the report JSON and, with --group-by, the groups CSV;
+its outputs list them in that order.  The manifest of `fit` records under
+"table_source" what served the data table: "image" when the image beside
+the CSV did (`data.parse_raw`), "csv" when the text was parsed.  An rp-sure
+fit's manifest also records what the fit cost under "passes": Newton
+steps, value-and-score and Hessian kernel passes, modified steps and the
+last Newton decrement; the fit JSON never holds them.  Any other option is
+refused: the `fit` options
 in RP_SURE_OPTIONS go only to rp-sure, and --draws, --burn and --bases only
 with random terms (ols and sure fit those as fixed, with a note on stderr).
 `prepare` alone picks the rating columns, as my_mpg_*/epa_mpg_* for `fit`.
@@ -30,7 +36,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import math
 import sys
@@ -47,6 +52,7 @@ from .data import (
     GROUP_SUMMARY_COLUMNS,
     compute_gaps,
     encode_design,
+    file_sha256,
     gap_correlation,
     group_summary,
     parse_raw,
@@ -55,6 +61,7 @@ from .data import (
     write_csv,
     write_garage_csv,
     write_group_summary_csv,
+    write_table_image,
 )
 from .errors import DegenerateDataError, FuelGapError, SpecError
 from .halton import LOWER_BOUNDS, HaltonConfig, build_draw_store, first_primes
@@ -79,14 +86,6 @@ EXIT_NOT_CONVERGED = 3
 EXIT_IO = 4
 
 
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    return "sha256:" + digest.hexdigest()
-
-
 def _jsonable(value):
     """Recursively convert to JSON-safe values; non-finite floats become null."""
     if isinstance(value, dict):
@@ -104,23 +103,31 @@ def _write_json(payload: dict, path: Path) -> None:
         fh.write("\n")
 
 
-def _write_manifest(command: str, options: dict, inputs: list[Path],
-                    outputs: list[Path], started: float, passes: dict | None = None) -> Path:
+def _write_manifest(command: str, options: dict, inputs: list[Path], outputs: list[Path],
+                    started: float, extra: dict | None = None,
+                    digests: dict[Path, str] | None = None) -> Path:
+    """Write the manifest of `outputs[0]`; `extra` adds keys to it, and
+    `digests` holds the `file_sha256` of files this command hashed already."""
     primary = Path(outputs[0])
     manifest_path = primary.with_name(primary.name + ".manifest.json")
     options = {k: v for k, v in options.items() if k not in ("handler", "command")}
+    digests = digests or {}
     payload = {
         "command": command,
         "version": __version__,
         "options": {k: _jsonable(v) for k, v in sorted(options.items())},
-        "inputs": {str(p): _sha256(Path(p)) for p in inputs},
-        "outputs": {str(p): _sha256(Path(p)) for p in outputs},
+        "inputs": {str(p): digests.get(Path(p)) or file_sha256(p) for p in inputs},
+        "outputs": {str(p): digests.get(Path(p)) or file_sha256(p) for p in outputs},
         "duration_seconds": round(time.monotonic() - started, 6),
+        **(extra or {}),
     }
-    if passes is not None:
-        payload["passes"] = passes
     _write_json(payload, manifest_path)
     return manifest_path
+
+
+def _hashed(origin: dict, path) -> dict[Path, str]:
+    """The digest of `path` that `parse_raw` took and left in `origin`, if any."""
+    return {Path(path): origin["sha256"]} if "sha256" in origin else {}
 
 
 def _t_stat(coef: float, se) -> float | None:
@@ -220,7 +227,8 @@ def cmd_prepare(args, parser) -> int:
     if args.year_bins and not {"model_year_bin_1", "model_year_bin_2"} & set(keys):
         parser.error("--year-bins needs --group-by with model_year_bin_1 or model_year_bin_2")
     bins = _parse_year_bins(parser, args.year_bins) if args.year_bins else DEFAULT_YEAR_BINS
-    table = compute_gaps(parse_raw(args.input, *columns))
+    origin = {}
+    table = compute_gaps(parse_raw(args.input, *columns, origin=origin))
     clashes = [c for c in table.covariates if c in GARAGE_COLUMNS]
     if clashes:
         raise SpecError(f"input columns {clashes} would repeat fixed columns of the "
@@ -231,7 +239,9 @@ def cmd_prepare(args, parser) -> int:
 
     out = Path(args.out)
     write_garage_csv(kept, out)
-    outputs = [out]
+    digests = {**_hashed(origin, args.input), out: file_sha256(out)}
+    image = write_table_image(kept, out, digests[out])
+    outputs = [out] if image is None else [out, image]
 
     report_path = out.with_name(out.stem + ".report.json")
     payload = dataclasses.asdict(report)
@@ -250,7 +260,8 @@ def cmd_prepare(args, parser) -> int:
         write_group_summary_csv(groups, keys, groups_path)
         outputs.append(groups_path)
 
-    _write_manifest("prepare", vars(args), [Path(args.input)], outputs, started)
+    _write_manifest("prepare", vars(args), [Path(args.input)], outputs, started,
+                    digests=digests)
     print(f"kept {report.n_kept} of {report.n_input} observations "
           f"({report.n_removed} outside {trim_sd} SD)")
     return EXIT_OK
@@ -310,7 +321,8 @@ def cmd_fit(args, parser) -> int:
                for t in eq.terms if t.is_random]
     if randoms and args.estimator != "rp-sure":
         print(f"note: {args.estimator} fits the random terms {randoms} as fixed", file=sys.stderr)
-    table = compute_gaps(parse_raw(args.data))
+    origin = {}
+    table = compute_gaps(parse_raw(args.data, origin=origin))
     design = encode_design(table, spec)
     y1, y2 = responses(table)
 
@@ -328,13 +340,15 @@ def cmd_fit(args, parser) -> int:
     out = Path(args.out)
     _write_json(fit_payload(fit, args.estimator), out)
     convergence = fit.convergence
-    passes = None if convergence is None else {
-        "newton_steps": convergence.iterations, "score_passes": convergence.score_passes,
-        "hessian_passes": convergence.hessian_passes,
-        "modified_steps": convergence.modified_steps,
-        "newton_decrement": convergence.decrement}
+    extra = {"table_source": origin["source"]}
+    if convergence is not None:
+        extra["passes"] = {
+            "newton_steps": convergence.iterations, "score_passes": convergence.score_passes,
+            "hessian_passes": convergence.hessian_passes,
+            "modified_steps": convergence.modified_steps,
+            "newton_decrement": convergence.decrement}
     _write_manifest("fit", {**vars(args), **options}, [Path(args.data), Path(args.spec)],
-                    [out], started, passes)
+                    [out], started, extra, _hashed(origin, args.data))
     status = "ok" if convergence is None else convergence.status
     print(f"{args.estimator} fit written to {out} "
           f"(loglik={fit.loglik:.4f}, k={fit.k}, status={status})")

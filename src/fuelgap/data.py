@@ -31,11 +31,26 @@ are then joined in one piece, byte for byte what `csv.writer` writes.  A
 batch with a cell of any other kind (None, a number in an object column),
 a cell that needs quoting, or an empty cell in a one-column table goes
 through `csv.writer` instead.
+
+Beside the CSV it writes, `fuelgap prepare` writes the table's image
+(`write_table_image`, at `image_path`), so that a later read need not parse
+the text again.  The image is a run of pickle-free `np.save` records: its
+format and the CSV's `file_sha256`; my_mpg, epa_mpg and model_year as they
+are; then each text column (garage_id, us_division, the covariates in
+order) as one UTF-8 buffer, a separator that none of its cells holds and
+then its name and cells joined by that separator.  A column that holds
+every separator, or a cell that is not a str, means no image.  `parse_raw`
+of a path with the default MPG columns returns the image's table
+(`read_table_image`) only if the image names the digest of the CSV's
+bytes, its arrays have a GarageTable's shapes and dtypes, and they keep the
+row rule; otherwise the text is parsed.  Either way the table is the same.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
+import zipfile
 from dataclasses import dataclass, field, fields
 from itertools import chain, islice
 from pathlib import Path
@@ -64,8 +79,14 @@ DEFAULT_YEAR_BINS = ((1984, 1988), (1989, 1993), (1994, 1998),
 # rows per batch, read or written: bounds the CSV text held at once, and a
 # batch is split (or joined) by str methods or by the csv module as a whole
 _PARSE_ROWS = 4096
-# a model year must be integral and fit the int64 column that holds it
+# a model year must be integral and fit the int64 column that holds it;
+# from _EXACT_LIMIT on, float may round a year, so it is read again exactly
 _YEAR_LIMIT = 2.0 ** 63
+_EXACT_LIMIT = 2.0 ** 53
+# the table image beside a prepared CSV (`write_table_image`); a text
+# column is joined by the first of the separators that none of its cells holds
+_IMAGE_FORMAT = "fuelgap table image 1"
+_IMAGE_SEPARATORS = "\x1f\x1e\x1d\x1c\0"
 
 
 @dataclass(frozen=True)
@@ -165,21 +186,52 @@ def _fault(cell: str, name: str, year: bool) -> str:
     return f"nonpositive mpg in field {name!r}: {cell!r}"
 
 
+def _good_mpg(mpg: np.ndarray) -> np.ndarray:
+    """The row rule of MPG figures: True where one is positive and finite."""
+    return (mpg > 0) & (mpg < np.inf)
+
+
+def _exact_year(cell: str) -> int | None:
+    """The model year that `cell` spells, read exactly; None unless it is an
+    integer in the int64 range.
+
+    For a cell whose float is 2^53 or more in magnitude, which float may
+    have rounded.  Such cells are rare, so decimal is imported only here.
+    """
+    from decimal import Decimal
+
+    try:
+        value = Decimal(cell)
+        if value.is_finite() and value == value.to_integral_value() \
+                and -2 ** 63 <= value < 2 ** 63:
+            return int(value)
+    except (ArithmeticError, ValueError):
+        pass
+    return None
+
+
 def _parse_batch(columns: list, first: int, numeric: list[tuple[int, str]]):
     """my_mpg, epa_mpg and model_year, each (n, 2), of a batch's columns.
 
     The row rule is one (n, 7) matrix over whole columns: the six fields
     that `numeric` lists as (column index, name), then the year order.  Its
     first False in row-major order is the first fault in file order, raised
-    as a ParseError at its row (`first` is the batch's first row).
+    as a ParseError at its row (`first` is the batch's first row).  A year
+    is read through float, and read again exactly (`_exact_year`) where
+    float may have rounded it.
     """
     mpg = np.column_stack([_floats(columns[i]) for i, _ in numeric[:4]])
     years = np.column_stack([_floats(columns[i]) for i, _ in numeric[4:]])
     ok = np.empty((len(mpg), 7), dtype=bool)
-    ok[:, :4] = (mpg > 0) & (mpg < np.inf)
+    ok[:, :4] = _good_mpg(mpg)
     ok[:, 4:6] = (np.abs(years) < _YEAR_LIMIT) & (years == np.floor(years))
+    rounded = np.abs(years) >= _EXACT_LIMIT
     # a year that fails its own check stands in as 0; its own fault comes first
     years = np.where(ok[:, 4:6], years, 0).astype(np.int64)
+    for row, v in zip(*map(np.ndarray.tolist, np.nonzero(rounded))):
+        year = _exact_year(columns[numeric[4 + v][0]][row])
+        ok[row, 4 + v] = year is not None
+        years[row, v] = year or 0
     ok[:, 6] = years[:, 0] <= years[:, 1]
     if not ok.all():
         row, cell = divmod(int(np.argmin(ok)), 7)
@@ -191,7 +243,8 @@ def _parse_batch(columns: list, first: int, numeric: list[tuple[int, str]]):
     return mpg[:, [0, 2]], mpg[:, [1, 3]], years
 
 
-def parse_raw(source, user_col: str = "my_mpg", epa_col: str = "epa_mpg") -> GarageTable:
+def parse_raw(source, user_col: str = "my_mpg", epa_col: str = "epa_mpg", *,
+              origin: dict | None = None) -> GarageTable:
     """Parse a header-bearing CSV into a garage table.
 
     `source` is a path or an open text stream, not bytes; a leading
@@ -206,8 +259,22 @@ def parse_raw(source, user_col: str = "my_mpg", epa_col: str = "epa_mpg") -> Gar
     are not counted); nothing is silently dropped.  The gap columns of a
     prepared CSV (GAP_COLUMNS) are derived, so they are skipped:
     `compute_gaps` computes the gaps again from the MPG columns picked.
+
+    A path read with the default MPG columns that has a table image beside
+    it is hashed, and the image serves the table if it is the image of
+    these bytes (`read_table_image`); in every other case the text does.
+    `origin`, if given, receives "source", "image" or "csv", and "sha256",
+    the path's `file_sha256`, if it was hashed.
     """
+    origin = {} if origin is None else origin
+    origin["source"] = "csv"
     if isinstance(source, (str, Path)):
+        if (user_col, epa_col) == ("my_mpg", "epa_mpg") and image_path(source).is_file():
+            origin["sha256"] = file_sha256(source)
+            table = read_table_image(source, origin["sha256"])
+            if table is not None:
+                origin["source"] = "image"
+                return table
         with open(source, newline="", encoding="utf-8") as fh:
             return parse_raw(fh, user_col=user_col, epa_col=epa_col)
     lines = iter(source)
@@ -362,16 +429,19 @@ def _continuous(values: np.ndarray, column: str) -> np.ndarray:
     return col
 
 
+def _labels(values: np.ndarray) -> np.ndarray:
+    """The categorical label of each value, as an object array: its text, or
+    NOT_REPORTED for a blank value.  The one rule of dummies and group keys."""
+    if values.dtype == object and all(type(v) is str and v.strip() for v in set(values)):
+        return values
+    labels = [str(v) for v in values.tolist()]
+    return np.array([label if label.strip() else NOT_REPORTED for label in labels],
+                    dtype=object)
+
+
 def _indicator(values: np.ndarray, level: str) -> np.ndarray:
-    """1.0 where a value's label is `level`; a blank value's label is NOT_REPORTED."""
-    labels = values if values.dtype == object else np.array(
-        [str(v) for v in values.tolist()], dtype=object)
-    if not level.strip():           # a blank value is never its own label
-        return np.zeros(len(labels))
-    hits = labels == level
-    if level == NOT_REPORTED:
-        hits |= np.array([not v.strip() for v in labels.tolist()], dtype=bool)
-    return hits.astype(float)
+    """1.0 where a value's label is `level`, so a blank level matches nothing."""
+    return (_labels(values) == level).astype(float)
 
 
 def encode_design(table: GarageTable, spec: ModelSpec) -> DesignMatrices:
@@ -385,9 +455,9 @@ def encode_columns(n: int, lookup: Callable[[str], np.ndarray],
 
     `lookup` returns a source column by name.  One 0/1 column per non-base
     category level, continuous columns passed through unchanged, and a
-    leading intercept column of ones when enabled.  Missing categorical
-    values count as the explicit "Not reported" level.  Column rank is left
-    to the estimators (sure._equation_ols).
+    leading intercept column of ones when enabled.  A blank categorical
+    value's label is the explicit "Not reported" level (`_labels`).  Column
+    rank is left to the estimators (sure._equation_ols).
     """
     if not n:
         raise SpecError("cannot encode an empty table")
@@ -453,7 +523,7 @@ def _group_codes(table: GarageTable, key: str, bins) -> tuple[np.ndarray, list[s
         years, rows = np.unique(table.model_year[:, int(key[-1]) - 1], return_inverse=True)
         names = [model_year_bin(year, bins) for year in years.tolist()]
     else:
-        labels = list(map(str, _resolve(table, key).tolist()))
+        labels = _labels(_resolve(table, key)).tolist()
         index = {label: i for i, label in enumerate(dict.fromkeys(labels))}
         names = list(index)
         rows = np.fromiter(map(index.__getitem__, labels), np.intp, len(labels))
@@ -467,9 +537,10 @@ def group_summary(table: GapTable, keys: list[str],
     """Mean gaps per observed key combination, in deterministic sorted order.
 
     Keys may be covariate columns, table fields, or the derived
-    model_year_bin_1 / model_year_bin_2 labels.  Rows are grouped by one
-    stable sort of integer codes of their labels, and each mean runs over
-    its group's rows in file order.
+    model_year_bin_1 / model_year_bin_2 labels.  A value's label is that of
+    its dummy (`_labels`), so a blank value is in the NOT_REPORTED group.
+    Rows are grouped by one stable sort of integer codes of their labels,
+    and each mean runs over its group's rows in file order.
     """
     if not keys:
         raise SpecError("at least one grouping key is required")
@@ -569,3 +640,104 @@ def write_garage_csv(table: GarageTable, path) -> None:
         columns += [table.gap[:, 0], table.gap[:, 1]]
         header += GAP_COLUMNS
     write_csv(path, header, columns)
+
+
+def file_sha256(path) -> str:
+    """"sha256:" and the hex SHA-256 of the file's bytes."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return "sha256:" + digest.hexdigest()
+
+
+def image_path(csv_path) -> Path:
+    """Where the table image of a garage CSV lies: `<name>.image` beside it."""
+    path = Path(csv_path)
+    return path.parent / (path.name + ".image")
+
+
+def _image_head(digest: str) -> np.ndarray:
+    """The first record of a table image: its format and the CSV's digest."""
+    return _utf8(f"{_IMAGE_FORMAT} {digest}")
+
+
+def _utf8(text: str) -> np.ndarray:
+    return np.frombuffer(text.encode(), dtype=np.uint8)
+
+
+def _image_text(name: str, column: np.ndarray) -> str | None:
+    """One text column of a table image: a separator that neither `name`
+    nor any cell holds, then the name and the cells joined by it; None if
+    every separator is taken or a cell is not a str."""
+    cells = [name, *column.tolist()]
+    for separator in _IMAGE_SEPARATORS:
+        try:
+            text = separator.join(cells)
+        except TypeError:
+            return None
+        if text.count(separator) == len(cells) - 1:
+            return separator + text
+    return None
+
+
+def write_table_image(table: GarageTable, csv_path, digest: str) -> Path | None:
+    """Write the image of `table` beside `csv_path`, the garage CSV that
+    holds the same table as text and whose `file_sha256` is `digest`.
+
+    Returns the image's path, or None if a text column has no free
+    separator or a cell that is not a str: then no image is written, and
+    an older one beside the CSV is removed.
+    """
+    texts = [_image_text(name, column) for name, column in
+             ((_ID, table.garage_id), (_DIVISION, table.us_division),
+              *table.covariates.items())]
+    path = image_path(csv_path)
+    if None in texts:
+        path.unlink(missing_ok=True)
+        return None
+    with open(path, "wb") as fh:
+        for record in (_image_head(digest), table.my_mpg, table.epa_mpg, table.model_year,
+                       *map(_utf8, texts)):
+            np.save(fh, np.ascontiguousarray(record), allow_pickle=False)
+    return path
+
+
+def read_table_image(csv_path, digest: str) -> GarageTable | None:
+    """The table that the image beside `csv_path` holds, if the image names
+    `digest` (the CSV's `file_sha256`), its arrays have a GarageTable's
+    shapes and dtypes and they keep the row rule; None otherwise, or if
+    there is no image or it cannot be read whole.
+    """
+    records = []
+    try:
+        with open(image_path(csv_path), "rb") as fh:
+            while fh.peek(1):
+                records.append(np.load(fh, allow_pickle=False))
+    except (OSError, ValueError, zipfile.BadZipFile):
+        return None
+    if len(records) < 6 or not all(isinstance(r, np.ndarray) for r in records):
+        return None                     # np.load reads a zip archive as a whole
+    head, my_mpg, epa_mpg, model_year, *buffers = records
+    n = len(model_year) if model_year.ndim else -1
+    if not np.array_equal(head, _image_head(digest)) \
+            or [(a.dtype, a.shape) for a in (my_mpg, epa_mpg, model_year)] \
+            != [(np.dtype(float), (n, 2))] * 2 + [(np.dtype(np.int64), (n, 2))] \
+            or any(b.dtype != np.uint8 or b.ndim != 1 or not b.size for b in buffers) \
+            or not (_good_mpg(my_mpg).all() and _good_mpg(epa_mpg).all()
+                    and (model_year[:, 0] <= model_year[:, 1]).all()):
+        return None
+    try:
+        texts = [buffer.tobytes().decode() for buffer in buffers]
+    except UnicodeDecodeError:
+        return None
+    columns = [text[1:].split(text[0]) for text in texts]
+    names = [name for name, *_ in columns]
+    if names[:2] != [_ID, _DIVISION] or len(set(names)) < len(names) \
+            or any(len(cells) != n + 1 for cells in columns):
+        return None
+    strings = {name: np.array(cells, dtype=object) for name, *cells in columns}
+    return GarageTable(garage_id=strings.pop(_ID), my_mpg=np.ascontiguousarray(my_mpg),
+                       epa_mpg=np.ascontiguousarray(epa_mpg),
+                       model_year=np.ascontiguousarray(model_year),
+                       us_division=strings.pop(_DIVISION), covariates=strings)

@@ -522,8 +522,9 @@ class TestGroupSummary:
     def test_same_summary_as_the_dict_of_lists_loop(self, keys):
         rng = np.random.default_rng(37)
         # a group of 8500 rows (Pacific, 1999-2003), one of 200 (Not
-        # reported, 1984-1988), blank labels, and two garages outside every
-        # year bin, each its own group; all in shuffled file order
+        # reported, 1984-1988), blank labels, which are Not reported too, and
+        # two garages outside every year bin, each its own group; all in
+        # shuffled file order
         division = ["Pacific"] * 8500 + [""] * 300 + ["Not reported"] * 200 + [" "] * 150 \
             + ["Mountain", "New England"]
         n = len(division)
@@ -546,7 +547,8 @@ class TestGroupSummary:
                       "model_year_1": table.model_year[:, 0]}.get(key)
             if column is None:              # my_mpg_1 and the like
                 column = getattr(table, key[:-2])[:, int(key[-1]) - 1]
-            return [str(v) for v in column.tolist()]
+            # a blank value's label is Not reported, as for its dummy
+            return [str(v) if str(v).strip() else "Not reported" for v in column.tolist()]
 
         # the oracle: each row's label tuple, its group's members in file order
         groups = {}
@@ -562,9 +564,34 @@ class TestGroupSummary:
         if keys == ["us_division", "model_year_bin_1"]:
             sizes = {r.key: r.n for r in rows}
             assert sizes[("Pacific", "1999-2003")] == 8500
-            assert sizes[("Not reported", "1984-1988")] == 200
+            early_blanks = sum(not d.strip() and 1984 <= y <= 1988 for d, y in
+                               zip(table.us_division.tolist(), table.model_year[:, 0].tolist()))
+            assert early_blanks > 0
+            assert sizes[("Not reported", "1984-1988")] == 200 + early_blanks
+            assert sum(n for k, n in sizes.items() if k[0] == "Not reported") == 650
             assert sizes[("Mountain", "outside")] == sizes[("New England", "outside")] == 1
-            assert ("", "outside") not in sizes and any(k[0] == " " for k in sizes)
+            assert all(k[0].strip() for k in sizes)
+
+    def test_a_value_is_in_the_group_of_its_dummy(self):
+        # one label rule for both: a value's text, and Not reported for a
+        # blank one, so every group's rows are those of its level's dummy
+        values = ["", " ", "Not reported", "x", "\t", "y", "x", 1, "1", 2.5, None]
+        n = len(values)
+        style = np.empty(n, dtype=object)
+        style[:] = values
+        table = compute_gaps(GarageTable(
+            garage_id=np.array([f"g{i}" for i in range(n)], dtype=object),
+            my_mpg=np.full((n, 2), 20.0), epa_mpg=np.full((n, 2), 25.0),
+            model_year=np.tile([1999, 2004], (n, 1)),
+            us_division=np.array(["Pacific"] * n, dtype=object), covariates={"style": style}))
+        groups = {row.key[0]: row.n for row in group_summary(table, ["style"])}
+        assert groups == {"Not reported": 4, "x": 2, "y": 1, "1": 2, "2.5": 1, "None": 1}
+        levels = sorted(set(groups) - {"y"})
+        design = encode_design(table, two_equation_spec(
+            [Term("style", level) for level in levels], [], base_levels={"style": "y"},
+            intercept=False))
+        assert design.x1.sum(axis=0).tolist() == [groups[level] for level in levels]
+        assert design.x1.sum(axis=1).tolist() == [1.0 if v != "y" else 0.0 for v in values]
 
     def test_empty_table_has_no_groups(self):
         table = make_table(garage(0.8, 0.9, garage_id="g0"))

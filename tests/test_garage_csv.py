@@ -5,21 +5,24 @@ hands the first other batch, and the rest of the file, to `csv.reader`;
 `write_csv` makes each column's batch text in one pass and joins the rows,
 and writes a batch with a cell that needs quotes, or of another kind, with
 `csv.writer`.  Here `csv.reader` and `csv.writer` are the oracles, and
-`_PARSE_ROWS` is 2, so a small file spans many batches.
+`_PARSE_ROWS` is 2, so a small file spans many batches.  The table image
+that `prepare` writes beside its CSV must give what the CSV text gives.
 """
 
 import csv
 import io
+import json
 import random
 import tempfile
 import types
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuelgap import data
+from fuelgap import cli, data
 from fuelgap.cli import main
 from fuelgap.data import (
     GarageTable,
@@ -49,6 +52,18 @@ def integral(cell: str) -> int:
     if not value.is_integer():
         raise ValueError(f"model year {cell!r} is not an integer")
     return int(value)
+
+
+def reader_outcome(text: str) -> GarageTable | str:
+    """`reader_table(text)`, or the ParseError text that parse_raw should
+    raise for the csv.Error of `csv.reader` (NUL before Python 3.11)."""
+    rows = 0                            # the header is row 0
+    try:
+        for cells in csv.reader(io.StringIO(text, newline="")):
+            rows += bool(cells)
+    except csv.Error as exc:
+        return f"row {rows}: {exc}"
+    return reader_table(text)
 
 
 def reader_table(text: str) -> GarageTable:
@@ -109,17 +124,29 @@ INPUTS = {
 }
 
 
+def assert_same_outcome(read, text: str) -> None:
+    """`read()` gives the table `csv.reader` gives for `text`, or raises the
+    ParseError of its csv.Error."""
+    want = reader_outcome(text)
+    if isinstance(want, str):
+        with pytest.raises(ParseError) as err:
+            read()
+        assert str(err.value) == want
+    else:
+        assert_same_table(read(), want)
+
+
 class TestParseMatchesReader:
     @pytest.mark.parametrize("name", INPUTS)
     def test_same_table_as_csv_reader(self, name):
         text = INPUTS[name]
-        assert_same_table(parse_raw(io.StringIO(text, newline="")), reader_table(text))
+        assert_same_outcome(lambda: parse_raw(io.StringIO(text, newline="")), text)
 
     @pytest.mark.parametrize("name", INPUTS)
     def test_same_table_from_a_file(self, name, tmp_path):
         path = tmp_path / "garages.csv"
         path.write_bytes(INPUTS[name].encode())
-        assert_same_table(parse_raw(path), reader_table(INPUTS[name]))
+        assert_same_outcome(lambda: parse_raw(path), INPUTS[name])
 
     def test_bare_cr_inside_a_line_is_the_csv_error(self):
         # without universal newlines a CR inside a line is csv.reader's fault,
@@ -538,15 +565,15 @@ TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=
                max_size=5)
 # MPG figures whose ratios stay finite
 POSITIVE = st.floats(min_value=1e-150, max_value=1e150)
-YEAR = st.integers(-2 ** 53, 2 ** 53)
+YEAR = st.integers(-2 ** 63, 2 ** 63 - 1)
 
 
 @st.composite
-def gap_tables(draw) -> data.GapTable:
+def gap_tables(draw, text=TEXT) -> data.GapTable:
     n = draw(st.integers(0, 7))
 
     def strings() -> np.ndarray:
-        return objects(draw(st.lists(TEXT, min_size=n, max_size=n)))
+        return objects(draw(st.lists(text, min_size=n, max_size=n)))
 
     def numbers(elements) -> list:
         return draw(st.lists(st.tuples(elements, elements), min_size=n, max_size=n))
@@ -572,6 +599,38 @@ def test_written_table_reads_back(table):
         again = compute_gaps(parse_raw(path))
     assert_same_table(again, table)
     assert again.gap.tobytes() == table.gap.tobytes()
+
+
+@pytest.mark.parametrize("cell,year", [
+    ("9007199254740993", 2 ** 53 + 1), (" 9007199254740993 ", 2 ** 53 + 1),
+    ("9.007199254740993e15", 2 ** 53 + 1), ("+9_007_199_254_740_993", 2 ** 53 + 1),
+    ("9223372036854775807", 2 ** 63 - 1), ("-9223372036854775808", -2 ** 63),
+    ("1e16", 10 ** 16), ("9223372036854775808", None), ("-9223372036854775809", None),
+    ("9007199254740993.5", None), ("1e19", None), ("1e400", None),
+], ids=repr)
+def test_model_year_is_read_exactly(cell, year):
+    # float holds integers exactly only up to 2^53; beyond it a year is
+    # read again from its text, so no year is rounded and all of int64 fits
+    text = lf(f"g0,20,25,22,30,{cell},{cell},Pacific,n")
+    if year is None:
+        with pytest.raises(ParseError) as err:
+            parse_raw(io.StringIO(text))
+        assert str(err.value) == f"row 1: field 'model_year_1' is not an integer: {cell!r}"
+    else:
+        assert parse_raw(io.StringIO(text)).model_year.tolist() == [[year, year]]
+
+
+def test_rounded_years_keep_their_order():
+    # 2^53 + 1 reads as the float 2^53: only its exact value is newer
+    for years, fault in [((2 ** 53 + 1, 2 ** 53), True),
+                         ((2 ** 53, 2 ** 53 + 1), False)]:
+        text = lf("g0,20,25,22,30,{},{},Pacific,n".format(*years))
+        if fault:
+            with pytest.raises(ParseError, match="vehicle 1 must be the older vehicle "
+                               rf"\(model_year_1={years[0]} > model_year_2={years[1]}\)"):
+                parse_raw(io.StringIO(text))
+        else:
+            assert parse_raw(io.StringIO(text)).model_year.tolist() == [list(years)]
 
 
 def test_prepare_output_reads_back_as_the_kept_table(tmp_path):
@@ -610,3 +669,203 @@ def test_byte_order_mark_is_not_part_of_the_header(first, tmp_path):
         assert main(["prepare", "--input", str(path), "--out", str(out)]) == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+# ---------------------------------------------------------------------------
+# the table image that `prepare` writes beside its CSV
+
+# text cells over the characters that matter to the CSV and to the image:
+# its separators, all but NUL (which csv.writer refuses before Python 3.11)
+SEPARATED = st.lists(st.sampled_from(["a", ",", '"', "\r", "\n", "\r\n", "\x1f", "\x1e",
+                                      "\x1d", "\x1c", "é", " "]), max_size=4).map("".join)
+
+
+def write_with_image(table: GarageTable, path: Path) -> Path | None:
+    """`table` as a garage CSV at `path` and as its image; the image's path."""
+    data.write_garage_csv(table, path)
+    return data.write_table_image(table, path, data.file_sha256(path))
+
+
+def read_both(path: Path) -> tuple[GarageTable, dict, GarageTable]:
+    """parse_raw of `path` with its origin, and the table of the CSV text alone."""
+    origin = {}
+    table = parse_raw(path, origin=origin)
+    with open(path, newline="", encoding="utf-8") as fh:
+        return table, origin, parse_raw(fh)
+
+
+def assert_same_layout(got: GarageTable, want: GarageTable) -> None:
+    assert_same_table(got, want)
+    for name in ("my_mpg", "epa_mpg", "model_year"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.flags.c_contiguous, a.flags.f_contiguous) == \
+               (b.flags.c_contiguous, b.flags.f_contiguous), name
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(gap_tables(st.one_of(TEXT, SEPARATED)))
+def test_image_serves_the_table_the_csv_holds(table):
+    # NUL is never in these cells, so a separator is always free
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data, "_PARSE_ROWS", 2)
+        path = Path(tmp) / "garages.csv"
+        assert write_with_image(table, path) == data.image_path(path)
+        got, origin, want = read_both(path)
+        assert origin == {"source": "image", "sha256": data.file_sha256(path)}
+    assert_same_layout(got, want)
+    assert_same_table(got, table)
+
+
+def one_column_table(cells: list[str]) -> GarageTable:
+    n = len(cells)
+    return GarageTable(
+        garage_id=objects(cells), my_mpg=np.full((n, 2), 20.5), epa_mpg=np.full((n, 2), 25.0),
+        model_year=np.tile([1999, 2004], (n, 1)), us_division=objects(cells),
+        covariates={"note": objects(cells), "a,b\x1f": objects(["x"] * n)})
+
+
+class TestTableImage:
+    @pytest.mark.parametrize("cells", [
+        [], ["plain"], [""], ["a,b"], ['say "hi"'], ["two\r\nlines"], ["\r"], ["\n"],
+        ["\x1f"], ["\x1f\x1e\x1d\x1c"], ["a\x1fb", "c\x1ed", ""],
+    ], ids=repr)
+    def test_no_row_or_a_few(self, cells, tmp_path):
+        path = tmp_path / "garages.csv"
+        assert write_with_image(one_column_table(cells), path) is not None
+        got, origin, want = read_both(path)
+        assert origin["source"] == "image"
+        assert_same_layout(got, want)
+        assert_same_table(got, one_column_table(cells))
+
+    @pytest.mark.parametrize("cells", [["a", "\x1f\x1e\x1d\x1c\0"], ["\x1f\x1e", "\x1d\x1c\0"],
+                                       ["x", 1.5], ["x", None]], ids=repr)
+    def test_no_free_separator_or_a_cell_not_text_is_no_image(self, cells, tmp_path):
+        # written by write_table_image alone: csv.writer refuses NUL before 3.11
+        path = tmp_path / "garages.csv"
+        stale = data.image_path(path)
+        stale.write_bytes(b"an older image")
+        table = one_column_table(["a", "b"])
+        table.covariates["note"] = objects(cells)
+        assert data.write_table_image(table, path, "sha256:" + "0" * 64) is None
+        assert not stale.exists()
+
+    def test_other_columns_or_a_stream_read_the_csv(self, tmp_path, monkeypatch):
+        path = tmp_path / "garages.csv"
+        write_with_image(one_column_table(["a", "b"]), path)
+        hashed = []
+        monkeypatch.setattr(data, "file_sha256", lambda p: hashed.append(p) or "sha256:")
+        for read in (lambda origin: parse_raw(path, "epa_mpg", "my_mpg", origin=origin),
+                     lambda origin: parse_raw(io.StringIO(path.read_text()), origin=origin)):
+            origin = {}
+            read(origin)
+            assert origin == {"source": "csv"}
+        assert hashed == []
+
+
+def prepared(tmp_path: Path, name: str = "prepared.csv") -> Path:
+    """A prepared CSV with its image, from 40 garages with a numeric note."""
+    rng = np.random.default_rng(38)
+    n = 40
+    epa = rng.uniform(15, 45, (n, 2))
+    mpg = (epa * rng.normal(0.85, 0.03, (n, 2))).tolist()
+    epa = epa.tolist()
+    raw = tmp_path / "raw.csv"
+    raw.write_text(lf(*(f"g{i},{mpg[i][0]!r},{epa[i][0]!r},{mpg[i][1]!r},{epa[i][1]!r},"
+                        f"{1990 + i % 9},2004,Pacific,{rng.uniform():.17g}" for i in range(n))))
+    out = tmp_path / name
+    assert main(["prepare", "--input", str(raw), "--out", str(out)]) == 0
+    return out
+
+
+def fit(data_path: Path, tmp_path: Path) -> tuple[bytes, dict]:
+    """The sure fit JSON of `data_path`, and its manifest."""
+    spec, out = tmp_path / "spec.json", tmp_path / "fit.json"
+    spec.write_text(json.dumps({"equations": [
+        {"name": name, "terms": [{"column": "note"}]} for name in ("vehicle_1", "vehicle_2")]}))
+    assert main(["fit", "--data", str(data_path), "--spec", str(spec), "--estimator", "sure",
+                 "--out", str(out)]) == 0
+    return out.read_bytes(), json.loads((tmp_path / "fit.json.manifest.json").read_text())
+
+
+def flip_last_gap_digit(csv_path: Path, image: Path) -> None:
+    # gap columns are derived, and skipped when read: the same table
+    text = csv_path.read_bytes()
+    csv_path.write_bytes(text[:-3] + bytes([text[-3] ^ 1]) + text[-2:])
+
+
+def truncate(csv_path: Path, image: Path) -> None:
+    image.write_bytes(image.read_bytes()[:-5])
+
+
+def with_an_object_array(csv_path: Path, image: Path) -> None:
+    # the note column's record, the last, becomes an object array
+    with open(image, "rb") as fh:
+        records = [np.load(fh) for _ in range(7)]
+        assert not fh.read()
+    with open(image, "wb") as fh:
+        for record in records[:-1] + [objects(["n"] * 40)]:
+            np.save(fh, record)
+
+
+def breaking_the_row_rule(change):
+    def write(csv_path: Path, image: Path) -> None:
+        table = parse_raw(io.StringIO(csv_path.read_text(), newline=""))
+        change(table)
+        data.write_table_image(table, csv_path, data.file_sha256(csv_path))
+    return write
+
+
+def of_another_csv(csv_path: Path, image: Path) -> None:
+    table = parse_raw(io.StringIO(csv_path.read_text(), newline=""))
+    data.write_table_image(table, csv_path, "sha256:" + "0" * 64)
+
+
+class TestImageInThePipeline:
+    def test_prepare_lists_the_image_and_fit_reads_it(self, tmp_path):
+        out = prepared(tmp_path)
+        image = data.image_path(out)
+        manifest = json.loads((tmp_path / "prepared.csv.manifest.json").read_text())
+        assert list(manifest["outputs"]) == [str(out), str(image),
+                                             str(tmp_path / "prepared.report.json")]
+        assert manifest["outputs"][str(image)] == data.file_sha256(image)
+        _, manifest = fit(out, tmp_path)
+        assert manifest["table_source"] == "image"
+        assert manifest["inputs"][str(out)] == data.file_sha256(out)
+
+    def test_two_prepares_write_the_same_image(self, tmp_path):
+        a, b = prepared(tmp_path, "a.csv"), prepared(tmp_path, "b.csv")
+        assert data.image_path(a).read_bytes() == data.image_path(b).read_bytes()
+
+    @pytest.mark.parametrize("spoil", [
+        flip_last_gap_digit, truncate, with_an_object_array, of_another_csv,
+        breaking_the_row_rule(lambda t: t.my_mpg.__setitem__((3, 1), -t.my_mpg[3, 1])),
+        breaking_the_row_rule(lambda t: t.epa_mpg.__setitem__((5, 0), np.inf)),
+        breaking_the_row_rule(lambda t: t.model_year.__setitem__((7, 0), 2010)),
+        lambda csv_path, image: image.unlink(),
+    ], ids=["csv-edited", "truncated", "object-array", "another-digest", "negative-mpg",
+            "infinite-epa", "newer-vehicle-1", "no-image"])
+    def test_the_csv_serves_when_the_image_does_not_hold(self, spoil, tmp_path):
+        out = prepared(tmp_path)
+        served, _ = fit(out, tmp_path)
+        spoil(out, data.image_path(out))
+        again, manifest = fit(out, tmp_path)
+        assert manifest["table_source"] == "csv"
+        assert manifest["inputs"][str(out)] == data.file_sha256(out)
+        assert again == served
+
+    def test_each_command_hashes_each_file_once(self, tmp_path, monkeypatch):
+        hashed = []
+        real = data.file_sha256
+
+        def counted(path):
+            hashed.append(Path(path))
+            return real(path)
+
+        monkeypatch.setattr(data, "file_sha256", counted)
+        monkeypatch.setattr(cli, "file_sha256", counted)
+        out = prepared(tmp_path)
+        assert Counter(hashed) == Counter([tmp_path / "raw.csv", out, data.image_path(out),
+                                           tmp_path / "prepared.report.json"])
+        hashed.clear()
+        fit(out, tmp_path)
+        assert Counter(hashed) == Counter([out, tmp_path / "spec.json", tmp_path / "fit.json"])

@@ -69,7 +69,10 @@ def callers(module: str | None, names: set[str]) -> set[tuple[str, str]]:
     ("json", {"load", "loads"}, ("modelspec", "read_json")),
     ("csv", {"writer", "DictWriter"}, ("data", "write_csv")),
     ("csv", {"reader", "DictReader"}, ("data", "parse_raw")),
-], ids=["json-read", "csv-write", "csv-read"])
+    ("np", {"save"}, ("data", "write_table_image")),
+    ("np", {"load"}, ("data", "read_table_image")),
+    ("hashlib", {"sha256"}, ("data", "file_sha256")),
+], ids=["json-read", "csv-write", "csv-read", "image-write", "image-read", "sha256"])
 def test_one_home_per_file_format(module, names, home):
     assert callers(module, names) == {home}
 
